@@ -17,7 +17,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, identities, registry
@@ -136,6 +135,8 @@ def _config_hash(config):
 
 
 def _load_config(path):
+    import jsonschema
+
     try:
         with open(path) as fh:
             config = json.load(fh)

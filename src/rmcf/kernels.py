@@ -1,87 +1,22 @@
 """Batch kernels for symmetric-function sweeps.
 
-Every kernel exists twice: a numba-compiled row loop and a plain numpy
-version vectorized across the batch axis. The compiled path is the
-default whenever numba imports; set ``RMCF_DISABLE_NUMBA=1`` to force
-the numpy path (``benchmarks/bench_kernels.py`` times the two against
-each other). Both paths are bit-compatible on the same input order.
+Plain numpy, vectorized across the batch axis: each kernel runs the
+incremental sigma recurrence one curvature column at a time over all
+rows at once.
 """
-
-import os
 
 import numpy as np
 
 
-def _sigma_table_loops(k):
-    # incremental recurrence, one curvature at a time, descending j
-    m, n = k.shape
-    e = np.zeros((m, n + 1))
-    for p in range(m):
-        e[p, 0] = 1.0
-        for i in range(n):
-            ki = k[p, i]
-            for j in range(i + 1, 0, -1):
-                e[p, j] += ki * e[p, j - 1]
-    return e
-
-
-def _sigma_table_numpy(k):
+def _sigma_table(k):
     m, n = k.shape
     e = np.zeros((m, n + 1))
     e[:, 0] = 1.0
     for i in range(n):
         # the rhs temporary is materialized before the in-place add,
-        # so old values feed the update exactly as in the row loop
+        # so old values feed the update exactly as in a descending row loop
         e[:, 1 : i + 2] += k[:, i, None] * e[:, 0 : i + 1]
     return e
-
-
-def _complement_sigma_loops(k, r):
-    m, n = k.shape
-    out = np.empty((m, n))
-    e = np.zeros(r + 1)
-    for p in range(m):
-        for i in range(n):
-            for j in range(r + 1):
-                e[j] = 0.0
-            e[0] = 1.0
-            for q in range(n):
-                if q == i:
-                    continue
-                kq = k[p, q]
-                top = r
-                for j in range(top, 0, -1):
-                    e[j] += kq * e[j - 1]
-            out[p, i] = e[r]
-    return out
-
-
-def _complement_sigma_numpy(k, r):
-    m, n = k.shape
-    out = np.empty((m, n))
-    idx = np.arange(n)
-    for i in range(n):
-        sub = np.ascontiguousarray(k[:, idx != i])
-        out[:, i] = _sigma_table_numpy(sub)[:, r]
-    return out
-
-
-_env = os.environ.get("RMCF_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _env in {"1", "true", "yes", "on"}
-
-USING_NUMBA = False
-_sigma_table_impl = _sigma_table_numpy
-_complement_sigma_impl = _complement_sigma_numpy
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _sigma_table_impl = njit(cache=True)(_sigma_table_loops)
-        _complement_sigma_impl = njit(cache=True)(_complement_sigma_loops)
-        USING_NUMBA = True
-    except ImportError:
-        pass
 
 
 def sigma_table(k):
@@ -93,7 +28,7 @@ def sigma_table(k):
     k = np.ascontiguousarray(k, dtype=np.float64)
     if k.ndim != 2:
         raise ValueError("sigma_table expects a 2-d batch of curvature vectors")
-    return _sigma_table_impl(k)
+    return _sigma_table(k)
 
 
 def complement_sigma(k, r):
@@ -106,9 +41,14 @@ def complement_sigma(k, r):
     k = np.ascontiguousarray(k, dtype=np.float64)
     if k.ndim != 2:
         raise ValueError("complement_sigma expects a 2-d batch of curvature vectors")
-    n = k.shape[1]
+    m, n = k.shape
     if r == 0:
         return np.ones_like(k)
     if r > n - 1:
         return np.zeros_like(k)
-    return _complement_sigma_impl(k, r)
+    out = np.empty((m, n))
+    idx = np.arange(n)
+    for i in range(n):
+        # the private table, so a traced sigma_table counts caller requests only
+        out[:, i] = _sigma_table(np.ascontiguousarray(k[:, idx != i]))[:, r]
+    return out

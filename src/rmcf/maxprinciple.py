@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .charts import (
     L_distance,
@@ -138,6 +137,8 @@ class GFunction:
             raise DomainError("integral limits must be nonnegative")
         if method == "auto" and self.kind in ("constant", "iterated_log"):
             return self._closed_integral(lo, hi)
+
+        from scipy.integrate import quad
 
         def f(s):
             return 1.0 / math.sqrt(self.value(s))

@@ -51,28 +51,27 @@ def build_chart(spec):
     raise InvalidInputError(f"unknown surface kind {kind!r}")
 
 
+def _halfspace(spec):
+    """Half-space from ``{B?, W}``; B defaults to the origin."""
+    return regions.Halfspace(
+        B=np.asarray(spec.get("B", np.zeros(len(spec["W"]))), dtype=float),
+        W=np.asarray(spec["W"], dtype=float),
+    )
+
+
 def build_region(spec):
     """Region from its JSON form, mirroring the region type fields."""
     kind = spec.get("kind")
     if kind == "cone":
         return regions.Cone(V=np.asarray(spec["V"], dtype=float), a=float(spec["a"]))
     if kind == "halfspace":
-        return regions.Halfspace(
-            B=np.asarray(spec.get("B", np.zeros(len(spec["W"]))), dtype=float),
-            W=np.asarray(spec["W"], dtype=float),
-        )
+        return _halfspace(spec)
     if kind == "bihalfspace":
         h1, h2 = spec["halfspaces"]
         vert = spec.get("vertical_to")
         return regions.BiHalfspace(
-            regions.Halfspace(
-                B=np.asarray(h1.get("B", np.zeros(len(h1["W"]))), dtype=float),
-                W=np.asarray(h1["W"], dtype=float),
-            ),
-            regions.Halfspace(
-                B=np.asarray(h2.get("B", np.zeros(len(h2["W"]))), dtype=float),
-                W=np.asarray(h2["W"], dtype=float),
-            ),
+            _halfspace(h1),
+            _halfspace(h2),
             vertical_to=None if vert is None else np.asarray(vert, dtype=float),
         )
     raise InvalidInputError(f"unknown region kind {kind!r}")

@@ -25,6 +25,10 @@ Integration starts at R_s = 1e-3 from the two-term series (the w = u'/R
 term is singular at R = 0) and runs an adaptive implicit Runge-Kutta
 (Radau) for r >= 2, where the far-field branch u' ~ R^r / C(n-1, r) is
 stiffly attracting; the explicit RK45 pair handles r = 1.
+
+For r = n the profile turns vertical at a finite radius R_*
+(``domain_radius``): the graph is the Gauss-curvature-type translator
+over a ball, and solves must stop short of R_*.
 """
 
 import json
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charts import Chart, graph_chart
 from .errors import (
@@ -84,6 +87,21 @@ def rot_ode_rhs(n, r, R, up):
             f"with residual {num:.3e}"
         )
     return (num / den) * s**1.5
+
+
+def domain_radius(n, r):
+    """Radius of the ball the (n, r) rotational translator is a graph over.
+
+    For r < n the bowls are entire graphs (infinite radius). For r = n the
+    profile equation integrates to int_0^phi sin^{n-1} = R^n / n in the
+    meridian angle phi, so the graph turns vertical at
+    R_*^n = n int_0^{pi/2} sin^{n-1} = n sqrt(pi) Gamma(n/2) / (2 Gamma((n+1)/2)).
+    """
+    _check_orders(n, r)
+    if r < n:
+        return math.inf
+    wallis = math.sqrt(math.pi) * math.gamma(n / 2) / (2.0 * math.gamma((n + 1) / 2))
+    return (n * wallis) ** (1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -148,14 +166,8 @@ class RotProfile:
         up = self.eval_up(R)
         return 1.0 / np.sqrt(1.0 + np.square(up))
 
-    def residual(self, R):
-        """Translator-equation residual from the profile's own derivatives."""
-        R = float(R)
-        if R == 0.0:
-            c = math.comb(self.n - 1, self.r) + math.comb(self.n - 1, self.r - 1)
-            return c * self.k0**self.r - 1.0
-        up = self.eval_up(R)
-        upp = rot_ode_rhs(self.n, self.r, R, up)
+    def _equation_residual(self, R, up, upp):
+        # sigma_r - Theta assembled from w and kappa at radius R > 0
         s = 1.0 + up * up
         w = up / (R * math.sqrt(s))
         kappa = upp / s**1.5
@@ -164,6 +176,15 @@ class RotProfile:
             + math.comb(self.n - 1, self.r - 1) * w ** (self.r - 1) * kappa
         )
         return sig - 1.0 / math.sqrt(s)
+
+    def residual(self, R):
+        """Translator-equation residual from the profile's own derivatives."""
+        R = float(R)
+        if R == 0.0:
+            c = math.comb(self.n - 1, self.r) + math.comb(self.n - 1, self.r - 1)
+            return c * self.k0**self.r - 1.0
+        up = self.eval_up(R)
+        return self._equation_residual(R, up, rot_ode_rhs(self.n, self.r, R, up))
 
     def fd_residual(self, R, h=1e-4):
         """Residual with the meridian curvature taken from a centered difference.
@@ -173,15 +194,7 @@ class RotProfile:
         """
         R = float(R)
         upp = (self.eval_up(R + h) - self.eval_up(R - h)) / (2 * h)
-        up = self.eval_up(R)
-        s = 1.0 + up * up
-        w = up / (R * math.sqrt(s))
-        kappa = upp / s**1.5
-        sig = (
-            math.comb(self.n - 1, self.r) * w**self.r
-            + math.comb(self.n - 1, self.r - 1) * w ** (self.r - 1) * kappa
-        )
-        return sig - 1.0 / math.sqrt(s)
+        return self._equation_residual(R, self.eval_up(R), upp)
 
 
 def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DEFAULT):
@@ -189,7 +202,8 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
 
     Adaptive embedded Runge-Kutta with dense output; RK45 for r = 1,
     Radau for the stiff r >= 2 far field. The arclength from the vertex
-    rides along as a third state component.
+    rides along as a third state component. For r = n the graph ends at
+    ``domain_radius(n, n)``; an R_max at or beyond it raises DomainError.
     """
     _check_orders(n, r)
     if not (0 < R_max <= R_MAX_LIMIT):
@@ -198,6 +212,13 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         raise InvalidInputError(f"tol must lie in [{TOL_RANGE[0]:.0e}, {TOL_RANGE[1]:.0e}]")
     if not (0 < R_start < R_max):
         raise InvalidInputError("need 0 < R_start < R_max")
+    R_star = domain_radius(n, r)
+    if R_max >= R_star:
+        raise DomainError(
+            f"the (n, r) = ({n}, {r}) translator is a graph only over R < R_* = "
+            f"{R_star:.6f}, where n int_0^(pi/2) sin^(n-1) = R_*^n; got R_max = {R_max:g}"
+        )
+    from scipy.integrate import solve_ivp
 
     k0, a4 = vertex_series_coeffs(n, r)
     y0 = [

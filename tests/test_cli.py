@@ -164,6 +164,17 @@ class TestProfile:
         diff = np.abs(prof.u + np.log(np.cos(prof.grid)))
         assert diff.max() < 1e-8
 
+    def test_rn_bowl_past_its_domain(self, tmp_path, capsys):
+        code = main(
+            [
+                "profile", "--n", "2", "--r", "2",
+                "--rmax", "2", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "R_* = 1.414214" in capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
     def test_tol_out_of_range(self, tmp_path):
         assert (
             main(

@@ -1,4 +1,4 @@
-"""Both kernel implementations agree and honor the env-flag selection."""
+"""The numpy batch kernels against row-loop reference oracles, and the lazy imports."""
 
 import itertools
 import os
@@ -10,11 +10,44 @@ import numpy as np
 from rmcf import kernels
 
 
+def _sigma_table_loops(k):
+    # incremental recurrence, one curvature at a time, descending j
+    m, n = k.shape
+    e = np.zeros((m, n + 1))
+    for p in range(m):
+        e[p, 0] = 1.0
+        for i in range(n):
+            ki = k[p, i]
+            for j in range(i + 1, 0, -1):
+                e[p, j] += ki * e[p, j - 1]
+    return e
+
+
+def _complement_sigma_loops(k, r):
+    m, n = k.shape
+    out = np.empty((m, n))
+    e = np.zeros(r + 1)
+    for p in range(m):
+        for i in range(n):
+            for j in range(r + 1):
+                e[j] = 0.0
+            e[0] = 1.0
+            for q in range(n):
+                if q == i:
+                    continue
+                kq = k[p, q]
+                top = r
+                for j in range(top, 0, -1):
+                    e[j] += kq * e[j - 1]
+            out[p, i] = e[r]
+    return out
+
+
 def test_numpy_and_loop_paths_agree():
     rng = np.random.default_rng(3)
     k = rng.uniform(-2, 2, size=(64, 7))
-    a = kernels._sigma_table_numpy(k)
-    b = kernels._sigma_table_loops(k)
+    a = kernels.sigma_table(k)
+    b = _sigma_table_loops(k)
     assert np.max(np.abs(a - b)) == 0.0
 
 
@@ -22,8 +55,8 @@ def test_complement_paths_agree():
     rng = np.random.default_rng(4)
     k = rng.uniform(-2, 2, size=(32, 6))
     for r in range(1, 6):
-        a = kernels._complement_sigma_numpy(k, r)
-        b = kernels._complement_sigma_loops(k, r)
+        a = kernels.complement_sigma(k, r)
+        b = _complement_sigma_loops(k, r)
         assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -43,16 +76,19 @@ def test_complement_trivial_orders():
     assert np.allclose(kernels.complement_sigma(k, 2), [[6.0, 3.0, 2.0]])
 
 
-def test_env_flag_forces_numpy_path():
-    env = dict(os.environ, RMCF_DISABLE_NUMBA="1")
+def test_cli_import_leaves_heavy_modules_unloaded():
+    heavy = ("numba", "scipy.integrate", "jsonschema")
     code = (
-        "import rmcf.kernels as K; import numpy as np; "
-        "assert not K.USING_NUMBA; "
-        "out = K.sigma_table(np.array([[1.0, 2.0, 3.0]])); "
-        "assert abs(out[0, 2] - 11.0) < 1e-14; print('ok')"
+        "import sys, rmcf.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
     )
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    assert proc.stdout.strip() == ""

@@ -1,9 +1,11 @@
 """Tests for the explicit translator constructions and their asymptotics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rmcf.charts import Mesh, point_geometry, soliton_residual
 from rmcf.errors import (
@@ -15,6 +17,7 @@ from rmcf.errors import (
 from rmcf.translators import (
     asymptotic_fit,
     bowl_drift,
+    domain_radius,
     export_profile,
     grim_reaper_chart,
     load_profile,
@@ -142,6 +145,51 @@ class TestSolve:
             bowl21.eval_u(101.0)
         with pytest.raises(DomainError):
             bowl21.eval_u(-0.5)
+
+
+class TestBoundedDomain:
+    # R_*^n = n int_0^{pi/2} sin^{n-1}, with the Wallis integrals written out
+    EXACT = {
+        1: math.pi / 2,
+        2: math.sqrt(2.0),
+        3: (3.0 * math.pi / 4.0) ** (1.0 / 3.0),
+        4: (4.0 * 2.0 / 3.0) ** 0.25,
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_radius_closed_form(self, n):
+        assert domain_radius(n, n) == pytest.approx(self.EXACT[n], rel=1e-15)
+        for r in range(1, n):
+            assert domain_radius(n, r) == math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rejects_radius_past_the_domain(self, n):
+        R_star = domain_radius(n, n)
+        for R_max in (R_star, 2.0 * R_star):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError, match=f"R_\\* = {R_star:.6f}"):
+                solve_rotational_translator(n, n, R_max=R_max)
+            assert time.perf_counter() - t0 < 0.1
+
+    # int_0^phi sin^{n-1} in closed form
+    SINE_INTEGRAL = {
+        2: lambda phi: 1.0 - math.cos(phi),
+        3: lambda phi: 0.5 * (phi - math.sin(phi) * math.cos(phi)),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_angle_function_matches_meridian_oracle(self, n):
+        # int_0^phi sin^{n-1} = R^n / n fixes the meridian angle; Theta = cos phi
+        p = solve_rotational_translator(n, n, R_max=1.3, tol=1e-10)
+        R = np.linspace(0.0, 1.3, 27)
+        F = self.SINE_INTEGRAL[n]
+        want = [
+            math.cos(brentq(lambda phi: F(phi) - x**n / n, 0.0, math.pi / 2, xtol=1e-15))
+            for x in R
+        ]
+        err = np.abs(np.asarray(p.theta(R)) - want)
+        print(f"(n, r) = ({n}, {n}): max |Theta - cos phi| = {err.max():.2e}")
+        assert err.max() < 1e-9
 
 
 class TestAsymptotics:
