@@ -89,17 +89,35 @@ class Chart:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """First and second order data of a chart at one parameter point."""
+    """First and second order data of a chart at one parameter point.
+
+    It owns the chart jet (X, dX, d2X) at u, so the operators below read
+    the jet from here and never evaluate the chart again.
+    """
 
     u: np.ndarray
     X: np.ndarray
+    dX: np.ndarray
+    d2X: np.ndarray
     N: np.ndarray
-    g: np.ndarray
     L: np.ndarray          # lower Cholesky factor of g
-    E: np.ndarray          # (n+1, n) ambient orthonormal tangent frame
-    A: SymMatrix           # shape operator in that frame
+    A: SymMatrix           # shape operator in the frame E
     sigma: CurvatureSpectrum
     normA: float
+
+    @property
+    def jet(self):
+        return self.X, self.dX, self.d2X
+
+    @property
+    def g(self):
+        """Induced metric."""
+        return self.dX.T @ self.dX
+
+    @property
+    def E(self):
+        """(n+1, n) ambient orthonormal tangent frame."""
+        return self.dX @ np.linalg.inv(self.L).T
 
     def sigma_r(self, r):
         return self.sigma.sigma_r(r)
@@ -162,9 +180,8 @@ def point_geometry(chart, u):
     A = SymMatrix(A_frame)
     kvals = A.eigenvalues()
     spectrum = CurvatureSpectrum.from_curvatures(kvals)
-    E = dX @ Linv.T
     return PointGeometry(
-        u=u, X=X, N=N, g=g, L=L, E=E, A=A, sigma=spectrum, normA=A.frobenius()
+        u=u, X=X, dX=dX, d2X=d2X, N=N, L=L, A=A, sigma=spectrum, normA=A.frobenius()
     )
 
 
@@ -336,11 +353,11 @@ def cone_excess(V, a, origin=None):
 # intrinsic derivatives and the L operator
 
 
-def intrinsic_hessian(chart, f, u, pg=None, jet=None):
+def intrinsic_hessian(chart, f, u, pg=None):
     """hess f in the orthonormal frame: second partials minus Christoffel term."""
-    jet = chart.jet(np.asarray(u, dtype=float)) if jet is None else jet
     if pg is None:
         pg = point_geometry(chart, u)
+    jet = pg.jet
     _, dX, d2X = jet
     df = f.param_grad(chart, u, jet)
     d2f = f.param_hess(chart, u, jet)
@@ -352,35 +369,33 @@ def intrinsic_hessian(chart, f, u, pg=None, jet=None):
     return SymMatrix(Linv @ hess_coord @ Linv.T)
 
 
-def frame_gradient(chart, f, u, pg=None, jet=None):
+def frame_gradient(chart, f, u, pg=None):
     """Gradient components in the orthonormal frame (solve L x = df)."""
-    jet = chart.jet(np.asarray(u, dtype=float)) if jet is None else jet
     if pg is None:
         pg = point_geometry(chart, u)
-    df = f.param_grad(chart, u, jet)
+    df = f.param_grad(chart, u, pg.jet)
     return np.linalg.solve(pg.L, df)
 
 
-def gradient_norm(chart, f, u, pg=None, jet=None):
+def gradient_norm(chart, f, u, pg=None):
     """Intrinsic |grad f| via the inverse metric."""
-    return float(np.linalg.norm(frame_gradient(chart, f, u, pg=pg, jet=jet)))
+    return float(np.linalg.norm(frame_gradient(chart, f, u, pg=pg)))
 
 
-def L_operator(chart, f, u, r, pg=None, jet=None):
+def L_operator(chart, f, u, r, pg=None):
     """L_{r-1} f = tr(P_{r-1} hess f) in the orthonormal frame."""
     if not isinstance(r, (int, np.integer)) or r < 1 or r > chart.n:
         raise DomainError(f"L operator needs 1 <= r <= n (got r={r}, n={chart.n})")
-    jet = chart.jet(np.asarray(u, dtype=float)) if jet is None else jet
     if pg is None:
         pg = point_geometry(chart, u)
-    H = intrinsic_hessian(chart, f, u, pg=pg, jet=jet)
+    H = intrinsic_hessian(chart, f, u, pg=pg)
     P = newton_transform(pg.A, r - 1)
     return float(np.trace(P.entries @ H.entries))
 
 
-def laplace_beltrami(chart, f, u, pg=None, jet=None):
+def laplace_beltrami(chart, f, u, pg=None):
     """Trace of the intrinsic Hessian (the r = 1 case of the L operator)."""
-    return float(np.trace(intrinsic_hessian(chart, f, u, pg=pg, jet=jet).entries))
+    return float(np.trace(intrinsic_hessian(chart, f, u, pg=pg).entries))
 
 
 def L_distance(chart, u, r, origin, pg=None):
@@ -511,9 +526,9 @@ class Mesh:
         return self.points.shape[0]
 
     def positions(self):
-        """Ambient positions X(u) for every mesh point (computed once)."""
+        """Ambient positions X(u) of every mesh point, stacked from ``geometry()``."""
         if "X" not in self._cache:
-            xs = np.array([self.chart.jet(u)[0] for u in self.points], dtype=float)
+            xs = np.array([pg.X for pg in self.geometry()], dtype=float)
             xs.setflags(write=False)
             self._cache["X"] = xs
         return self._cache["X"]

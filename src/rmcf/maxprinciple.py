@@ -262,18 +262,17 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
             continue
         u = mesh.points[i]
         pg = geom[i]
-        jet = chart.jet(u)
-        uvals[i] = u_field.value(chart, u, jet)
-        gvals[i] = gamma_field.value(chart, u, jet)
+        uvals[i] = u_field.value(chart, u, pg.jet)
+        gvals[i] = gamma_field.value(chart, u, pg.jet)
         if gvals[i] <= 0.0:
             raise InvalidInputError("gamma must be strictly positive on the mesh")
         P = newton_transform(pg.A, r - 1)
-        Hu = intrinsic_hessian(chart, u_field, u, pg=pg, jet=jet)
-        gu = frame_gradient(chart, u_field, u, pg=pg, jet=jet)
+        Hu = intrinsic_hessian(chart, u_field, u, pg=pg)
+        gu = frame_gradient(chart, u_field, u, pg=pg)
         grad_u[i] = float(np.linalg.norm(gu))
         L_u[i] = float(np.trace(P.entries @ Hu.entries))
-        Hg = intrinsic_hessian(chart, gamma_field, u, pg=pg, jet=jet)
-        gg = frame_gradient(chart, gamma_field, u, pg=pg, jet=jet)
+        Hg = intrinsic_hessian(chart, gamma_field, u, pg=pg)
+        gg = frame_gradient(chart, gamma_field, u, pg=pg)
         grad_g[i] = float(np.linalg.norm(gg))
         L_g[i] = float(np.trace(P.entries @ Hg.entries))
         if z_field is not None:
@@ -383,6 +382,39 @@ def _origin_mask(mesh, origin, floor=1e-6):
     return np.linalg.norm(xs - origin, axis=1) > floor
 
 
+def _identity_errors(chart, mesh, psi, r, mask, expected):
+    """Worst gradient and scaled L_{r-1} identity errors of psi over the masked mesh.
+
+    ``expected(u, pg)`` returns the frame gradient and the L_{r-1} psi
+    value that the drive's identities predict at one mesh point.
+    """
+    geom = mesh.geometry()
+    grad_err = 0.0
+    L_err = 0.0
+    for i in np.flatnonzero(mask):
+        u = mesh.points[i]
+        pg = geom[i]
+        want_grad, want_L = expected(u, pg)
+        gpsi = frame_gradient(chart, psi, u, pg=pg)
+        grad_err = max(grad_err, float(np.max(np.abs(gpsi - want_grad))))
+        lhs = L_operator(chart, psi, u, r, pg=pg)
+        L_err = max(L_err, abs(lhs - want_L) / (1.0 + pg.normA**2))
+    return grad_err, L_err
+
+
+def _failed_premises(contained, psd, growth, growth_id, res_sup):
+    failed = []
+    if not contained:
+        failed.append("containment")
+    if psd < -1e-10:
+        failed.append("newton-psd")
+    if not growth.satisfied:
+        failed.append(growth_id)
+    if res_sup > 1e-6:
+        failed.append("translator-residual")
+    return tuple(failed)
+
+
 def cone_drive(
     chart, mesh, V, a, r, G=None, k_max=8, require_translator=True, origin=None
 ):
@@ -413,27 +445,20 @@ def cone_drive(
 
     psi = cone_excess(V, a, origin)
     mask = _origin_mask(mesh, origin)
-    geom = mesh.geometry()
 
-    grad_err = 0.0
-    L_err = 0.0
-    for i in np.flatnonzero(mask):
-        u = mesh.points[i]
-        pg = geom[i]
-        jet = chart.jet(u)
-        gpsi = frame_gradient(chart, psi, u, pg=pg, jet=jet)
+    def expected(u, pg):
         y = pg.X - origin
         d = float(np.linalg.norm(y))
-        want = pg.tangential(V) - (a / d) * pg.tangential(y)
-        grad_err = max(grad_err, float(np.max(np.abs(gpsi - want))))
-        lhs = L_operator(chart, psi, u, r, pg=pg, jet=jet)
-        rhs = r * pg.sigma_r(r) ** 2 - a * L_distance(chart, u, r, origin, pg=pg)
-        L_err = max(L_err, abs(lhs - rhs) / (1.0 + pg.normA**2))
+        grad = pg.tangential(V) - (a / d) * pg.tangential(y)
+        return grad, r * pg.sigma_r(r) ** 2 - a * L_distance(chart, u, r, origin, pg=pg)
+
+    grad_err, L_err = _identity_errors(chart, mesh, psi, r, mask, expected)
 
     run = oy_sequence(
         mesh, psi, distance_sq_to(origin), G, k_max=k_max, r=r, mask=mask
     )
 
+    geom = mesh.geometry()
     alphas = np.full(k_max, np.nan)
     bounds = np.empty(k_max)
     floor = 1.0 - a * a
@@ -450,16 +475,6 @@ def cone_drive(
     )
     psd = min_eigen_over_mesh(mesh, r)
 
-    failed = []
-    if not contained:
-        failed.append("containment")
-    if psd < -1e-10:
-        failed.append("newton-psd")
-    if not growth.satisfied:
-        failed.append("growth-sigma-linear")
-    if res_sup > 1e-6:
-        failed.append("translator-residual")
-
     return DriveReport(
         kind="cone",
         r=r,
@@ -469,7 +484,9 @@ def cone_drive(
         containment_holds=contained,
         exit_margin=exit_res.margin,
         oy=run,
-        failed_premises=tuple(failed),
+        failed_premises=_failed_premises(
+            contained, psd, growth, "growth-sigma-linear", res_sup
+        ),
         extras={
             "alpha_values": alphas,
             "comparison_bounds": bounds,
@@ -505,22 +522,14 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
 
     psi = linear_height(W)
     mask = _origin_mask(mesh, origin)
-    geom = mesh.geometry()
-
-    grad_err = 0.0
-    L_err = 0.0
-    for i in np.flatnonzero(mask):
-        u = mesh.points[i]
-        pg = geom[i]
-        jet = chart.jet(u)
-        gpsi = frame_gradient(chart, psi, u, pg=pg, jet=jet)
-        grad_err = max(grad_err, float(np.max(np.abs(gpsi - pg.tangential(W)))))
-        lhs = L_operator(chart, psi, u, r, pg=pg, jet=jet)
-        rhs = r * pg.sigma_r(r) * float(pg.N @ W)
-        L_err = max(L_err, abs(lhs - rhs) / (1.0 + pg.normA**2))
+    grad_err, L_err = _identity_errors(
+        chart, mesh, psi, r, mask,
+        lambda u, pg: (pg.tangential(W), r * pg.sigma_r(r) * float(pg.N @ W)),
+    )
 
     run = oy_sequence(mesh, psi, distance_sq_to(origin), G, k_max=k_max, r=r, mask=mask)
 
+    geom = mesh.geometry()
     frame_err = 0.0
     L_at = []
     for i in run.idx:
@@ -534,16 +543,6 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
     growth = growth_report(chart, mesh, "HS1-1", {"r": r, "base_point": origin})
     psd = min_eigen_over_mesh(mesh, r)
 
-    failed = []
-    if not contained:
-        failed.append("containment")
-    if psd < -1e-10:
-        failed.append("newton-psd")
-    if not growth.satisfied:
-        failed.append("growth-sigma-quadlog")
-    if res_sup > 1e-6:
-        failed.append("translator-residual")
-
     return DriveReport(
         kind="halfspace",
         r=r,
@@ -553,7 +552,9 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
         containment_holds=contained,
         exit_margin=exit_res.margin,
         oy=run,
-        failed_premises=tuple(failed),
+        failed_premises=_failed_premises(
+            contained, psd, growth, "growth-sigma-quadlog", res_sup
+        ),
         extras={
             "frame_identity_err": frame_err,
             "L_at_maximizers": np.asarray(L_at),

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .charts import AmbientField, L_operator, point_geometry, segment_arclength
+from .charts import AmbientField, L_operator, segment_arclength
 from .errors import DomainError, InvalidInputError, SingularPointError
 from .symfun import min_eigen_Pr
 
@@ -375,13 +375,11 @@ def bihalfspace_drive(chart, a, b, R, r, eps, mesh):
     slacks = []
     params = []
     dmax = 0.0
-    for u in mesh.points:
-        X = chart.jet(u)[0]
-        if not in_pocket(X, a, b, R):
+    for u, pg in zip(mesh.points, mesh.geometry()):
+        if not in_pocket(pg.X, a, b, R):
             continue
-        pg = point_geometry(chart, u)
-        d = cylinder_distance(R, a, X)
-        grad, chi, _ = cylinder_hessian_frame(R, a, X)
+        d = cylinder_distance(R, a, pg.X)
+        grad, chi, _ = cylinder_hessian_frame(R, a, pg.X)
         lhs = L_operator(chart, f, u, r, pg=pg)
         rhs = eps * (1.0 - float(chi @ pg.N) ** 2) / d + r * float(ez @ pg.N) * float(
             grad @ pg.N

@@ -166,8 +166,16 @@ class RotProfile:
         up = self.eval_up(R)
         return 1.0 / np.sqrt(1.0 + np.square(up))
 
-    def _equation_residual(self, R, up, upp):
-        # sigma_r - Theta assembled from w and kappa at radius R > 0
+    def fd_residual(self, R, h=1e-4):
+        """Translator-equation residual sigma_r - Theta at radius R > 0.
+
+        The meridian curvature comes from a centered difference of u', so
+        the residual measures the real integration and interpolation
+        error and shrinks with the solve tolerance.
+        """
+        R = float(R)
+        up = self.eval_up(R)
+        upp = (self.eval_up(R + h) - self.eval_up(R - h)) / (2 * h)
         s = 1.0 + up * up
         w = up / (R * math.sqrt(s))
         kappa = upp / s**1.5
@@ -176,25 +184,6 @@ class RotProfile:
             + math.comb(self.n - 1, self.r - 1) * w ** (self.r - 1) * kappa
         )
         return sig - 1.0 / math.sqrt(s)
-
-    def residual(self, R):
-        """Translator-equation residual from the profile's own derivatives."""
-        R = float(R)
-        if R == 0.0:
-            c = math.comb(self.n - 1, self.r) + math.comb(self.n - 1, self.r - 1)
-            return c * self.k0**self.r - 1.0
-        up = self.eval_up(R)
-        return self._equation_residual(R, up, rot_ode_rhs(self.n, self.r, R, up))
-
-    def fd_residual(self, R, h=1e-4):
-        """Residual with the meridian curvature taken from a centered difference.
-
-        Unlike ``residual`` this measures real integration and
-        interpolation error, so it shrinks with the solve tolerance.
-        """
-        R = float(R)
-        upp = (self.eval_up(R + h) - self.eval_up(R - h)) / (2 * h)
-        return self._equation_residual(R, self.eval_up(R), upp)
 
 
 def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DEFAULT):

@@ -1,6 +1,7 @@
 """Tests for the growth profiles, maximizer sequences, and theorem drives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rmcf.maxprinciple import (
     oy_sequence,
     phi,
 )
-from rmcf.regions import Cone, Halfspace
+from rmcf.regions import Cone, Halfspace, bihalfspace_drive, first_exit
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
 
 
@@ -341,3 +342,41 @@ class TestHypothesisGate:
         mesh = Mesh.grid(ch, 5)
         with pytest.raises(InvalidInputError):
             hypothesis_gate(ch, mesh, "slab", {"r": 1, "V": [0, 0, 1]})
+
+
+def _counting(chart):
+    """The chart with a jet that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def jet(u):
+        calls[0] += 1
+        return chart.jet(u)
+
+    return replace(chart, jet=jet), calls
+
+
+class TestJetCount:
+    """Mesh consumers read the jet that point geometry holds."""
+
+    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
+    def test_one_jet_per_mesh_point(self):
+        base = grim_reaper_chart(2, t_halfwidth=12.0)
+        ch, calls = _counting(base)
+        mesh = Mesh.grid(ch, (21, 5))
+        V = np.array([0.0, 0.0, 1.0])
+        cone = Cone(V=V, a=0.3)
+        hypothesis_gate(ch, mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=cone)
+        cone_drive(ch, mesh, V, 0.3, 1, require_translator=False)
+        first_exit(ch, cone, mesh)
+        assert calls[0] == len(mesh)
+        want = np.array([base.jet(u)[0] for u in mesh.points])
+        assert np.array_equal(mesh.positions(), want)
+
+    def test_bihalfspace_drive_reuses_geometry(self):
+        ch, calls = _counting(grim_reaper_chart(2, t_halfwidth=2.0))
+        mesh = Mesh.grid(ch, (21, 21))
+        mesh.geometry()
+        built = calls[0]
+        rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
+        assert not rep.empty
+        assert calls[0] == built == len(mesh)
