@@ -89,11 +89,7 @@ class Chart:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """First and second order data of a chart at one parameter point.
-
-    It owns the chart jet (X, dX, d2X) at u, so the operators below read
-    the jet from here and never evaluate the chart again.
-    """
+    """First and second order data of a chart at one parameter point, with its jet."""
 
     u: np.ndarray
     X: np.ndarray
@@ -538,6 +534,16 @@ class Mesh:
         if "geom" not in self._cache:
             self._cache["geom"] = [point_geometry(self.chart, u) for u in self.points]
         return self._cache["geom"]
+
+    def geometry_where(self, keep):
+        """PointGeometry at the mesh points whose position X passes ``keep(X)``.
+
+        Before ``geometry()`` is built, the points left out cost only their X.
+        """
+        if "geom" in self._cache:
+            return [pg for pg in self._cache["geom"] if keep(pg.X)]
+        return [point_geometry(self.chart, u) for u in self.points
+                if keep(np.asarray(self.chart.jet(u)[0], dtype=float))]
 
     def spacing(self):
         """Max ambient distance between axis-neighbors: the mesh resolution."""

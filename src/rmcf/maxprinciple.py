@@ -403,16 +403,9 @@ def _identity_errors(chart, mesh, psi, r, mask, expected):
 
 
 def _failed_premises(contained, psd, growth, growth_id, res_sup):
-    failed = []
-    if not contained:
-        failed.append("containment")
-    if psd < -1e-10:
-        failed.append("newton-psd")
-    if not growth.satisfied:
-        failed.append(growth_id)
-    if res_sup > 1e-6:
-        failed.append("translator-residual")
-    return tuple(failed)
+    failing = {"containment": not contained, "newton-psd": psd < -1e-10,
+               growth_id: not growth.satisfied, "translator-residual": res_sup > 1e-6}
+    return tuple(name for name, bad in failing.items() if bad)
 
 
 def cone_drive(

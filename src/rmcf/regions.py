@@ -367,6 +367,8 @@ def bihalfspace_drive(chart, a, b, R, r, eps, mesh):
         raise InvalidInputError("normalized wedge needs a^2 + b^2 = 1")
     if not (R > 0.0):
         raise InvalidInputError("cylinder radius must be positive")
+    if mesh.chart is not chart:
+        raise InvalidInputError("mesh was built over a different chart")
     n = chart.n
     f = cylinder_field(R, a)
     ez = np.zeros(n + 1)
@@ -375,17 +377,15 @@ def bihalfspace_drive(chart, a, b, R, r, eps, mesh):
     slacks = []
     params = []
     dmax = 0.0
-    for u, pg in zip(mesh.points, mesh.geometry()):
-        if not in_pocket(pg.X, a, b, R):
-            continue
+    for pg in mesh.geometry_where(lambda X: in_pocket(X, a, b, R)):
         d = cylinder_distance(R, a, pg.X)
         grad, chi, _ = cylinder_hessian_frame(R, a, pg.X)
-        lhs = L_operator(chart, f, u, r, pg=pg)
+        lhs = L_operator(chart, f, pg.u, r, pg=pg)
         rhs = eps * (1.0 - float(chi @ pg.N) ** 2) / d + r * float(ez @ pg.N) * float(
             grad @ pg.N
         )
         slacks.append(lhs - rhs)
-        params.append(u)
+        params.append(pg.u)
         dmax = max(dmax, d)
 
     if not slacks:

@@ -380,3 +380,16 @@ class TestJetCount:
         rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
         assert not rep.empty
         assert calls[0] == built == len(mesh)
+
+    def test_bihalfspace_drive_fresh_mesh(self):
+        # without built geometry: X at every point, geometry only in the pocket
+        base = grim_reaper_chart(2, t_halfwidth=2.0)
+        ch, calls = _counting(base)
+        rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, Mesh.grid(ch, (21, 21)))
+        assert 0 < rep.n_points < 21 * 21
+        assert calls[0] == 21 * 21 + rep.n_points
+        built = Mesh.grid(base, (21, 21))
+        built.geometry()
+        want = bihalfspace_drive(base, 0.6, 0.8, 0.5, 1, 1.0, built)
+        assert rep.to_json_dict() == want.to_json_dict()
+        assert np.array_equal(rep.argmin_param, want.argmin_param)

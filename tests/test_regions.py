@@ -283,6 +283,12 @@ class TestBiHalfspaceDrive:
         assert not rep.empty
         assert rep.min_slack >= -1e-6
 
+    def test_rejects_mesh_over_other_chart(self):
+        ch = grim_reaper_chart(2, t_halfwidth=2.0)
+        mesh = Mesh.grid(grim_reaper_chart(2, t_halfwidth=2.0), 6)
+        with pytest.raises(InvalidInputError):
+            bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
+
     def test_empty_intersection(self):
         from rmcf.charts import sphere_chart
 
