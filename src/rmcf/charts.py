@@ -27,7 +27,8 @@ from .errors import (
     SingularPointError,
     ToleranceError,
 )
-from .symfun import CurvatureSpectrum, SymMatrix, newton_transform
+from . import kernels
+from .symfun import CurvatureSpectrum, SymMatrix, newton_transforms, symmetrized
 
 _RANK_TOL = 1e-8          # smallest singular value of dX below this is singular
 _BOUNDARY_MARGIN = 1e-6   # mesh points this close (fractionally) to the box edge are dropped
@@ -42,10 +43,12 @@ class Chart:
     """Immersion patch with analytic jet evaluator.
 
     ``jet(u)`` returns (X, dX, d2X) with shapes (n+1,), (n+1, n) and
-    (n, n, n+1). ``orient_ref``, when set, flips the raw normal so that
-    <N, orient_ref> > 0; ``orient_sign`` applies a final sign on top
-    (used by ``flipped``). ``intrinsic_distance``, when set, returns the
-    distance along the surface from the chart's base point.
+    (n, n, n+1). ``batch_jet``, when set, returns the same for a stack of
+    parameter points at once (see ``jets``). ``orient_ref``, when set,
+    flips the raw normal so that <N, orient_ref> > 0; ``orient_sign``
+    applies a final sign on top (used by ``flipped``).
+    ``intrinsic_distance``, when set, returns the distance along the
+    surface from the chart's base point.
     """
 
     n: int
@@ -56,6 +59,7 @@ class Chart:
     orient_ref: Optional[np.ndarray] = None
     orient_sign: float = 1.0
     intrinsic_distance: Optional[Callable] = None
+    batch_jet: Optional[Callable] = None
 
     def __post_init__(self):
         dom = np.asarray(self.param_domain, dtype=float)
@@ -74,10 +78,26 @@ class Chart:
             ref.setflags(write=False)
             object.__setattr__(self, "orient_ref", ref)
 
-    def contains_param(self, u, tol=1e-12):
-        u = np.asarray(u, dtype=float)
-        lo, hi = self.param_domain[:, 0], self.param_domain[:, 1]
-        return bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
+    def jets(self, U):
+        """Stacked jets at the rows of U (m, n).
+
+        Returns X (m, n+1), dX (m, n+1, n) and d2X (m, n, n, n+1), from
+        ``batch_jet`` when the chart has one, else from ``jet`` row by row.
+        """
+        n = self.n
+        U = np.asarray(U, dtype=float).reshape(-1, n)
+        if self.batch_jet is not None:
+            X, dX, d2X = self.batch_jet(U)
+        else:
+            rows = [self.jet(u) for u in U]
+            X, dX, d2X = ([row[j] for row in rows] for j in range(3))
+        m = len(U)
+        n1 = n + 1 if m == 0 else -1
+        return (
+            np.asarray(X, dtype=float).reshape(m, n1),
+            np.asarray(dX, dtype=float).reshape(m, n1, n),
+            np.asarray(d2X, dtype=float).reshape(m, n, n, n1),
+        )
 
     def domain_diameter(self):
         return float(np.linalg.norm(self.param_domain[:, 1] - self.param_domain[:, 0]))
@@ -89,7 +109,7 @@ class Chart:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """First and second order data of a chart at one parameter point, with its jet."""
+    """First and second order data of a chart at one parameter point (a MeshGeometry row)."""
 
     u: np.ndarray
     X: np.ndarray
@@ -100,10 +120,6 @@ class PointGeometry:
     A: SymMatrix           # shape operator in the frame E
     sigma: CurvatureSpectrum
     normA: float
-
-    @property
-    def jet(self):
-        return self.X, self.dX, self.d2X
 
     @property
     def g(self):
@@ -118,67 +134,285 @@ class PointGeometry:
     def sigma_r(self, r):
         return self.sigma.sigma_r(r)
 
+
+def _contract(a, b):
+    """sum_j a[..., j] b[..., j], summed in index order.
+
+    Only elementwise products and sums, so a row's result depends on that
+    row alone; numpy's dot and matrix-vector paths change their summation
+    with the batch shape and memory layout.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    acc = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        acc = acc + a[..., j] * b[..., j]
+    return acc
+
+
+def rowdot(a, b):
+    """Row-wise dot products of two (m, k) stacks."""
+    return _contract(a, b)
+
+
+def _matvec(M, v):
+    """Row-wise M_i @ v_i for stacks M (..., p, q) and v (..., q)."""
+    return _contract(M, v[..., None, :])
+
+
+def _transposed(M):
+    return np.swapaxes(M, -1, -2)
+
+
+def _frozen(a):
+    a = np.ascontiguousarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class MeshGeometry:
+    """Geometry of a chart at m parameter points, one row per point.
+
+    Arrays: u (m, n), the jet X (m, n+1), dX (m, n+1, n), d2X
+    (m, n, n, n+1), the oriented unit normal N (m, n+1), the lower Cholesky
+    factor L (m, n, n) of the metric, the orthonormal frame E = dX L^{-T}
+    (m, n+1, n), the shape operator A (m, n, n) in that frame, its ascending
+    spectrum k (m, n), the table sigma (m, n+1) of sigma_0..sigma_n and the
+    Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index,
+    which errors name. ``len``, indexing and iteration give
+    ``PointGeometry`` rows, built on demand.
+    """
+
+    chart: Chart
+    index: np.ndarray
+    u: np.ndarray
+    X: np.ndarray
+    dX: np.ndarray
+    d2X: np.ndarray
+    N: np.ndarray
+    L: np.ndarray
+    E: np.ndarray
+    A: np.ndarray
+    k: np.ndarray
+    sigma: np.ndarray
+    normA: np.ndarray
+
+    def __len__(self):
+        return self.u.shape[0]
+
+    def __getitem__(self, i):
+        return PointGeometry(
+            u=self.u[i], X=self.X[i], dX=self.dX[i], d2X=self.d2X[i], N=self.N[i],
+            L=self.L[i], A=SymMatrix(self.A[i]),
+            sigma=CurvatureSpectrum(k=self.k[i], sigma=self.sigma[i]),
+            normA=float(self.normA[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def of_point(cls, chart, pg):
+        """One-row geometry holding a PointGeometry."""
+        arrays = (pg.u, pg.X, pg.dX, pg.d2X, pg.N, pg.L, pg.E, pg.A.entries, pg.sigma.k,
+                  pg.sigma.sigma, pg.normA)
+        return cls(chart, np.zeros(1, dtype=int),
+                   *(_frozen(np.asarray(a, dtype=float)[None]) for a in arrays))
+
+    def take(self, idx):
+        """The rows ``idx`` (indices or a boolean mask), in that order."""
+        arrays = (self.u, self.X, self.dX, self.d2X, self.N, self.L, self.E, self.A, self.k,
+                  self.sigma, self.normA)
+        return MeshGeometry(self.chart, self.index[idx], *(_frozen(a[idx]) for a in arrays))
+
+    @property
+    def g(self):
+        """Induced metrics (m, n, n)."""
+        return _transposed(self.dX) @ self.dX
+
+    def sigma_r(self, r):
+        """sigma_r at every row, with sigma_r = 0 for r > n."""
+        if r < 0:
+            raise DomainError("sigma_r needs r >= 0")
+        if r > self.chart.n:
+            return np.zeros(len(self))
+        return self.sigma[:, r]
+
     def tangential(self, w):
-        """Frame components of the tangential projection of an ambient vector."""
-        return self.E.T @ np.asarray(w, dtype=float)
+        """Frame components (m, n) of the tangential projection of ambient vectors.
+
+        ``w`` is one vector (n+1,) for every row or a stack (m, n+1).
+        """
+        w = np.broadcast_to(np.asarray(w, dtype=float), self.X.shape)
+        return _matvec(_transposed(self.E), w)
+
+    def newton(self, r):
+        """Newton transforms P_r (m, n, n) of the shape operators."""
+        return newton_transforms(self.A, self.sigma, r, where=self._where)
+
+    def frame_gradient(self, f):
+        """Gradient components of f in the orthonormal frames (solve L x = df)."""
+        return np.linalg.solve(self.L, f.param_grads(self)[..., None])[..., 0]
+
+    def intrinsic_hessian(self, f):
+        """hess f (m, n, n) in the orthonormal frames: second partials minus Christoffel term."""
+        m, n = self.u.shape
+        df = f.param_grads(self)
+        d2f = f.param_hessians(self)
+        # Gamma^k_{ij} = g^{kl} <dd X_{ij}, d X_l>
+        c = np.matmul(self.d2X, self.dX[:, None])  # (m, n, n, n): c[:, i, j, l]
+        gamma = _transposed(np.linalg.solve(self.g, _transposed(c.reshape(m, n * n, n))))
+        hess_coord = d2f - _matvec(gamma.reshape(m, n, n, n), df[:, None, :])
+        Linv = np.linalg.inv(self.L)
+        return symmetrized(Linv @ hess_coord @ _transposed(Linv), where=self._where)
+
+    def L_operator(self, f, r):
+        """L_{r-1} f = tr(P_{r-1} hess f) at every row."""
+        _check_order(r, self.chart.n, "L operator")
+        H = self.intrinsic_hessian(f)
+        return np.trace(self.newton(r - 1) @ H, axis1=1, axis2=2)
+
+    def L_distance(self, r, origin):
+        """Closed form for L_{r-1} of the distance to ``origin`` at every row.
+
+        (1/d)[(n-r+1) sigma_{r-1} + r sigma_r <X-o, N>]
+          - (1/d^3) <P_{r-1} (X-o)^T, (X-o)^T>
+        with the tangential projection taken in the orthonormal frame.
+        """
+        n = self.chart.n
+        _check_order(r, n, "L_distance")
+        y = self.X - np.asarray(origin, dtype=float)
+        d = np.sqrt(rowdot(y, y))
+        near = np.flatnonzero(d < 1e-8)
+        if near.size:
+            i = near[0]
+            raise NearOriginError(
+                f"chart point within {d[i]:.2e} of the distance origin{self._where(i)}"
+            )
+        t = self.tangential(y)
+        quad = rowdot(t, _matvec(self.newton(r - 1), t))
+        s_rm1, s_r = self.sigma[:, r - 1], self.sigma[:, r]
+        return ((n - r + 1) * s_rm1 + r * s_r * rowdot(y, self.N)) / d - quad / d**3
+
+    def _where(self, i):
+        return _where(self.index, self.u, i)
+
+
+def _where(index, U, i):
+    return f" at mesh index {index[i]}, u = {U[i]}"
+
+
+def _check_order(r, n, what):
+    if not isinstance(r, (int, np.integer)) or r < 1 or r > n:
+        raise DomainError(f"{what} needs 1 <= r <= n (got r={r}, n={n})")
 
 
 def _generalized_cross(dX):
-    n1 = dX.shape[0]
-    minors = np.empty(n1)
-    for i in range(n1):
-        rows = [j for j in range(n1) if j != i]
-        minors[i] = np.linalg.det(dX[rows, :])
+    """Generalized cross products (m, n+1) of the tangent columns of each row."""
+    n1 = dX.shape[1]
+    rows = np.array([[j for j in range(n1) if j != i] for i in range(n1)])
+    minors = np.linalg.det(dX[:, rows, :])
     signs = np.where(np.arange(n1) % 2 == 0, 1.0, -1.0)
     return signs * minors
 
 
-def point_geometry(chart, u):
-    """Metric, oriented unit normal, frame shape operator and curvatures at u."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.shape != (chart.n,):
-        raise InvalidInputError(f"parameter point must have {chart.n} coordinates")
-    if not chart.contains_param(u, tol=1e-9 * (1.0 + chart.domain_diameter())):
-        raise DomainError(f"parameter point {u} outside chart domain")
-    X, dX, d2X = chart.jet(u)
-    X = np.asarray(X, dtype=float)
-    dX = np.asarray(dX, dtype=float)
-    d2X = np.asarray(d2X, dtype=float)
+def _first(bad):
+    """Index of the first True entry of a mask, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
-    g = dX.T @ dX
-    lam_min = float(np.min(np.linalg.eigvalsh(g)))
-    if lam_min <= _RANK_TOL**2:
+
+def mesh_geometry(chart, U, index=None):
+    """Metric, oriented unit normal, frame shape operator and curvatures at the rows of U.
+
+    ``index`` gives the rows' mesh indices (default 0, 1, ...). The checks
+    run stage by stage over all rows (domain, finite jet, rank, Cholesky,
+    normal, orientation, shape operator); each error names the first
+    failing row by its mesh index and parameter point.
+    """
+    U = np.asarray(U, dtype=float)
+    n = chart.n
+    if U.ndim != 2 or U.shape[1] != n:
+        raise InvalidInputError(f"parameter points must have {n} coordinates")
+    index = np.arange(len(U)) if index is None else np.asarray(index, dtype=int)
+    tol = 1e-9 * (1.0 + chart.domain_diameter())
+    lo, hi = chart.param_domain[:, 0], chart.param_domain[:, 1]
+    i = _first(np.any((U < lo - tol) | (U > hi + tol) | ~np.isfinite(U), axis=1))
+    if i is not None:
+        raise DomainError(
+            f"parameter point {U[i]} outside chart domain (mesh index {index[i]})"
+        )
+    X, dX, d2X = chart.jets(U)
+
+    i = _first(~np.all(np.isfinite(X), axis=1) | ~np.all(np.isfinite(dX), axis=(1, 2)))
+    if i is not None:
+        raise SingularPointError(f"non-finite chart jet{_where(index, U, i)}")
+    g = _transposed(dX) @ dX
+    lam_min = np.min(np.linalg.eigvalsh(g), axis=1, initial=np.inf)
+    i = _first(lam_min <= _RANK_TOL**2)
+    if i is not None:
         raise SingularPointError(
             f"rank-deficient chart point: smallest singular value "
-            f"{math.sqrt(max(lam_min, 0.0)):.3e} <= {_RANK_TOL:.0e}"
+            f"{math.sqrt(max(lam_min[i], 0.0)):.3e} <= {_RANK_TOL:.0e}{_where(index, U, i)}"
         )
     try:
         L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPointError(f"metric not positive definite at {u}: {exc}") from exc
+    except np.linalg.LinAlgError:
+        for i in range(len(U)):
+            try:
+                np.linalg.cholesky(g[i])
+            except np.linalg.LinAlgError as exc:
+                raise SingularPointError(
+                    f"metric not positive definite{_where(index, U, i)}: {exc}"
+                ) from exc
+        raise
 
     raw = _generalized_cross(dX)
-    nrm = np.linalg.norm(raw)
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise SingularPointError(f"degenerate normal at {u}")
-    N = raw / nrm
+    nrm = np.sqrt(rowdot(raw, raw))
+    i = _first((nrm == 0.0) | ~np.isfinite(nrm))
+    if i is not None:
+        raise SingularPointError(f"degenerate normal{_where(index, U, i)}")
+    N = raw / nrm[:, None]
     if chart.orient_ref is not None:
-        s = float(N @ chart.orient_ref)
-        if abs(s) < 1e-12:
-            raise SingularPointError("orientation reference is tangent at this point")
-        if s < 0.0:
-            N = -N
+        s = _matvec(N, chart.orient_ref)
+        i = _first(np.abs(s) < 1e-12)
+        if i is not None:
+            raise SingularPointError(f"orientation reference is tangent{_where(index, U, i)}")
+        N = np.where((s < 0.0)[:, None], -N, N)
     N = chart.orient_sign * N
 
-    II = d2X @ N  # (n, n): <dd X_{ij}, N>
+    II = _matvec(d2X, N[:, None, :])  # (m, n, n): <dd X_{ij}, N>
     Linv = np.linalg.inv(L)
-    A_frame = Linv @ II @ Linv.T
-    A = SymMatrix(A_frame)
-    kvals = A.eigenvalues()
-    spectrum = CurvatureSpectrum.from_curvatures(kvals)
-    return PointGeometry(
-        u=u, X=X, dX=dX, d2X=d2X, N=N, L=L, A=A, sigma=spectrum, normA=A.frobenius()
-    )
+    A = symmetrized(Linv @ II @ _transposed(Linv), where=lambda j: _where(index, U, j))
+    k = np.linalg.eigvalsh(A)
+    i = _first(~np.all(np.isfinite(k), axis=1))
+    if i is not None:
+        raise InvalidInputError(f"non-finite principal curvature{_where(index, U, i)}")
+    sigma = kernels.sigma_table(k)
+    flatA = A.reshape(len(U), n * n)
+    normA = np.sqrt(rowdot(flatA, flatA))
+    E = dX @ _transposed(Linv)
+    arrays = (U, X, dX, d2X, N, L, E, A, k, sigma, normA)
+    return MeshGeometry(chart, index, *(_frozen(a) for a in arrays))
+
+
+def point_geometry(chart, u):
+    """Metric, oriented unit normal, frame shape operator and curvatures at u."""
+    return mesh_geometry(chart, _param_row(chart, u))[0]
+
+
+def _param_row(chart, u):
+    u = np.asarray(u, dtype=float).ravel()
+    if u.shape != (chart.n,):
+        raise InvalidInputError(f"parameter point must have {chart.n} coordinates")
+    return u[None, :]
+
+
+def _row_geometry(chart, u, pg):
+    """One-row MeshGeometry at u, from ``pg`` when the caller has it."""
+    if pg is None:
+        return mesh_geometry(chart, _param_row(chart, u))
+    return MeshGeometry.of_point(chart, pg)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +455,21 @@ class ScalarField:
             e[i] = h
             out[i] = (self._fn(u + e) - self._fn(u - e)) / (2 * h)
         return out
+
+    def values(self, mg):
+        """Values at every row of a MeshGeometry."""
+        return np.array([self.value(mg.chart, u) for u in mg.u], dtype=float)
+
+    def param_grads(self, mg):
+        """Parameter gradients (m, n) at every row of a MeshGeometry."""
+        n = mg.chart.n
+        return np.array([self.param_grad(mg.chart, u) for u in mg.u], dtype=float).reshape(-1, n)
+
+    def param_hessians(self, mg):
+        """Parameter Hessians (m, n, n) at every row of a MeshGeometry."""
+        n = mg.chart.n
+        rows = [self.param_hess(mg.chart, u) for u in mg.u]
+        return np.array(rows, dtype=float).reshape(-1, n, n)
 
     def param_hess(self, chart, u, jet=None):
         u = np.asarray(u, dtype=float)
@@ -285,6 +534,24 @@ class AmbientField(ScalarField):
         H = self.hess_at(X)
         G = self.grad_at(X)
         return dX.T @ H @ dX + d2X @ G
+
+    # the ambient derivatives are evaluated row by row on the stacked X, so
+    # any callable works; the pullbacks are array operations
+
+    def values(self, mg):
+        return np.array([self.value_at(X) for X in mg.X], dtype=float)
+
+    def _grads(self, mg):
+        return np.array([self.grad_at(X) for X in mg.X], dtype=float).reshape(mg.X.shape)
+
+    def param_grads(self, mg):
+        return _matvec(_transposed(mg.dX), self._grads(mg))
+
+    def param_hessians(self, mg):
+        m, n1 = mg.X.shape
+        H = np.array([self.hess_at(X) for X in mg.X], dtype=float).reshape(m, n1, n1)
+        G = self._grads(mg)
+        return _transposed(mg.dX) @ H @ mg.dX + _matvec(mg.d2X, G[:, None, :])
 
 
 def linear_height(W):
@@ -351,26 +618,12 @@ def cone_excess(V, a, origin=None):
 
 def intrinsic_hessian(chart, f, u, pg=None):
     """hess f in the orthonormal frame: second partials minus Christoffel term."""
-    if pg is None:
-        pg = point_geometry(chart, u)
-    jet = pg.jet
-    _, dX, d2X = jet
-    df = f.param_grad(chart, u, jet)
-    d2f = f.param_hess(chart, u, jet)
-    # Gamma^k_{ij} = g^{kl} <dd X_{ij}, d X_l>
-    c = d2X @ dX  # (n, n, n): c[i, j, l]
-    gamma = np.linalg.solve(pg.g, c.reshape(-1, chart.n).T).T.reshape(c.shape)
-    hess_coord = d2f - gamma @ df
-    Linv = np.linalg.inv(pg.L)
-    return SymMatrix(Linv @ hess_coord @ Linv.T)
+    return SymMatrix(_row_geometry(chart, u, pg).intrinsic_hessian(f)[0])
 
 
 def frame_gradient(chart, f, u, pg=None):
     """Gradient components in the orthonormal frame (solve L x = df)."""
-    if pg is None:
-        pg = point_geometry(chart, u)
-    df = f.param_grad(chart, u, pg.jet)
-    return np.linalg.solve(pg.L, df)
+    return _row_geometry(chart, u, pg).frame_gradient(f)[0]
 
 
 def gradient_norm(chart, f, u, pg=None):
@@ -380,13 +633,8 @@ def gradient_norm(chart, f, u, pg=None):
 
 def L_operator(chart, f, u, r, pg=None):
     """L_{r-1} f = tr(P_{r-1} hess f) in the orthonormal frame."""
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > chart.n:
-        raise DomainError(f"L operator needs 1 <= r <= n (got r={r}, n={chart.n})")
-    if pg is None:
-        pg = point_geometry(chart, u)
-    H = intrinsic_hessian(chart, f, u, pg=pg)
-    P = newton_transform(pg.A, r - 1)
-    return float(np.trace(P.entries @ H.entries))
+    _check_order(r, chart.n, "L operator")
+    return float(_row_geometry(chart, u, pg).L_operator(f, r)[0])
 
 
 def laplace_beltrami(chart, f, u, pg=None):
@@ -395,28 +643,9 @@ def laplace_beltrami(chart, f, u, pg=None):
 
 
 def L_distance(chart, u, r, origin, pg=None):
-    """Closed form for L_{r-1} of the distance-to-origin function.
-
-    (1/d)[(n-r+1) sigma_{r-1} + r sigma_r <X-o, N>]
-      - (1/d^3) <P_{r-1} (X-o)^T, (X-o)^T>
-    with the tangential projection taken in the orthonormal frame.
-    """
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > chart.n:
-        raise DomainError(f"L_distance needs 1 <= r <= n (got r={r}, n={chart.n})")
-    if pg is None:
-        pg = point_geometry(chart, u)
-    o = np.asarray(origin, dtype=float)
-    y = pg.X - o
-    d = float(np.linalg.norm(y))
-    if d < 1e-8:
-        raise NearOriginError(f"chart point within {d:.2e} of the distance origin")
-    n = chart.n
-    s_rm1 = pg.sigma_r(r - 1)
-    s_r = pg.sigma_r(r)
-    t = pg.tangential(y)
-    P = newton_transform(pg.A, r - 1)
-    quad = float(t @ (P.entries @ t))
-    return ((n - r + 1) * s_rm1 + r * s_r * float(y @ pg.N)) / d - quad / d**3
+    """Closed form for L_{r-1} of the distance-to-origin function (see MeshGeometry)."""
+    _check_order(r, chart.n, "L_distance")
+    return float(_row_geometry(chart, u, pg).L_distance(r, origin)[0])
 
 
 def soliton_residual(chart, u, V, r, pg=None):
@@ -522,28 +751,31 @@ class Mesh:
         return self.points.shape[0]
 
     def positions(self):
-        """Ambient positions X(u) of every mesh point, stacked from ``geometry()``."""
+        """Ambient positions X(u) of every mesh point, from one ``chart.jets`` call."""
         if "X" not in self._cache:
-            xs = np.array([pg.X for pg in self.geometry()], dtype=float)
-            xs.setflags(write=False)
-            self._cache["X"] = xs
+            geom = self._cache.get("geom")
+            self._cache["X"] = _frozen(
+                geom.X if geom is not None else self.chart.jets(self.points)[0]
+            )
         return self._cache["X"]
 
     def geometry(self):
-        """PointGeometry at every mesh point (computed once)."""
+        """MeshGeometry of every mesh point (computed once)."""
         if "geom" not in self._cache:
-            self._cache["geom"] = [point_geometry(self.chart, u) for u in self.points]
+            self._cache["geom"] = mesh_geometry(self.chart, self.points)
         return self._cache["geom"]
 
     def geometry_where(self, keep):
-        """PointGeometry at the mesh points whose position X passes ``keep(X)``.
+        """MeshGeometry of the mesh points whose position X passes ``keep(X)``.
 
         Before ``geometry()`` is built, the points left out cost only their X.
         """
-        if "geom" in self._cache:
-            return [pg for pg in self._cache["geom"] if keep(pg.X)]
-        return [point_geometry(self.chart, u) for u in self.points
-                if keep(np.asarray(self.chart.jet(u)[0], dtype=float))]
+        geom = self._cache.get("geom")
+        xs = self.positions() if geom is None else geom.X
+        mask = np.array([bool(keep(X)) for X in xs], dtype=bool)
+        if geom is not None:
+            return geom.take(mask)
+        return mesh_geometry(self.chart, self.points[mask], index=np.flatnonzero(mask))
 
     def spacing(self):
         """Max ambient distance between axis-neighbors: the mesh resolution."""
@@ -709,11 +941,14 @@ def transform_chart(chart, Q, shift=None, name=None):
     if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
         raise InvalidInputError("Q must be an ambient orthogonal matrix")
     s = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
-    base = chart.jet
+
+    def jets(U):
+        X, dX, d2X = chart.jets(U)
+        return _matvec(Q, X) + s, Q @ dX, d2X @ Q.T
 
     def jet(u):
-        X, dX, d2X = base(u)
-        return Q @ X + s, Q @ dX, d2X @ Q.T
+        X, dX, d2X = jets(u)
+        return X[0], dX[0], d2X[0]
 
     ref = None if chart.orient_ref is None else Q @ chart.orient_ref
     return Chart(
@@ -725,6 +960,7 @@ def transform_chart(chart, Q, shift=None, name=None):
         orient_ref=ref,
         orient_sign=chart.orient_sign,
         intrinsic_distance=None,
+        batch_jet=jets,
     )
 
 
@@ -738,10 +974,9 @@ def segment_arclength(chart, u, base_u, quad_points=129):
     b = np.asarray(base_u, dtype=float)
     ts = np.linspace(0.0, 1.0, quad_points)
     du = u - b
-    speeds = np.empty(quad_points)
-    for i, t in enumerate(ts):
-        _, dX, _ = chart.jet(b + t * du)
-        speeds[i] = np.linalg.norm(dX @ du)
+    _, dX, _ = chart.jets(b + ts[:, None] * du)
+    velocity = _matvec(dX, du)
+    speeds = np.sqrt(rowdot(velocity, velocity))
     from scipy.integrate import simpson
 
     return float(simpson(speeds, x=ts))

@@ -319,7 +319,7 @@ def cmd_oy_run(args):
         config.get("gamma", {"kind": "dist_sq"}), chart.n + 1
     )
     G = registry.build_G(config.get("G", {"kind": "iterated_log", "levels": 1}))
-    xs = mesh.positions()
+    xs = mesh.geometry().X
     mask = np.linalg.norm(xs, axis=1) > 1e-6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryDominatedWarning)

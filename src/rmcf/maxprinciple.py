@@ -17,15 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import (
-    L_distance,
-    L_operator,
-    cone_excess,
-    distance_sq_to,
-    frame_gradient,
-    intrinsic_hessian,
-    linear_height,
-)
+from .charts import cone_excess, distance_sq_to, linear_height, rowdot
 from .errors import (
     BoundaryDominatedWarning,
     DomainError,
@@ -33,7 +25,6 @@ from .errors import (
     NumericalError,
 )
 from .regions import Cone, Halfspace, first_exit, growth_report, min_eigen_over_mesh
-from .symfun import newton_transform
 
 SPLICE_T0 = math.exp(math.e) * 1.01   # splice point of the iterated-log profiles
 BOUND_LOWER_LIMIT = math.exp(2 * math.e)  # integration base of the constant estimates
@@ -243,44 +234,39 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
     if k_max < 1:
         raise InvalidInputError("need k_max >= 1")
     chart = mesh.chart
-    geom = mesh.geometry()
     m = len(mesh)
     active = np.ones(m, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if active.shape != (m,) or not np.any(active):
         raise InvalidInputError("mask must keep at least one mesh point")
+    rows = np.flatnonzero(active)
+    geom = mesh.geometry().take(rows)
 
     uvals = np.full(m, -np.inf)
     gvals = np.empty(m)
-    grad_u = np.empty(m)
-    L_u = np.empty(m)
-    grad_g = np.empty(m)
-    L_g = np.empty(m)
-    lip = 0.0
+    uvals[rows] = u_field.values(geom)
+    gvals[rows] = gamma_field.values(geom)
+    if np.any(gvals[rows] <= 0.0):
+        raise InvalidInputError("gamma must be strictly positive on the mesh")
+    P = geom.newton(r - 1)
+    Hu = geom.intrinsic_hessian(u_field)
+    gu = geom.frame_gradient(u_field)
+    Hg = geom.intrinsic_hessian(gamma_field)
+    gg = geom.frame_gradient(gamma_field)
+    grad_u = np.zeros(m)
+    L_u = np.zeros(m)
+    grad_g = np.zeros(m)
+    L_g = np.zeros(m)
+    grad_u[rows] = np.sqrt(rowdot(gu, gu))
+    L_u[rows] = np.trace(P @ Hu, axis1=1, axis2=2)
+    grad_g[rows] = np.sqrt(rowdot(gg, gg))
+    L_g[rows] = np.trace(P @ Hg, axis1=1, axis2=2)
     supz = 0.0
-    for i in range(m):
-        if not active[i]:
-            continue
-        u = mesh.points[i]
-        pg = geom[i]
-        uvals[i] = u_field.value(chart, u, pg.jet)
-        gvals[i] = gamma_field.value(chart, u, pg.jet)
-        if gvals[i] <= 0.0:
-            raise InvalidInputError("gamma must be strictly positive on the mesh")
-        P = newton_transform(pg.A, r - 1)
-        Hu = intrinsic_hessian(chart, u_field, u, pg=pg)
-        gu = frame_gradient(chart, u_field, u, pg=pg)
-        grad_u[i] = float(np.linalg.norm(gu))
-        L_u[i] = float(np.trace(P.entries @ Hu.entries))
-        Hg = intrinsic_hessian(chart, gamma_field, u, pg=pg)
-        gg = frame_gradient(chart, gamma_field, u, pg=pg)
-        grad_g[i] = float(np.linalg.norm(gg))
-        L_g[i] = float(np.trace(P.entries @ Hg.entries))
-        if z_field is not None:
-            zv = np.asarray(z_field(chart, u, pg), dtype=float)
-            supz = max(supz, float(np.linalg.norm(zv)))
-            L_u[i] -= float(zv @ gu)
-            L_g[i] -= float(zv @ gg)
-        lip = max(lip, float(np.max(np.abs(Hu.eigenvalues()))))
+    if z_field is not None:
+        zv = np.array([z_field(chart, pg.u, pg) for pg in geom], dtype=float).reshape(gu.shape)
+        supz = float(np.max(np.sqrt(rowdot(zv, zv))))
+        L_u[rows] -= rowdot(zv, gu)
+        L_g[rows] -= rowdot(zv, gg)
+    lip = float(np.max(np.abs(np.linalg.eigvalsh(Hu)), initial=0.0))
 
     pb = np.array(
         [G.p_bound(gvals[i]) if active[i] else np.nan for i in range(m)]
@@ -371,10 +357,9 @@ class DriveReport:
 
 
 def _translator_residual_sup(mesh, V, r):
-    worst = 0.0
-    for pg in mesh.geometry():
-        worst = max(worst, abs(pg.sigma_r(r) - float(pg.N @ V)))
-    return worst
+    mg = mesh.geometry()
+    res = mg.sigma_r(r) - rowdot(mg.N, np.broadcast_to(V, mg.N.shape))
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 def _origin_mask(mesh, origin, floor=1e-6):
@@ -382,23 +367,18 @@ def _origin_mask(mesh, origin, floor=1e-6):
     return np.linalg.norm(xs - origin, axis=1) > floor
 
 
-def _identity_errors(chart, mesh, psi, r, mask, expected):
+def _identity_errors(mesh, psi, r, mask, expected):
     """Worst gradient and scaled L_{r-1} identity errors of psi over the masked mesh.
 
-    ``expected(u, pg)`` returns the frame gradient and the L_{r-1} psi
-    value that the drive's identities predict at one mesh point.
+    ``expected(mg)`` returns the frame gradients (m, n) and the L_{r-1} psi
+    values (m,) that the drive's identities predict at the rows of mg.
     """
-    geom = mesh.geometry()
-    grad_err = 0.0
-    L_err = 0.0
-    for i in np.flatnonzero(mask):
-        u = mesh.points[i]
-        pg = geom[i]
-        want_grad, want_L = expected(u, pg)
-        gpsi = frame_gradient(chart, psi, u, pg=pg)
-        grad_err = max(grad_err, float(np.max(np.abs(gpsi - want_grad))))
-        lhs = L_operator(chart, psi, u, r, pg=pg)
-        L_err = max(L_err, abs(lhs - want_L) / (1.0 + pg.normA**2))
+    mg = mesh.geometry().take(mask)
+    want_grad, want_L = expected(mg)
+    gpsi = mg.frame_gradient(psi)
+    grad_err = float(np.max(np.abs(gpsi - want_grad), initial=0.0))
+    lhs = mg.L_operator(psi, r)
+    L_err = float(np.max(np.abs(lhs - want_L) / (1.0 + mg.normA**2), initial=0.0))
     return grad_err, L_err
 
 
@@ -439,29 +419,26 @@ def cone_drive(
     psi = cone_excess(V, a, origin)
     mask = _origin_mask(mesh, origin)
 
-    def expected(u, pg):
-        y = pg.X - origin
-        d = float(np.linalg.norm(y))
-        grad = pg.tangential(V) - (a / d) * pg.tangential(y)
-        return grad, r * pg.sigma_r(r) ** 2 - a * L_distance(chart, u, r, origin, pg=pg)
+    def expected(mg):
+        y = mg.X - origin
+        d = np.sqrt(rowdot(y, y))
+        grad = mg.tangential(V) - (a / d)[:, None] * mg.tangential(y)
+        return grad, r * mg.sigma_r(r) ** 2 - a * mg.L_distance(r, origin)
 
-    grad_err, L_err = _identity_errors(chart, mesh, psi, r, mask, expected)
+    grad_err, L_err = _identity_errors(mesh, psi, r, mask, expected)
 
     run = oy_sequence(
         mesh, psi, distance_sq_to(origin), G, k_max=k_max, r=r, mask=mask
     )
 
-    geom = mesh.geometry()
+    at = mesh.geometry().take(run.idx)
+    t = at.sigma_r(r) ** 2
     alphas = np.full(k_max, np.nan)
-    bounds = np.empty(k_max)
-    floor = 1.0 - a * a
-    for j, i in enumerate(run.idx):
-        pg = geom[i]
-        t = pg.sigma_r(r) ** 2
-        if t >= floor - 1e-12:
-            alphas[j] = alpha(min(t, 1.0), a)
-        d = float(np.linalg.norm(pg.X - origin))
-        bounds[j] = (1.0 / r) * (1.0 / run.ks[j] + a * (chart.n - r + 1) * pg.sigma_r(r - 1) / d)
+    for j in np.flatnonzero(t >= 1.0 - a * a - 1e-12):
+        alphas[j] = alpha(min(t[j], 1.0), a)
+    y = at.X - origin
+    d = np.sqrt(rowdot(y, y))
+    bounds = (1.0 / r) * (1.0 / run.ks + a * (chart.n - r + 1) * at.sigma_r(r - 1) / d)
 
     growth = growth_report(
         chart, mesh, "HS2-1", {"r": r, "a": a, "base_point": origin}
@@ -515,23 +492,21 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
 
     psi = linear_height(W)
     mask = _origin_mask(mesh, origin)
+    def height_L(mg):
+        return r * mg.sigma_r(r) * rowdot(mg.N, np.broadcast_to(W, mg.N.shape))
+
     grad_err, L_err = _identity_errors(
-        chart, mesh, psi, r, mask,
-        lambda u, pg: (pg.tangential(W), r * pg.sigma_r(r) * float(pg.N @ W)),
+        mesh, psi, r, mask, lambda mg: (mg.tangential(W), height_L(mg)),
     )
 
     run = oy_sequence(mesh, psi, distance_sq_to(origin), G, k_max=k_max, r=r, mask=mask)
 
-    geom = mesh.geometry()
-    frame_err = 0.0
-    L_at = []
-    for i in run.idx:
-        pg = geom[i]
-        expansion = float(pg.tangential(V) @ pg.tangential(W)) + float(
-            (pg.N @ V) * (pg.N @ W)
-        )
-        frame_err = max(frame_err, abs(c - expansion))
-        L_at.append(r * pg.sigma_r(r) * float(pg.N @ W))
+    at = mesh.geometry().take(run.idx)
+    NV = rowdot(at.N, np.broadcast_to(V, at.N.shape))
+    NW = rowdot(at.N, np.broadcast_to(W, at.N.shape))
+    expansion = rowdot(at.tangential(V), at.tangential(W)) + NV * NW
+    frame_err = float(np.max(np.abs(c - expansion)))
+    L_at = height_L(at)
 
     growth = growth_report(chart, mesh, "HS1-1", {"r": r, "base_point": origin})
     psd = min_eigen_over_mesh(mesh, r)
@@ -614,7 +589,7 @@ def hypothesis_gate(chart, mesh, theorem, params, region=None):
     res_sup = _translator_residual_sup(mesh, V, r)
     premises.append(_premise("translator-residual", res_sup < res_tol, res_sup, res_tol))
 
-    sig_bound = max(abs(pg.sigma_r(r)) for pg in mesh.geometry())
+    sig_bound = float(np.max(np.abs(mesh.geometry().sigma_r(r))))
     premises.append(
         _premise("sigma-r-bounded", sig_bound <= 1.0 + 1e-9, sig_bound, 1.0)
     )

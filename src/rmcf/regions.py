@@ -15,9 +15,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .charts import AmbientField, L_operator, segment_arclength
+from . import kernels
+from .charts import AmbientField, rowdot, segment_arclength
 from .errors import DomainError, InvalidInputError, SingularPointError
-from .symfun import min_eigen_Pr
 
 CONCLUSIVE_SCALE = 1e3
 _LOGLOG_FLOOR = math.e * 1.01
@@ -212,10 +212,11 @@ def growth_report(chart, mesh, hypothesis, params):
             scales = np.array(
                 [segment_arclength(chart, u, center) for u in mesh.points]
             )
-        values = np.array([pg.normA for pg in geom])
+        values = geom.normA
     else:
-        scales = np.array([np.linalg.norm(pg.X - base) for pg in geom])
-        values = np.array([pg.sigma_r(r - 1) for pg in geom])
+        y = geom.X - base
+        scales = np.sqrt(rowdot(y, y))
+        values = geom.sigma_r(r - 1)
 
     top = float(np.max(scales)) if len(scales) else 0.0
     if top < 10.0:
@@ -369,42 +370,38 @@ def bihalfspace_drive(chart, a, b, R, r, eps, mesh):
         raise InvalidInputError("cylinder radius must be positive")
     if mesh.chart is not chart:
         raise InvalidInputError("mesh was built over a different chart")
-    n = chart.n
     f = cylinder_field(R, a)
-    ez = np.zeros(n + 1)
-    ez[n] = 1.0
-
-    slacks = []
-    params = []
-    dmax = 0.0
-    for pg in mesh.geometry_where(lambda X: in_pocket(X, a, b, R)):
-        d = cylinder_distance(R, a, pg.X)
-        grad, chi, _ = cylinder_hessian_frame(R, a, pg.X)
-        lhs = L_operator(chart, f, pg.u, r, pg=pg)
-        rhs = eps * (1.0 - float(chi @ pg.N) ** 2) / d + r * float(ez @ pg.N) * float(
-            grad @ pg.N
-        )
-        slacks.append(lhs - rhs)
-        params.append(pg.u)
-        dmax = max(dmax, d)
-
-    if not slacks:
+    mg = mesh.geometry_where(lambda X: in_pocket(X, a, b, R))
+    if len(mg) == 0:
         return BiHalfspaceDriveReport(
             a=a, b=b, R=R, r=r, eps=eps, empty=True, n_points=0,
             min_slack=math.nan, argmin_param=None, max_d=0.0,
         )
-    slacks = np.asarray(slacks)
+    d = np.array([cylinder_distance(R, a, X) for X in mg.X])
+    frames = [cylinder_hessian_frame(R, a, X) for X in mg.X]
+    grad = np.array([fr[0] for fr in frames])
+    chi = np.array([fr[1] for fr in frames])
+    lhs = mg.L_operator(f, r)
+    rhs = eps * (1.0 - rowdot(chi, mg.N) ** 2) / d + r * mg.N[:, -1] * rowdot(grad, mg.N)
+    slacks = lhs - rhs
     imin = int(np.argmin(slacks))
     return BiHalfspaceDriveReport(
-        a=a, b=b, R=R, r=r, eps=eps, empty=False, n_points=len(slacks),
-        min_slack=float(slacks[imin]), argmin_param=np.asarray(params[imin]),
-        max_d=dmax,
+        a=a, b=b, R=R, r=r, eps=eps, empty=False, n_points=len(mg),
+        min_slack=float(slacks[imin]), argmin_param=mg.u[imin].copy(),
+        max_d=float(np.max(d)),
     )
 
 
 def min_eigen_over_mesh(mesh, r):
-    """Smallest eigenvalue of P_{r-1} across the mesh (the eps of the drive)."""
-    return min(min_eigen_Pr(pg.A, r - 1) for pg in mesh.geometry())
+    """Smallest eigenvalue of P_{r-1} across the mesh (the eps of the drive).
+
+    One ``kernels.complement_sigma`` call over the stacked spectra: the
+    eigenvalues of P_{r-1} in the eigenbasis of A.
+    """
+    n = mesh.chart.n
+    if not isinstance(r, (int, np.integer)) or r < 1 or r > n:
+        raise DomainError(f"min_eigen_Pr needs 0 <= r <= n-1 (got r={r - 1}, n={n})")
+    return float(np.min(kernels.complement_sigma(mesh.geometry().k, r - 1)))
 
 
 def normalize_bihalfspace(bhs, V):

@@ -19,6 +19,34 @@ MAX_DIM = 16
 _ASYM_TOL = 1e-8
 
 
+def _nowhere(i):
+    return ""
+
+
+def symmetrized(a, where=_nowhere):
+    """Check a square matrix or a stack (..., n, n) of them and return 0.5 (a + a^T).
+
+    Non-finite entries and asymmetry beyond 1e-8 * max(1, |A|_inf) of any
+    matrix raise InvalidInputError; ``where(i)`` names stack entry i in the
+    message.
+    """
+    a = np.asarray(a, dtype=float)
+    finite = np.isfinite(a)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.reshape(-1, a.shape[-2] * a.shape[-1]).all(axis=1))[0])
+        raise InvalidInputError(f"matrix has non-finite entries{where(i)}")
+    at = np.swapaxes(a, -1, -2)
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    over = asym > _ASYM_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if over.any():
+        i = int(np.flatnonzero(over)[0])
+        raise InvalidInputError(
+            f"asymmetry {np.ravel(asym)[i]:.3e} exceeds {_ASYM_TOL:.0e} * max(1, |A|_inf)"
+            f"{where(i)}"
+        )
+    return 0.5 * (a + at)
+
+
 class SymMatrix:
     """Dense symmetric matrix, symmetrized on construction.
 
@@ -36,20 +64,21 @@ class SymMatrix:
         n = a.shape[0]
         if n < 1 or n > MAX_DIM:
             raise InvalidInputError(f"dimension {n} outside supported range 1..{MAX_DIM}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("matrix has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > _ASYM_TOL * scale:
-            raise InvalidInputError(
-                f"asymmetry {asym:.3e} exceeds {_ASYM_TOL:.0e} * max(1, |A|_inf)"
-            )
-        m = 0.5 * (a + a.T)
+        m = symmetrized(a)
         m.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_eig", None)
         object.__setattr__(self, "_sigma", None)
+
+    @classmethod
+    def _of_symmetrized(cls, m):
+        """Wrap a matrix that ``symmetrized`` has already checked and symmetrized."""
+        self = object.__new__(cls)
+        m.setflags(write=False)
+        for name, value in (("n", m.shape[0]), ("entries", m), ("_eig", None), ("_sigma", None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -181,11 +210,20 @@ def newton_transform(A, r):
         raise InvalidInputError("order r must be a nonnegative integer")
     if r > n:
         raise DomainError(f"P_r is only defined for r <= n (got r={r}, n={n})")
-    sig = A.sigma_table()
-    P = np.eye(n)
+    return SymMatrix._of_symmetrized(newton_transforms(A.entries, A.sigma_table(), r))
+
+
+def newton_transforms(A, sigma, r, where=_nowhere):
+    """P_r of a symmetric matrix A (n, n) or a stack (m, n, n), with sigma tables (..., n+1).
+
+    The recursion P_0 = I, P_j = sigma_j I - A P_{j-1} runs on the whole
+    stack; the result is symmetrized and checked like a SymMatrix.
+    """
+    eye = np.eye(A.shape[-1])
+    P = eye
     for j in range(1, r + 1):
-        P = sig[j] * np.eye(n) - A.entries @ P
-    return SymMatrix(P)
+        P = sigma[..., j, None, None] * eye - A @ P
+    return symmetrized(np.broadcast_to(P, A.shape), where)
 
 
 def newton_polynomial(A, r):

@@ -137,16 +137,46 @@ class RotProfile:
         out = np.empty_like(Rv)
         low = Rv < self.R_start
         if np.any(low):
-            x = Rv[low]
-            if comp == 0:
-                out[low] = 0.5 * self.k0 * x**2 + self.a4 * x**4
-            elif comp == 1:
-                out[low] = self.k0 * x + 4.0 * self.a4 * x**3
-            else:
-                out[low] = x + self.k0**2 * x**3 / 6.0
+            out[low] = self._series(Rv[low], comp)
         if np.any(~low):
             out[~low] = self.sol_eval(Rv[~low])[comp]
         return float(out[0]) if scalar else out
+
+    def _series(self, x, comp):
+        """Vertex series of u, u' or the arclength below R_start."""
+        if comp == 0:
+            return 0.5 * self.k0 * x**2 + self.a4 * x**4
+        if comp == 1:
+            return self.k0 * x + 4.0 * self.a4 * x**3
+        return x + self.k0**2 * x**3 / 6.0
+
+    def u_and_up(self, R):
+        """u and u' at an array of radii from one dense-output call.
+
+        Every radius is evaluated twice, so each dense-output segment sees at
+        least two columns and its polynomial goes through the same matrix
+        product whatever the batch: a row's values do not depend on which
+        other radii share the call. ``eval_u``/``eval_up`` keep the
+        one-column arithmetic that the exported ``fd_residual_probe`` was
+        computed with.
+        """
+        if self._sol is None:
+            raise NumericalError(
+                "profile has no dense output (loaded from disk?); re-solve to evaluate"
+            )
+        R = self._check_R(np.asarray(R, dtype=float).ravel())
+        u = np.empty_like(R)
+        up = np.empty_like(R)
+        low = R < self.R_start
+        if np.any(low):
+            u[low] = self._series(R[low], 0)
+            up[low] = self._series(R[low], 1)
+        high = R[~low]
+        if high.size:
+            vals = self._sol(np.concatenate((high, high)))[:, : high.size]
+            u[~low] = vals[0]
+            up[~low] = vals[1]
+        return u, up
 
     def sol_eval(self, R):
         return np.atleast_2d(self._sol(R))
@@ -287,57 +317,82 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
 # charts backed by profiles
 
 
-def _omega_jet(phi):
-    """Unit-sphere embedding omega(phi) in R^n with first and second partials.
+def _rot_upp(n, r, R, up):
+    """``rot_ode_rhs`` over arrays of radii and slopes: the chart's u''."""
+    if not np.all(R > 0):
+        raise DomainError("profile equation needs R > 0")
+    s = 1.0 + up * up
+    theta = 1.0 / np.sqrt(s)
+    w = up / (R * np.sqrt(s))
+    den = math.comb(n - 1, r - 1) * _pow(w, r - 1)
+    num = theta - math.comb(n - 1, r) * _pow(w, r)
+    bad = np.flatnonzero((den == 0.0) | (np.abs(den) < 1e-280))
+    if bad.size:
+        i = bad[0]
+        raise DegenerateODEError(
+            f"vanishing parallel-curvature coefficient at R={R[i]:.3e}, u'={up[i]:.3e} "
+            f"with residual {num[i]:.3e}"
+        )
+    return (num / den) * _pow(s, 1.5)
 
-    Component i < n-1 is cos(phi_i) * prod_{j<i} sin(phi_j); the last
-    component is the full sine product. Partials follow by replacing one
-    or two factors with their derivatives.
+
+def _pow(x, e):
+    """x ** e elementwise through Python's float power, as ``rot_ode_rhs`` takes it.
+
+    Far out, u'' is the small difference theta - C(n-1, r) w^r, so a power
+    rounded differently (numpy's vectorized one may be) moves u'' well
+    beyond round-off; this keeps the chart's u'' equal to the solver's.
+    """
+    return np.array([v**e for v in x.tolist()], dtype=float)
+
+
+def _omega_jet(phi):
+    """Unit-sphere embedding omega(phi) in R^n with first and second partials, per row.
+
+    ``phi`` is (m, n-1); the result is omega (m, n), d omega (m, n-1, n) and
+    dd omega (m, n-1, n-1, n). Component i < n-1 is cos(phi_i) prod_{j<i}
+    sin(phi_j); the last component is the full sine product. Partials
+    replace one or two factors with their derivatives; every product runs
+    over the factors in order.
     """
     phi = np.asarray(phi, dtype=float)
-    m = phi.size
+    rows, m = phi.shape
     n = m + 1
     sin, cos = np.sin(phi), np.cos(phi)
-    omega = np.empty(n)
-    dom = np.zeros((m, n))
-    ddom = np.zeros((m, m, n))
-
+    omega = np.empty((rows, n))
+    dom = np.zeros((rows, m, n))
+    ddom = np.zeros((rows, m, m, n))
     for i in range(n):
-        if i < n - 1:
-            angles = list(range(i + 1))
-            kinds = ["sin"] * i + ["cos"]
-        else:
-            angles = list(range(m))
-            kinds = ["sin"] * m
-        vals = np.array([sin[a] if k == "sin" else cos[a] for a, k in zip(angles, kinds)])
-        d1 = np.array([cos[a] if k == "sin" else -sin[a] for a, k in zip(angles, kinds)])
+        angles = range(min(i + 1, m))
+        vals = [sin[:, a] if a < i else cos[:, a] for a in angles]
+        d1 = [cos[:, a] if a < i else -sin[:, a] for a in angles]
 
-        def prod_except(skip=()):
+        def prod_except(*skip):
             p = 1.0
             for t, v in enumerate(vals):
                 if t not in skip:
-                    p *= v
+                    p = p * v
             return p
 
-        omega[i] = prod_except()
+        omega[:, i] = prod_except()
         for t, a in enumerate(angles):
-            dom[a, i] = prod_except((t,)) * d1[t]
-        for t, a in enumerate(angles):
-            ddom[a, a, i] = prod_except((t,)) * (-vals[t])
+            dom[:, a, i] = prod_except(t) * d1[t]
+            ddom[:, a, a, i] = prod_except(t) * (-vals[t])
             for t2 in range(t + 1, len(angles)):
                 b = angles[t2]
-                val = prod_except((t, t2)) * d1[t] * d1[t2]
-                ddom[a, b, i] = val
-                ddom[b, a, i] = val
+                val = prod_except(t, t2) * d1[t] * d1[t2]
+                ddom[:, a, b, i] = val
+                ddom[:, b, a, i] = val
     return omega, dom, ddom
 
 
 def rot_chart(profile, R_lo=None, angle_pad=0.3):
     """Rotational immersion chart (R, angles) -> (R omega, u(R)) from one profile.
 
-    First and second derivatives are assembled from the dense-output u,
-    u' and from the profile equation's u''. The vertical component of the
-    normal is positive, matching the graph orientation.
+    The jets of all rows come from one dense-output call for u and u' and
+    from the profile equation's u''; the scalar ``jet`` is a one-row call of
+    them. The vertical component of the normal is positive, matching the
+    graph orientation.
     """
     n, r = profile.n, profile.r
     if R_lo is None:
@@ -351,33 +406,34 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
         rows.append([angle_pad, hi - angle_pad])
     dom = np.array(rows)
 
-    def jet(q):
-        q = np.asarray(q, dtype=float)
-        R = float(q[0])
-        u_val = profile.eval_u(R)
-        up = profile.eval_up(R)
-        upp = rot_ode_rhs(n, r, R, up)
+    def jets(Q):
+        Q = np.asarray(Q, dtype=float).reshape(-1, n)
+        R = Q[:, 0]
+        u_val, up = profile.u_and_up(R)
+        upp = _rot_upp(n, r, R, up)
+        m = len(R)
+        X = np.empty((m, n + 1))
+        dX = np.zeros((m, n + 1, n))
+        d2X = np.zeros((m, n, n, n + 1))
+        X[:, n] = u_val
+        dX[:, n, 0] = up
+        d2X[:, 0, 0, n] = upp
         if n == 1:
-            X = np.array([R, u_val])
-            dX = np.array([[1.0], [up]])
-            d2X = np.zeros((1, 1, 2))
-            d2X[0, 0, 1] = upp
+            X[:, 0] = R
+            dX[:, 0, 0] = 1.0
             return X, dX, d2X
-        omega, dom_, ddom = _omega_jet(q[1:])
-        X = np.concatenate((R * omega, [u_val]))
-        dX = np.zeros((n + 1, n))
-        dX[:n, 0] = omega
-        dX[n, 0] = up
-        for a in range(n - 1):
-            dX[:n, a + 1] = R * dom_[a]
-        d2X = np.zeros((n, n, n + 1))
-        d2X[0, 0, n] = upp
-        for a in range(n - 1):
-            d2X[0, a + 1, :n] = dom_[a]
-            d2X[a + 1, 0, :n] = dom_[a]
-            for b in range(n - 1):
-                d2X[a + 1, b + 1, :n] = R * ddom[a, b]
+        omega, dom_, ddom = _omega_jet(Q[:, 1:])
+        X[:, :n] = R[:, None] * omega
+        dX[:, :n, 0] = omega
+        dX[:, :n, 1:] = R[:, None, None] * dom_.transpose(0, 2, 1)
+        d2X[:, 0, 1:, :n] = dom_
+        d2X[:, 1:, 0, :n] = dom_
+        d2X[:, 1:, 1:, :n] = R[:, None, None, None] * ddom
         return X, dX, d2X
+
+    def jet(q):
+        X, dX, d2X = jets(q)
+        return X[0], dX[0], d2X[0]
 
     ref = np.zeros(n + 1)
     ref[n] = 1.0
@@ -386,6 +442,7 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
         n=n,
         param_domain=dom,
         jet=jet,
+        batch_jet=jets,
         kind="rotational",
         name=label,
         orient_ref=ref,

@@ -1,0 +1,407 @@
+"""The batched mesh geometry against the per-point algebra it replaced.
+
+The scalar hyperspherical jet, the scalar rotational-chart jet closure, the
+per-point geometry body and the per-point operators live on here as
+reference oracles; the batched path must match them row by row, and
+permuting or sub-selecting the parameter rows must permute its outputs
+bit for bit.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmcf import kernels
+from rmcf.charts import (
+    Chart,
+    L_operator,
+    Mesh,
+    ScalarField,
+    cone_excess,
+    distance_sq_to,
+    frame_gradient,
+    linear_height,
+    mesh_geometry,
+    paraboloid_chart,
+    point_geometry,
+    sphere_chart,
+    transform_chart,
+)
+from rmcf.errors import DomainError, SingularPointError
+from rmcf.symfun import SymMatrix
+from rmcf.translators import _omega_jet, grim_reaper_chart, rot_ode_rhs
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar code the batched path replaced
+
+
+def _omega_jet_scalar(phi):
+    phi = np.asarray(phi, dtype=float)
+    m = phi.size
+    n = m + 1
+    sin, cos = np.sin(phi), np.cos(phi)
+    omega = np.empty(n)
+    dom = np.zeros((m, n))
+    ddom = np.zeros((m, m, n))
+
+    for i in range(n):
+        if i < n - 1:
+            angles = list(range(i + 1))
+            kinds = ["sin"] * i + ["cos"]
+        else:
+            angles = list(range(m))
+            kinds = ["sin"] * m
+        vals = np.array([sin[a] if k == "sin" else cos[a] for a, k in zip(angles, kinds)])
+        d1 = np.array([cos[a] if k == "sin" else -sin[a] for a, k in zip(angles, kinds)])
+
+        def prod_except(skip=()):
+            p = 1.0
+            for t, v in enumerate(vals):
+                if t not in skip:
+                    p *= v
+            return p
+
+        omega[i] = prod_except()
+        for t, a in enumerate(angles):
+            dom[a, i] = prod_except((t,)) * d1[t]
+        for t, a in enumerate(angles):
+            ddom[a, a, i] = prod_except((t,)) * (-vals[t])
+            for t2 in range(t + 1, len(angles)):
+                b = angles[t2]
+                val = prod_except((t, t2)) * d1[t] * d1[t2]
+                ddom[a, b, i] = val
+                ddom[b, a, i] = val
+    return omega, dom, ddom
+
+
+def _rot_jet_scalar(profile):
+    """The scalar rotational-chart jet closure.
+
+    u and u' come from the batch's dense-output evaluation (checked against
+    ``eval_u``/``eval_up`` in ``test_dense_output_rows``): far out, u'' =
+    rot_ode_rhs(u') is the small difference theta - C(n-1, r) w^r, which
+    amplifies a last-bit change of u' by orders of magnitude, so a separate
+    dense-output call would test that rounding rather than the assembly.
+    """
+    n, r = profile.n, profile.r
+
+    def jet(q):
+        q = np.asarray(q, dtype=float)
+        R = float(q[0])
+        u_val, up = (float(v[0]) for v in profile.u_and_up([R]))
+        upp = rot_ode_rhs(n, r, R, up)
+        if n == 1:
+            X = np.array([R, u_val])
+            dX = np.array([[1.0], [up]])
+            d2X = np.zeros((1, 1, 2))
+            d2X[0, 0, 1] = upp
+            return X, dX, d2X
+        omega, dom_, ddom = _omega_jet_scalar(q[1:])
+        X = np.concatenate((R * omega, [u_val]))
+        dX = np.zeros((n + 1, n))
+        dX[:n, 0] = omega
+        dX[n, 0] = up
+        for a in range(n - 1):
+            dX[:n, a + 1] = R * dom_[a]
+        d2X = np.zeros((n, n, n + 1))
+        d2X[0, 0, n] = upp
+        for a in range(n - 1):
+            d2X[0, a + 1, :n] = dom_[a]
+            d2X[a + 1, 0, :n] = dom_[a]
+            for b in range(n - 1):
+                d2X[a + 1, b + 1, :n] = R * ddom[a, b]
+        return X, dX, d2X
+
+    return jet
+
+
+def _moved_jet_scalar(base_jet, Q, s):
+    def jet(u):
+        X, dX, d2X = base_jet(u)
+        return Q @ X + s, Q @ dX, d2X @ Q.T
+
+    return jet
+
+
+def _generalized_cross_scalar(dX):
+    n1 = dX.shape[0]
+    minors = np.empty(n1)
+    for i in range(n1):
+        rows = [j for j in range(n1) if j != i]
+        minors[i] = np.linalg.det(dX[rows, :])
+    signs = np.where(np.arange(n1) % 2 == 0, 1.0, -1.0)
+    return signs * minors
+
+
+def _point_geometry_scalar(chart, u, jet):
+    """The per-point geometry body, with the chart's jet supplied by ``jet``."""
+    X, dX, d2X = (np.asarray(a, dtype=float) for a in jet(u))
+    g = dX.T @ dX
+    assert np.min(np.linalg.eigvalsh(g)) > 1e-16
+    L = np.linalg.cholesky(g)
+    raw = _generalized_cross_scalar(dX)
+    N = raw / np.linalg.norm(raw)
+    if chart.orient_ref is not None and float(N @ chart.orient_ref) < 0.0:
+        N = -N
+    N = chart.orient_sign * N
+    II = d2X @ N
+    Linv = np.linalg.inv(L)
+    A = SymMatrix(Linv @ II @ Linv.T)
+    k = A.eigenvalues()
+    return {
+        "u": np.asarray(u, dtype=float), "X": X, "dX": dX, "d2X": d2X, "N": N, "L": L,
+        "E": dX @ Linv.T, "A": A.entries, "k": k, "sigma": kernels.sigma_table(k[None])[0],
+        "normA": A.frobenius(), "g": g,
+    }
+
+
+def _newton_scalar(A, sig, r):
+    n = A.shape[0]
+    P = np.eye(n)
+    for j in range(1, r + 1):
+        P = sig[j] * np.eye(n) - A @ P
+    return 0.5 * (P + P.T)
+
+
+def _operators_scalar(chart, f, pg, r):
+    """Frame gradient, intrinsic Hessian and L_{r-1} f at one point, per-point algebra."""
+    n = chart.n
+    u, jet = pg["u"], (pg["X"], pg["dX"], pg["d2X"])
+    dX, d2X = pg["dX"], pg["d2X"]
+    df = f.param_grad(chart, u, jet)
+    d2f = f.param_hess(chart, u, jet)
+    c = d2X @ dX
+    gamma = np.linalg.solve(pg["g"], c.reshape(-1, n).T).T.reshape(c.shape)
+    Linv = np.linalg.inv(pg["L"])
+    H = Linv @ (d2f - gamma @ df) @ Linv.T
+    H = 0.5 * (H + H.T)
+    P = _newton_scalar(pg["A"], pg["sigma"], r - 1)
+    return np.linalg.solve(pg["L"], df), H, float(np.trace(P @ H))
+
+
+# ---------------------------------------------------------------------------
+# charts under test, each with its oracle jet
+
+
+def _rotation(m, angle):
+    Q = np.eye(m)
+    c, s = math.cos(angle), math.sin(angle)
+    Q[0, 0], Q[0, 1], Q[1, 0], Q[1, 1] = c, -s, s, c
+    return Q
+
+
+@pytest.fixture(scope="module")
+def cases(translator_charts, profiles):
+    out = {
+        "graph-grim-reaper": (translator_charts["grim-reaper"], None),
+        "graph-paraboloid": (paraboloid_chart(3, curvature=0.8), None),
+        "sphere-2": (sphere_chart(2), None),
+        "sphere-3": (sphere_chart(3, radius=2.0), None),
+    }
+    for key in ((2, 1), (3, 2), (4, 3)):
+        out[f"rot-{key}"] = (translator_charts[key], _rot_jet_scalar(profiles[key]))
+    Q = _rotation(4, 0.7)
+    shift = np.array([1.0, -2.0, 0.5, 3.0])
+    out["moved-rot"] = (
+        transform_chart(translator_charts[(3, 2)], Q, shift=shift),
+        _moved_jet_scalar(_rot_jet_scalar(profiles[(3, 2)]), Q, shift),
+    )
+    Q3 = _rotation(3, -1.1)[::-1].copy()
+    out["moved-graph"] = (
+        transform_chart(translator_charts["grim-reaper"], Q3),
+        _moved_jet_scalar(translator_charts["grim-reaper"].jet, Q3, np.zeros(3)),
+    )
+    return {name: (ch, jet if jet is not None else ch.jet) for name, (ch, jet) in out.items()}
+
+
+def _rows(data, chart, max_rows=8):
+    lo, hi = chart.param_domain[:, 0], chart.param_domain[:, 1]
+    fracs = data.draw(st.lists(
+        st.lists(st.floats(0.02, 0.98), min_size=chart.n, max_size=chart.n),
+        min_size=1, max_size=max_rows,
+    ))
+    return lo + np.asarray(fracs) * (hi - lo)
+
+
+def _assert_close(got, want, what, scale=None):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    ref = np.abs(want) if scale is None else scale
+    bad = np.abs(got - want) > 1e-12 * ref + 1e-13
+    assert not np.any(bad), (
+        f"{what}: max deviation {np.max(np.abs(got - want)):.3e} at {np.argwhere(bad)[0]}"
+    )
+
+
+CASE_NAMES = ["graph-grim-reaper", "graph-paraboloid", "sphere-2", "sphere-3", "rot-(2, 1)",
+              "rot-(3, 2)", "rot-(4, 3)", "moved-rot", "moved-graph"]
+
+
+class TestAgainstScalarOracles:
+    def test_dense_output_rows(self, profiles):
+        for prof in profiles.values():
+            R = np.linspace(0.02, prof.R_max, 301)
+            u, up = prof.u_and_up(R)
+            _assert_close(u, prof.eval_u(R), "u")
+            _assert_close(up, prof.eval_up(R), "u'")
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_omega_jet(self, data):
+        m = data.draw(st.integers(1, 4))
+        phi = np.asarray(data.draw(st.lists(
+            st.lists(st.floats(0.3, 2.0 * math.pi - 0.3), min_size=m, max_size=m),
+            min_size=1, max_size=6,
+        )))
+        got = _omega_jet(phi)
+        for i, row in enumerate(phi):
+            for g, w, what in zip(got, _omega_jet_scalar(row), ("omega", "dom", "ddom")):
+                _assert_close(g[i], w, what)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_jets_and_geometry_rows(self, cases, data):
+        name = data.draw(st.sampled_from(CASE_NAMES))
+        chart, jet = cases[name]
+        U = _rows(data, chart)
+        X, dX, d2X = chart.jets(U)
+        mg = mesh_geometry(chart, U)
+        assert len(mg) == len(U)
+        for i, u in enumerate(U):
+            want = _point_geometry_scalar(chart, u, jet)
+            for key, got in (("X", X), ("dX", dX), ("d2X", d2X)):
+                _assert_close(got[i], want[key], f"{name} jet {key}")
+            for key in ("X", "N", "L", "E", "A", "k", "sigma", "normA"):
+                _assert_close(getattr(mg, key)[i], want[key], f"{name} {key}")
+            pg = mg[i]
+            _assert_close(pg.A.entries, want["A"], f"{name} row A")
+            _assert_close(pg.sigma_r(chart.n), want["sigma"][chart.n], f"{name} row sigma_n")
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operators(self, cases, data):
+        name = data.draw(st.sampled_from(CASE_NAMES))
+        chart, jet = cases[name]
+        U = _rows(data, chart)
+        r = data.draw(st.integers(1, chart.n))
+        m1 = chart.n + 1
+        V = np.zeros(m1)
+        V[-1] = 1.0
+        fields = [linear_height(_rotation(m1, 0.4) @ V), distance_sq_to(np.full(m1, 0.1)),
+                  cone_excess(V, 0.3, origin=np.full(m1, -5.0)),
+                  ScalarField(lambda u: float(np.sum(np.sin(u)) + u @ u))]
+        mg = mesh_geometry(chart, U)
+        for f in fields:
+            grads, hess, Ls = mg.frame_gradient(f), mg.intrinsic_hessian(f), mg.L_operator(f, r)
+            for i, u in enumerate(U):
+                pg = _point_geometry_scalar(chart, u, jet)
+                want_grad, want_H, want_L = _operators_scalar(chart, f, pg, r)
+                # L sums n^2 products of Hessian and P entries: scale by their size
+                scale = 1.0 + np.sum(np.abs(want_H)) * (1.0 + pg["normA"]) ** (r - 1)
+                _assert_close(grads[i], want_grad, f"{name} frame gradient")
+                _assert_close(hess[i], want_H, f"{name} hessian", scale=scale)
+                _assert_close(Ls[i], want_L, f"{name} L_{r - 1}", scale=scale)
+                _assert_close(L_operator(chart, f, u, r), want_L, f"{name} scalar L", scale=scale)
+                _assert_close(frame_gradient(chart, f, u), want_grad, f"{name} scalar grad")
+
+
+class TestRowIndependence:
+    FIELDS = ("u", "X", "dX", "d2X", "N", "L", "E", "A", "k", "sigma", "normA")
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_permuted_and_subselected_rows(self, cases, data):
+        name = data.draw(st.sampled_from(CASE_NAMES))
+        chart, _ = cases[name]
+        U = _rows(data, chart, max_rows=24)
+        idx = np.asarray(data.draw(st.one_of(
+            st.permutations(range(len(U))),
+            st.lists(st.integers(0, len(U) - 1), min_size=1, max_size=len(U), unique=True),
+        )), dtype=int)
+        full, part = mesh_geometry(chart, U), mesh_geometry(chart, U[idx])
+        for key in self.FIELDS:
+            assert np.array_equal(getattr(part, key), getattr(full, key)[idx]), key
+        taken = full.take(idx)
+        for key in self.FIELDS:
+            assert np.array_equal(getattr(taken, key), getattr(part, key)), key
+        f = cone_excess(np.eye(chart.n + 1)[-1], 0.3, origin=np.full(chart.n + 1, -5.0))
+        r = chart.n
+        assert np.array_equal(part.L_operator(f, r), full.L_operator(f, r)[idx])
+        assert np.array_equal(part.frame_gradient(f), full.frame_gradient(f)[idx])
+        assert np.array_equal(part.L_distance(r, np.full(chart.n + 1, -5.0)),
+                              full.L_distance(r, np.full(chart.n + 1, -5.0))[idx])
+
+
+    def test_scalar_jet_is_a_batch_row(self, translator_charts):
+        # many radii share each dense-output segment in the batch; alone, a
+        # radius must still get the same arithmetic
+        for key in ((2, 1), (3, 2), (4, 3)):
+            ch = translator_charts[key]
+            lo, hi = ch.param_domain[:, 0], ch.param_domain[:, 1]
+            U = np.tile(0.5 * (lo + hi), (400, 1))
+            U[:, 0] = np.linspace(lo[0], hi[0], 400)
+            batch = ch.jets(U)
+            for i, u in enumerate(U):
+                for got, want in zip(ch.jet(u), batch):
+                    assert np.array_equal(got, want[i]), (key, i)
+
+
+class TestMeshGeometry:
+    def test_one_batched_jet_call_per_mesh(self, translator_charts):
+        base = translator_charts[(3, 2)]
+        calls = []
+
+        def batch_jet(U):
+            calls.append(len(U))
+            return base.batch_jet(U)
+
+        def no_scalar_jet(u):
+            raise AssertionError("the mesh path evaluated the scalar jet")
+
+        ch = replace(base, jet=no_scalar_jet, batch_jet=batch_jet)
+        mesh = Mesh.grid(ch, (7, 4, 5))
+        geom = mesh.geometry()
+        assert np.array_equal(mesh.positions(), geom.X)
+        assert calls == [len(mesh)]
+        assert len(geom) == len(mesh) == len(list(geom))
+
+    def test_point_geometry_is_a_row(self, translator_charts):
+        ch = translator_charts[(4, 2)]
+        mesh = Mesh.grid(ch, (3, 2, 2, 3))
+        u = mesh.points[7]
+        pg, row = point_geometry(ch, u), mesh.geometry()[7]
+        for key in ("X", "N", "L", "normA"):
+            assert np.array_equal(getattr(pg, key), getattr(row, key)), key
+        assert np.array_equal(pg.A.entries, row.A.entries)
+        assert np.array_equal(pg.sigma.sigma, row.sigma.sigma)
+
+    def test_singular_row_names_its_index(self):
+        # X(u) = (u^3, u^2) has dX = 0 at u = 0 only, the centre of the mesh
+        def jet(u):
+            t = float(u[0])
+            return (np.array([t**3, t**2]), np.array([[3.0 * t * t], [2.0 * t]]),
+                    np.array([[[6.0 * t, 2.0]]]))
+
+        ch = Chart(n=1, param_domain=np.array([[-1.0, 1.0]]), jet=jet)
+        mesh = Mesh.grid(ch, 5)
+        assert mesh.points[2, 0] == 0.0
+        with pytest.raises(SingularPointError, match=r"mesh index 2, u = \[0\.\]"):
+            mesh.geometry()
+        mesh_geometry(ch, mesh.points[[0, 1, 3, 4]])  # the other rows are regular
+        with pytest.raises(SingularPointError, match=r"mesh index 2, u = \[0\.\]"):
+            mesh.geometry_where(lambda X: X[1] < 0.5)  # rows 1, 2, 3 of the mesh
+
+    def test_domain_error_names_the_row(self):
+        ch = paraboloid_chart(2)
+        U = np.array([[0.0, 0.0], [0.2, 0.1], [-0.3, 0.4], [5.0, 0.0], [0.1, 0.1]])
+        named = r"\[5\. 0\.\] outside chart domain \(mesh index 3\)"
+        with pytest.raises(DomainError, match=named):
+            mesh_geometry(ch, U)
+
+    def test_empty_selection(self):
+        ch = grim_reaper_chart(2)
+        mg = mesh_geometry(ch, np.empty((0, 2)))
+        assert len(mg) == 0 and mg.sigma.shape == (0, 3)
