@@ -47,8 +47,8 @@ class Chart:
     parameter points at once (see ``jets``). ``orient_ref``, when set,
     flips the raw normal so that <N, orient_ref> > 0; ``orient_sign``
     applies a final sign on top (used by ``flipped``).
-    ``intrinsic_distance``, when set, returns the distance along the
-    surface from the chart's base point.
+    ``intrinsic_distance``, when set, maps parameter points (m, n) to
+    their distances (m,) along the surface from the chart's base point.
     """
 
     n: int
@@ -257,8 +257,7 @@ class MeshGeometry:
     def intrinsic_hessian(self, f):
         """hess f (m, n, n) in the orthonormal frames: second partials minus Christoffel term."""
         m, n = self.u.shape
-        df = f.param_grads(self)
-        d2f = f.param_hessians(self)
+        df, d2f = f.param_derivatives(self)
         # Gamma^k_{ij} = g^{kl} <dd X_{ij}, d X_l>
         c = np.matmul(self.d2X, self.dX[:, None])  # (m, n, n, n): c[:, i, j, l]
         gamma = _transposed(np.linalg.solve(self.g, _transposed(c.reshape(m, n * n, n))))
@@ -330,6 +329,12 @@ def mesh_geometry(chart, U, index=None):
     normal, orientation, shape operator); each error names the first
     failing row by its mesh index and parameter point.
     """
+    U, index = _checked_params(chart, U, index)
+    return _geometry(chart, U, index, chart.jets(U))
+
+
+def _checked_params(chart, U, index):
+    """U as a float (m, n) stack inside the chart domain, and its mesh indices."""
     U = np.asarray(U, dtype=float)
     n = chart.n
     if U.ndim != 2 or U.shape[1] != n:
@@ -342,8 +347,13 @@ def mesh_geometry(chart, U, index=None):
         raise DomainError(
             f"parameter point {U[i]} outside chart domain (mesh index {index[i]})"
         )
-    X, dX, d2X = chart.jets(U)
+    return U, index
 
+
+def _geometry(chart, U, index, jets):
+    """The body of ``mesh_geometry``, given the stacked jets (X, dX, d2X) of the rows of U."""
+    n = chart.n
+    X, dX, d2X = jets
     i = _first(~np.all(np.isfinite(X), axis=1) | ~np.all(np.isfinite(dX), axis=(1, 2)))
     if i is not None:
         raise SingularPointError(f"non-finite chart jet{_where(index, U, i)}")
@@ -431,11 +441,18 @@ def _fd_step(chart, requested=None):
     return max(1e-5, 1e-6 * diam)
 
 
-class ScalarField:
-    """Function of chart parameters; derivatives default to central differences.
+def _stacked(a, shape):
+    """An evaluator's result as float, broadcast to the stack's shape."""
+    return np.broadcast_to(np.asarray(a, dtype=float), shape)
 
-    Second differences use a larger step than first differences to stay
-    above the float64 rounding floor.
+
+class ScalarField:
+    """Function of chart parameters; derivatives by central differences.
+
+    ``fn`` acts on parameter stacks U (..., n) and returns (...,). Each
+    stencil shifts the whole stack along one axis at a time. Second
+    differences use a larger step than first differences to stay above the
+    float64 rounding floor.
     """
 
     def __init__(self, fn, step=None, hess_step=None):
@@ -443,122 +460,83 @@ class ScalarField:
         self._step = step
         self._hess_step = hess_step
 
-    def value(self, chart, u, jet=None):
-        return float(self._fn(np.asarray(u, dtype=float)))
-
-    def param_grad(self, chart, u, jet=None):
-        u = np.asarray(u, dtype=float)
-        h = _fd_step(chart, self._step)
-        out = np.empty(chart.n)
-        for i in range(chart.n):
-            e = np.zeros(chart.n)
-            e[i] = h
-            out[i] = (self._fn(u + e) - self._fn(u - e)) / (2 * h)
-        return out
+    def _eval(self, U):
+        return _stacked(self._fn(U), U.shape[:-1])
 
     def values(self, mg):
-        """Values at every row of a MeshGeometry."""
-        return np.array([self.value(mg.chart, u) for u in mg.u], dtype=float)
+        """Values (m,) at every row of a MeshGeometry."""
+        return self._eval(mg.u)
 
     def param_grads(self, mg):
         """Parameter gradients (m, n) at every row of a MeshGeometry."""
-        n = mg.chart.n
-        return np.array([self.param_grad(mg.chart, u) for u in mg.u], dtype=float).reshape(-1, n)
+        U, n = mg.u, mg.chart.n
+        h = _fd_step(mg.chart, self._step)
+        shifts = h * np.eye(n)
+        return np.stack(
+            [(self._eval(U + e) - self._eval(U - e)) / (2 * h) for e in shifts], axis=-1
+        )
 
-    def param_hessians(self, mg):
-        """Parameter Hessians (m, n, n) at every row of a MeshGeometry."""
-        n = mg.chart.n
-        rows = [self.param_hess(mg.chart, u) for u in mg.u]
-        return np.array(rows, dtype=float).reshape(-1, n, n)
-
-    def param_hess(self, chart, u, jet=None):
-        u = np.asarray(u, dtype=float)
+    def param_derivatives(self, mg):
+        """Parameter gradients (m, n) and Hessians (m, n, n) at every row of a MeshGeometry."""
+        U, n = mg.u, mg.chart.n
         h = self._hess_step
         if h is None:
-            h = max(3e-4, 1e-5 * chart.domain_diameter())
-        _fd_step(chart, h)
-        n = chart.n
-        out = np.empty((n, n))
-        f0 = self._fn(u)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            out[i, i] = (self._fn(u + ei) - 2 * f0 + self._fn(u - ei)) / h**2
+            h = max(3e-4, 1e-5 * mg.chart.domain_diameter())
+        _fd_step(mg.chart, h)
+        shifts = h * np.eye(n)
+        out = np.empty(U.shape + (n,))
+        f0 = self._eval(U)
+        for i, ei in enumerate(shifts):
+            out[..., i, i] = (self._eval(U + ei) - 2 * f0 + self._eval(U - ei)) / h**2
             for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                out[i, j] = out[j, i] = (
-                    self._fn(u + ei + ej)
-                    - self._fn(u + ei - ej)
-                    - self._fn(u - ei + ej)
-                    + self._fn(u - ei - ej)
+                ej = shifts[j]
+                out[..., i, j] = out[..., j, i] = (
+                    self._eval(U + ei + ej)
+                    - self._eval(U + ei - ej)
+                    - self._eval(U - ei + ej)
+                    + self._eval(U - ei - ej)
                 ) / (4 * h**2)
-        return out
+        return self.param_grads(mg), out
 
 
-class AmbientField(ScalarField):
+class AmbientField:
     """Restriction to the chart of an ambient function with analytic derivatives.
 
-    ``grad`` and ``hess`` act on ambient points; the pullback of the
-    parameter derivatives is exact, which is what the 1e-7 scale operator
-    identities need.
+    ``fn``, ``grad`` and ``hess`` act on ambient points X (..., n+1), one
+    point or a stack, and return (...,), (..., n+1) and (..., n+1, n+1);
+    a result that does not depend on X (a constant vector, say) is
+    broadcast to the stack. They are kept as ``value_at``, ``grad_at`` and
+    ``hess_at``. Each method below makes one evaluator call on the stacked
+    X of a MeshGeometry; the pullback to parameter derivatives is exact,
+    which is what the 1e-7 scale operator identities need.
     """
 
     def __init__(self, fn, grad, hess):
-        self._afn = fn
-        self._agrad = grad
-        self._ahess = hess
-
-    def value_at(self, X):
-        return float(self._afn(np.asarray(X, dtype=float)))
-
-    def grad_at(self, X):
-        return np.asarray(self._agrad(np.asarray(X, dtype=float)), dtype=float)
-
-    def hess_at(self, X):
-        return np.asarray(self._ahess(np.asarray(X, dtype=float)), dtype=float)
-
-    def _jet(self, chart, u, jet):
-        return chart.jet(u) if jet is None else jet
-
-    def value(self, chart, u, jet=None):
-        X, _, _ = self._jet(chart, u, jet)
-        return self.value_at(X)
-
-    def param_grad(self, chart, u, jet=None):
-        X, dX, _ = self._jet(chart, u, jet)
-        return dX.T @ self.grad_at(X)
-
-    def param_hess(self, chart, u, jet=None):
-        X, dX, d2X = self._jet(chart, u, jet)
-        H = self.hess_at(X)
-        G = self.grad_at(X)
-        return dX.T @ H @ dX + d2X @ G
-
-    # the ambient derivatives are evaluated row by row on the stacked X, so
-    # any callable works; the pullbacks are array operations
+        self.value_at = fn
+        self.grad_at = grad
+        self.hess_at = hess
 
     def values(self, mg):
-        return np.array([self.value_at(X) for X in mg.X], dtype=float)
-
-    def _grads(self, mg):
-        return np.array([self.grad_at(X) for X in mg.X], dtype=float).reshape(mg.X.shape)
+        """Values (m,) at every row of a MeshGeometry."""
+        return _stacked(self.value_at(mg.X), mg.X.shape[:-1])
 
     def param_grads(self, mg):
-        return _matvec(_transposed(mg.dX), self._grads(mg))
+        """Parameter gradients (m, n) at every row of a MeshGeometry."""
+        return _matvec(_transposed(mg.dX), _stacked(self.grad_at(mg.X), mg.X.shape))
 
-    def param_hessians(self, mg):
-        m, n1 = mg.X.shape
-        H = np.array([self.hess_at(X) for X in mg.X], dtype=float).reshape(m, n1, n1)
-        G = self._grads(mg)
-        return _transposed(mg.dX) @ H @ mg.dX + _matvec(mg.d2X, G[:, None, :])
+    def param_derivatives(self, mg):
+        """Parameter gradients (m, n) and Hessians (m, n, n), from one ``grad_at`` call."""
+        G = _stacked(self.grad_at(mg.X), mg.X.shape)
+        H = _stacked(self.hess_at(mg.X), mg.X.shape + mg.X.shape[-1:])
+        dXt = _transposed(mg.dX)
+        return _matvec(dXt, G), dXt @ H @ mg.dX + _matvec(mg.d2X, G[:, None, :])
 
 
 def linear_height(W):
     """f(X) = <X, W>."""
     W = np.asarray(W, dtype=float)
     return AmbientField(
-        lambda X: X @ W,
+        lambda X: rowdot(X, W),
         lambda X: W,
         lambda X: np.zeros((W.size, W.size)),
     )
@@ -570,9 +548,12 @@ def distance_to(origin):
 
     def _check(X):
         y = X - o
-        d = np.linalg.norm(y)
-        if d < 1e-8:
-            raise NearOriginError(f"distance field evaluated {d:.2e} from its center")
+        d = np.sqrt(rowdot(y, y))
+        near = np.flatnonzero(d < 1e-8)
+        if near.size:
+            raise NearOriginError(
+                f"distance field evaluated {np.ravel(d)[near[0]]:.2e} from its center"
+            )
         return y, d
 
     def fn(X):
@@ -580,12 +561,12 @@ def distance_to(origin):
 
     def grad(X):
         y, d = _check(X)
-        return y / d
+        return y / d[..., None]
 
     def hess(X):
         y, d = _check(X)
-        yh = y / d
-        return (np.eye(y.size) - np.outer(yh, yh)) / d
+        yh = y / d[..., None]
+        return (np.eye(o.size) - yh[..., :, None] * yh[..., None, :]) / d[..., None, None]
 
     return AmbientField(fn, grad, hess)
 
@@ -594,7 +575,7 @@ def distance_sq_to(origin):
     """f(X) = |X - origin|^2."""
     o = np.asarray(origin, dtype=float)
     return AmbientField(
-        lambda X: float((X - o) @ (X - o)),
+        lambda X: rowdot(X - o, X - o),
         lambda X: 2.0 * (X - o),
         lambda X: 2.0 * np.eye(o.size),
     )
@@ -606,7 +587,7 @@ def cone_excess(V, a, origin=None):
     o = np.zeros(V.size) if origin is None else np.asarray(origin, dtype=float)
     dist = distance_to(o)
     return AmbientField(
-        lambda X: float(X @ V) - a * dist.value_at(X),
+        lambda X: rowdot(X, V) - a * dist.value_at(X),
         lambda X: V - a * dist.grad_at(X),
         lambda X: -a * dist.hess_at(X),
     )
@@ -721,7 +702,7 @@ class Mesh:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def grid(cls, chart, counts, inset=0.0):
+    def grid(cls, chart, counts):
         n = chart.n
         if isinstance(counts, (int, np.integer)):
             counts = (int(counts),) * n
@@ -731,7 +712,7 @@ class Mesh:
         axes = []
         for i in range(n):
             lo, hi = chart.param_domain[i]
-            m = max(_BOUNDARY_MARGIN * (hi - lo), inset)
+            m = _BOUNDARY_MARGIN * (hi - lo)
             axes.append(np.linspace(lo + m, hi - m, counts[i]))
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -750,32 +731,36 @@ class Mesh:
     def __len__(self):
         return self.points.shape[0]
 
+    def _jets(self, rows=slice(None)):
+        """Stacked jets of the mesh points ``rows``, sliced from one ``chart.jets`` call."""
+        if "jets" not in self._cache:
+            self._cache["jets"] = tuple(_frozen(a) for a in self.chart.jets(self.points))
+        return tuple(a[rows] for a in self._cache["jets"])
+
+    def _geometry_of(self, rows):
+        U, index = _checked_params(self.chart, self.points[rows], np.arange(len(self))[rows])
+        return _geometry(self.chart, U, index, self._jets(rows))
+
     def positions(self):
-        """Ambient positions X(u) of every mesh point, from one ``chart.jets`` call."""
-        if "X" not in self._cache:
-            geom = self._cache.get("geom")
-            self._cache["X"] = _frozen(
-                geom.X if geom is not None else self.chart.jets(self.points)[0]
-            )
-        return self._cache["X"]
+        """Ambient positions X(u) of every mesh point."""
+        return self._jets()[0]
 
     def geometry(self):
         """MeshGeometry of every mesh point (computed once)."""
         if "geom" not in self._cache:
-            self._cache["geom"] = mesh_geometry(self.chart, self.points)
+            self._cache["geom"] = self._geometry_of(slice(None))
         return self._cache["geom"]
 
     def geometry_where(self, keep):
         """MeshGeometry of the mesh points whose position X passes ``keep(X)``.
 
-        Before ``geometry()`` is built, the points left out cost only their X.
+        Before ``geometry()`` is built, the points left out cost only their jets.
         """
+        mask = np.array([bool(keep(X)) for X in self.positions()], dtype=bool)
         geom = self._cache.get("geom")
-        xs = self.positions() if geom is None else geom.X
-        mask = np.array([bool(keep(X)) for X in xs], dtype=bool)
         if geom is not None:
             return geom.take(mask)
-        return mesh_geometry(self.chart, self.points[mask], index=np.flatnonzero(mask))
+        return self._geometry_of(mask)
 
     def spacing(self):
         """Max ambient distance between axis-neighbors: the mesh resolution."""

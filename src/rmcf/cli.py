@@ -135,17 +135,19 @@ def _config_hash(config):
 
 
 def _load_config(path):
-    import jsonschema
+    # the schema is a constant, checked once by the test suite rather than
+    # by jsonschema.validate on every load
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
 
     try:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot parse config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(config, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _UsageError(f"config rejected: {exc.message}") from exc
+    error = best_match(validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA).iter_errors(config))
+    if error is not None:
+        raise _UsageError(f"config rejected: {error.message}")
     return config
 
 

@@ -227,13 +227,14 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
 
     eps_k = 1 / (2 k max(A, B + A sup|Z|)) with A and B the empirical
     maxima of |grad gamma| and L_{r-1} gamma against the growth comparison
-    scale. Ties in the argmax break to the lowest mesh index. Runs whose
-    maximizer sits on the truncation boundary for every k are flagged
-    boundary-dominated and marked inconclusive.
+    scale. ``z_field(mg)``, when given, returns the frame components
+    (m, n) of a drift Z at the rows of a MeshGeometry; the L values then
+    read L_{r-1} - <Z, grad>. Ties in the argmax break to the lowest mesh
+    index. Runs whose maximizer sits on the truncation boundary for every
+    k are flagged boundary-dominated and marked inconclusive.
     """
     if k_max < 1:
         raise InvalidInputError("need k_max >= 1")
-    chart = mesh.chart
     m = len(mesh)
     active = np.ones(m, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if active.shape != (m,) or not np.any(active):
@@ -262,7 +263,7 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
     L_g[rows] = np.trace(P @ Hg, axis1=1, axis2=2)
     supz = 0.0
     if z_field is not None:
-        zv = np.array([z_field(chart, pg.u, pg) for pg in geom], dtype=float).reshape(gu.shape)
+        zv = np.broadcast_to(np.asarray(z_field(geom), dtype=float), gu.shape)
         supz = float(np.max(np.sqrt(rowdot(zv, zv))))
         L_u[rows] -= rowdot(zv, gu)
         L_g[rows] -= rowdot(zv, gg)

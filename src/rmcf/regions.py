@@ -206,7 +206,7 @@ def growth_report(chart, mesh, hypothesis, params):
 
     if hypothesis == "HS2-2":
         if chart.intrinsic_distance is not None:
-            scales = np.array([chart.intrinsic_distance(u) for u in mesh.points])
+            scales = np.asarray(chart.intrinsic_distance(mesh.points), dtype=float)
         else:
             center = 0.5 * (chart.param_domain[:, 0] + chart.param_domain[:, 1])
             scales = np.array(
@@ -260,10 +260,13 @@ def growth_report(chart, mesh, hypothesis, params):
 
 
 def cylinder_distance(R, a, X):
-    """Distance to the axis flat {(R/a, 0, x_3, ...)}: sqrt((x1 - R/a)^2 + x2^2)."""
+    """Distance to the axis flat {(R/a, 0, x_3, ...)}: sqrt((x1 - R/a)^2 + x2^2).
+
+    X is one ambient point or a stack (..., n+1); the result has shape (...,).
+    """
     _check_cyl(R, a)
     X = np.asarray(X, dtype=float)
-    return float(math.hypot(X[0] - R / a, X[1]))
+    return np.hypot(X[..., 0] - R / a, X[..., 1])
 
 
 def cylinder_hessian_frame(R, a, X):
@@ -271,44 +274,40 @@ def cylinder_hessian_frame(R, a, X):
 
     The Hessian is the rank-one matrix (1/d) chi chi^T: one eigenvalue
     1/d along chi and zeros along the gradient and the trailing
-    coordinate directions.
+    coordinate directions. Each result has the shape of X (..., n+1).
     """
     _check_cyl(R, a)
-    X = np.asarray(X, dtype=float).ravel()
+    X = np.asarray(X, dtype=float)
     d = cylinder_distance(R, a, X)
-    if d <= 1e-10:
+    if np.any(d <= 1e-10):
         raise SingularPointError("cylinder distance Hessian is singular on the axis")
-    m = X.size
-    grad = np.zeros(m)
-    grad[0] = (X[0] - R / a) / d
-    grad[1] = X[1] / d
-    chi = np.zeros(m)
-    chi[0] = -X[1] / d
-    chi[1] = (X[0] - R / a) / d
-    eigvals = np.concatenate(([1.0 / d], np.zeros(m - 1)))
+    c1 = (X[..., 0] - R / a) / d
+    c2 = X[..., 1] / d
+    grad = np.zeros(X.shape)
+    grad[..., 0] = c1
+    grad[..., 1] = c2
+    chi = np.zeros(X.shape)
+    chi[..., 0] = -c2
+    chi[..., 1] = c1
+    eigvals = np.zeros(X.shape)
+    eigvals[..., 0] = 1.0 / d
     return grad, chi, eigvals
 
 
 def ambient_cylinder_hessian(R, a, X):
-    """The full (n+1) x (n+1) ambient Hessian of d_R at X."""
+    """The full (n+1) x (n+1) ambient Hessian of d_R at X, per point of X (..., n+1)."""
     _, chi, eig = cylinder_hessian_frame(R, a, X)
-    return eig[0] * np.outer(chi, chi)
+    return eig[..., 0, None, None] * (chi[..., :, None] * chi[..., None, :])
 
 
 def cylinder_field(R, a):
     """d_R restricted to charts, as an analytic ambient field."""
     _check_cyl(R, a)
-
-    def fn(X):
-        return cylinder_distance(R, a, X)
-
-    def grad(X):
-        return cylinder_hessian_frame(R, a, X)[0]
-
-    def hess(X):
-        return ambient_cylinder_hessian(R, a, X)
-
-    return AmbientField(fn, grad, hess)
+    return AmbientField(
+        lambda X: cylinder_distance(R, a, X),
+        lambda X: cylinder_hessian_frame(R, a, X)[0],
+        lambda X: ambient_cylinder_hessian(R, a, X),
+    )
 
 
 def in_pocket(X, a, b, R):
@@ -377,10 +376,8 @@ def bihalfspace_drive(chart, a, b, R, r, eps, mesh):
             a=a, b=b, R=R, r=r, eps=eps, empty=True, n_points=0,
             min_slack=math.nan, argmin_param=None, max_d=0.0,
         )
-    d = np.array([cylinder_distance(R, a, X) for X in mg.X])
-    frames = [cylinder_hessian_frame(R, a, X) for X in mg.X]
-    grad = np.array([fr[0] for fr in frames])
-    chi = np.array([fr[1] for fr in frames])
+    d = cylinder_distance(R, a, mg.X)
+    grad, chi, _ = cylinder_hessian_frame(R, a, mg.X)
     lhs = mg.L_operator(f, r)
     rhs = eps * (1.0 - rowdot(chi, mg.N) ** 2) / d + r * mg.N[:, -1] * rowdot(grad, mg.N)
     slacks = lhs - rhs

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charts import Chart, graph_chart
+from .charts import Chart, graph_chart, rowdot
 from .errors import (
     DegenerateODEError,
     DomainError,
@@ -150,8 +150,8 @@ class RotProfile:
             return self.k0 * x + 4.0 * self.a4 * x**3
         return x + self.k0**2 * x**3 / 6.0
 
-    def u_and_up(self, R):
-        """u and u' at an array of radii from one dense-output call.
+    def _dense_rows(self, R):
+        """u, u' and the arclength (3, m) at an array of radii from one dense-output call.
 
         Every radius is evaluated twice, so each dense-output segment sees at
         least two columns and its polynomial goes through the same matrix
@@ -165,17 +165,19 @@ class RotProfile:
                 "profile has no dense output (loaded from disk?); re-solve to evaluate"
             )
         R = self._check_R(np.asarray(R, dtype=float).ravel())
-        u = np.empty_like(R)
-        up = np.empty_like(R)
+        out = np.empty((3, R.size))
         low = R < self.R_start
         if np.any(low):
-            u[low] = self._series(R[low], 0)
-            up[low] = self._series(R[low], 1)
+            for comp in range(3):
+                out[comp, low] = self._series(R[low], comp)
         high = R[~low]
         if high.size:
-            vals = self._sol(np.concatenate((high, high)))[:, : high.size]
-            u[~low] = vals[0]
-            up[~low] = vals[1]
+            out[:, ~low] = self._sol(np.concatenate((high, high)))[:, : high.size]
+        return out
+
+    def u_and_up(self, R):
+        """u and u' at an array of radii (see ``_dense_rows``)."""
+        u, up, _ = self._dense_rows(R)
         return u, up
 
     def sol_eval(self, R):
@@ -188,8 +190,8 @@ class RotProfile:
         return self._dense(R, 1)
 
     def arclength(self, R):
-        """Meridian arclength from the vertex, integrated with the profile."""
-        return self._dense(R, 2)
+        """Meridian arclength from the vertex at an array of radii (see ``_dense_rows``)."""
+        return self._dense_rows(R)[2]
 
     def theta(self, R):
         """Vertical component of the unit normal, 1 / sqrt(1 + u'^2)."""
@@ -446,7 +448,7 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
         kind="rotational",
         name=label,
         orient_ref=ref,
-        intrinsic_distance=lambda q: profile.arclength(float(np.asarray(q).ravel()[0])),
+        intrinsic_distance=lambda Q: profile.arclength(np.reshape(Q, (-1, n))[:, 0]),
     )
 
 
@@ -486,10 +488,12 @@ def grim_reaper_chart(n, eta=1e-3, t_halfwidth=50.0):
         name="grim-reaper",
     )
 
-    def intrinsic(q):
-        q = np.asarray(q, dtype=float).ravel()
-        arc = math.asinh(math.tan(q[0]))  # exact curve arclength from x = 0
-        return math.hypot(arc, float(np.linalg.norm(q[1:])))
+    def intrinsic(Q):
+        Q = np.asarray(Q, dtype=float).reshape(-1, n)
+        arc = np.arcsinh(np.tan(Q[:, 0]))  # exact curve arclength from x = 0
+        if n == 1:
+            return np.abs(arc)
+        return np.sqrt(arc * arc + rowdot(Q[:, 1:], Q[:, 1:]))
 
     return replace(ch, intrinsic_distance=intrinsic)
 

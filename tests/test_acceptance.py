@@ -340,7 +340,7 @@ def test_oy_mechanics_and_gate_labels(translator_charts, translator_meshes):
         u = linear_height(np.array([0.0, 0.0, 1.0]))
         e3 = np.array([0.0, 0.0, 1.0])
         gamma = AmbientField(
-            lambda X: 2.0 - float(X @ e3), lambda X: -e3, lambda X: np.zeros((3, 3))
+            lambda X: 2.0 - X @ e3, lambda X: -e3, lambda X: np.zeros((3, 3))
         )
         G = GFunction.iterated_log(1)
         coarse = Mesh.grid(ch, 25)

@@ -3,8 +3,11 @@
 import json
 
 import numpy as np
+import pytest
 
-from rmcf.cli import main
+import rmcf.maxprinciple
+from rmcf.charts import cone_excess
+from rmcf.cli import _CONFIG_SCHEMA, main
 from rmcf.translators import load_profile
 
 
@@ -49,6 +52,18 @@ class TestVerifyIdentities:
             tmp_path, {"surface": {"kind": "bowl", "n": 2, "r": 1, "shape": "x"}}
         )
         assert main(["verify-identities", "--config", cfg]) == 2
+
+    def test_config_schema_is_a_valid_schema(self, tmp_path, capsys):
+        # loads validate against the constant schema without re-checking it
+        import jsonschema
+
+        jsonschema.validators.validator_for(_CONFIG_SCHEMA).check_schema(_CONFIG_SCHEMA)
+        bad = {"surface": {"kind": "bowl", "n": 0}, "mesh": [1, 4]}
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(bad, _CONFIG_SCHEMA)
+        assert main(["verify-identities", "--config", write_config(tmp_path, bad)]) == 2
+        want = f"config error: config rejected: {exc.value.message}"
+        assert capsys.readouterr().err.strip() == want
 
     def test_byte_deterministic_reports(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}, "seed": 5})
@@ -120,6 +135,34 @@ class TestTheoremCheck:
         assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["consistent"] is True
+
+    def test_cone_field_gradients_evaluated_on_stacks(self, tmp_path, monkeypatch):
+        # the (3, 2) bowl at R_max 1e3 on the default 13^3 mesh: the drive's
+        # identity check and maximizer run each evaluate psi's ambient
+        # gradient on the whole masked mesh at once
+        shapes = []
+
+        def counted_cone_excess(*args, **kwargs):
+            f = cone_excess(*args, **kwargs)
+            grad = f.grad_at
+
+            def grad_at(X):
+                shapes.append(np.shape(X))
+                return grad(X)
+
+            f.grad_at = grad_at
+            return f
+
+        monkeypatch.setattr(rmcf.maxprinciple, "cone_excess", counted_cone_excess)
+        V = [0.0, 0.0, 0.0, 1.0]
+        cfg = write_config(tmp_path, {
+            "surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 1e3, "tol": 1e-9},
+            "region": {"kind": "cone", "V": V, "a": 0.3},
+            "theorem": "cone", "r": 2, "V": V, "a": 0.3,
+        })
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert 1 <= len(shapes) <= 6
+        assert all(len(s) == 2 and s[0] > 13**3 // 2 and s[1] == 4 for s in shapes), shapes
 
     def test_missing_region(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": BOWL_SURFACE, "theorem": "cone"})

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from rmcf import kernels
 from rmcf.charts import (
+    AmbientField,
     Chart,
     L_operator,
     Mesh,
@@ -167,13 +168,37 @@ def _newton_scalar(A, sig, r):
     return 0.5 * (P + P.T)
 
 
+def _param_derivatives_scalar(chart, f, pg):
+    """Parameter gradient and Hessian of a field at one point, per-point algebra.
+
+    An ambient field's derivatives are pulled back through the point's jet;
+    a parameter field gets the default central-difference stencils.
+    """
+    u, X, dX, d2X = pg["u"], pg["X"], pg["dX"], pg["d2X"]
+    if isinstance(f, AmbientField):
+        G = np.asarray(f.grad_at(X), dtype=float)
+        H = np.asarray(f.hess_at(X), dtype=float)
+        return dX.T @ G, dX.T @ H @ dX + d2X @ G
+    fn, n, diam = f._fn, chart.n, chart.domain_diameter()
+    h, h2 = max(1e-5, 1e-6 * diam), max(3e-4, 1e-5 * diam)
+    e1, e2 = h * np.eye(n), h2 * np.eye(n)
+    df = np.array([(fn(u + e) - fn(u - e)) / (2 * h) for e in e1])
+    d2f = np.empty((n, n))
+    for i in range(n):
+        d2f[i, i] = (fn(u + e2[i]) - 2 * fn(u) + fn(u - e2[i])) / h2**2
+        for j in range(i + 1, n):
+            d2f[i, j] = d2f[j, i] = (
+                fn(u + e2[i] + e2[j]) - fn(u + e2[i] - e2[j])
+                - fn(u - e2[i] + e2[j]) + fn(u - e2[i] - e2[j])
+            ) / (4 * h2**2)
+    return df, d2f
+
+
 def _operators_scalar(chart, f, pg, r):
     """Frame gradient, intrinsic Hessian and L_{r-1} f at one point, per-point algebra."""
     n = chart.n
-    u, jet = pg["u"], (pg["X"], pg["dX"], pg["d2X"])
     dX, d2X = pg["dX"], pg["d2X"]
-    df = f.param_grad(chart, u, jet)
-    d2f = f.param_hess(chart, u, jet)
+    df, d2f = _param_derivatives_scalar(chart, f, pg)
     c = d2X @ dX
     gamma = np.linalg.solve(pg["g"], c.reshape(-1, n).T).T.reshape(c.shape)
     Linv = np.linalg.inv(pg["L"])
@@ -292,7 +317,7 @@ class TestAgainstScalarOracles:
         V[-1] = 1.0
         fields = [linear_height(_rotation(m1, 0.4) @ V), distance_sq_to(np.full(m1, 0.1)),
                   cone_excess(V, 0.3, origin=np.full(m1, -5.0)),
-                  ScalarField(lambda u: float(np.sum(np.sin(u)) + u @ u))]
+                  ScalarField(lambda U: np.sum(np.sin(U), axis=-1) + np.sum(U * U, axis=-1))]
         mg = mesh_geometry(chart, U)
         for f in fields:
             grads, hess, Ls = mg.frame_gradient(f), mg.intrinsic_hessian(f), mg.L_operator(f, r)
@@ -335,6 +360,18 @@ class TestRowIndependence:
                               full.L_distance(r, np.full(chart.n + 1, -5.0))[idx])
 
 
+    def test_intrinsic_distance_rows(self, translator_charts):
+        # the array call gives each row the bits of its one-row call
+        for key, ch in translator_charts.items():
+            lo, hi = ch.param_domain[:, 0], ch.param_domain[:, 1]
+            rng = np.random.default_rng(11)
+            U = lo + rng.uniform(0.0, 1.0, (300, ch.n)) * (hi - lo)
+            U[:100, 0] = np.linspace(lo[0], hi[0], 100)
+            got = ch.intrinsic_distance(U)
+            assert got.shape == (len(U),)
+            want = np.array([ch.intrinsic_distance(u[None])[0] for u in U])
+            assert np.array_equal(got, want), key
+
     def test_scalar_jet_is_a_batch_row(self, translator_charts):
         # many radii share each dense-output segment in the batch; alone, a
         # radius must still get the same arithmetic
@@ -367,6 +404,22 @@ class TestMeshGeometry:
         assert np.array_equal(mesh.positions(), geom.X)
         assert calls == [len(mesh)]
         assert len(geom) == len(mesh) == len(list(geom))
+
+    def test_positions_then_geometry_one_jet_per_point(self):
+        base = paraboloid_chart(2)
+        calls = []
+
+        def jet(u):
+            calls.append(1)
+            return base.jet(u)
+
+        mesh = Mesh.grid(replace(base, jet=jet), (6, 5))
+        xs = mesh.positions()
+        geom = mesh.geometry()
+        assert len(calls) == len(mesh)
+        assert np.array_equal(xs, geom.X)
+        assert np.array_equal(mesh.geometry_where(lambda X: X[0] > 0.0).X, geom.X[xs[:, 0] > 0.0])
+        assert len(calls) == len(mesh)
 
     def test_point_geometry_is_a_row(self, translator_charts):
         ch = translator_charts[(4, 2)]
