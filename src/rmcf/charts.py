@@ -16,6 +16,7 @@ charts pick <N, E_{n+1}> > 0.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -254,15 +255,27 @@ class MeshGeometry:
         """Gradient components of f in the orthonormal frames (solve L x = df)."""
         return np.linalg.solve(self.L, f.param_grads(self)[..., None])[..., 0]
 
-    def intrinsic_hessian(self, f):
-        """hess f (m, n, n) in the orthonormal frames: second partials minus Christoffel term."""
+    @cached_property
+    def _christoffel(self):
+        """Gamma^k_{ij} = g^{kl} <dd X_{ij}, d X_l> (m, n, n, n), indexed [:, i, j, k]."""
         m, n = self.u.shape
-        df, d2f = f.param_derivatives(self)
-        # Gamma^k_{ij} = g^{kl} <dd X_{ij}, d X_l>
         c = np.matmul(self.d2X, self.dX[:, None])  # (m, n, n, n): c[:, i, j, l]
         gamma = _transposed(np.linalg.solve(self.g, _transposed(c.reshape(m, n * n, n))))
-        hess_coord = d2f - _matvec(gamma.reshape(m, n, n, n), df[:, None, :])
-        Linv = np.linalg.inv(self.L)
+        return gamma.reshape(m, n, n, n)
+
+    @cached_property
+    def _L_inv(self):
+        return np.linalg.inv(self.L)
+
+    def intrinsic_hessian(self, f):
+        """hess f (m, n, n) in the orthonormal frames: second partials minus Christoffel term.
+
+        The Christoffel symbols and L^{-1} depend on the geometry only, so
+        they are computed once per ``MeshGeometry`` and shared by every field.
+        """
+        df, d2f = f.param_derivatives(self)
+        hess_coord = d2f - _matvec(self._christoffel, df[:, None, :])
+        Linv = self._L_inv
         return symmetrized(Linv @ hess_coord @ _transposed(Linv), where=self._where)
 
     def L_operator(self, f, r):

@@ -22,9 +22,13 @@ which reproduces a4 = 1 / (4 n^3 (n+2)) for r = 1 and the classical
 R^2/2 + R^4/12 expansion of -log cos R at (n, r) = (1, 1).
 
 Integration starts at R_s = 1e-3 from the two-term series (the w = u'/R
-term is singular at R = 0) and runs an adaptive implicit Runge-Kutta
-(Radau) for r >= 2, where the far-field branch u' ~ R^r / C(n-1, r) is
-stiffly attracting; the explicit RK45 pair handles r = 1.
+term is singular at R = 0). The explicit RK45 pair handles r = 1. For
+r >= 2 the far-field branch u' ~ R^r / C(n-1, r) is stiffly attracting,
+and LSODA (Petzold 1983), which switches between Adams and BDF steps,
+runs on the closed-form Jacobian of (u, u', s)' = (u', u'', sqrt(1 + u'^2)),
+whose only nonzero column is d/du'. A difference quotient of u'' would go
+through the far-field cancellation Theta - C(n-1, r) w^r and lose most of
+its digits.
 
 For r = n the profile turns vertical at a finite radius R_*
 (``domain_radius``): the graph is the Gauss-curvature-type translator
@@ -49,7 +53,6 @@ from .errors import (
 R_START_DEFAULT = 1e-3
 R_MAX_LIMIT = 1e4
 TOL_RANGE = (1e-12, 1e-6)
-_BLOWUP_LIMIT = 1e100
 
 
 def vertex_curvature(n, r):
@@ -69,24 +72,41 @@ def vertex_series_coeffs(n, r):
     return k0, a4
 
 
+def _upp(c1, c2, r, R, up, slope=False):
+    """u'' of the profile equation at (R, u') > 0; with ``slope``, also d u''/d u'.
+
+    ``c1, c2`` are C(n-1, r) and C(n-1, r-1). With s = 1 + u'^2,
+    dTheta/du' = -u'/s^{3/2} and dw/du' = 1/(R s^{3/2}), so
+
+        d u''/d u' = (u''/s) (3 u' - (r-1)/u') - u'/den - r c1/(c2 R),
+
+    with den = C(n-1, r-1) w^{r-1}. Far out, u'' is the small difference
+    Theta - C(n-1, r) w^r, which a difference quotient of u'' would
+    amplify; the closed form goes through it only once, in u''.
+    """
+    s = 1.0 + up * up
+    q = math.sqrt(s)
+    w = up / (R * q)
+    den = c2 * w ** (r - 1)
+    num = 1.0 / q - c1 * w**r
+    if abs(den) < 1e-280:
+        raise DegenerateODEError(
+            f"vanishing parallel-curvature coefficient at R={R:.3e}, u'={up:.3e} "
+            f"with residual {num:.3e}"
+        )
+    upp = (num / den) * s**1.5
+    if not slope:
+        return upp
+    bend = 3.0 * up - (r - 1) / up if r > 1 else 3.0 * up
+    return upp, (upp / s) * bend - up / den - r * c1 / (c2 * R)
+
+
 def rot_ode_rhs(n, r, R, up):
     """Second derivative of the rotational profile from the translator equation."""
     _check_orders(n, r)
     if not (R > 0):
         raise DomainError("profile equation needs R > 0")
-    s = 1.0 + up * up
-    theta = 1.0 / math.sqrt(s)
-    w = up / (R * math.sqrt(s))
-    c1 = math.comb(n - 1, r)
-    c2 = math.comb(n - 1, r - 1)
-    den = c2 * w ** (r - 1)
-    num = theta - c1 * w**r
-    if den == 0.0 or abs(den) < 1e-280:
-        raise DegenerateODEError(
-            f"vanishing parallel-curvature coefficient at R={R:.3e}, u'={up:.3e} "
-            f"with residual {num:.3e}"
-        )
-    return (num / den) * s**1.5
+    return _upp(math.comb(n - 1, r), math.comb(n - 1, r - 1), r, R, up)
 
 
 def domain_radius(n, r):
@@ -221,10 +241,13 @@ class RotProfile:
 def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DEFAULT):
     """Integrate the bowl-family profile from its vertex series seed.
 
-    Adaptive embedded Runge-Kutta with dense output; RK45 for r = 1,
-    Radau for the stiff r >= 2 far field. The arclength from the vertex
-    rides along as a third state component. For r = n the graph ends at
-    ``domain_radius(n, n)``; an R_max at or beyond it raises DomainError.
+    Adaptive, with dense output: RK45 at tolerance ``tol`` for r = 1;
+    for the stiff r >= 2 far field, LSODA with the closed-form Jacobian at
+    the inner tolerance max(tol / 100, 5e-14). The arclength from the
+    vertex rides along as a third state component. For r = n the graph
+    ends at ``domain_radius(n, n)``; an R_max at or beyond it raises
+    DomainError, and so does a solve that gets so close that u' stops
+    being finite.
     """
     _check_orders(n, r)
     if not (0 < R_max <= R_MAX_LIMIT):
@@ -248,35 +271,48 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         R_start + k0**2 * R_start**3 / 6.0,
     ]
 
+    c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
+
     def rhs(R, y):
         v = y[1]
-        return [v, rot_ode_rhs(n, r, R, v), math.sqrt(1.0 + v * v)]
+        return [v, _upp(c1, c2, r, R, v), math.sqrt(1.0 + v * v)]
 
-    def blowup(R, y):
-        return y[1] - _BLOWUP_LIMIT
+    def jac(R, y):
+        v = y[1]
+        return [[0.0, 1.0, 0.0], [0.0, _upp(c1, c2, r, R, v, slope=True)[1], 0.0],
+                [0.0, v / math.sqrt(1.0 + v * v), 0.0]]
 
-    blowup.terminal = True
-
-    method = "RK45" if r == 1 else "Radau"
-    sol = solve_ivp(
-        rhs,
-        (R_start, R_max),
-        y0,
-        method=method,
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        events=blowup,
-    )
-    if sol.status == 1:
-        raise StiffFailureError(
-            f"profile left the graphical regime (u' blow-up) at R={sol.t[-1]:.6g}",
-            last_good_R=float(sol.t[-1]),
+    if r == 1:
+        method, inner, options = "RK45", tol, {}
+    else:
+        # LSODA's grid values drift up to ~30x past its tolerance (Theta =
+        # cos phi on (2, 2) at R_max 1.3 missed by 3.1e-9 at 1e-10), hence
+        # tol / 100; at 2.2e-14 and below the far (5, 4) field at R_max 1e4
+        # stops with "excess accuracy requested", hence the 5e-14 floor.
+        method, inner, options = "LSODA", max(tol / 100.0, 5e-14), {"jac": jac}
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states are caught below
+        sol = solve_ivp(
+            rhs,
+            (R_start, R_max),
+            y0,
+            method=method,
+            rtol=inner,
+            atol=inner,
+            dense_output=True,
+            **options,
         )
     if not sol.success:
         raise StiffFailureError(
             f"integrator stalled at R={sol.t[-1]:.6g}: {sol.message}",
             last_good_R=float(sol.t[-1]),
+        )
+    finite = np.isfinite(sol.y).all(axis=0)
+    if not finite.all():
+        R_end = sol.t[np.argmin(finite) - 1]  # the seed column is finite
+        raise DomainError(
+            f"the (n, r) = ({n}, {r}) profile is too steep to follow: u' stops being "
+            f"finite past R = {R_end:.12g}, short of R_max = {R_max:.12g}; the graph "
+            f"turns vertical at R_* = {R_star:.12g}"
         )
 
     grid = np.concatenate(([0.0], sol.t))
@@ -305,8 +341,8 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         "steps": int(len(sol.t) - 1),
         "nfev": int(sol.nfev),
         "njev": int(getattr(sol, "njev", 0) or 0),
-        "rtol": float(tol),
-        "atol": float(tol),
+        "rtol": float(inner),
+        "atol": float(inner),
         "R_start": float(R_start),
         "R_max": float(R_max),
         "fd_residual_probe": float(max(abs(profile.fd_residual(R)) for R in probe)),
@@ -317,35 +353,6 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
 
 # ---------------------------------------------------------------------------
 # charts backed by profiles
-
-
-def _rot_upp(n, r, R, up):
-    """``rot_ode_rhs`` over arrays of radii and slopes: the chart's u''."""
-    if not np.all(R > 0):
-        raise DomainError("profile equation needs R > 0")
-    s = 1.0 + up * up
-    theta = 1.0 / np.sqrt(s)
-    w = up / (R * np.sqrt(s))
-    den = math.comb(n - 1, r - 1) * _pow(w, r - 1)
-    num = theta - math.comb(n - 1, r) * _pow(w, r)
-    bad = np.flatnonzero((den == 0.0) | (np.abs(den) < 1e-280))
-    if bad.size:
-        i = bad[0]
-        raise DegenerateODEError(
-            f"vanishing parallel-curvature coefficient at R={R[i]:.3e}, u'={up[i]:.3e} "
-            f"with residual {num[i]:.3e}"
-        )
-    return (num / den) * _pow(s, 1.5)
-
-
-def _pow(x, e):
-    """x ** e elementwise through Python's float power, as ``rot_ode_rhs`` takes it.
-
-    Far out, u'' is the small difference theta - C(n-1, r) w^r, so a power
-    rounded differently (numpy's vectorized one may be) moves u'' well
-    beyond round-off; this keeps the chart's u'' equal to the solver's.
-    """
-    return np.array([v**e for v in x.tolist()], dtype=float)
 
 
 def _omega_jet(phi):
@@ -397,6 +404,7 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
     graph orientation.
     """
     n, r = profile.n, profile.r
+    c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
     if R_lo is None:
         R_lo = max(2.0 * profile.R_start, 1e-2)
     if not (0 < R_lo < profile.R_max):
@@ -412,7 +420,9 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
         Q = np.asarray(Q, dtype=float).reshape(-1, n)
         R = Q[:, 0]
         u_val, up = profile.u_and_up(R)
-        upp = _rot_upp(n, r, R, up)
+        if not np.all(R > 0):
+            raise DomainError("profile equation needs R > 0")
+        upp = np.array([_upp(c1, c2, r, a, b) for a, b in zip(R.tolist(), up.tolist())])
         m = len(R)
         X = np.empty((m, n + 1))
         dX = np.zeros((m, n + 1, n))

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate  # noqa: F401  (imported up front so that timed solves do not pay for it)
 from scipy.optimize import brentq
 
 from rmcf.charts import Mesh, point_geometry, soliton_residual
@@ -15,6 +16,7 @@ from rmcf.errors import (
     NumericalError,
 )
 from rmcf.translators import (
+    _upp,
     asymptotic_fit,
     bowl_drift,
     domain_radius,
@@ -95,6 +97,18 @@ class TestRotOdeRhs:
 
     def test_r1_never_degenerate(self):
         assert np.isfinite(rot_ode_rhs(4, 1, 2.0, 0.0))
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 3), (5, 4)])
+    def test_slope_matches_centred_difference(self, n, r):
+        # points where Theta - C(n-1, r) w^r keeps its digits, so the
+        # difference quotient of u'' is a fair oracle for d u''/d u'
+        c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
+        for R in (0.3, 1.0, 2.5):
+            for up in (0.2, 1.0, 3.0):
+                slope = _upp(c1, c2, r, R, up, slope=True)[1]
+                h = 1e-5 * up
+                fd = (rot_ode_rhs(n, r, R, up + h) - rot_ode_rhs(n, r, R, up - h)) / (2 * h)
+                assert abs(slope - fd) <= 1e-7 * abs(fd), (R, up, slope, fd)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -178,25 +192,72 @@ class TestBoundedDomain:
                 solve_rotational_translator(n, n, R_max=R_max)
             assert time.perf_counter() - t0 < 0.1
 
-    # int_0^phi sin^{n-1} in closed form
+    # int_0^phi sin^{n-1} in closed form, with 1 - cos phi = 2 sin^2(phi/2)
+    # so that the n = 2 and n = 4 forms keep their digits near the vertex
     SINE_INTEGRAL = {
-        2: lambda phi: 1.0 - math.cos(phi),
+        2: lambda phi: 2.0 * math.sin(0.5 * phi) ** 2,
         3: lambda phi: 0.5 * (phi - math.sin(phi) * math.cos(phi)),
+        4: lambda phi: (2.0 * math.sin(0.5 * phi) ** 2) ** 2 * (2.0 + math.cos(phi)) / 3.0,
     }
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_angle_function_matches_meridian_oracle(self, n):
-        # int_0^phi sin^{n-1} = R^n / n fixes the meridian angle; Theta = cos phi
-        p = solve_rotational_translator(n, n, R_max=1.3, tol=1e-10)
-        R = np.linspace(0.0, 1.3, 27)
+    def meridian_theta(self, n, R):
+        """Theta = cos phi at each radius, with int_0^phi sin^{n-1} = R^n / n."""
         F = self.SINE_INTEGRAL[n]
-        want = [
+        return np.array([
             math.cos(brentq(lambda phi: F(phi) - x**n / n, 0.0, math.pi / 2, xtol=1e-15))
             for x in R
-        ]
-        err = np.abs(np.asarray(p.theta(R)) - want)
-        print(f"(n, r) = ({n}, {n}): max |Theta - cos phi| = {err.max():.2e}")
+        ])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_angle_function_matches_meridian_oracle(self, n):
+        # int_0^phi sin^{n-1} = R^n / n fixes the meridian angle; Theta = cos phi,
+        # from the dense output and, as exported, 1/sqrt(1 + u'^2) on the grid
+        R_max = min(1.3, 0.98 * domain_radius(n, n))
+        p = solve_rotational_translator(n, n, R_max=R_max, tol=1e-10)
+        R = np.linspace(0.0, R_max, 27)
+        err = np.abs(np.asarray(p.theta(R)) - self.meridian_theta(n, R))
+        grid_theta = 1.0 / np.sqrt(1.0 + np.square(p.up))
+        grid_err = np.abs(grid_theta - self.meridian_theta(n, p.grid))
+        print(f"(n, r) = ({n}, {n}): max |Theta - cos phi| = {err.max():.2e}, "
+              f"{grid_err.max():.2e} on {p.grid.size} grid points")
         assert err.max() < 1e-9
+        assert grid_err.max() < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_next_to_the_rim_finite_or_domain_error(self, n, eps):
+        # u' ~ 1/sqrt(R_* - R) is finite but huge; the solve either follows
+        # it or says where it lost it, and never hands back NaN
+        R_star = domain_radius(n, n)
+        t0 = time.perf_counter()
+        try:
+            p = solve_rotational_translator(n, n, R_max=R_star * (1.0 - eps), tol=1e-10)
+        except DomainError as exc:
+            assert time.perf_counter() - t0 < 1.0
+            assert f"R_* = {R_star:.12g}" in str(exc)
+            return
+        assert np.all(np.isfinite(p.u)) and np.all(np.isfinite(p.up))
+        theta = 1.0 / np.sqrt(1.0 + np.square(p.up))
+        assert np.max(np.abs(theta - self.meridian_theta(n, p.grid))) < 1e-9
+
+
+class TestFarField:
+    @pytest.mark.parametrize("n, r", [(5, 4), (6, 4), (6, 5)])
+    def test_theta_two_term_asymptotics(self, n, r):
+        # sigma_r = Theta forces Theta = C1 R^-r [1 + r C1 (C2 - C1/2) R^-2r + ...]
+        # with C1 = C(n-1, r), C2 = C(n-1, r-1); the next term is O(R^-4r)
+        p = solve_rotational_translator(n, r, R_max=1e4, tol=1e-10)
+        c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
+        R = np.array([0.1, 0.5, 0.9, 1.0]) * p.R_max
+        want = c1 * R**-r * (1.0 + r * c1 * (c2 - c1 / 2.0) * R ** (-2 * r))
+        err = np.abs(np.asarray(p.theta(R)) / want - 1.0)
+        print(f"(n, r) = ({n}, {r}): relative Theta error {err.max():.2e}")
+        assert err.max() < 1e-8
+
+    def test_finest_tolerance_reaches_the_largest_radius(self):
+        p = solve_rotational_translator(5, 4, R_max=1e4, tol=1e-12)
+        assert p.grid[-1] == 1e4
+        assert np.all(np.isfinite(p.up))
 
 
 class TestAsymptotics:
