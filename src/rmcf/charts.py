@@ -182,6 +182,10 @@ class MeshGeometry:
     Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index,
     which errors name. ``len``, indexing and iteration give
     ``PointGeometry`` rows, built on demand.
+
+    The Newton transforms are computed once per order, and a field's frame
+    gradient and intrinsic Hessian once per field object; the cached arrays
+    are read-only.
     """
 
     chart: Chart
@@ -197,6 +201,7 @@ class MeshGeometry:
     k: np.ndarray
     sigma: np.ndarray
     normA: np.ndarray
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return self.u.shape[0]
@@ -247,13 +252,21 @@ class MeshGeometry:
         w = np.broadcast_to(np.asarray(w, dtype=float), self.X.shape)
         return _matvec(_transposed(self.E), w)
 
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = _frozen(compute())
+        return self._cache[key]
+
     def newton(self, r):
         """Newton transforms P_r (m, n, n) of the shape operators."""
-        return newton_transforms(self.A, self.sigma, r, where=self._where)
+        return self._cached(("newton", r),
+                            lambda: newton_transforms(self.A, self.sigma, r, where=self._where))
 
     def frame_gradient(self, f):
         """Gradient components of f in the orthonormal frames (solve L x = df)."""
-        return np.linalg.solve(self.L, f.param_grads(self)[..., None])[..., 0]
+        return self._cached(
+            ("grad", f), lambda: np.linalg.solve(self.L, f.param_grads(self)[..., None])[..., 0]
+        )
 
     @cached_property
     def _christoffel(self):
@@ -273,6 +286,9 @@ class MeshGeometry:
         The Christoffel symbols and L^{-1} depend on the geometry only, so
         they are computed once per ``MeshGeometry`` and shared by every field.
         """
+        return self._cached(("hess", f), lambda: self._hessian(f))
+
+    def _hessian(self, f):
         df, d2f = f.param_derivatives(self)
         hess_coord = d2f - _matvec(self._christoffel, df[:, None, :])
         Linv = self._L_inv
@@ -305,6 +321,24 @@ class MeshGeometry:
         quad = rowdot(t, _matvec(self.newton(r - 1), t))
         s_rm1, s_r = self.sigma[:, r - 1], self.sigma[:, r]
         return ((n - r + 1) * s_rm1 + r * s_r * rowdot(y, self.N)) / d - quad / d**3
+
+    def moved(self, chart, Q, shift):
+        """The same rows on ``chart = transform_chart(self.chart, Q, shift)``.
+
+        The jets move with the chart's own expressions. A rigid motion keeps
+        u, index, L, A, k, sigma and normA and rotates E to Q E. The normal
+        becomes Q N when the chart has ``orient_ref``; without it the raw
+        normal (a generalized cross product) picks up det Q, so a reflection
+        flips N, A and k, and multiplies sigma_j by (-1)^j.
+        """
+        X, dX, d2X = _moved_jets(Q, shift, (self.X, self.dX, self.d2X))
+        N = _matvec(Q, self.N)
+        A, k, sigma = self.A, self.k, self.sigma
+        if chart.orient_ref is None and np.linalg.det(Q) < 0.0:
+            N, A, k = -N, -A, -k[:, ::-1]
+            sigma = sigma * np.where(np.arange(sigma.shape[1]) % 2 == 0, 1.0, -1.0)
+        arrays = (self.u, X, dX, d2X, N, self.L, Q @ self.E, A, k, sigma, self.normA)
+        return MeshGeometry(chart, self.index, *(_frozen(a) for a in arrays))
 
     def _where(self, i):
         return _where(self.index, self.u, i)
@@ -764,6 +798,34 @@ class Mesh:
             self._cache["geom"] = self._geometry_of(slice(None))
         return self._cache["geom"]
 
+    def masked_geometry(self, mask):
+        """MeshGeometry of the mesh points selected by a boolean mask (m,).
+
+        The slice of the last mask asked for is kept, so callers that share
+        a mask share one slice and its cached derivatives.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        key = mask.tobytes()
+        hit = self._cache.get("masked")
+        if hit is None or hit[0] != key:
+            hit = self._cache["masked"] = (key, self.geometry().take(mask))
+        return hit[1]
+
+    def moved(self, Q, shift=None):
+        """This mesh over ``transform_chart(self.chart, Q, shift)``.
+
+        When this mesh has built its geometry, the moved mesh takes its jets
+        and geometry from it through ``MeshGeometry.moved``; otherwise it
+        computes them through the moved chart on demand.
+        """
+        Q, s = _rigid_motion(self.chart, Q, shift)
+        chart = transform_chart(self.chart, Q, s)
+        out = Mesh(chart=chart, points=self.points, boundary=self.boundary, shape=self.shape)
+        if "geom" in self._cache:
+            geom = out._cache["geom"] = self._cache["geom"].moved(chart, Q, s)
+            out._cache["jets"] = (geom.X, geom.dX, geom.d2X)
+        return out
+
     def geometry_where(self, keep):
         """MeshGeometry of the mesh points whose position X passes ``keep(X)``.
 
@@ -932,17 +994,31 @@ def oscillating_graph_chart(n, x_lo=2.0, x_hi=12.0, halfwidth=1.0):
     return graph_chart(n, height, grad, hess, dom, name="oscillating-graph")
 
 
-def transform_chart(chart, Q, shift=None, name=None):
-    """Rigid motion X -> Q X + shift applied to a chart."""
+def _rigid_motion(chart, Q, shift):
+    """Q and shift of a rigid motion of the chart's ambient space, checked."""
     Q = np.asarray(Q, dtype=float)
     m = chart.n + 1
     if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
         raise InvalidInputError("Q must be an ambient orthogonal matrix")
-    s = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
+    return Q, np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
+
+
+def _moved_jets(Q, shift, jets):
+    """Stacked jets (X, dX, d2X) under X -> Q X + shift."""
+    X, dX, d2X = jets
+    return _matvec(Q, X) + shift, Q @ dX, d2X @ Q.T
+
+
+def transform_chart(chart, Q, shift=None, name=None):
+    """Rigid motion X -> Q X + shift applied to a chart.
+
+    A rigid motion keeps distances along the surface, so the moved chart
+    keeps ``intrinsic_distance``.
+    """
+    Q, s = _rigid_motion(chart, Q, shift)
 
     def jets(U):
-        X, dX, d2X = chart.jets(U)
-        return _matvec(Q, X) + s, Q @ dX, d2X @ Q.T
+        return _moved_jets(Q, s, chart.jets(U))
 
     def jet(u):
         X, dX, d2X = jets(u)
@@ -957,7 +1033,7 @@ def transform_chart(chart, Q, shift=None, name=None):
         name=name or (chart.name + "-moved"),
         orient_ref=ref,
         orient_sign=chart.orient_sign,
-        intrinsic_distance=None,
+        intrinsic_distance=chart.intrinsic_distance,
         batch_jet=jets,
     )
 

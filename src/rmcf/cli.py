@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, identities, registry
-from .charts import Mesh, transform_chart
+from .charts import Mesh
 from .errors import BoundaryDominatedWarning, InvalidInputError, RmcfError, StiffFailureError
 from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
 from .regions import (
@@ -217,8 +217,8 @@ def _run_drive(chart, mesh, region, theorem, params, config):
     # bihalfspace: normalize the pair, move the chart, run the pocket drive
     V = np.asarray(params["V"], dtype=float)
     Q, shift, a, b = normalize_bihalfspace(region, V)
-    moved = transform_chart(chart, Q, shift=-Q @ shift)
-    mesh2 = Mesh.grid(moved, mesh.shape)
+    mesh2 = mesh.moved(Q, shift=-Q @ shift)
+    moved = mesh2.chart
     R = float(config.get("R", 1.0))
     eps = float(params.get("eps", 0.0))
     if eps <= 0.0:

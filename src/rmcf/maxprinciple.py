@@ -33,8 +33,21 @@ _MAX_LOG_LEVELS = 3
 
 def _log_iterate(t, j):
     for _ in range(j):
-        t = math.log(t)
+        t = np.log(t)
     return t
+
+
+def _nonnegative(t, what):
+    """t as a float array; DomainError when an entry is negative or NaN."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise DomainError(f"{what} is defined on [0, infinity)")
+    return t
+
+
+def _result(x, like):
+    """x as a Python float when ``like`` is a scalar, else as an array."""
+    return float(x) if np.ndim(like) == 0 else x
 
 
 class GFunction:
@@ -46,6 +59,11 @@ class GFunction:
     monotone samples. The reciprocal-square-root integrals carry closed
     forms for the first two kinds; a quadrature route exists for all and
     can be forced for cross-checks.
+
+    ``value``, ``integral_inv_sqrt``, ``phi``, ``phi_prime`` and
+    ``p_bound`` act elementwise on arrays and return a float for a scalar
+    input; the closed forms are numpy expressions over the whole array,
+    the quadrature route runs once per element.
     """
 
     def __init__(self, kind, constant=None, levels=None, table=None):
@@ -61,7 +79,7 @@ class GFunction:
                     f"iterated-log levels must be an integer in 1..{_MAX_LOG_LEVELS}"
                 )
             self.levels = levels
-            self.floor = self._raw(SPLICE_T0)
+            self.floor = float(self._raw(SPLICE_T0))
         elif kind == "table":
             ts, gs = table
             ts = np.asarray(ts, dtype=float)
@@ -88,47 +106,36 @@ class GFunction:
     def _raw(self, t):
         prod = t * t
         for j in range(1, self.levels + 1):
-            prod *= _log_iterate(t, j) ** 2
+            prod = prod * _log_iterate(t, j) ** 2
         return prod
 
     def value(self, t):
-        t = float(t)
-        if t < 0:
-            raise DomainError("G is defined on [0, infinity)")
+        t = _nonnegative(t, "G")
         if self.kind == "constant":
-            return self.constant
-        if self.kind == "iterated_log":
-            if t <= SPLICE_T0:
-                return self.floor
-            return max(self.floor, self._raw(t))
-        return float(np.interp(t, self.ts, self.gs))
+            out = np.full(t.shape, self.constant)
+        elif self.kind == "iterated_log":
+            # the floor is raw(t0): clamping t at t0 splices G to its floor
+            out = np.maximum(self.floor, self._raw(np.maximum(t, SPLICE_T0)))
+        else:
+            out = np.interp(t, self.ts, self.gs)
+        return _result(out, t)
 
     # -- integrals of 1 / sqrt(G) ------------------------------------------
 
     def _closed_integral(self, lo, hi):
-        """Signed integral of G^{-1/2} with the piecewise closed form."""
-        if lo > hi:
-            return -self._closed_integral(hi, lo)
+        """Signed integral of G^{-1/2} with the piecewise closed form, elementwise."""
+        sign = np.where(lo > hi, -1.0, 1.0)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         if self.kind == "constant":
-            return (hi - lo) / math.sqrt(self.constant)
-        t0 = SPLICE_T0
-        total = 0.0
-        flat_hi = min(hi, t0)
-        if lo < flat_hi:
-            total += (flat_hi - lo) / math.sqrt(self.floor)
-        a = max(lo, t0)
-        if hi > a:
-            # antiderivative of 1/(s prod log^(j) s) is log^(levels+1)
-            total += _log_iterate(hi, self.levels + 1) - _log_iterate(a, self.levels + 1)
-        return total
+            return sign * ((hi - lo) / math.sqrt(self.constant))
+        flat = np.maximum(np.minimum(hi, SPLICE_T0) - lo, 0.0) / math.sqrt(self.floor)
+        # past the splice: the antiderivative of 1/(s prod log^(j) s) is log^(levels+1)
+        a = np.maximum(lo, SPLICE_T0)
+        top = self.levels + 1
+        tail = _log_iterate(np.maximum(hi, a), top) - _log_iterate(a, top)
+        return sign * (flat + tail)
 
-    def integral_inv_sqrt(self, lo, hi, method="auto"):
-        """Signed int_lo^hi ds / sqrt(G(s)); 'quad' forces adaptive quadrature."""
-        if lo < 0 or hi < 0:
-            raise DomainError("integral limits must be nonnegative")
-        if method == "auto" and self.kind in ("constant", "iterated_log"):
-            return self._closed_integral(lo, hi)
-
+    def _quad(self, lo, hi):
         from scipy.integrate import quad
 
         def f(s):
@@ -147,22 +154,36 @@ class GFunction:
             )
         return float(val)
 
+    def integral_inv_sqrt(self, lo, hi, method="auto"):
+        """Signed int_lo^hi ds / sqrt(G(s)); 'quad' forces adaptive quadrature."""
+        lo = _nonnegative(lo, "G^(-1/2)")
+        hi = _nonnegative(hi, "G^(-1/2)")
+        if method == "auto" and self.kind in ("constant", "iterated_log"):
+            out = self._closed_integral(lo, hi)
+        else:
+            lo, hi = np.broadcast_arrays(lo, hi)
+            out = np.array(
+                [self._quad(a, b) for a, b in zip(lo.ravel().tolist(), hi.ravel().tolist())]
+            ).reshape(lo.shape)
+        return _result(out, out)
+
     def phi(self, t, method="auto"):
         """phi(t) = log(int_0^t ds/sqrt(G) + 1); phi(0) = 0, increasing, concave."""
-        if t < 0:
-            raise DomainError("phi is defined on [0, infinity)")
-        return math.log(self.integral_inv_sqrt(0.0, float(t), method=method) + 1.0)
+        t = _nonnegative(t, "phi")
+        return _result(np.log(self.integral_inv_sqrt(0.0, t, method=method) + 1.0), t)
 
     def phi_prime(self, t):
         """Analytic phi' = [sqrt(G(t)) (int_0^t ds/sqrt(G) + 1)]^{ -1 }."""
-        return 1.0 / (
-            math.sqrt(self.value(t)) * (self.integral_inv_sqrt(0.0, float(t)) + 1.0)
+        return _result(
+            1.0 / (np.sqrt(self.value(t)) * (self.integral_inv_sqrt(0.0, t) + 1.0)), t
         )
 
     def p_bound(self, t, method="auto"):
         """sqrt(G(t)) (int_{e^{2e}}^t ds/sqrt(G) + 1), the growth comparison scale."""
-        return math.sqrt(self.value(t)) * (
-            self.integral_inv_sqrt(BOUND_LOWER_LIMIT, float(t), method=method) + 1.0
+        return _result(
+            np.sqrt(self.value(t))
+            * (self.integral_inv_sqrt(BOUND_LOWER_LIMIT, t, method=method) + 1.0),
+            t,
         )
 
 
@@ -240,7 +261,7 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
     if active.shape != (m,) or not np.any(active):
         raise InvalidInputError("mask must keep at least one mesh point")
     rows = np.flatnonzero(active)
-    geom = mesh.geometry().take(rows)
+    geom = mesh.masked_geometry(active)
 
     uvals = np.full(m, -np.inf)
     gvals = np.empty(m)
@@ -269,9 +290,8 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
         L_g[rows] -= rowdot(zv, gg)
     lip = float(np.max(np.abs(np.linalg.eigvalsh(Hu)), initial=0.0))
 
-    pb = np.array(
-        [G.p_bound(gvals[i]) if active[i] else np.nan for i in range(m)]
-    )
+    pb = np.full(m, np.nan)
+    pb[rows] = G.p_bound(gvals[rows])
     usable = active & np.isfinite(pb) & (pb > 0.0)
     if np.any(usable):
         A = float(np.max(grad_g[usable] / pb[usable]))
@@ -280,7 +300,8 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
         A = B = 1.0
     denom = max(A, B + A * supz, 1e-8)
 
-    phi_g = np.array([G.phi(gvals[i]) if active[i] else 0.0 for i in range(m)])
+    phi_g = np.zeros(m)
+    phi_g[rows] = G.phi(gvals[rows])
 
     ks = np.arange(1, k_max + 1)
     eps = 1.0 / (2.0 * ks * denom)
@@ -374,7 +395,7 @@ def _identity_errors(mesh, psi, r, mask, expected):
     ``expected(mg)`` returns the frame gradients (m, n) and the L_{r-1} psi
     values (m,) that the drive's identities predict at the rows of mg.
     """
-    mg = mesh.geometry().take(mask)
+    mg = mesh.masked_geometry(mask)
     want_grad, want_L = expected(mg)
     gpsi = mg.frame_gradient(psi)
     grad_err = float(np.max(np.abs(gpsi - want_grad), initial=0.0))

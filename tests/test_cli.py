@@ -1,12 +1,13 @@
 """CLI contract tests: exit codes, report determinism, file formats."""
 
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import rmcf.maxprinciple
-from rmcf.charts import cone_excess
+from rmcf.charts import MeshGeometry, cone_excess
 from rmcf.cli import _CONFIG_SCHEMA, main
 from rmcf.translators import load_profile
 
@@ -161,8 +162,30 @@ class TestTheoremCheck:
             "theorem": "cone", "r": 2, "V": V, "a": 0.3,
         })
         assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert 1 <= len(shapes) <= 6
+        # one masked slice, whose frame gradient and Hessian of psi are cached
+        assert len(shapes) == 2
         assert all(len(s) == 2 and s[0] > 13**3 // 2 and s[1] == 4 for s in shapes), shapes
+
+    def test_cone_check_computes_christoffel_symbols_once(self, tmp_path, monkeypatch):
+        # the identity check and the maximizer run share one masked slice
+        sizes = []
+        christoffel = MeshGeometry._christoffel.func
+
+        def counted(mg):
+            sizes.append(len(mg))
+            return christoffel(mg)
+
+        prop = cached_property(counted)
+        prop.__set_name__(MeshGeometry, "_christoffel")
+        monkeypatch.setattr(MeshGeometry, "_christoffel", prop)
+        V = [0.0, 0.0, 0.0, 1.0]
+        cfg = write_config(tmp_path, {
+            "surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 1e3, "tol": 1e-9},
+            "region": {"kind": "cone", "V": V, "a": 0.3},
+            "theorem": "cone", "r": 2, "V": V, "a": 0.3,
+        })
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(sizes) == 1 and sizes[0] > 13**3 // 2, sizes
 
     def test_missing_region(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": BOWL_SURFACE, "theorem": "cone"})

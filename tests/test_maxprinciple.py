@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmcf.charts import (
     AmbientField,
@@ -102,6 +104,49 @@ class TestGFunction:
             GFunction.iterated_log(4)
         with pytest.raises(DomainError):
             GFunction.iterated_log(1).phi(-1.0)
+
+
+G_KINDS = {
+    "constant": lambda: GFunction.constant_fn(2.5),
+    "iterated_log-1": lambda: GFunction.iterated_log(1),
+    "iterated_log-2": lambda: GFunction.iterated_log(2),
+    "iterated_log-3": lambda: GFunction.iterated_log(3),
+    "table": lambda: GFunction.from_table([0.0, 10.0, 1e3, 1e7], [1.0, 4.0, 9.0, 1e4]),
+}
+G_ARGS = st.one_of(
+    st.sampled_from([0.0, SPLICE_T0, BOUND_LOWER_LIMIT, 1e7]), st.floats(0.0, 1e7)
+)
+
+
+class TestArrayGFunction:
+    @given(kind=st.sampled_from(sorted(G_KINDS)), ts=st.lists(G_ARGS, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_array_matches_scalar_loop_and_quadrature(self, kind, ts):
+        G = G_KINDS[kind]()
+        t = np.array(ts)
+        calls = {name: getattr(G, name) for name in ("value", "phi", "phi_prime", "p_bound")}
+        calls["integral_from_bound_limit"] = lambda x: G.integral_inv_sqrt(BOUND_LOWER_LIMIT, x)
+        for name, fn in calls.items():
+            got = fn(t)
+            want = [fn(x) for x in ts]
+            assert isinstance(got, np.ndarray) and got.shape == t.shape, name
+            assert all(type(w) is float for w in want), name
+            assert np.array_equal(got, want), name
+        for name in ("phi", "p_bound"):
+            closed = getattr(G, name)(t)
+            quad = getattr(G, name)(t, method="quad")
+            assert np.allclose(quad, closed, rtol=1e-8, atol=1e-9), name
+
+    @pytest.mark.parametrize("kind", sorted(G_KINDS))
+    def test_negative_entry_and_scalar_result(self, kind):
+        G = G_KINDS[kind]()
+        for fn in (G.value, G.phi, G.phi_prime, G.p_bound,
+                   lambda x: G.integral_inv_sqrt(0.0, x)):
+            for bad in (np.array([3.0, -1e-3]), np.array([np.nan, 3.0]), -2.0):
+                with pytest.raises(DomainError):
+                    fn(bad)
+            for scalar in (5.0, np.float64(5.0), np.array(5.0), 5):
+                assert type(fn(scalar)) is float
 
 
 def _log_iter(t, j):

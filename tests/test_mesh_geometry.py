@@ -33,6 +33,13 @@ from rmcf.charts import (
     transform_chart,
 )
 from rmcf.errors import DomainError, SingularPointError
+from rmcf.regions import (
+    BiHalfspace,
+    Halfspace,
+    bihalfspace_drive,
+    min_eigen_over_mesh,
+    normalize_bihalfspace,
+)
 from rmcf.symfun import SymMatrix
 from rmcf.translators import _omega_jet, grim_reaper_chart, rot_ode_rhs
 
@@ -458,3 +465,78 @@ class TestMeshGeometry:
         ch = grim_reaper_chart(2)
         mg = mesh_geometry(ch, np.empty((0, 2)))
         assert len(mg) == 0 and mg.sigma.shape == (0, 3)
+
+
+class TestMovedMesh:
+    FIELDS = TestRowIndependence.FIELDS
+
+    @staticmethod
+    def _case(translator_charts, name):
+        shift4 = np.array([1.0, -2.0, 0.5, 3.0])
+        reflect4 = _rotation(4, 0.7) @ np.diag([1.0, -1.0, 1.0, 1.0])
+        flip3 = _rotation(3, -1.1)[::-1].copy()  # det -1
+        bowl, reaper = translator_charts[(3, 2)], translator_charts["grim-reaper"]
+        return {
+            "bowl": (bowl, _rotation(4, 0.7), shift4, (9, 5, 6)),
+            "bowl-reflected": (bowl, reflect4, shift4, (9, 5, 6)),
+            "grim-reaper": (reaper, flip3, np.array([0.3, 0.0, -1.0]), (21, 7)),
+            "no-orient-ref-reflected": (replace(reaper, orient_ref=None), flip3, None, (21, 7)),
+            "no-orient-ref-rotated": (replace(reaper, orient_ref=None), _rotation(3, 0.4), None,
+                                      (21, 7)),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["bowl", "bowl-reflected", "grim-reaper",
+                                      "no-orient-ref-reflected", "no-orient-ref-rotated"])
+    def test_matches_recomputation(self, translator_charts, name):
+        chart, Q, shift, counts = self._case(translator_charts, name)
+        mesh = Mesh.grid(chart, counts)
+        parent = mesh.geometry()
+        moved = mesh.moved(Q, shift)
+        got = moved.geometry()
+        fresh = Mesh.grid(transform_chart(chart, Q, shift), counts).geometry()
+        assert moved.chart.intrinsic_distance is chart.intrinsic_distance
+        assert np.array_equal(got.index, fresh.index)
+        for key in self.FIELDS:
+            g, w = getattr(got, key), getattr(fresh, key)
+            scale = max(1.0, float(np.max(np.abs(w))))
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale, key
+        # the jets are the moved chart's own; the intrinsic data are the parent's
+        for key in ("X", "dX", "d2X"):
+            assert np.array_equal(getattr(got, key), getattr(fresh, key)), key
+        assert np.array_equal(moved.positions(), fresh.X)
+        for key in ("u", "L", "normA"):
+            assert np.array_equal(getattr(got, key), getattr(parent, key)), key
+        flip = chart.orient_ref is None and np.linalg.det(Q) < 0.0
+        assert flip == (name == "no-orient-ref-reflected")
+        signs = (-1.0) ** np.arange(chart.n + 1) if flip else 1.0
+        assert np.array_equal(got.A, -parent.A if flip else parent.A)
+        assert np.array_equal(got.k, -parent.k[:, ::-1] if flip else parent.k)
+        assert np.array_equal(got.sigma, parent.sigma * signs)
+
+    def test_unbuilt_mesh_computes_through_the_moved_chart(self, translator_charts):
+        chart, Q, shift, counts = self._case(translator_charts, "bowl")
+        got = Mesh.grid(chart, counts).moved(Q, shift).geometry()
+        fresh = Mesh.grid(transform_chart(chart, Q, shift), counts).geometry()
+        for key in self.FIELDS:
+            assert np.array_equal(getattr(got, key), getattr(fresh, key)), key
+
+    def test_bihalfspace_drive_report(self, translator_charts):
+        chart = translator_charts[(3, 2)]
+        V = np.eye(4)[-1]
+        zero = np.zeros(4)
+        region = BiHalfspace(Halfspace(B=zero, W=[0.6, 0.8, 0.0, 0.0]),
+                             Halfspace(B=zero, W=[0.6, -0.8, 0.0, 0.0]), vertical_to=V)
+        Q, shift, a, b = normalize_bihalfspace(region, V)
+        mesh = Mesh.grid(chart, (13, 7, 9))
+        mesh.geometry()
+        meshes = (mesh.moved(Q, -Q @ shift),
+                  Mesh.grid(transform_chart(chart, Q, -Q @ shift), mesh.shape))
+        eps = [min_eigen_over_mesh(m, 2) for m in meshes]
+        assert eps[0] == min_eigen_over_mesh(mesh, 2)
+        assert eps[0] == pytest.approx(eps[1], rel=1e-12)
+        got, want = (bihalfspace_drive(m.chart, a, b, 2.0, 2, eps[0], m).to_json_dict()
+                     for m in meshes)
+        assert got["n_points"] > 0 and not got["empty"]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-10, abs=1e-14), key

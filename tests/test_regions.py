@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcf.charts import Mesh
+from rmcf.charts import Mesh, transform_chart
 from rmcf.errors import DomainError, InvalidInputError, SingularPointError
 from rmcf.regions import (
     BiHalfspace,
@@ -139,6 +139,21 @@ class TestGrowthReport:
         rep = growth_report(ch, mesh, "HS1-1", {"r": 2})
         assert not rep.satisfied
         assert rep.tail_estimate > rep.bound
+
+    def test_rotation_about_the_axis_keeps_the_curvature_report(self):
+        # a rotation about the bowl's own axis maps the bowl onto itself, and a
+        # moved chart keeps its intrinsic distances: the HS2-2 reports agree
+        ch = rot_chart(solve_rotational_translator(3, 2, R_max=40.0, tol=1e-9))
+        c, s = math.cos(0.7), math.sin(0.7)
+        Q = np.array([[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        reports = [growth_report(chart, Mesh.grid(chart, 13), "HS2-2", {"r": 2})
+                   for chart in (ch, transform_chart(ch, Q))]
+        got, want = (rep.to_json_dict() for rep in reports)
+        assert np.array_equal(reports[0].scales, reports[1].scales)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12), key
 
     def test_small_mesh_rejected(self):
         from rmcf.charts import paraboloid_chart
