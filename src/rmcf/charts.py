@@ -43,11 +43,12 @@ _BOUNDARY_MARGIN = 1e-6   # mesh points this close (fractionally) to the box edg
 class Chart:
     """Immersion patch with analytic jet evaluator.
 
-    ``jet(u)`` returns (X, dX, d2X) with shapes (n+1,), (n+1, n) and
-    (n, n, n+1). ``batch_jet``, when set, returns the same for a stack of
-    parameter points at once (see ``jets``). ``orient_ref``, when set,
-    flips the raw normal so that <N, orient_ref> > 0; ``orient_sign``
-    applies a final sign on top (used by ``flipped``).
+    ``jet(U)`` takes a stack of parameter points U (m, n) and returns
+    (X, dX, d2X) with shapes (m, n+1), (m, n+1, n) and (m, n, n, n+1); row
+    i depends on U[i] alone, so its bits do not change with the batch
+    around it. Callers go through ``jets``. ``orient_ref``, when set, flips
+    the raw normal so that <N, orient_ref> > 0; ``orient_sign`` applies a
+    final sign on top (used by ``flipped``).
     ``intrinsic_distance``, when set, maps parameter points (m, n) to
     their distances (m,) along the surface from the chart's base point.
     """
@@ -60,7 +61,6 @@ class Chart:
     orient_ref: Optional[np.ndarray] = None
     orient_sign: float = 1.0
     intrinsic_distance: Optional[Callable] = None
-    batch_jet: Optional[Callable] = None
 
     def __post_init__(self):
         dom = np.asarray(self.param_domain, dtype=float)
@@ -80,18 +80,14 @@ class Chart:
             object.__setattr__(self, "orient_ref", ref)
 
     def jets(self, U):
-        """Stacked jets at the rows of U (m, n).
+        """Stacked jets at the rows of U (m, n), from one ``jet`` call.
 
-        Returns X (m, n+1), dX (m, n+1, n) and d2X (m, n, n, n+1), from
-        ``batch_jet`` when the chart has one, else from ``jet`` row by row.
+        Returns X (m, n+1), dX (m, n+1, n) and d2X (m, n, n, n+1) as float
+        arrays, with those shapes also for an empty stack.
         """
         n = self.n
         U = np.asarray(U, dtype=float).reshape(-1, n)
-        if self.batch_jet is not None:
-            X, dX, d2X = self.batch_jet(U)
-        else:
-            rows = [self.jet(u) for u in U]
-            X, dX, d2X = ([row[j] for row in rows] for j in range(3))
+        X, dX, d2X = self.jet(U)
         m = len(U)
         n1 = n + 1 if m == 0 else -1
         return (
@@ -693,33 +689,29 @@ def soliton_residual(chart, u, V, r, pg=None):
 
 
 def fd_jet_error(chart, u, h):
-    """Max deviation of the analytic dX / d2X from central differences of X."""
+    """Max deviation of the analytic dX / d2X from central differences of X.
+
+    One ``chart.jets`` call evaluates the whole stencil: u, u +- h e_i and
+    u +- h e_i +- h e_j for i < j.
+    """
     u = np.asarray(u, dtype=float)
     n = chart.n
-    _, dX, d2X = chart.jet(u)
-
-    def pos(q):
-        return np.asarray(chart.jet(q)[0], dtype=float)
-
-    err1 = 0.0
-    err2 = 0.0
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        xp, xm = pos(u + ei), pos(u - ei)
-        err1 = max(err1, float(np.max(np.abs((xp - xm) / (2 * h) - dX[:, i]))))
-        x0 = pos(u)
-        err2 = max(
-            err2, float(np.max(np.abs((xp - 2 * x0 + xm) / h**2 - d2X[i, i, :])))
-        )
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            mixed = (
-                pos(u + ei + ej) - pos(u + ei - ej) - pos(u - ei + ej) + pos(u - ei - ej)
-            ) / (4 * h**2)
-            err2 = max(err2, float(np.max(np.abs(mixed - d2X[i, j, :]))))
-    return err1, err2
+    steps = h * np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    stencil = [u, *(u + e for e in steps), *(u - e for e in steps)]
+    for i, j in pairs:
+        ei, ej = steps[i], steps[j]
+        stencil += [u + ei + ej, u + ei - ej, u - ei + ej, u - ei - ej]
+    X, dX, d2X = chart.jets(np.array(stencil))
+    x0, xp, xm = X[0], X[1 : n + 1], X[n + 1 : 2 * n + 1]
+    err1 = np.max(np.abs((xp - xm) / (2 * h) - dX[0].T))
+    err2 = np.max(np.abs((xp - 2 * x0 + xm) / h**2 - np.diagonal(d2X[0]).T))
+    if pairs:
+        corners = X[2 * n + 1 :].reshape(len(pairs), 4, n + 1)
+        mixed = (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]) / (4 * h**2)
+        i, j = np.array(pairs).T
+        err2 = max(err2, np.max(np.abs(mixed - d2X[0, i, j])))
+    return float(err1), float(err2)
 
 
 def richardson_slope(err_h, err_h2):
@@ -871,24 +863,27 @@ def graph_chart(
 ):
     """Chart of a height function X = (u, h(u)) with the upward normal.
 
-    ``derivative_bias`` perturbs the reported first derivatives without
-    touching positions; it exists so consistency checks can be fed a
-    deliberately corrupted jet.
+    ``height``, ``grad`` and ``hess`` act on parameter stacks U (m, n) and
+    return (m,), (m, n) and (m, n, n), or values that broadcast to them. A
+    row's result must depend on that row alone: sum with ``rowdot``, not
+    ``@`` or ``np.sum``. ``derivative_bias`` perturbs the reported first
+    derivatives without touching positions; it exists so consistency
+    checks can be fed a deliberately corrupted jet.
     """
     dom = np.asarray(domain, dtype=float)
 
-    def jet(u):
-        u = np.asarray(u, dtype=float)
-        X = np.empty(n + 1)
-        X[:n] = u
-        X[n] = height(u)
-        dX = np.zeros((n + 1, n))
-        dX[:n, :] = np.eye(n)
-        dX[n, :] = grad(u)
+    def jet(U):
+        m = len(U)
+        X = np.empty((m, n + 1))
+        X[:, :n] = U
+        X[:, n] = height(U)
+        dX = np.zeros((m, n + 1, n))
+        dX[:, :n, :] = np.eye(n)
+        dX[:, n, :] = grad(U)
         if derivative_bias:
             dX = dX * (1.0 + derivative_bias)
-        d2X = np.zeros((n, n, n + 1))
-        d2X[:, :, n] = hess(u)
+        d2X = np.zeros((m, n, n, n + 1))
+        d2X[..., n] = hess(U)
         return X, dX, d2X
 
     ref = np.zeros(n + 1)
@@ -899,14 +894,7 @@ def graph_chart(
 def flat_chart(n, halfwidth=1.0):
     """Hyperplane through the origin, graph of the zero height function."""
     dom = np.array([[-halfwidth, halfwidth]] * n)
-    return graph_chart(
-        n,
-        lambda u: 0.0,
-        lambda u: np.zeros(n),
-        lambda u: np.zeros((n, n)),
-        dom,
-        name="flat",
-    )
+    return graph_chart(n, lambda U: 0.0, lambda U: 0.0, lambda U: 0.0, dom, name="flat")
 
 
 def paraboloid_chart(n, curvature=1.0, halfwidth=1.0, derivative_bias=0.0):
@@ -915,9 +903,9 @@ def paraboloid_chart(n, curvature=1.0, halfwidth=1.0, derivative_bias=0.0):
     c = float(curvature)
     return graph_chart(
         n,
-        lambda u: 0.5 * c * float(u @ u),
-        lambda u: c * u,
-        lambda u: c * np.eye(n),
+        lambda U: 0.5 * c * rowdot(U, U),
+        lambda U: c * U,
+        lambda U: c * np.eye(n),
         dom,
         name="paraboloid",
         derivative_bias=derivative_bias,
@@ -928,6 +916,7 @@ def sphere_chart(n, radius=1.0, center=None, cap="upper"):
     """Spherical cap as a graph patch, oriented by the inward normal.
 
     With the inward normal the shape operator is +I/radius everywhere.
+    ``center`` is an ambient point (n+1 coordinates).
     """
     if cap not in ("upper", "lower"):
         raise InvalidInputError("cap must be 'upper' or 'lower'")
@@ -935,25 +924,30 @@ def sphere_chart(n, radius=1.0, center=None, cap="upper"):
     if rho <= 0:
         raise InvalidInputError("radius must be positive")
     c = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (n + 1,):
+        raise InvalidInputError(
+            f"sphere center must have n + 1 = {n + 1} coordinates (got shape {c.shape})"
+        )
     sign = 1.0 if cap == "upper" else -1.0
     halfwidth = 0.6 * rho / math.sqrt(n)
     dom = np.array([[c[i] - halfwidth, c[i] + halfwidth] for i in range(n)])
 
-    def _s(u):
-        q = u - c[:n]
-        return math.sqrt(rho**2 - float(q @ q)), q
+    def _s(U):
+        Q = U - c[:n]
+        return np.sqrt(rho**2 - rowdot(Q, Q)), Q
 
-    def height(u):
-        s, _ = _s(u)
+    def height(U):
+        s, _ = _s(U)
         return c[n] + sign * s
 
-    def grad(u):
-        s, q = _s(u)
-        return -sign * q / s
+    def grad(U):
+        s, Q = _s(U)
+        return -sign * Q / s[:, None]
 
-    def hess(u):
-        s, q = _s(u)
-        return -sign * (np.eye(n) / s + np.outer(q, q) / s**3)
+    def hess(U):
+        s, Q = _s(U)
+        s = s[:, None, None]
+        return -sign * (np.eye(n) / s + Q[:, :, None] * Q[:, None, :] / s**3)
 
     ch = graph_chart(n, height, grad, hess, dom, name=f"sphere-{cap}-cap")
     # inward normal: points toward the center, i.e. against the cap side
@@ -971,23 +965,23 @@ def oscillating_graph_chart(n, x_lo=2.0, x_hi=12.0, halfwidth=1.0):
     """
     dom = np.array([[x_lo, x_hi]] + [[-halfwidth, halfwidth]] * (n - 1))
 
-    def height(u):
-        x = u[0]
-        return math.sin(x**4) / (4 * x**3)
+    def height(U):
+        x = U[:, 0]
+        return np.sin(x**4) / (4 * x**3)
 
-    def grad(u):
-        x = u[0]
-        out = np.zeros(n)
-        out[0] = math.cos(x**4) - 0.75 * math.sin(x**4) / x**4
+    def grad(U):
+        x = U[:, 0]
+        out = np.zeros_like(U)
+        out[:, 0] = np.cos(x**4) - 0.75 * np.sin(x**4) / x**4
         return out
 
-    def hess(u):
-        x = u[0]
-        out = np.zeros((n, n))
-        out[0, 0] = (
-            -4.0 * x**3 * math.sin(x**4)
-            - 3.0 * math.cos(x**4) / x
-            + 3.0 * math.sin(x**4) / x**5
+    def hess(U):
+        x = U[:, 0]
+        out = np.zeros((len(U), n, n))
+        out[:, 0, 0] = (
+            -4.0 * x**3 * np.sin(x**4)
+            - 3.0 * np.cos(x**4) / x
+            + 3.0 * np.sin(x**4) / x**5
         )
         return out
 
@@ -1020,21 +1014,16 @@ def transform_chart(chart, Q, shift=None, name=None):
     def jets(U):
         return _moved_jets(Q, s, chart.jets(U))
 
-    def jet(u):
-        X, dX, d2X = jets(u)
-        return X[0], dX[0], d2X[0]
-
     ref = None if chart.orient_ref is None else Q @ chart.orient_ref
     return Chart(
         n=chart.n,
         param_domain=chart.param_domain,
-        jet=jet,
+        jet=jets,
         kind=chart.kind,
         name=name or (chart.name + "-moved"),
         orient_ref=ref,
         orient_sign=chart.orient_sign,
         intrinsic_distance=chart.intrinsic_distance,
-        batch_jet=jets,
     )
 
 

@@ -227,6 +227,36 @@ def _run_drive(chart, mesh, region, theorem, params, config):
     return rep.to_json_dict()
 
 
+_REGION_NEEDS = {"cone": ("V", "a"), "halfspace": ("W",), "bihalfspace": ("halfspaces",)}
+
+
+def _check_theorem_config(config, n):
+    """Reject what the schema cannot see: the region's kind and fields, vector lengths, a, r."""
+    region = config["region"]
+    if region["kind"] != config["theorem"]:
+        raise _UsageError(
+            f"theorem {config['theorem']!r} needs a {config['theorem']} region "
+            f"(got 'region.kind' {region['kind']!r})"
+        )
+    for key in _REGION_NEEDS[region["kind"]]:
+        if key not in region:
+            raise _UsageError(f"a {region['kind']} region needs 'region.{key}'")
+    if config["theorem"] == "cone" and "a" not in config:
+        raise _UsageError("theorem 'cone' needs the cone parameter 'a'")
+    vectors = {"V": config["V"]}
+    vectors.update((f"region.{k}", region[k]) for k in ("V", "W", "B", "vertical_to")
+                   if k in region)
+    for i, half in enumerate(region.get("halfspaces", ())):
+        vectors.update((f"region.halfspaces[{i}].{k}", half[k]) for k in ("W", "B") if k in half)
+    for name, vec in vectors.items():
+        if len(vec) != n + 1:
+            raise _UsageError(
+                f"{name!r} needs n + 1 = {n + 1} coordinates for this surface (got {len(vec)})"
+            )
+    if not 1 <= config["r"] <= n:
+        raise _UsageError(f"'r' must satisfy 1 <= r <= n = {n} (got r={config['r']})")
+
+
 def cmd_theorem_check(args):
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
@@ -234,6 +264,7 @@ def cmd_theorem_check(args):
         if key not in config:
             raise _UsageError(f"theorem-check config needs {key!r}")
     chart = registry.build_chart(config["surface"])
+    _check_theorem_config(config, chart.n)
     region = registry.build_region(config["region"])
     theorem = config["theorem"]
     params = {

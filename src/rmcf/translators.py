@@ -146,22 +146,6 @@ class RotProfile:
             raise DomainError(f"radius outside [0, {self.R_max}]")
         return np.clip(R, 0.0, self.R_max)
 
-    def _dense(self, R, comp):
-        if self._sol is None:
-            raise NumericalError(
-                "profile has no dense output (loaded from disk?); re-solve to evaluate"
-            )
-        R = self._check_R(R)
-        scalar = R.ndim == 0
-        Rv = np.atleast_1d(R)
-        out = np.empty_like(Rv)
-        low = Rv < self.R_start
-        if np.any(low):
-            out[low] = self._series(Rv[low], comp)
-        if np.any(~low):
-            out[~low] = self.sol_eval(Rv[~low])[comp]
-        return float(out[0]) if scalar else out
-
     def _series(self, x, comp):
         """Vertex series of u, u' or the arclength below R_start."""
         if comp == 0:
@@ -176,9 +160,7 @@ class RotProfile:
         Every radius is evaluated twice, so each dense-output segment sees at
         least two columns and its polynomial goes through the same matrix
         product whatever the batch: a row's values do not depend on which
-        other radii share the call. ``eval_u``/``eval_up`` keep the
-        one-column arithmetic that the exported ``fd_residual_probe`` was
-        computed with.
+        other radii share the call, and a lone radius gets the same bits.
         """
         if self._sol is None:
             raise NumericalError(
@@ -200,14 +182,17 @@ class RotProfile:
         u, up, _ = self._dense_rows(R)
         return u, up
 
-    def sol_eval(self, R):
-        return np.atleast_2d(self._sol(R))
+    def _component(self, R, comp):
+        """Row ``comp`` of ``_dense_rows`` in the shape of R; a float for a scalar R."""
+        R = np.asarray(R, dtype=float)
+        out = self._dense_rows(R)[comp].reshape(R.shape)
+        return float(out) if R.ndim == 0 else out
 
     def eval_u(self, R):
-        return self._dense(R, 0)
+        return self._component(R, 0)
 
     def eval_up(self, R):
-        return self._dense(R, 1)
+        return self._component(R, 1)
 
     def arclength(self, R):
         """Meridian arclength from the vertex at an array of radii (see ``_dense_rows``)."""
@@ -399,9 +384,8 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
     """Rotational immersion chart (R, angles) -> (R omega, u(R)) from one profile.
 
     The jets of all rows come from one dense-output call for u and u' and
-    from the profile equation's u''; the scalar ``jet`` is a one-row call of
-    them. The vertical component of the normal is positive, matching the
-    graph orientation.
+    from the profile equation's u''. The vertical component of the normal is
+    positive, matching the graph orientation.
     """
     n, r = profile.n, profile.r
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
@@ -417,7 +401,6 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
     dom = np.array(rows)
 
     def jets(Q):
-        Q = np.asarray(Q, dtype=float).reshape(-1, n)
         R = Q[:, 0]
         u_val, up = profile.u_and_up(R)
         if not np.all(R > 0):
@@ -443,18 +426,13 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
         d2X[:, 1:, 1:, :n] = R[:, None, None, None] * ddom
         return X, dX, d2X
 
-    def jet(q):
-        X, dX, d2X = jets(q)
-        return X[0], dX[0], d2X[0]
-
     ref = np.zeros(n + 1)
     ref[n] = 1.0
     label = f"bowl-n{n}" if r == 1 else f"rbowl-n{n}-r{r}"
     return Chart(
         n=n,
         param_domain=dom,
-        jet=jet,
-        batch_jet=jets,
+        jet=jets,
         kind="rotational",
         name=label,
         orient_ref=ref,
@@ -475,17 +453,17 @@ def grim_reaper_chart(n, eta=1e-3, t_halfwidth=50.0):
     lim = math.pi / 2 - eta
     rows = [[-lim, lim]] + [[-t_halfwidth, t_halfwidth]] * (n - 1)
 
-    def height(uu):
-        return -math.log(math.cos(uu[0]))
+    def height(U):
+        return -np.log(np.cos(U[:, 0]))
 
-    def grad(uu):
-        out = np.zeros(n)
-        out[0] = math.tan(uu[0])
+    def grad(U):
+        out = np.zeros_like(U)
+        out[:, 0] = np.tan(U[:, 0])
         return out
 
-    def hess(uu):
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0 / math.cos(uu[0]) ** 2
+    def hess(U):
+        out = np.zeros((len(U), n, n))
+        out[:, 0, 0] = 1.0 / np.cos(U[:, 0]) ** 2
         return out
 
     ch = graph_chart(

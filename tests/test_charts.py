@@ -70,8 +70,8 @@ class TestPointGeometry:
         ch = paraboloid_chart(2, curvature=0.7)
         pg = point_geometry(ch, [0.3, -0.5])
         assert abs(np.linalg.norm(pg.N) - 1.0) < 1e-12
-        _, dX, _ = ch.jet(np.array([0.3, -0.5]))
-        assert np.max(np.abs(dX.T @ pg.N)) < 1e-12
+        _, dX, _ = ch.jets(np.array([0.3, -0.5]))
+        assert np.max(np.abs(dX[0].T @ pg.N)) < 1e-12
 
     def test_frame_orthonormal(self):
         ch = sphere_chart(3)
@@ -89,10 +89,10 @@ class TestPointGeometry:
             point_geometry(ch, [5.0, 0.0])
 
     def test_rank_deficient_rejected(self):
-        def jet(u):
-            X = np.array([u[0], u[0], 0.0])
-            dX = np.array([[1.0], [1.0], [0.0]]) * 0.0  # degenerate on purpose
-            d2X = np.zeros((1, 1, 3))
+        def jet(U):
+            X = np.concatenate((U, U, np.zeros_like(U)), axis=1)
+            dX = np.zeros((len(U), 3, 1))  # degenerate on purpose
+            d2X = np.zeros((len(U), 1, 1, 3))
             return X, dX, d2X
 
         from rmcf.charts import Chart
@@ -317,6 +317,33 @@ class TestFdConsistency:
             assert richardson_slope(e1a, e1b) > 1.9
         if e2b > 1e-9:
             assert richardson_slope(e2a, e2b) > 1.9
+
+    def test_one_stacked_call_matches_the_point_loop(self):
+        # the stencil's jets come from one stacked call; the per-point loop
+        # it replaced, on one-row calls, must give the same bits
+        def loop(ch, u, h):
+            def pos(q):
+                return ch.jets(q)[0][0]
+
+            _, dX, d2X = (a[0] for a in ch.jets(u))
+            err1 = err2 = 0.0
+            for i in range(ch.n):
+                ei = h * np.eye(ch.n)[i]
+                xp, xm, x0 = pos(u + ei), pos(u - ei), pos(u)
+                err1 = max(err1, float(np.max(np.abs((xp - xm) / (2 * h) - dX[:, i]))))
+                err2 = max(err2, float(np.max(np.abs((xp - 2 * x0 + xm) / h**2 - d2X[i, i]))))
+                for j in range(i + 1, ch.n):
+                    ej = h * np.eye(ch.n)[j]
+                    mixed = (pos(u + ei + ej) - pos(u + ei - ej) - pos(u - ei + ej)
+                             + pos(u - ei - ej)) / (4 * h**2)
+                    err2 = max(err2, float(np.max(np.abs(mixed - d2X[i, j]))))
+            return err1, err2
+
+        for ch in (sphere_chart(3), paraboloid_chart(3, curvature=0.75), grim_reaper_chart(2)):
+            lo, hi = ch.param_domain[:, 0], ch.param_domain[:, 1]
+            for frac in (0.13, 0.43, 0.77):
+                u = lo + frac * (hi - lo)
+                assert fd_jet_error(ch, u, 1e-2) == loop(ch, u, 1e-2), (ch.name, frac)
 
     def test_corrupted_jet_detected(self):
         ch = paraboloid_chart(2, derivative_bias=1e-3)

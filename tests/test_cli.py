@@ -6,6 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+import rmcf.cli
 import rmcf.maxprinciple
 from rmcf.charts import MeshGeometry, cone_excess
 from rmcf.cli import _CONFIG_SCHEMA, main
@@ -38,6 +39,12 @@ class TestVerifyIdentities:
         assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert "fd-consistency" in report["results"]["failing"]
+
+    @pytest.mark.parametrize("center", [[0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_sphere_center_of_wrong_length(self, tmp_path, capsys, center):
+        cfg = write_config(tmp_path, {"surface": {"kind": "sphere", "n": 2, "center": center}})
+        assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "sphere center must have n + 1 = 3 coordinates" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -190,6 +197,44 @@ class TestTheoremCheck:
     def test_missing_region(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": BOWL_SURFACE, "theorem": "cone"})
         assert main(["theorem-check", "--config", cfg]) == 2
+
+    _V = [0.0, 0.0, 1.0]
+    _HALF = {"kind": "halfspace", "W": [0.6, 0.0, 0.8]}
+    _BI = {"kind": "bihalfspace", "vertical_to": _V,
+           "halfspaces": [{"W": [0.6, 0.8, 0.0]}, {"W": [0.6, -0.8, 0.0]}]}
+
+    @pytest.mark.parametrize("field, change", [
+        ("'V'", {"V": [0.0, 1.0]}),
+        ("'region.V'", {"region": {"kind": "cone", "V": [0.0, 0.0, 0.0, 1.0], "a": 0.3}}),
+        ("'region.a'", {"region": {"kind": "cone", "V": _V}}),
+        ("'a'", {"a": None}),
+        ("'r'", {"r": 3}),
+        ("'region.kind'", {"theorem": "halfspace"}),
+        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.8])}),
+        ("'region.B'", {"theorem": "halfspace", "region": dict(_HALF, B=[0.0, 0.0])}),
+        ("'region.vertical_to'",
+         {"theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0])}),
+        ("'region.halfspaces[1].W'", {"theorem": "bihalfspace", "region": dict(
+            _BI, halfspaces=[{"W": [0.6, 0.8, 0.0]}, {"W": [0.6, -0.8]}])}),
+    ])
+    def test_config_rejected_before_mesh_work(self, tmp_path, capsys, monkeypatch, field, change):
+        # each passes the schema; each must exit 2 naming its field, before any mesh is built
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built for a rejected config")
+
+        monkeypatch.setattr(rmcf.cli.Mesh, "grid", no_mesh)
+        config = {"surface": {"kind": "paraboloid", "n": 2, "halfwidth": 10.0},
+                  "region": {"kind": "cone", "V": self._V, "a": 0.3},
+                  "theorem": "cone", "r": 1, "V": self._V, "a": 0.3, "mesh": 5}
+        for key, value in change.items():
+            if value is None:
+                del config[key]
+            else:
+                config[key] = value
+        cfg = write_config(tmp_path, config)
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err, err
 
 
 class TestProfile:

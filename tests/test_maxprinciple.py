@@ -390,14 +390,15 @@ class TestHypothesisGate:
 
 
 def _counting(chart):
-    """The chart with a jet that counts its calls in ``calls[0]``."""
-    calls = [0]
+    """The chart with a jet that counts its calls and the rows they evaluate."""
+    count = {"calls": 0, "rows": 0}
 
-    def jet(u):
-        calls[0] += 1
-        return chart.jet(u)
+    def jet(U):
+        count["calls"] += 1
+        count["rows"] += len(U)
+        return chart.jet(U)
 
-    return replace(chart, jet=jet), calls
+    return replace(chart, jet=jet), count
 
 
 class TestJetCount:
@@ -413,18 +414,18 @@ class TestJetCount:
         hypothesis_gate(ch, mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=cone)
         cone_drive(ch, mesh, V, 0.3, 1, require_translator=False)
         first_exit(ch, cone, mesh)
-        assert calls[0] == len(mesh)
-        want = np.array([base.jet(u)[0] for u in mesh.points])
+        assert calls == {"calls": 1, "rows": len(mesh)}
+        want = np.array([base.jets(u)[0][0] for u in mesh.points])
         assert np.array_equal(mesh.positions(), want)
 
     def test_bihalfspace_drive_reuses_geometry(self):
         ch, calls = _counting(grim_reaper_chart(2, t_halfwidth=2.0))
         mesh = Mesh.grid(ch, (21, 21))
         mesh.geometry()
-        built = calls[0]
+        built = dict(calls)
         rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
         assert not rep.empty
-        assert calls[0] == built == len(mesh)
+        assert calls == built == {"calls": 1, "rows": len(mesh)}
 
     def test_bihalfspace_drive_fresh_mesh(self):
         # without built geometry: one jet per mesh point, geometry only in the pocket
@@ -432,7 +433,7 @@ class TestJetCount:
         ch, calls = _counting(base)
         rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, Mesh.grid(ch, (21, 21)))
         assert 0 < rep.n_points < 21 * 21
-        assert calls[0] == 21 * 21
+        assert calls == {"calls": 1, "rows": 21 * 21}
         built = Mesh.grid(base, (21, 21))
         built.geometry()
         want = bihalfspace_drive(base, 0.6, 0.8, 0.5, 1, 1.0, built)

@@ -1,10 +1,10 @@
 """The batched mesh geometry against the per-point algebra it replaced.
 
-The scalar hyperspherical jet, the scalar rotational-chart jet closure, the
-per-point geometry body and the per-point operators live on here as
-reference oracles; the batched path must match them row by row, and
-permuting or sub-selecting the parameter rows must permute its outputs
-bit for bit.
+The scalar graph jets, the scalar hyperspherical jet, the scalar
+rotational-chart jet closure, the per-point geometry body and the
+per-point operators live on here as reference oracles; the batched path
+must match them row by row, and permuting or sub-selecting the parameter
+rows must permute its outputs bit for bit.
 """
 
 import math
@@ -24,9 +24,11 @@ from rmcf.charts import (
     ScalarField,
     cone_excess,
     distance_sq_to,
+    flat_chart,
     frame_gradient,
     linear_height,
     mesh_geometry,
+    oscillating_graph_chart,
     paraboloid_chart,
     point_geometry,
     sphere_chart,
@@ -89,11 +91,10 @@ def _omega_jet_scalar(phi):
 def _rot_jet_scalar(profile):
     """The scalar rotational-chart jet closure.
 
-    u and u' come from the batch's dense-output evaluation (checked against
-    ``eval_u``/``eval_up`` in ``test_dense_output_rows``): far out, u'' =
+    u and u' come from the profile's dense-output rows: far out, u'' =
     rot_ode_rhs(u') is the small difference theta - C(n-1, r) w^r, which
-    amplifies a last-bit change of u' by orders of magnitude, so a separate
-    dense-output call would test that rounding rather than the assembly.
+    amplifies a last-bit change of u' by orders of magnitude, so a
+    differently rounded u' would test that rounding rather than the assembly.
     """
     n, r = profile.n, profile.r
 
@@ -125,6 +126,45 @@ def _rot_jet_scalar(profile):
         return X, dX, d2X
 
     return jet
+
+
+def _graph_jet_scalar(n, height, grad, hess):
+    """The scalar graph-chart jet of X = (u, h(u))."""
+
+    def jet(u):
+        u = np.asarray(u, dtype=float)
+        d2X = np.zeros((n, n, n + 1))
+        d2X[:, :, n] = hess(u)
+        return np.append(u, height(u)), np.vstack((np.eye(n), grad(u))), d2X
+
+    return jet
+
+
+def _paraboloid_jet_scalar(n, c):
+    return _graph_jet_scalar(
+        n, lambda u: 0.5 * c * float(u @ u), lambda u: c * u, lambda u: c * np.eye(n)
+    )
+
+
+def _upper_sphere_jet_scalar(n, rho):
+    """The upper cap of the sphere of radius rho about the origin."""
+
+    def s(u):
+        return math.sqrt(rho**2 - float(u @ u))
+
+    return _graph_jet_scalar(
+        n, s, lambda u: -u / s(u), lambda u: -(np.eye(n) / s(u) + np.outer(u, u) / s(u) ** 3)
+    )
+
+
+def _grim_reaper_jet_scalar(n):
+    e0 = np.eye(n)[0]
+    return _graph_jet_scalar(
+        n,
+        lambda u: -math.log(math.cos(u[0])),
+        lambda u: math.tan(u[0]) * e0,
+        lambda u: np.outer(e0, e0) / math.cos(u[0]) ** 2,
+    )
 
 
 def _moved_jet_scalar(base_jet, Q, s):
@@ -228,11 +268,12 @@ def _rotation(m, angle):
 
 @pytest.fixture(scope="module")
 def cases(translator_charts, profiles):
+    reaper_jet = _grim_reaper_jet_scalar(2)
     out = {
-        "graph-grim-reaper": (translator_charts["grim-reaper"], None),
-        "graph-paraboloid": (paraboloid_chart(3, curvature=0.8), None),
-        "sphere-2": (sphere_chart(2), None),
-        "sphere-3": (sphere_chart(3, radius=2.0), None),
+        "graph-grim-reaper": (translator_charts["grim-reaper"], reaper_jet),
+        "graph-paraboloid": (paraboloid_chart(3, curvature=0.8), _paraboloid_jet_scalar(3, 0.8)),
+        "sphere-2": (sphere_chart(2), _upper_sphere_jet_scalar(2, 1.0)),
+        "sphere-3": (sphere_chart(3, radius=2.0), _upper_sphere_jet_scalar(3, 2.0)),
     }
     for key in ((2, 1), (3, 2), (4, 3)):
         out[f"rot-{key}"] = (translator_charts[key], _rot_jet_scalar(profiles[key]))
@@ -245,9 +286,9 @@ def cases(translator_charts, profiles):
     Q3 = _rotation(3, -1.1)[::-1].copy()
     out["moved-graph"] = (
         transform_chart(translator_charts["grim-reaper"], Q3),
-        _moved_jet_scalar(translator_charts["grim-reaper"].jet, Q3, np.zeros(3)),
+        _moved_jet_scalar(reaper_jet, Q3, np.zeros(3)),
     )
-    return {name: (ch, jet if jet is not None else ch.jet) for name, (ch, jet) in out.items()}
+    return out
 
 
 def _rows(data, chart, max_rows=8):
@@ -273,13 +314,6 @@ CASE_NAMES = ["graph-grim-reaper", "graph-paraboloid", "sphere-2", "sphere-3", "
 
 
 class TestAgainstScalarOracles:
-    def test_dense_output_rows(self, profiles):
-        for prof in profiles.values():
-            R = np.linspace(0.02, prof.R_max, 301)
-            u, up = prof.u_and_up(R)
-            _assert_close(u, prof.eval_u(R), "u")
-            _assert_close(up, prof.eval_up(R), "u'")
-
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_omega_jet(self, data):
@@ -379,18 +413,29 @@ class TestRowIndependence:
             want = np.array([ch.intrinsic_distance(u[None])[0] for u in U])
             assert np.array_equal(got, want), key
 
-    def test_scalar_jet_is_a_batch_row(self, translator_charts):
-        # many radii share each dense-output segment in the batch; alone, a
-        # radius must still get the same arithmetic
-        for key in ((2, 1), (3, 2), (4, 3)):
-            ch = translator_charts[key]
+    def test_batch_rows_are_one_row_calls(self, translator_charts):
+        # every built-in chart kind: row i of a batch has the bits of a
+        # one-row call (for the rotational charts many radii share each
+        # dense-output segment in the batch)
+        reaper = translator_charts["grim-reaper"]
+        built_in = {
+            "flat": flat_chart(3, halfwidth=2.0),
+            "paraboloid": paraboloid_chart(3, curvature=0.8),
+            "sphere": sphere_chart(3, radius=2.0, center=[0.5, -1.0, 0.2, 3.0], cap="lower"),
+            "oscillating": oscillating_graph_chart(2, x_hi=30.0),
+            "grim-reaper": reaper,
+            "moved": transform_chart(reaper, _rotation(3, 0.9), shift=[1.0, 2.0, -3.0]),
+        }
+        built_in.update({key: translator_charts[key] for key in ((2, 1), (3, 2), (4, 3))})
+        rng = np.random.default_rng(5)
+        for key, ch in built_in.items():
             lo, hi = ch.param_domain[:, 0], ch.param_domain[:, 1]
-            U = np.tile(0.5 * (lo + hi), (400, 1))
+            U = lo + rng.uniform(0.0, 1.0, (400, ch.n)) * (hi - lo)
             U[:, 0] = np.linspace(lo[0], hi[0], 400)
             batch = ch.jets(U)
             for i, u in enumerate(U):
-                for got, want in zip(ch.jet(u), batch):
-                    assert np.array_equal(got, want[i]), (key, i)
+                for got, want in zip(ch.jets(u), batch):
+                    assert np.array_equal(got[0], want[i]), (key, i)
 
 
 class TestMeshGeometry:
@@ -398,14 +443,11 @@ class TestMeshGeometry:
         base = translator_charts[(3, 2)]
         calls = []
 
-        def batch_jet(U):
+        def jet(U):
             calls.append(len(U))
-            return base.batch_jet(U)
+            return base.jet(U)
 
-        def no_scalar_jet(u):
-            raise AssertionError("the mesh path evaluated the scalar jet")
-
-        ch = replace(base, jet=no_scalar_jet, batch_jet=batch_jet)
+        ch = replace(base, jet=jet)
         mesh = Mesh.grid(ch, (7, 4, 5))
         geom = mesh.geometry()
         assert np.array_equal(mesh.positions(), geom.X)
@@ -416,17 +458,17 @@ class TestMeshGeometry:
         base = paraboloid_chart(2)
         calls = []
 
-        def jet(u):
-            calls.append(1)
-            return base.jet(u)
+        def jet(U):
+            calls.append(len(U))
+            return base.jet(U)
 
         mesh = Mesh.grid(replace(base, jet=jet), (6, 5))
         xs = mesh.positions()
         geom = mesh.geometry()
-        assert len(calls) == len(mesh)
+        assert calls == [len(mesh)]
         assert np.array_equal(xs, geom.X)
         assert np.array_equal(mesh.geometry_where(lambda X: X[0] > 0.0).X, geom.X[xs[:, 0] > 0.0])
-        assert len(calls) == len(mesh)
+        assert calls == [len(mesh)]
 
     def test_point_geometry_is_a_row(self, translator_charts):
         ch = translator_charts[(4, 2)]
@@ -440,10 +482,12 @@ class TestMeshGeometry:
 
     def test_singular_row_names_its_index(self):
         # X(u) = (u^3, u^2) has dX = 0 at u = 0 only, the centre of the mesh
-        def jet(u):
-            t = float(u[0])
-            return (np.array([t**3, t**2]), np.array([[3.0 * t * t], [2.0 * t]]),
-                    np.array([[[6.0 * t, 2.0]]]))
+        def jet(U):
+            t = U[:, 0]
+            X = np.stack([t**3, t**2], axis=-1)
+            dX = np.stack([3.0 * t * t, 2.0 * t], axis=-1)[:, :, None]
+            d2X = np.stack([6.0 * t, np.full_like(t, 2.0)], axis=-1)[:, None, None, :]
+            return X, dX, d2X
 
         ch = Chart(n=1, param_domain=np.array([[-1.0, 1.0]]), jet=jet)
         mesh = Mesh.grid(ch, 5)

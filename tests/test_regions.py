@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcf.charts import Mesh, transform_chart
+from rmcf.charts import Mesh, flat_chart, paraboloid_chart, transform_chart
 from rmcf.errors import DomainError, InvalidInputError, SingularPointError
 from rmcf.regions import (
+    _LOGLOG_FLOOR,
     BiHalfspace,
     Cone,
     Halfspace,
@@ -155,9 +156,31 @@ class TestGrowthReport:
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-12), key
 
-    def test_small_mesh_rejected(self):
-        from rmcf.charts import paraboloid_chart
+    @pytest.mark.parametrize("kind", ["paraboloid", "flat"])
+    def test_segment_arclength_fallback(self, kind):
+        # without intrinsic_distance, HS2-2 measures each point by the
+        # arclength of its parameter segment from the domain centre: the
+        # meridian arclength (rho sqrt(1 + c^2 rho^2) + asinh(c rho) / c) / 2
+        # on the paraboloid of curvature c, and |u| on the plane
+        c = 1.0
+        if kind == "paraboloid":
+            ch, tol = paraboloid_chart(2, curvature=c, halfwidth=10.0), 1e-9
+        else:
+            ch, tol = flat_chart(2, halfwidth=10.0), 1e-12
+        assert ch.intrinsic_distance is None
+        mesh = Mesh.grid(ch, 13)
+        rho = np.linalg.norm(mesh.points, axis=1)
+        if kind == "paraboloid":
+            want = (rho * np.sqrt(1.0 + (c * rho) ** 2) + np.arcsinh(c * rho) / c) / 2.0
+        else:
+            want = rho
+        rep = growth_report(ch, mesh, "HS2-2", {"r": 1})
+        want = want[want > _LOGLOG_FLOOR]
+        assert rep.scales.shape == want.shape
+        assert np.max(np.abs(rep.scales / want - 1.0)) <= tol
+        assert rep.scale_reached == pytest.approx(float(np.max(want)), rel=tol)
 
+    def test_small_mesh_rejected(self):
         ch = paraboloid_chart(2)
         mesh = Mesh.grid(ch, 5)
         with pytest.raises(InvalidInputError):
