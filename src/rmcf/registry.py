@@ -18,7 +18,7 @@ def build_chart(spec):
         )
     if kind == "bowl":
         profile = translators.solve_rotational_translator(
-            int(spec["n"]),
+            int(spec.get("n", 2)),
             int(spec.get("r", 1)),
             R_max=float(spec.get("R_max", 100.0)),
             tol=float(spec.get("tol", 1e-10)),

@@ -31,13 +31,14 @@ def symmetrized(a, where=_nowhere):
     message.
     """
     a = np.asarray(a, dtype=float)
-    finite = np.isfinite(a)
+    scale = np.abs(a).max(axis=(-2, -1))  # not finite exactly when some entry is not
+    finite = np.isfinite(scale)
     if not finite.all():
-        i = int(np.flatnonzero(~finite.reshape(-1, a.shape[-2] * a.shape[-1]).all(axis=1))[0])
+        i = int(np.flatnonzero(~finite)[0])
         raise InvalidInputError(f"matrix has non-finite entries{where(i)}")
     at = np.swapaxes(a, -1, -2)
     asym = np.abs(a - at).max(axis=(-2, -1))
-    over = asym > _ASYM_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    over = asym > _ASYM_TOL * np.maximum(1.0, scale)
     if over.any():
         i = int(np.flatnonzero(over)[0])
         raise InvalidInputError(
@@ -79,6 +80,17 @@ class SymMatrix:
         for name, value in (("n", m.shape[0]), ("entries", m), ("_eig", None), ("_sigma", None)):
             object.__setattr__(self, name, value)
         return self
+
+    @classmethod
+    def _derived(cls, P):
+        """0.5 (P + P^T) of a matrix computed from a checked SymMatrix.
+
+        P is a polynomial in a symmetric matrix, so its asymmetry is
+        round-off; only finiteness (lost to overflow) is checked again.
+        """
+        if not np.isfinite(P).all():
+            raise InvalidInputError("matrix has non-finite entries")
+        return cls._of_symmetrized(0.5 * (P + P.T))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -189,7 +201,7 @@ def char_poly_eval(A, t):
     A = _as_symmatrix(A)
     if not np.isfinite(t):
         raise InvalidInputError("evaluation point t must be finite")
-    sig = A.sigma_table()
+    sig = A.sigma_table().tolist()
     n = A.n
     # Horner on c_j = (-1)^j sigma_{n-j}, highest degree first
     acc = 0.0
@@ -210,20 +222,25 @@ def newton_transform(A, r):
         raise InvalidInputError("order r must be a nonnegative integer")
     if r > n:
         raise DomainError(f"P_r is only defined for r <= n (got r={r}, n={n})")
-    return SymMatrix._of_symmetrized(newton_transforms(A.entries, A.sigma_table(), r))
+    return SymMatrix._derived(_newton_recursion(A.entries, A.sigma_table(), r))
+
+
+def _newton_recursion(A, sigma, r):
+    """P_0 = I, P_j = sigma_j I - A P_{j-1} on A (n, n) or (m, n, n); P_0 is not broadcast."""
+    eye = np.eye(A.shape[-1])
+    P = eye
+    for j in range(1, r + 1):
+        P = sigma[..., j, None, None] * eye - A @ P
+    return P
 
 
 def newton_transforms(A, sigma, r, where=_nowhere):
     """P_r of a symmetric matrix A (n, n) or a stack (m, n, n), with sigma tables (..., n+1).
 
-    The recursion P_0 = I, P_j = sigma_j I - A P_{j-1} runs on the whole
-    stack; the result is symmetrized and checked like a SymMatrix.
+    The recursion runs on the whole stack; the result is symmetrized and
+    checked like a SymMatrix.
     """
-    eye = np.eye(A.shape[-1])
-    P = eye
-    for j in range(1, r + 1):
-        P = sigma[..., j, None, None] * eye - A @ P
-    return symmetrized(np.broadcast_to(P, A.shape), where)
+    return symmetrized(np.broadcast_to(_newton_recursion(A, sigma, r), A.shape), where)
 
 
 def newton_polynomial(A, r):
@@ -236,10 +253,11 @@ def newton_polynomial(A, r):
         raise DomainError(f"P_r is only defined for r <= n (got r={r}, n={n})")
     sig = A.sigma_table()
     B = -A.entries
-    acc = sig[0] * np.eye(n)  # sigma_0 I, then fold in B = -A
+    eye = np.eye(n)
+    acc = sig[0] * eye  # sigma_0 I, then fold in B = -A
     for j in range(1, r + 1):
-        acc = B @ acc + sig[j] * np.eye(n)
-    return SymMatrix(acc)
+        acc = B @ acc + sig[j] * eye
+    return SymMatrix._derived(acc)
 
 
 def trace_identities(A, r):

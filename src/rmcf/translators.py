@@ -22,13 +22,19 @@ which reproduces a4 = 1 / (4 n^3 (n+2)) for r = 1 and the classical
 R^2/2 + R^4/12 expansion of -log cos R at (n, r) = (1, 1).
 
 Integration starts at R_s = 1e-3 from the two-term series (the w = u'/R
-term is singular at R = 0). The explicit RK45 pair handles r = 1. For
-r >= 2 the far-field branch u' ~ R^r / C(n-1, r) is stiffly attracting,
-and LSODA (Petzold 1983), which switches between Adams and BDF steps,
-runs on the closed-form Jacobian of (u, u', s)' = (u', u'', sqrt(1 + u'^2)),
-whose only nonzero column is d/du'. A difference quotient of u'' would go
-through the far-field cancellation Theta - C(n-1, r) w^r and lose most of
-its digits.
+term is singular at R = 0). The far field is stiff for every r: for r = 1
+the linearized rate of u' grows like R / (n-1), and for r >= 2 the branch
+u' ~ R^r / C(n-1, r) is stiffly attracting. LSODA (Petzold 1983), which
+switches between Adams and BDF steps, runs on the closed-form Jacobian of
+(u, u', s)' = (u', u'', sqrt(1 + u'^2)), whose only nonzero column is
+d/du'. A difference quotient of u'' would go through the far-field
+cancellation Theta - C(n-1, r) w^r and lose most of its digits.
+
+A solved profile's table (``grid``, ``u``, ``up``, which ``export_profile``
+writes) holds the vertex, every accepted step and, inside each step, equal
+parts from the dense output, so that no two rows lie more than
+R_max / TABLE_PARTS apart and the table reads linearly. It is built on
+first read; charts evaluate the dense output and never need it.
 
 For r = n the profile turns vertical at a finite radius R_*
 (``domain_radius``): the graph is the Gauss-curvature-type translator
@@ -53,6 +59,8 @@ from .errors import (
 R_START_DEFAULT = 1e-3
 R_MAX_LIMIT = 1e4
 TOL_RANGE = (1e-12, 1e-6)
+# rows of a solved profile's table lie at most R_max / TABLE_PARTS apart
+TABLE_PARTS = 4096
 
 
 def vertex_curvature(n, r):
@@ -126,19 +134,59 @@ def domain_radius(n, r):
 
 @dataclass(frozen=True)
 class RotProfile:
-    """Numerically integrated radial profile of a rotational translator."""
+    """Numerically integrated radial profile of a rotational translator.
+
+    A solved profile carries the dense output ``_sol`` and its integrator
+    states ``_nodes`` (R, u, u' from the vertex on); its table
+    ``grid, u, up`` is built from them on first read. A loaded profile
+    carries the table only.
+    """
 
     n: int
     r: int
-    grid: np.ndarray
-    u: np.ndarray
-    up: np.ndarray
     meta: dict
     k0: float
     a4: float
     R_start: float
     R_max: float
     _sol: object = field(default=None, repr=False, compare=False)
+    _nodes: tuple = field(default=None, repr=False, compare=False)
+    _table: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def grid(self):
+        return self._rows()[0]
+
+    @property
+    def u(self):
+        return self._rows()[1]
+
+    @property
+    def up(self):
+        return self._rows()[2]
+
+    def _rows(self):
+        """The table (grid, u, up): every integrator node, each step cut into equal parts.
+
+        A step longer than R_max / TABLE_PARTS is split into the fewest
+        equal parts no longer than that. Node rows are the integrator
+        states bit for bit; the rows inside the steps come from one
+        ``_dense_rows`` call.
+        """
+        if self._table is None:
+            R, u, up = self._nodes
+            parts = np.ceil(np.diff(R) * (TABLE_PARTS / self.R_max)).astype(np.intp)
+            seg = np.repeat(np.arange(parts.size), parts)
+            frac = (np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[seg]
+            grid = np.append(R[seg] + (R[seg + 1] - R[seg]) * frac, R[-1])
+            node = np.append(frac == 0.0, True)  # R + d * 0 is R: these rows are the nodes
+            table = (grid, np.empty(grid.size), np.empty(grid.size))
+            table[1][node], table[2][node] = u, up
+            table[1][~node], table[2][~node] = self.u_and_up(grid[~node])
+            for col in table:
+                col.setflags(write=False)
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def _check_R(self, R):
         R = np.asarray(R, dtype=float)
@@ -204,35 +252,38 @@ class RotProfile:
         return 1.0 / np.sqrt(1.0 + np.square(up))
 
     def fd_residual(self, R, h=1e-4):
-        """Translator-equation residual sigma_r - Theta at radius R > 0.
+        """Translator-equation residual sigma_r - Theta at radii R > 0.
 
         The meridian curvature comes from a centered difference of u', so
         the residual measures the real integration and interpolation
-        error and shrinks with the solve tolerance.
+        error and shrinks with the solve tolerance. u' at R and R +- h
+        comes from one ``_dense_rows`` call; a scalar R gives a float.
         """
-        R = float(R)
-        up = self.eval_up(R)
-        upp = (self.eval_up(R + h) - self.eval_up(R - h)) / (2 * h)
+        R = np.asarray(R, dtype=float)
+        flat = R.ravel()
+        up, hi, lo = np.split(self._dense_rows(np.concatenate((flat, flat + h, flat - h)))[1], 3)
+        upp = (hi - lo) / (2 * h)
         s = 1.0 + up * up
-        w = up / (R * math.sqrt(s))
+        w = up / (flat * np.sqrt(s))
         kappa = upp / s**1.5
         sig = (
             math.comb(self.n - 1, self.r) * w**self.r
             + math.comb(self.n - 1, self.r - 1) * w ** (self.r - 1) * kappa
         )
-        return sig - 1.0 / math.sqrt(s)
+        out = (sig - 1.0 / np.sqrt(s)).reshape(R.shape)
+        return float(out) if R.ndim == 0 else out
 
 
 def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DEFAULT):
     """Integrate the bowl-family profile from its vertex series seed.
 
-    Adaptive, with dense output: RK45 at tolerance ``tol`` for r = 1;
-    for the stiff r >= 2 far field, LSODA with the closed-form Jacobian at
-    the inner tolerance max(tol / 100, 5e-14). The arclength from the
-    vertex rides along as a third state component. For r = n the graph
-    ends at ``domain_radius(n, n)``; an R_max at or beyond it raises
-    DomainError, and so does a solve that gets so close that u' stops
-    being finite.
+    LSODA with dense output and the closed-form Jacobian, at the inner
+    tolerance max(tol / 100, 5e-14), for every r. The arclength from the
+    vertex rides along as a third state component. ``meta["steps"]``
+    counts integrator steps; the table (``RotProfile._rows``) has more
+    rows. For r = n the graph ends at ``domain_radius(n, n)``; an R_max at
+    or beyond it raises DomainError, and so does a solve that gets so
+    close that u' stops being finite.
     """
     _check_orders(n, r)
     if not (0 < R_max <= R_MAX_LIMIT):
@@ -267,24 +318,21 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         return [[0.0, 1.0, 0.0], [0.0, _upp(c1, c2, r, R, v, slope=True)[1], 0.0],
                 [0.0, v / math.sqrt(1.0 + v * v), 0.0]]
 
-    if r == 1:
-        method, inner, options = "RK45", tol, {}
-    else:
-        # LSODA's grid values drift up to ~30x past its tolerance (Theta =
-        # cos phi on (2, 2) at R_max 1.3 missed by 3.1e-9 at 1e-10), hence
-        # tol / 100; at 2.2e-14 and below the far (5, 4) field at R_max 1e4
-        # stops with "excess accuracy requested", hence the 5e-14 floor.
-        method, inner, options = "LSODA", max(tol / 100.0, 5e-14), {"jac": jac}
+    # LSODA's grid values drift up to ~30x past its tolerance (Theta =
+    # cos phi on (2, 2) at R_max 1.3 missed by 3.1e-9 at 1e-10), hence
+    # tol / 100; at 2.2e-14 and below the far (5, 4) field at R_max 1e4
+    # stops with "excess accuracy requested", hence the 5e-14 floor.
+    inner = max(tol / 100.0, 5e-14)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states are caught below
         sol = solve_ivp(
             rhs,
             (R_start, R_max),
             y0,
-            method=method,
+            method="LSODA",
             rtol=inner,
             atol=inner,
             dense_output=True,
-            **options,
+            jac=jac,
         )
     if not sol.success:
         raise StiffFailureError(
@@ -300,37 +348,28 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
             f"turns vertical at R_* = {R_star:.12g}"
         )
 
-    grid = np.concatenate(([0.0], sol.t))
-    u = np.concatenate(([0.0], sol.y[0]))
-    up = np.concatenate(([0.0], sol.y[1]))
-    grid.setflags(write=False)
-    u.setflags(write=False)
-    up.setflags(write=False)
-
     profile = RotProfile(
         n=n,
         r=r,
-        grid=grid,
-        u=u,
-        up=up,
         meta={},
         k0=k0,
         a4=a4,
         R_start=R_start,
         R_max=float(R_max),
         _sol=sol.sol,
+        _nodes=tuple(np.concatenate(([0.0], v)) for v in (sol.t, sol.y[0], sol.y[1])),
     )
     probe = np.linspace(max(10 * R_start, 0.05 * R_max), 0.9 * R_max, 9)
     meta = {
-        "method": method,
+        "method": "LSODA",
         "steps": int(len(sol.t) - 1),
         "nfev": int(sol.nfev),
-        "njev": int(getattr(sol, "njev", 0) or 0),
+        "njev": int(sol.njev),
         "rtol": float(inner),
         "atol": float(inner),
         "R_start": float(R_start),
         "R_max": float(R_max),
-        "fd_residual_probe": float(max(abs(profile.fd_residual(R)) for R in probe)),
+        "fd_residual_probe": float(np.max(np.abs(profile.fd_residual(probe)))),
     }
     object.__setattr__(profile, "meta", meta)
     return profile
@@ -384,8 +423,9 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
     """Rotational immersion chart (R, angles) -> (R omega, u(R)) from one profile.
 
     The jets of all rows come from one dense-output call for u and u' and
-    from the profile equation's u''. The vertical component of the normal is
-    positive, matching the graph orientation.
+    from the profile equation's u'', each taken once per distinct radius (a
+    grid mesh repeats every radius once per angle node). The vertical
+    component of the normal is positive, matching the graph orientation.
     """
     n, r = profile.n, profile.r
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
@@ -402,10 +442,12 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
 
     def jets(Q):
         R = Q[:, 0]
-        u_val, up = profile.u_and_up(R)
-        if not np.all(R > 0):
+        radii, row = np.unique(R, return_inverse=True)
+        u_val, up = profile.u_and_up(radii)
+        if not np.all(radii > 0):
             raise DomainError("profile equation needs R > 0")
-        upp = np.array([_upp(c1, c2, r, a, b) for a, b in zip(R.tolist(), up.tolist())])
+        upp = np.array([_upp(c1, c2, r, a, b) for a, b in zip(radii.tolist(), up.tolist())])
+        u_val, up, upp = u_val[row], up[row], upp[row]
         m = len(R)
         X = np.empty((m, n + 1))
         dX = np.zeros((m, n + 1, n))
@@ -513,9 +555,13 @@ def bowl_drift(profile, R1=80.0, R2=100.0):
 
 
 def export_profile(profile, csv_path, json_path, extra_header=None):
-    """Write the grid as CSV columns R,u,up,theta plus a JSON metadata header.
+    """Write the table as CSV columns R,u,up,theta plus a JSON metadata header.
 
-    Floats are written with shortest round-trip repr, so a load gives back
+    The rows are the profile's table (see ``RotProfile._rows``): the
+    integrator nodes plus dense-output rows inside each step, at most
+    R_max / TABLE_PARTS apart, so the CSV reads linearly. The header's
+    ``integrator.steps`` counts integrator steps, not rows. Floats are
+    written with shortest round-trip repr, so a load gives back
     bit-identical arrays.
     """
     theta = 1.0 / np.sqrt(1.0 + np.square(profile.up))
@@ -557,15 +603,12 @@ def load_profile(csv_path, json_path):
     return RotProfile(
         n=int(header["n"]),
         r=int(header["r"]),
-        grid=grid,
-        u=u,
-        up=up,
         meta=dict(header["integrator"]),
         k0=float(header["k0"]),
         a4=float(header["a4"]),
         R_start=float(header["R_start"]),
         R_max=float(header["R_max"]),
-        _sol=None,
+        _table=(grid, u, up),
     )
 
 

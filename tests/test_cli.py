@@ -46,6 +46,12 @@ class TestVerifyIdentities:
         assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "sphere center must have n + 1 = 3 coordinates" in capsys.readouterr().err
 
+    def test_bowl_dimension_defaults_to_two(self, tmp_path):
+        # n is optional in the schema; like every other kind, the bowl defaults it to 2
+        cfg = write_config(tmp_path, {"surface": {"kind": "bowl", "r": 1}})
+        assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["results"]["surface"] == "bowl-n2"
+
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -253,7 +259,7 @@ class TestProfile:
         assert prof.n == 2 and prof.r == 1
         assert prof.grid[0] == 0.0
         header = json.loads((tmp_path / "profile.json").read_text())
-        assert header["integrator"]["method"] == "RK45"
+        assert header["integrator"]["method"] == "LSODA"
         # bit-exactness of the text round trip
         first_line = (tmp_path / "profile.csv").read_text().splitlines()[2]
         vals = [float(tok) for tok in first_line.split(",")]

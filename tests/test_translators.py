@@ -1,5 +1,6 @@
 """Tests for the explicit translator constructions and their asymptotics."""
 
+import json
 import math
 import time
 
@@ -9,6 +10,7 @@ import scipy.integrate  # noqa: F401  (imported up front so that timed solves do
 from scipy.optimize import brentq
 
 from rmcf.charts import Mesh, point_geometry, soliton_residual
+from rmcf.cli import main
 from rmcf.errors import (
     DegenerateODEError,
     DomainError,
@@ -16,6 +18,9 @@ from rmcf.errors import (
     NumericalError,
 )
 from rmcf.translators import (
+    R_MAX_LIMIT,
+    TABLE_PARTS,
+    RotProfile,
     _upp,
     asymptotic_fit,
     bowl_drift,
@@ -131,12 +136,37 @@ class TestSolve:
         # domain, to R_max - h, so the centered difference stays inside
         def worst(p, h=1e-4):
             grid = p.grid[(p.grid >= 1e-2) & (p.grid <= p.R_max - h)]
-            return max(abs(p.fd_residual(R, h)) for R in grid)
+            return np.max(np.abs(p.fd_residual(grid, h)))
 
         for p in (bowl21, rbowl32):
             assert worst(p) < 1e-7
         # the bound catches a loose solve
         assert worst(solve_rotational_translator(3, 2, R_max=100.0, tol=1e-6)) > 1e-6
+
+    def test_fd_residual_array_is_per_radius(self, bowl21, rbowl32):
+        # one dense-output call over R and R +- h gives each radius its own bits
+        for p in (bowl21, rbowl32):
+            R = np.linspace(0.05, 0.9 * p.R_max, 27)
+            got = p.fd_residual(R)
+            assert got.shape == R.shape
+            assert [float(v) for v in got] == [p.fd_residual(x) for x in R]
+            assert isinstance(p.fd_residual(1.0), float)
+
+    @pytest.mark.parametrize("n, r, R_max", [(2, 1, 300.0), (3, 1, 300.0), (3, 2, 1e3),
+                                             (4, 3, 1e3)])
+    def test_every_order_runs_lsoda_on_the_jacobian(self, n, r, R_max):
+        meta = solve_rotational_translator(n, r, R_max=R_max, tol=1e-10).meta
+        assert meta["method"] == "LSODA"
+        assert meta["njev"] > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bowl_at_the_largest_radius(self, n):
+        # RK45 did not finish R_max 1e4 in a minute; the r = 1 far field is stiff
+        t0 = time.perf_counter()
+        p = solve_rotational_translator(n, 1, R_max=R_MAX_LIMIT, tol=1e-10)
+        fit = asymptotic_fit(p, 0.5 * R_MAX_LIMIT, R_MAX_LIMIT)
+        assert time.perf_counter() - t0 < 5.0
+        assert abs(fit["leading"] - 1.0 / (2 * (n - 1))) < 1e-6
 
     def test_tolerance_ordering(self):
         # halving tol improves the fd residual across three decades
@@ -166,6 +196,53 @@ class TestSolve:
             bowl21.eval_u(101.0)
         with pytest.raises(DomainError):
             bowl21.eval_u(-0.5)
+
+
+class TestTable:
+    """The exported table: integrator nodes plus equal dense-output parts per step."""
+
+    @pytest.mark.parametrize("n, r, R_max", [(2, 1, 300.0), (3, 1, 300.0), (3, 2, 1e3),
+                                             (2, 2, 1.3)])
+    def test_rows_read_linearly(self, n, r, R_max):
+        p = solve_rotational_translator(n, r, R_max=R_max, tol=1e-10)
+        grid, u, up = p.grid, p.u, p.up
+        h = R_max / TABLE_PARTS
+        assert np.all(np.diff(grid) > 0)
+        assert np.max(np.diff(grid)) <= h * (1 + 1e-12)
+        assert grid.size >= p.meta["steps"] + 1
+        # every integrator state is a row, bit for bit
+        R_nodes, u_nodes, up_nodes = p._nodes
+        rows = np.searchsorted(grid, R_nodes)
+        assert np.array_equal(grid[rows], R_nodes)
+        assert np.array_equal(u[rows], u_nodes) and np.array_equal(up[rows], up_nodes)
+        # linear reads between rows: (h^2 / 8) max |u''|, plus the dense-output error
+        upp = max(abs(rot_ode_rhs(n, r, R, v)) for R, v in zip(grid[1:], up[1:]))
+        mid = 0.5 * (grid[1:] + grid[:-1])
+        err = np.max(np.abs(np.interp(mid, grid, u) - p.eval_u(mid)))
+        print(f"({n}, {r}, {R_max:g}): {grid.size} rows for {p.meta['steps']} steps, "
+              f"midpoint read error {err:.2e}")
+        assert err <= h * h / 8.0 * upp
+
+    def test_chart_geometry_leaves_the_table_unbuilt(self):
+        p = solve_rotational_translator(3, 2, R_max=1e3, tol=1e-9)
+        Mesh.grid(rot_chart(p), (13, 5, 5)).geometry()
+        assert p._table is None
+        p.grid
+        assert p._table is not None
+
+    def test_theorem_check_never_reads_a_table(self, tmp_path, monkeypatch):
+        def unread(self):
+            raise AssertionError("the profile table was built")
+
+        monkeypatch.setattr(RotProfile, "_rows", unread)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 1e3, "tol": 1e-9},
+            "region": {"kind": "halfspace", "W": [0.6, 0.0, 0.0, 0.8]},
+            "theorem": "halfspace", "r": 2, "V": [0.0, 0.0, 0.0, 1.0],
+        }))
+        assert main(["theorem-check", "--config", str(cfg), "--mesh", "5",
+                     "--out", str(tmp_path)]) == 0
 
 
 class TestBoundedDomain:
@@ -355,7 +432,7 @@ class TestExport:
         assert np.array_equal(back.u, bowl21.u)
         assert np.array_equal(back.up, bowl21.up)
         assert back.n == bowl21.n and back.r == bowl21.r
-        assert back.meta["method"] == "RK45"
+        assert back.meta["method"] == "LSODA"
 
     def test_loaded_profile_has_no_dense_output(self, tmp_path, bowl21):
         csv = tmp_path / "p.csv"
