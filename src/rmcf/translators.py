@@ -565,10 +565,10 @@ def export_profile(profile, csv_path, json_path, extra_header=None):
     bit-identical arrays.
     """
     theta = 1.0 / np.sqrt(1.0 + np.square(profile.up))
+    rows = np.stack((profile.grid, profile.u, profile.up, theta), axis=1).tolist()
     with open(csv_path, "w") as fh:
         fh.write("R,u,up,theta\n")
-        for row in zip(profile.grid, profile.u, profile.up, theta):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     header = {
         "n": profile.n,
         "r": profile.r,
@@ -589,14 +589,11 @@ def load_profile(csv_path, json_path):
     """Rebuild a data-only RotProfile (no dense output) from exported files."""
     with open(json_path) as fh:
         header = json.load(fh)
-    rows = []
     with open(csv_path) as fh:
         names = fh.readline().strip().split(",")
         if names != ["R", "u", "up", "theta"]:
             raise InvalidInputError(f"unexpected CSV columns {names}")
-        for line in fh:
-            rows.append([float(tok) for tok in line.strip().split(",")])
-    arr = np.array(rows)
+        arr = np.loadtxt(fh, delimiter=",", ndmin=2)  # correctly rounded, as float() is
     grid, u, up = arr[:, 0], arr[:, 1], arr[:, 2]
     for a in (grid, u, up):
         a.setflags(write=False)
