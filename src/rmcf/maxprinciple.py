@@ -106,7 +106,10 @@ class GFunction:
     def _raw(self, t):
         prod = t * t
         for j in range(1, self.levels + 1):
-            prod = prod * _log_iterate(t, j) ** 2
+            # x * x, not x ** 2: a numpy scalar's ** 2 calls pow(), which can
+            # round differently from an array's square
+            log_j = _log_iterate(t, j)
+            prod = prod * (log_j * log_j)
         return prod
 
     def value(self, t):
