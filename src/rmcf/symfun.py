@@ -48,6 +48,22 @@ def symmetrized(a, where=_nowhere):
     return 0.5 * (a + at)
 
 
+def _symmetrized_derived(P, where=_nowhere):
+    """0.5 (P + P^T) of a polynomial in checked symmetric matrices, (n, n) or (..., n, n).
+
+    A polynomial in a symmetric matrix is symmetric up to round-off, and
+    when its entries cancel (P_n = 0 by Cayley-Hamilton) that round-off
+    can exceed the relative bound ``symmetrized`` enforces, so only
+    finiteness (lost to overflow) is checked again. The arithmetic is
+    ``symmetrized``'s.
+    """
+    finite = np.isfinite(P).all(axis=(-2, -1))
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise InvalidInputError(f"matrix has non-finite entries{where(i)}")
+    return 0.5 * (P + np.swapaxes(P, -1, -2))
+
+
 class SymMatrix:
     """Dense symmetric matrix, symmetrized on construction.
 
@@ -83,14 +99,8 @@ class SymMatrix:
 
     @classmethod
     def _derived(cls, P):
-        """0.5 (P + P^T) of a matrix computed from a checked SymMatrix.
-
-        P is a polynomial in a symmetric matrix, so its asymmetry is
-        round-off; only finiteness (lost to overflow) is checked again.
-        """
-        if not np.isfinite(P).all():
-            raise InvalidInputError("matrix has non-finite entries")
-        return cls._of_symmetrized(0.5 * (P + P.T))
+        """Wrap a polynomial in a checked SymMatrix (see ``_symmetrized_derived``)."""
+        return cls._of_symmetrized(_symmetrized_derived(P))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -237,10 +247,10 @@ def _newton_recursion(A, sigma, r):
 def newton_transforms(A, sigma, r, where=_nowhere):
     """P_r of a symmetric matrix A (n, n) or a stack (m, n, n), with sigma tables (..., n+1).
 
-    The recursion runs on the whole stack; the result is symmetrized and
-    checked like a SymMatrix.
+    The recursion runs on the whole stack; the result is symmetrized as
+    in ``_symmetrized_derived``.
     """
-    return symmetrized(np.broadcast_to(_newton_recursion(A, sigma, r), A.shape), where)
+    return _symmetrized_derived(np.broadcast_to(_newton_recursion(A, sigma, r), A.shape), where)
 
 
 def newton_polynomial(A, r):

@@ -16,6 +16,7 @@ from rmcf.symfun import (
     min_eigen_Pr,
     newton_polynomial,
     newton_transform,
+    newton_transforms,
     sigma_all,
     trace_identities,
 )
@@ -166,6 +167,22 @@ class TestNewtonTransform:
         a = random_sym(rng, 4, radius=1.7)
         pn = newton_transform(a, 4)
         assert np.max(np.abs(pn.entries)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cayley_hamilton_at_large_scale(self, seed):
+        # P_3 of a spectral-radius-1e3 matrix is round-off of size 1e-16 |A|^3,
+        # which the one-row and the stacked path symmetrize without rejecting
+        A = SymMatrix(random_sym(np.random.default_rng(seed), 3, radius=1e3))
+        one = newton_transform(A, 3).entries
+        stacked = newton_transforms(A.entries[None], A.sigma_table()[None], 3)[0]
+        assert np.max(np.abs(one)) <= 1e-13 * 1e9
+        assert np.array_equal(one, stacked)
+
+    def test_overflow_is_rejected(self):
+        A = SymMatrix(np.full((2, 2), 1e200))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                newton_transform(A, 2)
 
     def test_r_above_n_rejected(self):
         with pytest.raises(DomainError):
