@@ -97,11 +97,6 @@ class SymMatrix:
             object.__setattr__(self, name, value)
         return self
 
-    @classmethod
-    def _derived(cls, P):
-        """Wrap a polynomial in a checked SymMatrix (see ``_symmetrized_derived``)."""
-        return cls._of_symmetrized(_symmetrized_derived(P))
-
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
@@ -232,25 +227,22 @@ def newton_transform(A, r):
         raise InvalidInputError("order r must be a nonnegative integer")
     if r > n:
         raise DomainError(f"P_r is only defined for r <= n (got r={r}, n={n})")
-    return SymMatrix._derived(_newton_recursion(A.entries, A.sigma_table(), r))
-
-
-def _newton_recursion(A, sigma, r):
-    """P_0 = I, P_j = sigma_j I - A P_{j-1} on A (n, n) or (m, n, n); P_0 is not broadcast."""
-    eye = np.eye(A.shape[-1])
-    P = eye
-    for j in range(1, r + 1):
-        P = sigma[..., j, None, None] * eye - A @ P
-    return P
+    return SymMatrix._of_symmetrized(newton_transforms(A.entries, A.sigma_table(), r))
 
 
 def newton_transforms(A, sigma, r, where=_nowhere):
     """P_r of a symmetric matrix A (n, n) or a stack (m, n, n), with sigma tables (..., n+1).
 
-    The recursion runs on the whole stack; the result is symmetrized as
-    in ``_symmetrized_derived``.
+    The recursion P_0 = I, P_j = sigma_j I - A P_{j-1} runs on the whole
+    stack; the result is symmetrized as in ``_symmetrized_derived``.
     """
-    return _symmetrized_derived(np.broadcast_to(_newton_recursion(A, sigma, r), A.shape), where)
+    eye = np.eye(A.shape[-1])
+    P = eye
+    for j in range(1, r + 1):
+        P = sigma[..., j, None, None] * eye - A @ P
+    if P.shape != A.shape:  # P_0 of a stack
+        P = np.broadcast_to(P, A.shape)
+    return _symmetrized_derived(P, where)
 
 
 def newton_polynomial(A, r):
@@ -267,7 +259,7 @@ def newton_polynomial(A, r):
     acc = sig[0] * eye  # sigma_0 I, then fold in B = -A
     for j in range(1, r + 1):
         acc = B @ acc + sig[j] * eye
-    return SymMatrix._derived(acc)
+    return SymMatrix._of_symmetrized(_symmetrized_derived(acc))
 
 
 def trace_identities(A, r):
