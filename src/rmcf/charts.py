@@ -4,9 +4,9 @@ A Chart is an immersion patch X: U in R^n -> R^{n+1} handing back analytic
 first and second derivatives at every query. From those we build the
 induced metric, a deterministic orthonormal frame (inverse Cholesky factor
 of g), the unit normal with a per-chart orientation rule, the shape
-operator, intrinsic Hessians with Christoffel correction, the operator
-L_{r-1} f = tr(P_{r-1} hess f), and the translator residual
-sigma_r - <N, V>.
+operator, intrinsic gradients and Hessians of ambient fields (tangential
+projection and the Gauss formula), the operator L_{r-1} f = tr(P_{r-1} hess f),
+and the translator residual sigma_r - <N, V>.
 
 Sign convention: the second fundamental form is II(Y, Z) = <dd X(Y,Z), N>,
 so the unit sphere carries A = +I when the normal points inward. Graph
@@ -16,7 +16,6 @@ charts pick <N, E_{n+1}> > 0.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     InvalidInputError,
     NearOriginError,
     SingularPointError,
-    ToleranceError,
 )
 from . import kernels
 from .symfun import CurvatureSpectrum, SymMatrix, newton_transforms, symmetrized
@@ -179,9 +177,12 @@ class MeshGeometry:
     which errors name. ``len``, indexing and iteration give
     ``PointGeometry`` rows, built on demand.
 
-    The Newton transforms are computed once per order, and a field's frame
-    gradient and intrinsic Hessian once per field object; the cached arrays
-    are read-only.
+    A field's frame gradient E^T grad F and intrinsic Hessian
+    E^T D^2F E + <grad F, N> A (the Gauss formula) come from its ambient
+    derivatives at X, so no Christoffel symbols are needed. The Newton
+    transforms are computed once per order, and a field's frame gradient
+    and intrinsic Hessian once per field object; the cached arrays are
+    read-only.
     """
 
     chart: Chart
@@ -259,36 +260,23 @@ class MeshGeometry:
                             lambda: newton_transforms(self.A, self.sigma, r, where=self._where))
 
     def frame_gradient(self, f):
-        """Gradient components of f in the orthonormal frames (solve L x = df)."""
-        return self._cached(
-            ("grad", f), lambda: np.linalg.solve(self.L, f.param_grads(self)[..., None])[..., 0]
-        )
-
-    @cached_property
-    def _christoffel(self):
-        """Gamma^k_{ij} = g^{kl} <dd X_{ij}, d X_l> (m, n, n, n), indexed [:, i, j, k]."""
-        m, n = self.u.shape
-        c = np.matmul(self.d2X, self.dX[:, None])  # (m, n, n, n): c[:, i, j, l]
-        gamma = _transposed(np.linalg.solve(self.g, _transposed(c.reshape(m, n * n, n))))
-        return gamma.reshape(m, n, n, n)
-
-    @cached_property
-    def _L_inv(self):
-        return np.linalg.inv(self.L)
+        """Gradient components of f in the orthonormal frames: E^T grad F."""
+        return self._cached(("grad", f), lambda: self.tangential(f.grad_at(self.X)))
 
     def intrinsic_hessian(self, f):
-        """hess f (m, n, n) in the orthonormal frames: second partials minus Christoffel term.
+        """hess f (m, n, n) in the orthonormal frames, by the Gauss formula.
 
-        The Christoffel symbols and L^{-1} depend on the geometry only, so
-        they are computed once per ``MeshGeometry`` and shared by every field.
+        hess f = E^T D^2F E + <grad F, N> A for the restriction f of an
+        ambient field F; one ``grad_at`` and one ``hess_at`` call on X.
         """
         return self._cached(("hess", f), lambda: self._hessian(f))
 
     def _hessian(self, f):
-        df, d2f = f.param_derivatives(self)
-        hess_coord = d2f - _matvec(self._christoffel, df[:, None, :])
-        Linv = self._L_inv
-        return symmetrized(Linv @ hess_coord @ _transposed(Linv), where=self._where)
+        G = f.grad_at(self.X)
+        H = _stacked(f.hess_at(self.X), self.X.shape + self.X.shape[-1:])
+        along_N = rowdot(G, self.N)[:, None, None]
+        return symmetrized(_transposed(self.E) @ H @ self.E + along_N * self.A,
+                           where=self._where)
 
     def L_operator(self, f, r):
         """L_{r-1} f = tr(P_{r-1} hess f) at every row."""
@@ -469,77 +457,12 @@ def _row_geometry(chart, u, pg):
 
 
 # ---------------------------------------------------------------------------
-# scalar fields on charts
-
-
-def _fd_step(chart, requested=None):
-    diam = chart.domain_diameter()
-    if requested is not None:
-        if requested < 1e-8 * diam:
-            raise ToleranceError(
-                f"finite-difference step {requested:.2e} underflows "
-                f"1e-8 * domain size {diam:.2e}"
-            )
-        return requested
-    return max(1e-5, 1e-6 * diam)
+# ambient fields on charts
 
 
 def _stacked(a, shape):
     """An evaluator's result as float, broadcast to the stack's shape."""
     return np.broadcast_to(np.asarray(a, dtype=float), shape)
-
-
-class ScalarField:
-    """Function of chart parameters; derivatives by central differences.
-
-    ``fn`` acts on parameter stacks U (..., n) and returns (...,). Each
-    stencil shifts the whole stack along one axis at a time. Second
-    differences use a larger step than first differences to stay above the
-    float64 rounding floor.
-    """
-
-    def __init__(self, fn, step=None, hess_step=None):
-        self._fn = fn
-        self._step = step
-        self._hess_step = hess_step
-
-    def _eval(self, U):
-        return _stacked(self._fn(U), U.shape[:-1])
-
-    def values(self, mg):
-        """Values (m,) at every row of a MeshGeometry."""
-        return self._eval(mg.u)
-
-    def param_grads(self, mg):
-        """Parameter gradients (m, n) at every row of a MeshGeometry."""
-        U, n = mg.u, mg.chart.n
-        h = _fd_step(mg.chart, self._step)
-        shifts = h * np.eye(n)
-        return np.stack(
-            [(self._eval(U + e) - self._eval(U - e)) / (2 * h) for e in shifts], axis=-1
-        )
-
-    def param_derivatives(self, mg):
-        """Parameter gradients (m, n) and Hessians (m, n, n) at every row of a MeshGeometry."""
-        U, n = mg.u, mg.chart.n
-        h = self._hess_step
-        if h is None:
-            h = max(3e-4, 1e-5 * mg.chart.domain_diameter())
-        _fd_step(mg.chart, h)
-        shifts = h * np.eye(n)
-        out = np.empty(U.shape + (n,))
-        f0 = self._eval(U)
-        for i, ei in enumerate(shifts):
-            out[..., i, i] = (self._eval(U + ei) - 2 * f0 + self._eval(U - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = shifts[j]
-                out[..., i, j] = out[..., j, i] = (
-                    self._eval(U + ei + ej)
-                    - self._eval(U + ei - ej)
-                    - self._eval(U - ei + ej)
-                    + self._eval(U - ei - ej)
-                ) / (4 * h**2)
-        return self.param_grads(mg), out
 
 
 class AmbientField:
@@ -549,9 +472,10 @@ class AmbientField:
     point or a stack, and return (...,), (..., n+1) and (..., n+1, n+1);
     a result that does not depend on X (a constant vector, say) is
     broadcast to the stack. They are kept as ``value_at``, ``grad_at`` and
-    ``hess_at``. Each method below makes one evaluator call on the stacked
-    X of a MeshGeometry; the pullback to parameter derivatives is exact,
-    which is what the 1e-7 scale operator identities need.
+    ``hess_at``, and ``MeshGeometry`` calls each on its stacked X: the frame
+    gradient is E^T grad F and the intrinsic Hessian follows from the Gauss
+    formula, both exact in the analytic derivatives, which is what the 1e-7
+    scale operator identities need.
     """
 
     def __init__(self, fn, grad, hess):
@@ -562,17 +486,6 @@ class AmbientField:
     def values(self, mg):
         """Values (m,) at every row of a MeshGeometry."""
         return _stacked(self.value_at(mg.X), mg.X.shape[:-1])
-
-    def param_grads(self, mg):
-        """Parameter gradients (m, n) at every row of a MeshGeometry."""
-        return _matvec(_transposed(mg.dX), _stacked(self.grad_at(mg.X), mg.X.shape))
-
-    def param_derivatives(self, mg):
-        """Parameter gradients (m, n) and Hessians (m, n, n), from one ``grad_at`` call."""
-        G = _stacked(self.grad_at(mg.X), mg.X.shape)
-        H = _stacked(self.hess_at(mg.X), mg.X.shape + mg.X.shape[-1:])
-        dXt = _transposed(mg.dX)
-        return _matvec(dXt, G), dXt @ H @ mg.dX + _matvec(mg.d2X, G[:, None, :])
 
 
 def linear_height(W):
@@ -641,17 +554,17 @@ def cone_excess(V, a, origin=None):
 
 
 def intrinsic_hessian(chart, f, u, pg=None):
-    """hess f in the orthonormal frame: second partials minus Christoffel term."""
+    """hess f in the orthonormal frame, by the Gauss formula E^T D^2F E + <grad F, N> A."""
     return SymMatrix(_row_geometry(chart, u, pg).intrinsic_hessian(f)[0])
 
 
 def frame_gradient(chart, f, u, pg=None):
-    """Gradient components in the orthonormal frame (solve L x = df)."""
+    """Gradient components E^T grad F in the orthonormal frame."""
     return _row_geometry(chart, u, pg).frame_gradient(f)[0]
 
 
 def gradient_norm(chart, f, u, pg=None):
-    """Intrinsic |grad f| via the inverse metric."""
+    """Intrinsic |grad f|, the length of the tangential part of grad F."""
     return float(np.linalg.norm(frame_gradient(chart, f, u, pg=pg)))
 
 

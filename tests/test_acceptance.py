@@ -73,8 +73,9 @@ def test_algebraic_identity_suite():
                 a *= 2.0 * rng.uniform(0.25, 1.0) / rho  # spectral radius <= 2
                 A = SymMatrix(a)
 
-                for t in rng.uniform(-2.0, 2.0, size=10):
-                    det = float(np.linalg.det(a - t * np.eye(n)))
+                ts = rng.uniform(-2.0, 2.0, size=10)
+                dets = np.linalg.det(a - ts[:, None, None] * np.eye(n))
+                for t, det in zip(ts, dets):
                     assert abs(char_poly_eval(A, float(t)) - det) <= 1e-8 * max(
                         1.0, abs(det)
                     )
@@ -87,7 +88,7 @@ def test_algebraic_identity_suite():
                 trP, trAP = trace_identities(A, rr)
                 vals = np.linalg.eigvalsh(a)
                 sig = [
-                    float(sum(np.prod(c) for c in itertools.combinations(vals, k)))
+                    float(sum(math.prod(c) for c in itertools.combinations(vals, k)))
                     if k else 1.0
                     for k in range(n + 1)
                 ]

@@ -1,7 +1,6 @@
 """CLI contract tests: exit codes, report determinism, file formats."""
 
 import json
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -179,18 +178,17 @@ class TestTheoremCheck:
         assert len(shapes) == 2
         assert all(len(s) == 2 and s[0] > 13**3 // 2 and s[1] == 4 for s in shapes), shapes
 
-    def test_cone_check_computes_christoffel_symbols_once(self, tmp_path, monkeypatch):
-        # the identity check and the maximizer run share one masked slice
-        sizes = []
-        christoffel = MeshGeometry._christoffel.func
+    def test_cone_check_computes_each_hessian_once(self, tmp_path, monkeypatch):
+        # the identity check and the maximizer run share one masked slice, and
+        # that slice computes the Hessian of psi and of |X|^2 once each
+        calls = []
+        hessian = MeshGeometry._hessian
 
-        def counted(mg):
-            sizes.append(len(mg))
-            return christoffel(mg)
+        def counted(mg, f):
+            calls.append((mg, f))
+            return hessian(mg, f)
 
-        prop = cached_property(counted)
-        prop.__set_name__(MeshGeometry, "_christoffel")
-        monkeypatch.setattr(MeshGeometry, "_christoffel", prop)
+        monkeypatch.setattr(MeshGeometry, "_hessian", counted)
         V = [0.0, 0.0, 0.0, 1.0]
         cfg = write_config(tmp_path, {
             "surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 1e3, "tol": 1e-9},
@@ -198,7 +196,26 @@ class TestTheoremCheck:
             "theorem": "cone", "r": 2, "V": V, "a": 0.3,
         })
         assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert len(sizes) == 1 and sizes[0] > 13**3 // 2, sizes
+        assert len(calls) == 2, calls
+        (mg, psi), (same_mg, gamma) = calls
+        assert same_mg is mg and len(mg) > 13**3 // 2
+        assert gamma is not psi
+
+    @pytest.mark.parametrize("W", [(0.6, 0.0, 0.0, 0.8), (0.0, 0.6, 0.0, 0.8),
+                                   (0.48, 0.36, 0.0, 0.8), (0.8, 0.0, 0.0, 0.6)])
+    def test_halfspace_height_identity_at_round_off(self, tmp_path, W):
+        # L_1 <X, W> = 2 sigma_2 <N, W> on the (3, 2) bowl at R_max 1e3: the
+        # Gauss formula meets it at round-off (about 4e-16 scaled); a Hessian
+        # through Christoffel symbols solved against g lost about two digits
+        V = [0.0, 0.0, 0.0, 1.0]
+        cfg = write_config(tmp_path, {
+            "surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 1e3, "tol": 1e-9},
+            "region": {"kind": "halfspace", "W": list(W)},
+            "theorem": "halfspace", "r": 2, "V": V,
+        })
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        drive = json.loads((tmp_path / "report.json").read_text())["results"]["drive"]
+        assert drive["L_identity_err"] < 2e-15, drive["L_identity_err"]
 
     def test_missing_region(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": BOWL_SURFACE, "theorem": "cone"})
