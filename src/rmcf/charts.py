@@ -228,11 +228,6 @@ class MeshGeometry:
                   self.sigma, self.normA)
         return MeshGeometry(self.chart, self.index[idx], *(_frozen(a[idx]) for a in arrays))
 
-    @property
-    def g(self):
-        """Induced metrics (m, n, n)."""
-        return _transposed(self.dX) @ self.dX
-
     def sigma_r(self, r):
         """sigma_r at every row, with sigma_r = 0 for r > n."""
         if r < 0:
