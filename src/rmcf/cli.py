@@ -23,13 +23,7 @@ from . import __version__, identities, registry
 from .charts import Mesh
 from .errors import BoundaryDominatedWarning, InvalidInputError, RmcfError, StiffFailureError
 from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
-from .regions import (
-    Halfspace,
-    bihalfspace_drive,
-    first_exit,
-    min_eigen_over_mesh,
-    normalize_bihalfspace,
-)
+from .regions import bihalfspace_drive, min_eigen_over_mesh, normalize_bihalfspace
 from .translators import asymptotic_fit, bowl_drift, export_profile, solve_rotational_translator
 
 _NUM_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 2}
@@ -204,15 +198,16 @@ def cmd_verify_identities(args):
     return 0
 
 
-def _run_drive(chart, mesh, region, theorem, params, config):
+def _run_drive(chart, mesh, region, theorem, params, config, gate):
     if theorem == "cone":
         return cone_drive(
             chart, mesh, np.asarray(params["V"], dtype=float), float(params["a"]),
-            int(params["r"]), require_translator=False,
+            int(params["r"]), gate=gate,
         ).to_json_dict()
     if theorem == "halfspace":
         return halfspace_drive(
             chart, mesh, np.asarray(params["V"], dtype=float), region.W, int(params["r"]),
+            gate=gate,
         ).to_json_dict()
     # bihalfspace: normalize the pair, move the chart, run the pocket drive
     V = np.asarray(params["V"], dtype=float)
@@ -253,6 +248,15 @@ def _check_theorem_config(config, n):
             raise _UsageError(
                 f"{name!r} needs n + 1 = {n + 1} coordinates for this surface (got {len(vec)})"
             )
+    if config["theorem"] == "cone":
+        # the drive reads the gate's first-exit scan: one cone for both
+        if region["a"] != config["a"]:
+            raise _UsageError(f"'region.a' = {region['a']} must equal the cone parameter "
+                              f"'a' = {config['a']}")
+        axis, V = np.asarray(region["V"], dtype=float), np.asarray(config["V"], dtype=float)
+        if not np.allclose(axis * np.linalg.norm(V), V * np.linalg.norm(axis),
+                           rtol=0.0, atol=1e-10 * np.linalg.norm(V) * np.linalg.norm(axis)):
+            raise _UsageError("'region.V' must point along the velocity 'V'")
     if not 1 <= config["r"] <= n:
         raise _UsageError(f"'r' must satisfy 1 <= r <= n = {n} (got r={config['r']})")
 
@@ -280,8 +284,8 @@ def cmd_theorem_check(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryDominatedWarning)
         gate = hypothesis_gate(chart, mesh, theorem, params, region=region)
-        drive = _run_drive(chart, mesh, region, theorem, params, config)
-    exit_res = first_exit(chart, region, mesh)
+        drive = _run_drive(chart, mesh, region, theorem, params, config, gate)
+    exit_res = gate.exit
 
     payload = _header("theorem-check", config, seed)
     payload["results"] = {

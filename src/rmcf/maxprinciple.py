@@ -22,9 +22,16 @@ from .errors import (
     BoundaryDominatedWarning,
     DomainError,
     InvalidInputError,
-    NumericalError,
 )
-from .regions import Cone, Halfspace, first_exit, growth_report, min_eigen_over_mesh
+from .regions import (
+    Cone,
+    FirstExit,
+    GrowthReport,
+    Halfspace,
+    first_exit,
+    growth_report,
+    min_eigen_over_mesh,
+)
 
 SPLICE_T0 = math.exp(math.e) * 1.01   # splice point of the iterated-log profiles
 BOUND_LOWER_LIMIT = math.exp(2 * math.e)  # integration base of the constant estimates
@@ -55,18 +62,15 @@ class GFunction:
 
     Kinds: ``constant``; ``iterated_log`` with N levels, the profile
     t^2 prod_j (log^(j) t)^2 spliced to its value at t0 = e^e * 1.01 so
-    that G stays positive and monotone down to 0; ``table`` for custom
-    monotone samples. The reciprocal-square-root integrals carry closed
-    forms for the first two kinds; a quadrature route exists for all and
-    can be forced for cross-checks.
+    that G stays positive and monotone down to 0. Both kinds carry closed
+    forms for the reciprocal-square-root integrals.
 
     ``value``, ``integral_inv_sqrt``, ``phi``, ``phi_prime`` and
     ``p_bound`` act elementwise on arrays and return a float for a scalar
-    input; the closed forms are numpy expressions over the whole array,
-    the quadrature route runs once per element.
+    input; each is a numpy expression over the whole array.
     """
 
-    def __init__(self, kind, constant=None, levels=None, table=None):
+    def __init__(self, kind, constant=None, levels=None):
         self.kind = kind
         if kind == "constant":
             if not (constant and constant > 0):
@@ -80,14 +84,6 @@ class GFunction:
                 )
             self.levels = levels
             self.floor = float(self._raw(SPLICE_T0))
-        elif kind == "table":
-            ts, gs = table
-            ts = np.asarray(ts, dtype=float)
-            gs = np.asarray(gs, dtype=float)
-            if np.any(np.diff(ts) <= 0) or np.any(gs <= 0) or np.any(np.diff(gs) < 0):
-                raise InvalidInputError("table must be increasing in t with positive nondecreasing G")
-            self.ts, self.gs = ts, gs
-            self.floor = float(gs[0])
         else:
             raise InvalidInputError(f"unknown G kind {kind!r}")
 
@@ -98,10 +94,6 @@ class GFunction:
     @classmethod
     def iterated_log(cls, levels=1):
         return cls("iterated_log", levels=levels)
-
-    @classmethod
-    def from_table(cls, ts, gs):
-        return cls("table", table=(ts, gs))
 
     def _raw(self, t):
         prod = t * t
@@ -116,64 +108,32 @@ class GFunction:
         t = _nonnegative(t, "G")
         if self.kind == "constant":
             out = np.full(t.shape, self.constant)
-        elif self.kind == "iterated_log":
+        else:
             # the floor is raw(t0): clamping t at t0 splices G to its floor
             out = np.maximum(self.floor, self._raw(np.maximum(t, SPLICE_T0)))
-        else:
-            out = np.interp(t, self.ts, self.gs)
         return _result(out, t)
 
-    # -- integrals of 1 / sqrt(G) ------------------------------------------
-
-    def _closed_integral(self, lo, hi):
-        """Signed integral of G^{-1/2} with the piecewise closed form, elementwise."""
+    def integral_inv_sqrt(self, lo, hi):
+        """Signed int_lo^hi ds / sqrt(G(s)) by the piecewise closed form, elementwise."""
+        lo = _nonnegative(lo, "G^(-1/2)")
+        hi = _nonnegative(hi, "G^(-1/2)")
         sign = np.where(lo > hi, -1.0, 1.0)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         if self.kind == "constant":
-            return sign * ((hi - lo) / math.sqrt(self.constant))
-        flat = np.maximum(np.minimum(hi, SPLICE_T0) - lo, 0.0) / math.sqrt(self.floor)
-        # past the splice: the antiderivative of 1/(s prod log^(j) s) is log^(levels+1)
-        a = np.maximum(lo, SPLICE_T0)
-        top = self.levels + 1
-        tail = _log_iterate(np.maximum(hi, a), top) - _log_iterate(a, top)
-        return sign * (flat + tail)
-
-    def _quad(self, lo, hi):
-        from scipy.integrate import quad
-
-        def f(s):
-            return 1.0 / math.sqrt(self.value(s))
-
-        pts = None
-        if self.kind == "iterated_log":
-            t0 = SPLICE_T0
-            if min(lo, hi) < t0 < max(lo, hi):
-                pts = [t0]
-        val, err = quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300, points=pts)
-        if err > 1e-8 * max(1.0, abs(val)) + 1e-10:
-            raise NumericalError(
-                f"quadrature of G^(-1/2) did not converge: value {val:.6e}, "
-                f"error estimate {err:.2e}"
-            )
-        return float(val)
-
-    def integral_inv_sqrt(self, lo, hi, method="auto"):
-        """Signed int_lo^hi ds / sqrt(G(s)); 'quad' forces adaptive quadrature."""
-        lo = _nonnegative(lo, "G^(-1/2)")
-        hi = _nonnegative(hi, "G^(-1/2)")
-        if method == "auto" and self.kind in ("constant", "iterated_log"):
-            out = self._closed_integral(lo, hi)
+            out = sign * ((hi - lo) / math.sqrt(self.constant))
         else:
-            lo, hi = np.broadcast_arrays(lo, hi)
-            out = np.array(
-                [self._quad(a, b) for a, b in zip(lo.ravel().tolist(), hi.ravel().tolist())]
-            ).reshape(lo.shape)
+            flat = np.maximum(np.minimum(hi, SPLICE_T0) - lo, 0.0) / math.sqrt(self.floor)
+            # past the splice: the antiderivative of 1/(s prod log^(j) s) is log^(levels+1)
+            a = np.maximum(lo, SPLICE_T0)
+            top = self.levels + 1
+            tail = _log_iterate(np.maximum(hi, a), top) - _log_iterate(a, top)
+            out = sign * (flat + tail)
         return _result(out, out)
 
-    def phi(self, t, method="auto"):
+    def phi(self, t):
         """phi(t) = log(int_0^t ds/sqrt(G) + 1); phi(0) = 0, increasing, concave."""
         t = _nonnegative(t, "phi")
-        return _result(np.log(self.integral_inv_sqrt(0.0, t, method=method) + 1.0), t)
+        return _result(np.log(self.integral_inv_sqrt(0.0, t) + 1.0), t)
 
     def phi_prime(self, t):
         """Analytic phi' = [sqrt(G(t)) (int_0^t ds/sqrt(G) + 1)]^{ -1 }."""
@@ -181,12 +141,10 @@ class GFunction:
             1.0 / (np.sqrt(self.value(t)) * (self.integral_inv_sqrt(0.0, t) + 1.0)), t
         )
 
-    def p_bound(self, t, method="auto"):
+    def p_bound(self, t):
         """sqrt(G(t)) (int_{e^{2e}}^t ds/sqrt(G) + 1), the growth comparison scale."""
         return _result(
-            np.sqrt(self.value(t))
-            * (self.integral_inv_sqrt(BOUND_LOWER_LIMIT, t, method=method) + 1.0),
-            t,
+            np.sqrt(self.value(t)) * (self.integral_inv_sqrt(BOUND_LOWER_LIMIT, t) + 1.0), t
         )
 
 
@@ -407,15 +365,7 @@ def _identity_errors(mesh, psi, r, mask, expected):
     return grad_err, L_err
 
 
-def _failed_premises(contained, psd, growth, growth_id, res_sup):
-    failing = {"containment": not contained, "newton-psd": psd < -1e-10,
-               growth_id: not growth.satisfied, "translator-residual": res_sup > 1e-6}
-    return tuple(name for name, bad in failing.items() if bad)
-
-
-def cone_drive(
-    chart, mesh, V, a, r, G=None, k_max=8, require_translator=True, origin=None
-):
+def cone_drive(chart, mesh, V, a, r, G=None, k_max=8, origin=None, gate=None):
     """Drive the cone argument: psi = <X, V> - a |X| on a translator mesh.
 
     Verifies the gradient identity grad psi = V^T - a grad|X| and the
@@ -423,6 +373,11 @@ def cone_drive(
     maximizer sequence on psi, evaluates alpha(sigma_r^2) against the
     comparison sequence, and reports which premise of the nonexistence
     statement fails on this mesh (for genuine translators: containment).
+
+    The premises come from ``gate``, a cone ``hypothesis_gate`` report on
+    this mesh with a region; without one the drive builds it against
+    ``Cone(V, a)``. A gate on the bounded-sigma branch reads HS2-2, so the
+    drive then makes its own HS2-1 growth report.
     """
     V = np.asarray(V, dtype=float)
     if abs(np.linalg.norm(V) - 1.0) > 1e-10:
@@ -431,15 +386,10 @@ def cone_drive(
         raise InvalidInputError("cone parameter a must lie in (0, 1)")
     origin = np.zeros(chart.n + 1) if origin is None else np.asarray(origin, dtype=float)
     G = G or GFunction.iterated_log(1)
-
-    res_sup = _translator_residual_sup(mesh, V, r)
-    if require_translator and res_sup > 1e-4:
-        raise InvalidInputError(
-            f"chart is not a translator for (V, r): residual sup {res_sup:.3e}"
-        )
-
-    exit_res = first_exit(chart, Cone(V=V, a=a), mesh)
-    contained = not exit_res.found
+    if gate is None:
+        gate = hypothesis_gate(chart, mesh, "cone", {"r": r, "V": V, "a": a, "base_point": origin},
+                               region=Cone(V=V, a=a))
+    _check_gate(gate, "cone")
 
     psi = cone_excess(V, a, origin)
     mask = _origin_mask(mesh, origin)
@@ -465,34 +415,31 @@ def cone_drive(
     d = np.sqrt(rowdot(y, y))
     bounds = (1.0 / r) * (1.0 / run.ks + a * (chart.n - r + 1) * at.sigma_r(r - 1) / d)
 
-    growth = growth_report(
-        chart, mesh, "HS2-1", {"r": r, "a": a, "base_point": origin}
-    )
-    psd = min_eigen_over_mesh(mesh, r)
+    growth = gate.growth
+    if growth.hypothesis != "HS2-1":
+        growth = growth_report(chart, mesh, "HS2-1", {"r": r, "a": a, "base_point": origin})
 
     return DriveReport(
         kind="cone",
         r=r,
-        residual_sup=res_sup,
+        residual_sup=gate.residual_sup,
         grad_identity_err=grad_err,
         L_identity_err=L_err,
-        containment_holds=contained,
-        exit_margin=exit_res.margin,
+        containment_holds=gate.contained,
+        exit_margin=gate.exit.margin,
         oy=run,
-        failed_premises=_failed_premises(
-            contained, psd, growth, "growth-sigma-linear", res_sup
-        ),
+        failed_premises=gate.failed_premises(growth),
         extras={
             "alpha_values": alphas,
             "comparison_bounds": bounds,
-            "min_eigen_P": psd,
+            "min_eigen_P": gate.min_eigen_P,
             "growth": growth.to_json_dict(),
             "a": a,
         },
     )
 
 
-def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
+def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None, gate=None):
     """Drive the half-space argument: psi = <X, W> with <V, W> > 0.
 
     Verifies grad psi = W^T and L_{r-1} psi = r sigma_r <N, W> pointwise,
@@ -500,6 +447,10 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
     identity <V, W> = sum <V,e_i><W,e_i> + <V,N><W,N> at each maximizer.
     Runs on non-translator charts too; the L values at maximizers then
     stay away from r <V, W>.
+
+    The premises come from ``gate``, a half-space ``hypothesis_gate``
+    report on this mesh with a region; without one the drive builds it
+    against the half-space through the origin with normal W.
     """
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -510,10 +461,10 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
         raise InvalidInputError("need <V, W> > 0")
     origin = np.zeros(chart.n + 1) if origin is None else np.asarray(origin, dtype=float)
     G = G or GFunction.iterated_log(1)
-
-    res_sup = _translator_residual_sup(mesh, V, r)
-    exit_res = first_exit(chart, Halfspace(B=origin * 0.0, W=W), mesh)
-    contained = not exit_res.found
+    if gate is None:
+        gate = hypothesis_gate(chart, mesh, "halfspace", {"r": r, "V": V, "base_point": origin},
+                               region=Halfspace(B=np.zeros(chart.n + 1), W=W))
+    _check_gate(gate, "halfspace")
 
     psi = linear_height(W)
     mask = _origin_mask(mesh, origin)
@@ -533,27 +484,22 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
     frame_err = float(np.max(np.abs(c - expansion)))
     L_at = height_L(at)
 
-    growth = growth_report(chart, mesh, "HS1-1", {"r": r, "base_point": origin})
-    psd = min_eigen_over_mesh(mesh, r)
-
     return DriveReport(
         kind="halfspace",
         r=r,
-        residual_sup=res_sup,
+        residual_sup=gate.residual_sup,
         grad_identity_err=grad_err,
         L_identity_err=L_err,
-        containment_holds=contained,
-        exit_margin=exit_res.margin,
+        containment_holds=gate.contained,
+        exit_margin=gate.exit.margin,
         oy=run,
-        failed_premises=_failed_premises(
-            contained, psd, growth, "growth-sigma-quadlog", res_sup
-        ),
+        failed_premises=gate.failed_premises(gate.growth),
         extras={
             "frame_identity_err": frame_err,
             "L_at_maximizers": np.asarray(L_at),
             "r_times_c": r * c,
-            "min_eigen_P": psd,
-            "growth": growth.to_json_dict(),
+            "min_eigen_P": gate.min_eigen_P,
+            "growth": gate.growth.to_json_dict(),
         },
     )
 
@@ -562,14 +508,32 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None):
 # hypothesis gates
 
 
+# the premise id under which each growth hypothesis is reported
+_GROWTH_PREMISE = {
+    "HS2-1": "growth-sigma-linear",
+    "HS2-2": "growth-curvature-loglog",
+    "HS1-1": "growth-sigma-quadlog",
+    "CM": "growth-sigma-quadlog",
+}
+
+
 @dataclass(frozen=True)
 class GateReport:
-    """Pass/fail per premise of one nonexistence statement, on one mesh."""
+    """Pass/fail per premise of one nonexistence statement, on one mesh.
+
+    Beside the premise dicts it keeps what they were computed from: the
+    translator residual sup, the smallest eigenvalue of P_{r-1}, the
+    growth report and, when a region was given, the first-exit scan.
+    """
 
     theorem: str
     premises: tuple
     contained: Optional[bool]
     consistent: Optional[bool]
+    residual_sup: float
+    min_eigen_P: float
+    growth: GrowthReport
+    exit: Optional[FirstExit]
 
     def to_json_dict(self):
         return {
@@ -578,6 +542,26 @@ class GateReport:
             "contained": self.contained,
             "consistent": self.consistent,
         }
+
+    def failed_premises(self, growth):
+        """A drive's failing premise ids: containment, newton-psd, growth, translator-residual.
+
+        ``growth`` is the growth report the drive reads (the gate's own, or
+        the cone drive's HS2-1 when the gate reads HS2-2).
+        """
+        passed = {p["id"]: p["pass"] for p in self.premises}
+        holds = {
+            "containment": self.contained,
+            "newton-psd": passed["newton-psd"],
+            _GROWTH_PREMISE[growth.hypothesis]: growth.satisfied,
+            "translator-residual": passed["translator-residual"],
+        }
+        return tuple(pid for pid, ok in holds.items() if not ok)
+
+
+def _check_gate(gate, theorem):
+    if gate.theorem != theorem or gate.exit is None:
+        raise InvalidInputError(f"the {theorem} drive needs a {theorem} gate built with a region")
 
 
 def _premise(pid, ok, value, threshold, empirical=False, conclusive=True):
@@ -600,7 +584,8 @@ def hypothesis_gate(chart, mesh, theorem, params, region=None):
     curvature growth), the positivity margin eps for the bi-half-space
     statement, and residual_tol. With a region the report also states
     containment and overall consistency: no configured mesh may pass
-    every premise and stay contained.
+    every premise and stay contained. This is the one place a theorem's
+    premises are computed; the drives read the report.
     """
     if theorem not in ("cone", "halfspace", "bihalfspace"):
         raise InvalidInputError(f"unknown theorem id {theorem!r}")
@@ -629,30 +614,22 @@ def hypothesis_gate(chart, mesh, theorem, params, region=None):
     if theorem == "cone":
         branch = params.get("asserted", "proper")
         if branch == "proper":
-            rep = growth_report(
-                chart, mesh, "HS2-1", {"r": r, "a": float(params["a"]), "base_point": base}
-            )
-            pid = "growth-sigma-linear"
+            hyp, growth_params = "HS2-1", {"r": r, "a": float(params["a"]), "base_point": base}
         elif branch == "bounded-sigma":
-            rep = growth_report(chart, mesh, "HS2-2", {"r": r, "base_point": base})
-            pid = "growth-curvature-loglog"
+            hyp, growth_params = "HS2-2", {"r": r, "base_point": base}
         else:
             raise InvalidInputError("asserted branch must be 'proper' or 'bounded-sigma'")
-        premises.append(
-            _premise(pid, rep.satisfied, rep.tail_estimate, rep.bound,
-                     empirical=True, conclusive=rep.conclusive)
-        )
     else:
-        rep = growth_report(chart, mesh, "CM" if theorem == "bihalfspace" else "HS1-1",
-                            {"r": r, "base_point": base,
-                             "bound": float(params.get("growth_bound", 1.0))})
-        premises.append(
-            _premise("growth-sigma-quadlog", rep.satisfied, rep.tail_estimate, rep.bound,
-                     empirical=True, conclusive=rep.conclusive)
-        )
+        hyp = "CM" if theorem == "bihalfspace" else "HS1-1"
+        growth_params = {"r": r, "base_point": base,
+                         "bound": float(params.get("growth_bound", 1.0))}
+    growth = growth_report(chart, mesh, hyp, growth_params)
+    premises.append(
+        _premise(_GROWTH_PREMISE[hyp], growth.satisfied, growth.tail_estimate, growth.bound,
+                 empirical=True, conclusive=growth.conclusive)
+    )
 
-    contained = None
-    consistent = None
+    exit_res = contained = consistent = None
     if region is not None:
         exit_res = first_exit(chart, region, mesh)
         contained = not exit_res.found
@@ -661,5 +638,6 @@ def hypothesis_gate(chart, mesh, theorem, params, region=None):
 
     return GateReport(
         theorem=theorem, premises=tuple(premises), contained=contained,
-        consistent=consistent,
+        consistent=consistent, residual_sup=res_sup, min_eigen_P=psd, growth=growth,
+        exit=exit_res,
     )

@@ -103,15 +103,3 @@ def build_G(spec):
         return GFunction.constant_fn(float(spec.get("value", 1.0)))
     raise InvalidInputError(f"unknown G kind {kind!r}")
 
-
-def standard_charts():
-    """The five registered charts the identity batteries run on."""
-    bowl = translators.solve_rotational_translator(2, 1, R_max=60.0, tol=1e-10)
-    rbowl = translators.solve_rotational_translator(3, 2, R_max=60.0, tol=1e-10)
-    return [
-        charts.sphere_chart(2),
-        charts.paraboloid_chart(3, curvature=0.8),
-        translators.grim_reaper_chart(2, t_halfwidth=20.0),
-        translators.rot_chart(bowl),
-        translators.rot_chart(rbowl),
-    ]

@@ -15,8 +15,10 @@ import numpy as np
 from rmcf.charts import (
     Mesh,
     linear_height,
+    paraboloid_chart,
     point_geometry,
     soliton_residual,
+    sphere_chart,
 )
 from rmcf.maxprinciple import (
     GFunction,
@@ -32,7 +34,6 @@ from rmcf.regions import (
     cylinder_hessian_frame,
     first_exit,
 )
-from rmcf.registry import standard_charts
 from rmcf.symfun import (
     SymMatrix,
     char_poly_eval,
@@ -48,6 +49,7 @@ from rmcf.translators import (
     solve_rotational_translator,
 )
 from conftest import MESH_COUNTS, TRANSLATOR_ORDERS
+import g_quadrature
 
 
 @contextlib.contextmanager
@@ -59,6 +61,19 @@ def criterion(name):
         raise
     else:
         print(f"[ACCEPTANCE] {name}: PASS")
+
+
+def standard_charts():
+    """The five registered charts the identity batteries run on."""
+    bowl = solve_rotational_translator(2, 1, R_max=60.0, tol=1e-10)
+    rbowl = solve_rotational_translator(3, 2, R_max=60.0, tol=1e-10)
+    return [
+        sphere_chart(2),
+        paraboloid_chart(3, curvature=0.8),
+        grim_reaper_chart(2, t_halfwidth=20.0),
+        rot_chart(bowl),
+        rot_chart(rbowl),
+    ]
 
 
 def test_algebraic_identity_suite():
@@ -273,7 +288,7 @@ def test_growth_comparison_closed_form():
         worst = 0.0
         for rho in np.geomspace(10.0, 1000.0, 25):
             gamma = rho * rho
-            got = G.p_bound(gamma, method="quad")
+            got = g_quadrature.p_bound(G, gamma)
             want = 2.0 * rho**2 * math.log(rho) * math.log(math.log(rho))
             rel = abs(got - want) / want
             worst = max(worst, rel)

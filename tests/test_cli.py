@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, report determinism, file formats."""
 
+import collections
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import rmcf.cli
 import rmcf.maxprinciple
+import rmcf.regions
 from rmcf.charts import MeshGeometry, cone_excess
 from rmcf.cli import _CONFIG_SCHEMA, main
 from rmcf.translators import load_profile
@@ -19,6 +21,37 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 BOWL_SURFACE = {"kind": "bowl", "n": 2, "r": 1, "R_max": 60.0, "tol": 1e-10}
+RBOWL_1E3 = {"kind": "bowl", "n": 3, "r": 2, "R_max": 1e3, "tol": 1e-9}
+V4 = [0.0, 0.0, 0.0, 1.0]
+CONE_1E3 = {"surface": RBOWL_1E3, "region": {"kind": "cone", "V": V4, "a": 0.3},
+            "theorem": "cone", "r": 2, "V": V4, "a": 0.3}
+HALFSPACE_1E3 = {"surface": RBOWL_1E3, "region": {"kind": "halfspace", "W": [0.6, 0.0, 0.0, 0.8]},
+                 "theorem": "halfspace", "r": 2, "V": V4}
+PREMISE_FUNCTIONS = ("first_exit", "growth_report", "min_eigen_over_mesh",
+                     "_translator_residual_sup")
+
+
+def count_premise_calls(monkeypatch):
+    """Counts of each premise computation, wrapped at every rmcf name that holds it."""
+    counts = collections.Counter()
+    for name in PREMISE_FUNCTIONS:
+        fn = getattr(rmcf.regions, name, None) or getattr(rmcf.maxprinciple, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (rmcf.cli, rmcf.maxprinciple, rmcf.regions):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def theorem_check(tmp_path, config, code=0):
+    """The results of one theorem-check run, after checking its exit code."""
+    cfg = write_config(tmp_path, config)
+    assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == code
+    return json.loads((tmp_path / "report.json").read_text())["results"]
 
 
 class TestVerifyIdentities:
@@ -217,6 +250,44 @@ class TestTheoremCheck:
         drive = json.loads((tmp_path / "report.json").read_text())["results"]["drive"]
         assert drive["L_identity_err"] < 2e-15, drive["L_identity_err"]
 
+    @pytest.mark.parametrize("config, growth_reports", [
+        (CONE_1E3, 1),
+        (HALFSPACE_1E3, 1),
+        # the bounded-sigma gate reads HS2-2; the cone drive still reads HS2-1
+        (dict(CONE_1E3, asserted="bounded-sigma"), 2),
+    ])
+    def test_premises_computed_once(self, tmp_path, monkeypatch, config, growth_reports):
+        # the drive and the first_exit entry read the gate's results
+        counts = count_premise_calls(monkeypatch)
+        theorem_check(tmp_path, config)
+        want = dict.fromkeys(PREMISE_FUNCTIONS, 1)
+        want["growth_report"] = growth_reports
+        assert counts == want
+
+    def test_halfspace_drive_reads_the_region_base_point(self, tmp_path):
+        # every mesh point lies below the plane x_3 = 2000: contained, so the
+        # gate finds every premise passing and the check is inconsistent
+        res = theorem_check(tmp_path, {
+            "surface": {"kind": "bowl", "n": 2, "r": 1, "R_max": 40.0},
+            "region": {"kind": "halfspace", "B": [0.0, 0.0, 2000.0], "W": [0.0, 0.0, 1.0]},
+            "theorem": "halfspace", "r": 1, "V": [0.0, 0.0, 1.0], "mesh": 9,
+        }, code=1)
+        drive = res["drive"]
+        assert res["gate"]["contained"] is True and drive["containment_holds"] is True
+        assert drive["exit_margin"] == res["first_exit"]["margin"] < 0.0
+        assert drive["failed_premises"] == []
+
+    def test_drive_reads_the_residual_tolerance(self, tmp_path):
+        res = theorem_check(tmp_path, dict(CONE_1E3, residual_tol=1e-16))
+        gate = {p["id"]: p for p in res["gate"]["premises"]}
+        assert not gate["translator-residual"]["pass"]
+        assert res["drive"]["failed_premises"] == ["containment", "translator-residual"]
+
+    def test_drive_reads_the_growth_bound(self, tmp_path):
+        res = theorem_check(tmp_path, dict(HALFSPACE_1E3, growth_bound=0.5))
+        gate = {p["id"]: p for p in res["gate"]["premises"]}
+        assert res["drive"]["growth"]["bound"] == gate["growth-sigma-quadlog"]["threshold"] == 0.5
+
     def test_missing_region(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": BOWL_SURFACE, "theorem": "cone"})
         assert main(["theorem-check", "--config", cfg]) == 2
@@ -239,6 +310,8 @@ class TestTheoremCheck:
          {"theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0])}),
         ("'region.halfspaces[1].W'", {"theorem": "bihalfspace", "region": dict(
             _BI, halfspaces=[{"W": [0.6, 0.8, 0.0]}, {"W": [0.6, -0.8]}])}),
+        ("'region.a'", {"region": {"kind": "cone", "V": _V, "a": 0.9}}),
+        ("'region.V'", {"region": {"kind": "cone", "V": [0.0, 0.6, 0.8], "a": 0.3}}),
     ])
     def test_config_rejected_before_mesh_work(self, tmp_path, capsys, monkeypatch, field, change):
         # each passes the schema; each must exit 2 naming its field, before any mesh is built

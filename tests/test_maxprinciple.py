@@ -1,5 +1,6 @@
 """Tests for the growth profiles, maximizer sequences, and theorem drives."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from rmcf.charts import (
     Mesh,
     flat_chart,
     linear_height,
+    paraboloid_chart,
     sphere_chart,
 )
 from rmcf.errors import BoundaryDominatedWarning, DomainError, InvalidInputError
@@ -29,6 +31,8 @@ from rmcf.maxprinciple import (
 )
 from rmcf.regions import Cone, Halfspace, bihalfspace_drive, first_exit
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
+
+import g_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +64,12 @@ class TestGFunction:
         lo, hi = 50.0, 400.0
         want = math.log(math.log(hi)) - math.log(math.log(lo))
         assert G.integral_inv_sqrt(lo, hi) == pytest.approx(want, rel=1e-12)
-        assert G.integral_inv_sqrt(lo, hi, method="quad") == pytest.approx(
-            want, rel=1e-9
-        )
+        assert g_quadrature.integral_inv_sqrt(G, lo, hi) == pytest.approx(want, rel=1e-9)
 
     def test_phi_quad_vs_closed(self):
         G = GFunction.iterated_log(1)
         for t in (0.5, 10.0, 123.0, 4e3):
-            assert G.phi(t, method="quad") == pytest.approx(G.phi(t), abs=1e-9)
+            assert g_quadrature.phi(G, t) == pytest.approx(G.phi(t), abs=1e-9)
 
     def test_phi_monotone_concave(self):
         G = GFunction.iterated_log(1)
@@ -92,11 +94,6 @@ class TestGFunction:
             want = _log_iter(hi, lv + 1) - _log_iter(lo, lv + 1)
             assert G.integral_inv_sqrt(lo, hi) == pytest.approx(want, rel=1e-12)
 
-    def test_table_kind(self):
-        G = GFunction.from_table([0.0, 1.0, 2.0], [1.0, 1.0, 4.0])
-        assert G.value(0.5) == pytest.approx(1.0)
-        assert G.phi(1.0) == pytest.approx(math.log(2.0), rel=1e-8)
-
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             GFunction.constant_fn(0.0)
@@ -111,7 +108,6 @@ G_KINDS = {
     "iterated_log-1": lambda: GFunction.iterated_log(1),
     "iterated_log-2": lambda: GFunction.iterated_log(2),
     "iterated_log-3": lambda: GFunction.iterated_log(3),
-    "table": lambda: GFunction.from_table([0.0, 10.0, 1e3, 1e7], [1.0, 4.0, 9.0, 1e4]),
 }
 G_ARGS = st.one_of(
     st.sampled_from([0.0, SPLICE_T0, BOUND_LOWER_LIMIT, 1e7]), st.floats(0.0, 1e7)
@@ -134,7 +130,7 @@ class TestArrayGFunction:
             assert np.array_equal(got, want), name
         for name in ("phi", "p_bound"):
             closed = getattr(G, name)(t)
-            quad = getattr(G, name)(t, method="quad")
+            quad = getattr(g_quadrature, name)(G, t)
             assert np.allclose(quad, closed, rtol=1e-8, atol=1e-9), name
 
     @pytest.mark.parametrize("kind", sorted(G_KINDS))
@@ -163,7 +159,7 @@ class TestPBoundIdentity:
         assert BOUND_LOWER_LIMIT > SPLICE_T0
         for rho in (10.0, 31.6, 100.0, 316.0, 1000.0):
             gamma = rho * rho
-            got = G.p_bound(gamma, method="quad")
+            got = g_quadrature.p_bound(G, gamma)
             want = 2.0 * rho**2 * math.log(rho) * math.log(math.log(rho))
             assert got == pytest.approx(want, rel=1e-6)
 
@@ -304,11 +300,14 @@ class TestConeDrive:
         assert np.all(alphas[finite] <= 1.0 + 1e-12)
         assert np.all(alphas[finite] >= 1 - 0.6**2 - 1e-12)
 
-    def test_non_translator_rejected(self):
-        ch = sphere_chart(2)
-        mesh = Mesh.grid(ch, 7)
-        with pytest.raises(InvalidInputError):
-            cone_drive(ch, mesh, np.array([0.0, 0.0, 1.0]), 0.5, 1)
+    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
+    def test_non_translator_lists_residual_premise(self):
+        # a paraboloid is no translator: the drive runs and names the premise
+        ch = paraboloid_chart(2, halfwidth=10.0)
+        mesh = Mesh.grid(ch, 13)
+        rep = cone_drive(ch, mesh, np.array([0.0, 0.0, 1.0]), 0.3, 1)
+        assert "translator-residual" in rep.failed_premises
+        assert rep.residual_sup > 1e-6
 
 
 class TestHalfspaceDrive:
@@ -389,6 +388,35 @@ class TestHypothesisGate:
             hypothesis_gate(ch, mesh, "slab", {"r": 1, "V": [0, 0, 1]})
 
 
+class TestDrivesReadTheGate:
+    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
+    def test_given_gate_matches_the_drives_own(self, bowl_chart):
+        mesh = Mesh.grid(bowl_chart, (25, 13))
+        V, W = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+        params = {"r": 1, "V": V, "a": 0.5}
+        cone = hypothesis_gate(bowl_chart, mesh, "cone", params, region=Cone(V=V, a=0.5))
+        half = hypothesis_gate(bowl_chart, mesh, "halfspace", params,
+                               region=Halfspace(B=np.zeros(3), W=W))
+        for given, own in [
+            (cone_drive(bowl_chart, mesh, V, 0.5, 1, gate=cone),
+             cone_drive(bowl_chart, mesh, V, 0.5, 1)),
+            (halfspace_drive(bowl_chart, mesh, V, W, 1, gate=half),
+             halfspace_drive(bowl_chart, mesh, V, W, 1)),
+        ]:
+            assert json.dumps(given.to_json_dict()) == json.dumps(own.to_json_dict())
+        assert cone_drive(bowl_chart, mesh, V, 0.5, 1, gate=cone).exit_margin == cone.exit.margin
+
+    def test_gate_of_another_theorem_or_without_region_rejected(self, bowl_chart):
+        mesh = Mesh.grid(bowl_chart, (9, 5))
+        V = np.array([0.0, 0.0, 1.0])
+        params = {"r": 1, "V": V, "a": 0.5}
+        for gate in (hypothesis_gate(bowl_chart, mesh, "halfspace", params,
+                                     region=Halfspace(B=np.zeros(3), W=V)),
+                     hypothesis_gate(bowl_chart, mesh, "cone", params)):
+            with pytest.raises(InvalidInputError):
+                cone_drive(bowl_chart, mesh, V, 0.5, 1, gate=gate)
+
+
 def _counting(chart):
     """The chart with a jet that counts its calls and the rows they evaluate."""
     count = {"calls": 0, "rows": 0}
@@ -412,7 +440,7 @@ class TestJetCount:
         V = np.array([0.0, 0.0, 1.0])
         cone = Cone(V=V, a=0.3)
         hypothesis_gate(ch, mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=cone)
-        cone_drive(ch, mesh, V, 0.3, 1, require_translator=False)
+        cone_drive(ch, mesh, V, 0.3, 1)
         first_exit(ch, cone, mesh)
         assert calls == {"calls": 1, "rows": len(mesh)}
         want = np.array([base.jets(u)[0][0] for u in mesh.points])
