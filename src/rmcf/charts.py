@@ -31,6 +31,7 @@ from .symfun import CurvatureSpectrum, SymMatrix, newton_transforms, symmetrized
 
 _RANK_TOL = 1e-8          # smallest singular value of dX below this is singular
 _BOUNDARY_MARGIN = 1e-6   # mesh points this close (fractionally) to the box edge are dropped
+_SEGMENT_QUAD_POINTS = 129  # speed samples of segment_arclength: odd, so Simpson panels fill it
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +570,6 @@ def L_operator(chart, f, u, r, pg=None):
     return float(_row_geometry(chart, u, pg).L_operator(f, r)[0])
 
 
-def laplace_beltrami(chart, f, u, pg=None):
-    """Trace of the intrinsic Hessian (the r = 1 case of the L operator)."""
-    return float(np.trace(intrinsic_hessian(chart, f, u, pg=pg).entries))
-
-
 def L_distance(chart, u, r, origin, pg=None):
     """Closed form for L_{r-1} of the distance-to-origin function (see MeshGeometry)."""
     _check_order(r, chart.n, "L_distance")
@@ -935,19 +931,37 @@ def transform_chart(chart, Q, shift=None, name=None):
     )
 
 
-def segment_arclength(chart, u, base_u, quad_points=129):
+def segment_arclength(chart, u, base_u):
     """Arclength of the straight parameter segment from base_u to u.
 
     Exact along meridians and product factors; an upper bound for the
-    intrinsic distance in general.
+    intrinsic distance in general. The speed is sampled at
+    ``_SEGMENT_QUAD_POINTS`` (odd) equal steps and integrated by ``_simpson``.
     """
     u = np.asarray(u, dtype=float)
     b = np.asarray(base_u, dtype=float)
-    ts = np.linspace(0.0, 1.0, quad_points)
+    ts = np.linspace(0.0, 1.0, _SEGMENT_QUAD_POINTS)
     du = u - b
     _, dX, _ = chart.jets(b + ts[:, None] * du)
     velocity = _matvec(dX, du)
     speeds = np.sqrt(rowdot(velocity, velocity))
-    from scipy.integrate import simpson
+    return float(_simpson(speeds, ts))
 
-    return float(simpson(speeds, x=ts))
+
+def _simpson(y, x):
+    """Composite Simpson rule over an odd number of samples y at increasing nodes x.
+
+    The arithmetic of ``scipy.integrate.simpson(y, x=x)`` for an odd count
+    (its ``_basic_simpson`` with uneven spacings), so the result has the
+    same bits without importing ``scipy.integrate``.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - 1.0 / ratio)
+        + y[1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - ratio)
+    )
+    return np.sum(tmp)

@@ -226,7 +226,12 @@ _REGION_NEEDS = {"cone": ("V", "a"), "halfspace": ("W",), "bihalfspace": ("halfs
 
 
 def _check_theorem_config(config, n):
-    """Reject what the schema cannot see: the region's kind and fields, vector lengths, a, r."""
+    """Reject what the schema cannot see, before any mesh work.
+
+    That is the region's kind and fields, vector lengths, a unit velocity
+    V, a unit half-space normal W with <V, W> > 0, the cone parameter a in
+    (0, 1) and r in 1..n.
+    """
     region = config["region"]
     if region["kind"] != config["theorem"]:
         raise _UsageError(
@@ -248,12 +253,25 @@ def _check_theorem_config(config, n):
             raise _UsageError(
                 f"{name!r} needs n + 1 = {n + 1} coordinates for this surface (got {len(vec)})"
             )
+    # the drives check these too, but only after the mesh and the gate are built
+    V = np.asarray(config["V"], dtype=float)
+    if abs(np.linalg.norm(V) - 1.0) > 1e-10:
+        raise _UsageError(f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
+    if config["theorem"] == "halfspace":
+        W = np.asarray(region["W"], dtype=float)
+        if abs(np.linalg.norm(W) - 1.0) > 1e-10:
+            raise _UsageError(
+                f"'region.W' must be a unit vector (|W| = {np.linalg.norm(W):g})")
+        if not V @ W > 0.0:
+            raise _UsageError(f"'region.W' needs <V, W> > 0 (got {V @ W:g})")
     if config["theorem"] == "cone":
         # the drive reads the gate's first-exit scan: one cone for both
         if region["a"] != config["a"]:
             raise _UsageError(f"'region.a' = {region['a']} must equal the cone parameter "
                               f"'a' = {config['a']}")
-        axis, V = np.asarray(region["V"], dtype=float), np.asarray(config["V"], dtype=float)
+        if not 0.0 < config["a"] < 1.0:
+            raise _UsageError(f"the cone parameter 'a' must lie in (0, 1) (got {config['a']})")
+        axis = np.asarray(region["V"], dtype=float)
         if not np.allclose(axis * np.linalg.norm(V), V * np.linalg.norm(axis),
                            rtol=0.0, atol=1e-10 * np.linalg.norm(V) * np.linalg.norm(axis)):
             raise _UsageError("'region.V' must point along the velocity 'V'")

@@ -122,9 +122,6 @@ class SymMatrix:
             object.__setattr__(self, "_sigma", sig)
         return self._sigma
 
-    def frobenius(self):
-        return float(np.linalg.norm(self.entries))
-
     def trace(self):
         return float(np.trace(self.entries))
 
@@ -143,19 +140,6 @@ class CurvatureSpectrum:
     k: np.ndarray
     sigma: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_curvatures(cls, k):
-        k = np.asarray(k, dtype=float).ravel()
-        if k.size < 1:
-            raise InvalidInputError("need at least one principal curvature")
-        if not np.all(np.isfinite(k)):
-            raise InvalidInputError("non-finite principal curvature")
-        sig = kernels.sigma_table(k[None, :])[0]
-        k = k.copy()
-        k.setflags(write=False)
-        sig.setflags(write=False)
-        return cls(k=k, sigma=sig)
-
     @property
     def n(self):
         return self.k.size
@@ -167,34 +151,6 @@ class CurvatureSpectrum:
         if r > self.n:
             return 0.0
         return float(self.sigma[r])
-
-
-def elementary_symmetric(k, r):
-    """sigma_r(k) by the incremental-product recurrence.
-
-    Returns 1 for r = 0 and 0 for r > len(k). Subset enumeration is
-    deliberately not used here; it survives only as a test oracle.
-    """
-    k = np.asarray(k, dtype=float).ravel()
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise InvalidInputError("order r must be a nonnegative integer")
-    if k.size < 1:
-        raise InvalidInputError("need at least one curvature value")
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("non-finite curvature value")
-    if r == 0:
-        return 1.0
-    if r > k.size:
-        return 0.0
-    return float(kernels.sigma_table(k[None, :])[0, r])
-
-
-def sigma_all(k):
-    """Vector (sigma_0, ..., sigma_n) for one curvature vector."""
-    k = np.asarray(k, dtype=float).ravel()
-    if not np.all(np.isfinite(k)):
-        raise InvalidInputError("non-finite curvature value")
-    return kernels.sigma_table(k[None, :])[0]
 
 
 def char_poly_eval(A, t):

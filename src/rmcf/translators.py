@@ -43,6 +43,7 @@ over a ball, and solves must stop short of R_*.
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,6 +62,10 @@ R_MAX_LIMIT = 1e4
 TOL_RANGE = (1e-12, 1e-6)
 # rows of a solved profile's table lie at most R_max / TABLE_PARTS apart
 TABLE_PARTS = 4096
+# radii per stacked Nordsieck product in RotProfile._dense_rows (bounds its scratch memory)
+_DENSE_CHUNK = 512
+# LSODA's rwork[20:59] holds the Nordsieck history of up to 13 columns (Adams order 12) of 3 states
+_RWORK_END = 20 + 13 * 3
 
 
 def vertex_curvature(n, r):
@@ -136,9 +141,14 @@ def domain_radius(n, r):
 class RotProfile:
     """Numerically integrated radial profile of a rotational translator.
 
-    A solved profile carries the dense output ``_sol`` and its integrator
-    states ``_nodes`` (R, u, u' from the vertex on); its table
-    ``grid, u, up`` is built from them on first read. A loaded profile
+    A solved profile carries its integrator states ``_nodes`` (R, u, u'
+    from the vertex on) and the dense output ``_nordsieck``: one record
+    per LSODA step, recorded while solving, as stacked arrays
+    ``(t, h, order, yh)``. ``t`` holds the step nodes from R_start on;
+    step i ends at ``t[i + 1]`` and its state near there is the Nordsieck
+    polynomial ``yh[i, :, :order[i] + 1] @ x ** arange(order[i] + 1)``
+    in x = (R - t[i + 1]) / h[i] (see ``_nordsieck_records``). The table
+    ``grid, u, up`` is built from both on first read. A loaded profile
     carries the table only.
     """
 
@@ -149,7 +159,7 @@ class RotProfile:
     a4: float
     R_start: float
     R_max: float
-    _sol: object = field(default=None, repr=False, compare=False)
+    _nordsieck: tuple = field(default=None, repr=False, compare=False)
     _nodes: tuple = field(default=None, repr=False, compare=False)
     _table: tuple = field(default=None, repr=False, compare=False)
 
@@ -203,14 +213,26 @@ class RotProfile:
         return x + self.k0**2 * x**3 / 6.0
 
     def _dense_rows(self, R):
-        """u, u' and the arclength (3, m) at an array of radii from one dense-output call.
+        """u, u' and the arclength (3, m) at an array of radii.
 
-        Every radius is evaluated twice, so each dense-output segment sees at
-        least two columns and its polynomial goes through the same matrix
-        product whatever the batch: a row's values do not depend on which
-        other radii share the call, and a lone radius gets the same bits.
+        Below R_start the vertex series gives the values. Above, a radius
+        belongs to the step found by ``searchsorted(t, R, side="right")``,
+        clipped to the first and last step, so a node reads the step that
+        starts there and R_max the last step: the choice of scipy's
+        ``OdeSolution`` for LSODA, whose values these are bit for bit.
+
+        Radii are grouped by their step's order q. The powers
+        x ** arange(q + 1) are taken in scipy's (q + 1, m) layout, where
+        numpy squares x for the exponent 2 (x * x) instead of calling pow,
+        which rounds differently. Each radius's polynomial is then one
+        (3, q + 1) @ (q + 1, 2) product with its power column repeated: a
+        one-column product would go through a matrix-vector kernel whose
+        sums round differently, so every row is a 2-column matrix product
+        whatever the batch, as when scipy evaluates each radius twice, and a
+        row's values do not depend on which other radii share the call.
+        Rows are gathered at most ``_DENSE_CHUNK`` at a time.
         """
-        if self._sol is None:
+        if self._nordsieck is None:
             raise NumericalError(
                 "profile has no dense output (loaded from disk?); re-solve to evaluate"
             )
@@ -220,9 +242,19 @@ class RotProfile:
         if np.any(low):
             for comp in range(3):
                 out[comp, low] = self._series(R[low], comp)
-        high = R[~low]
-        if high.size:
-            out[:, ~low] = self._sol(np.concatenate((high, high)))[:, : high.size]
+        t, h, order, yh = self._nordsieck
+        high = np.flatnonzero(~low)
+        seg = np.clip(np.searchsorted(t, R[high], side="right") - 1, 0, h.size - 1)
+        q_seg = order[seg]
+        for q in np.unique(q_seg):
+            p = np.arange(q + 1)
+            rows = np.flatnonzero(q_seg == q)
+            for lo in range(0, rows.size, _DENSE_CHUNK):
+                at = rows[lo : lo + _DENSE_CHUNK]
+                s = seg[at]
+                x = ((R[high[at]] - t[s + 1]) / h[s]) ** p[:, None]
+                x = np.repeat(x.T[:, :, None], 2, axis=2)
+                out[:, high[at]] = np.matmul(yh[s, :, : q + 1], x)[:, :, 0].T
         return out
 
     def u_and_up(self, R):
@@ -298,7 +330,7 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
             f"the (n, r) = ({n}, {r}) translator is a graph only over R < R_* = "
             f"{R_star:.6f}, where n int_0^(pi/2) sin^(n-1) = R_*^n; got R_max = {R_max:g}"
         )
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import LSODA
 
     k0, a4 = vertex_series_coeffs(n, r)
     y0 = [
@@ -323,31 +355,36 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     # tol / 100; at 2.2e-14 and below the far (5, 4) field at R_max 1e4
     # stops with "excess accuracy requested", hence the 5e-14 floor.
     inner = max(tol / 100.0, 5e-14)
+    # each step's LSODA work arrays, appended as raw bytes (one growing buffer each)
+    ts, ys, iwork, rwork = [float(R_start)], [y0], array("i"), array("d")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states are caught below
-        sol = solve_ivp(
-            rhs,
-            (R_start, R_max),
-            y0,
-            method="LSODA",
-            rtol=inner,
-            atol=inner,
-            dense_output=True,
-            jac=jac,
-        )
-    if not sol.success:
-        raise StiffFailureError(
-            f"integrator stalled at R={sol.t[-1]:.6g}: {sol.message}",
-            last_good_R=float(sol.t[-1]),
-        )
-    finite = np.isfinite(sol.y).all(axis=0)
+        solver = LSODA(rhs, float(R_start), y0, float(R_max), rtol=inner, atol=inner, jac=jac)
+        lsoda = solver._lsoda_solver._integrator
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise StiffFailureError(
+                    f"integrator stalled at R={ts[-1]:.6g}: {message}", last_good_R=float(ts[-1])
+                )
+            ts.append(solver.t)
+            ys.append(solver.y)
+            iwork.frombytes(lsoda.iwork[13:15].tobytes())
+            rwork.frombytes(lsoda.rwork[10:_RWORK_END].tobytes())
+    Y = np.array(ys).T
+    finite = np.isfinite(Y).all(axis=0)
     if not finite.all():
-        R_end = sol.t[np.argmin(finite) - 1]  # the seed column is finite
+        R_end = ts[np.argmin(finite) - 1]  # the seed column is finite
         raise DomainError(
             f"the (n, r) = ({n}, {r}) profile is too steep to follow: u' stops being "
             f"finite past R = {R_end:.12g}, short of R_max = {R_max:.12g}; the graph "
             f"turns vertical at R_* = {R_star:.12g}"
         )
 
+    t = np.array(ts)
+    h, order, yh = _nordsieck_records(
+        np.frombuffer(iwork, dtype=np.intc).reshape(-1, 2),
+        np.frombuffer(rwork).reshape(-1, _RWORK_END - 10),
+    )
     profile = RotProfile(
         n=n,
         r=r,
@@ -356,15 +393,15 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         a4=a4,
         R_start=R_start,
         R_max=float(R_max),
-        _sol=sol.sol,
-        _nodes=tuple(np.concatenate(([0.0], v)) for v in (sol.t, sol.y[0], sol.y[1])),
+        _nordsieck=(t, h, order, yh),
+        _nodes=tuple(np.concatenate(([0.0], v)) for v in (t, Y[0], Y[1])),
     )
     probe = np.linspace(max(10 * R_start, 0.05 * R_max), 0.9 * R_max, 9)
     meta = {
         "method": "LSODA",
-        "steps": int(len(sol.t) - 1),
-        "nfev": int(sol.nfev),
-        "njev": int(sol.njev),
+        "steps": h.size,
+        "nfev": int(solver.nfev),
+        "njev": int(solver.njev),
         "rtol": float(inner),
         "atol": float(inner),
         "R_start": float(R_start),
@@ -373,6 +410,28 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     }
     object.__setattr__(profile, "meta", meta)
     return profile
+
+
+def _nordsieck_records(iwork, rwork):
+    """Stacked (h, order, yh) of LSODA's steps, by the arithmetic of scipy's LSODA dense output.
+
+    Row i of ``iwork`` and ``rwork`` holds LSODA's ``iwork[13:15]`` and
+    ``rwork[10:_RWORK_END]`` after step i. ``iwork[13]`` is the order of
+    that step and ``iwork[14]`` the next one; ``rwork[11]`` is the next
+    step size, in which ``rwork[20:]`` holds the Nordsieck history
+    (3, order + 1) in column order. When the order drops, LSODA leaves the
+    last column scaled for the previous step size ``rwork[10]``, so it is
+    rescaled here, with scipy's scalar arithmetic. ``yh`` keeps the
+    columns up to the largest order; those past a step's own order hold
+    stale history and are never read.
+    """
+    order, h = iwork[:, 0].copy(), rwork[:, 1].copy()
+    columns = rwork[:, 10 : 13 + 3 * order.max()]
+    yh = columns.reshape(len(rwork), -1, 3).transpose(0, 2, 1).copy()
+    for i in np.flatnonzero(iwork[:, 1] < order):
+        q = order[i]
+        yh[i, :, q] *= (h[i] / rwork[i, 0]) ** q
+    return h, order, yh
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +624,10 @@ def export_profile(profile, csv_path, json_path, extra_header=None):
     bit-identical arrays.
     """
     theta = 1.0 / np.sqrt(1.0 + np.square(profile.up))
-    rows = np.stack((profile.grid, profile.u, profile.up, theta), axis=1).tolist()
+    rows = zip(*(col.tolist() for col in (profile.grid, profile.u, profile.up, theta)))
     with open(csv_path, "w") as fh:
         fh.write("R,u,up,theta\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.writelines("%r,%r,%r,%r\n" % row for row in rows)
     header = {
         "n": profile.n,
         "r": profile.r,

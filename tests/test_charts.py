@@ -17,7 +17,6 @@ from rmcf.charts import (
     intrinsic_hessian,
     L_distance,
     L_operator,
-    laplace_beltrami,
     linear_height,
     paraboloid_chart,
     point_geometry,
@@ -36,6 +35,11 @@ from rmcf.errors import (
 from rmcf.translators import grim_reaper_chart
 
 from fd_fields import ScalarField
+
+
+def laplace_beltrami(chart, f, u):
+    """Trace of the intrinsic Hessian (the r = 1 case of the L operator)."""
+    return float(np.trace(intrinsic_hessian(chart, f, u).entries))
 
 
 def e_vec(n, i):

@@ -312,6 +312,13 @@ class TestTheoremCheck:
             _BI, halfspaces=[{"W": [0.6, 0.8, 0.0]}, {"W": [0.6, -0.8]}])}),
         ("'region.a'", {"region": {"kind": "cone", "V": _V, "a": 0.9}}),
         ("'region.V'", {"region": {"kind": "cone", "V": [0.0, 0.6, 0.8], "a": 0.3}}),
+        ("'V'", {"V": [0.0, 0.0, 2.0], "region": {"kind": "cone", "V": [0.0, 0.0, 2.0], "a": 0.3}}),
+        ("'V'", {"theorem": "halfspace", "region": _HALF, "V": [0.0, 0.0, 0.5]}),
+        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[1.2, 0.0, 1.6])}),
+        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[1.0, 0.0, 0.0])}),
+        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.0, -0.8])}),
+        ("'a'", {"a": 1.5, "region": {"kind": "cone", "V": _V, "a": 1.5}}),
+        ("'a'", {"a": 0.0, "region": {"kind": "cone", "V": _V, "a": 0.0}}),
     ])
     def test_config_rejected_before_mesh_work(self, tmp_path, capsys, monkeypatch, field, change):
         # each passes the schema; each must exit 2 naming its field, before any mesh is built

@@ -1,6 +1,7 @@
 """The numpy batch kernels against row-loop reference oracles, and the lazy imports."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -76,11 +77,46 @@ def test_complement_trivial_orders():
     assert np.allclose(kernels.complement_sigma(k, 2), [[6.0, 3.0, 2.0]])
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
+_NO_INTEGRATE_CONFIGS = {
+    # a Grim Reaper cone check (a README command)
+    "grim-reaper.json": {
+        "surface": {"kind": "grim_reaper", "n": 2, "t_halfwidth": 12.0},
+        "region": {"kind": "cone", "V": [0.0, 0.0, 1.0], "a": 0.3},
+        "theorem": "cone", "r": 1, "V": [0.0, 0.0, 1.0], "a": 0.3, "mesh": [41, 9],
+    },
+    # no intrinsic_distance: HS2-2 integrates segment arclengths by Simpson's rule
+    "paraboloid.json": {
+        "surface": {"kind": "paraboloid", "n": 2, "halfwidth": 10.0},
+        "region": {"kind": "cone", "V": [0.0, 0.0, 1.0], "a": 0.3},
+        "theorem": "cone", "r": 1, "V": [0.0, 0.0, 1.0], "a": 0.3,
+        "asserted": "bounded-sigma", "mesh": 7,
+    },
+    # the README oy-run
+    "sphere.json": {
+        "surface": {"kind": "sphere", "n": 2},
+        "field": {"kind": "height", "W": [0.0, 0.0, 1.0]},
+        "gamma": {"kind": "dist_sq", "origin": [0.0, 0.0, -2.0]},
+        "G": {"kind": "iterated_log", "levels": 1}, "mesh": 21, "k_max": 6,
+    },
+}
+
+
+def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
+    # importing rmcf.cli loads none of them; the commands above then run
+    # without scipy.integrate, whose import costs about 0.6 s per process
     heavy = ("numba", "scipy.integrate", "jsonschema")
+    for name, config in _NO_INTEGRATE_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    commands = [["theorem-check", "--config", "grim-reaper.json"],
+                ["theorem-check", "--config", "paraboloid.json"],
+                ["oy-run", "--config", "sphere.json"]]
     code = (
-        "import sys, rmcf.cli; "
-        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+        "import sys, contextlib, io, rmcf.cli\n"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
+        f"for i, argv in enumerate({commands!r}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rmcf.cli.main(argv + ['--out', f'out{i}']) == 0, argv\n"
+        f"print(' '.join(m for m in {heavy[:2]!r} if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(kernels.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -89,6 +125,7 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert proc.stdout.splitlines() == ["", ""]

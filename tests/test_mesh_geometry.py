@@ -205,7 +205,7 @@ def _point_geometry_scalar(chart, u, jet):
     return {
         "u": np.asarray(u, dtype=float), "X": X, "dX": dX, "d2X": d2X, "N": N, "L": L,
         "E": dX @ Linv.T, "A": A.entries, "k": k, "sigma": kernels.sigma_table(k[None])[0],
-        "normA": A.frobenius(), "g": g,
+        "normA": float(np.linalg.norm(A.entries)), "g": g,
     }
 
 

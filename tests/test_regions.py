@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcf.charts import Mesh, flat_chart, paraboloid_chart, transform_chart
+from rmcf.charts import Mesh, _simpson, flat_chart, paraboloid_chart, transform_chart
 from rmcf.errors import DomainError, InvalidInputError, SingularPointError
 from rmcf.regions import (
     _LOGLOG_FLOOR,
@@ -179,6 +179,17 @@ class TestGrowthReport:
         assert rep.scales.shape == want.shape
         assert np.max(np.abs(rep.scales / want - 1.0)) <= tol
         assert rep.scale_reached == pytest.approx(float(np.max(want)), rel=tol)
+
+    def test_simpson_is_scipys_to_the_bit(self):
+        # the segment quadrature is scipy.integrate.simpson's arithmetic for
+        # an odd sample count, without importing scipy.integrate
+        from scipy.integrate import simpson
+
+        rng = np.random.default_rng(3)
+        for count in (3, 5, 129, 1001):
+            for x in (np.linspace(0.0, 1.0, count), np.sort(rng.uniform(-5.0, 5.0, count))):
+                y = rng.standard_normal(count) * 10.0 ** rng.uniform(-3.0, 3.0)
+                assert _simpson(y, x).tobytes() == simpson(y, x=x).tobytes()
 
     def test_small_mesh_rejected(self):
         ch = paraboloid_chart(2)

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmcf import kernels
 from rmcf.errors import DomainError, InvalidInputError
 from rmcf.symfun import (
     CurvatureSpectrum,
     SymMatrix,
     char_poly_eval,
-    elementary_symmetric,
     min_eigen_Pr,
     newton_polynomial,
     newton_transform,
     newton_transforms,
-    sigma_all,
     trace_identities,
 )
 
@@ -29,6 +28,47 @@ def esp_enum(k, r):
     if r > len(k):
         return 0.0
     return float(sum(np.prod(c) for c in itertools.combinations(k, r)))
+
+
+def elementary_symmetric(k, r):
+    """sigma_r(k) of one curvature vector through ``kernels.sigma_table``, with its checks.
+
+    Returns 1 for r = 0 and 0 for r > len(k).
+    """
+    k = np.asarray(k, dtype=float).ravel()
+    if not isinstance(r, (int, np.integer)) or r < 0:
+        raise InvalidInputError("order r must be a nonnegative integer")
+    if k.size < 1:
+        raise InvalidInputError("need at least one curvature value")
+    if not np.all(np.isfinite(k)):
+        raise InvalidInputError("non-finite curvature value")
+    if r == 0:
+        return 1.0
+    if r > k.size:
+        return 0.0
+    return float(kernels.sigma_table(k[None, :])[0, r])
+
+
+def sigma_all(k):
+    """Vector (sigma_0, ..., sigma_n) for one curvature vector."""
+    k = np.asarray(k, dtype=float).ravel()
+    if not np.all(np.isfinite(k)):
+        raise InvalidInputError("non-finite curvature value")
+    return kernels.sigma_table(k[None, :])[0]
+
+
+def curvature_spectrum(k):
+    """A CurvatureSpectrum built from one curvature vector, as MeshGeometry rows hold it."""
+    k = np.asarray(k, dtype=float).ravel()
+    if k.size < 1:
+        raise InvalidInputError("need at least one principal curvature")
+    if not np.all(np.isfinite(k)):
+        raise InvalidInputError("non-finite principal curvature")
+    sig = kernels.sigma_table(k[None, :])[0]
+    k = k.copy()
+    k.setflags(write=False)
+    sig.setflags(write=False)
+    return CurvatureSpectrum(k=k, sigma=sig)
 
 
 def random_sym(rng, n, radius=None):
@@ -110,18 +150,18 @@ class TestSymMatrix:
 
 class TestCurvatureSpectrum:
     def test_sigma0_exact(self):
-        cs = CurvatureSpectrum.from_curvatures([0.3, -1.2, 4.0])
+        cs = curvature_spectrum([0.3, -1.2, 4.0])
         assert cs.sigma[0] == 1.0
 
     def test_accessor_above_n(self):
-        cs = CurvatureSpectrum.from_curvatures([1.0, 1.0])
+        cs = curvature_spectrum([1.0, 1.0])
         assert cs.sigma_r(3) == 0.0
         assert cs.sigma_r(2) == pytest.approx(1.0)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(7)
         k = rng.uniform(-1.5, 1.5, size=7)
-        cs = CurvatureSpectrum.from_curvatures(k)
+        cs = curvature_spectrum(k)
         for r in range(8):
             assert cs.sigma_r(r) == pytest.approx(esp_enum(k, r), abs=1e-11)
 

@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 import scipy.integrate  # noqa: F401  (imported up front so that timed solves do not pay for it)
+from scipy.integrate import LSODA, solve_ivp
 from scipy.optimize import brentq
 
+from rmcf import translators
 from rmcf.charts import Mesh, point_geometry, soliton_residual
 from rmcf.cli import main
 from rmcf.errors import (
@@ -16,9 +18,11 @@ from rmcf.errors import (
     DomainError,
     InvalidInputError,
     NumericalError,
+    StiffFailureError,
 )
 from rmcf.translators import (
     R_MAX_LIMIT,
+    R_START_DEFAULT,
     TABLE_PARTS,
     RotProfile,
     _upp,
@@ -243,6 +247,128 @@ class TestTable:
         }))
         assert main(["theorem-check", "--config", str(cfg), "--mesh", "5",
                      "--out", str(tmp_path)]) == 0
+
+
+def solve_ivp_oracle(n, r, R_max, tol=1e-10, R_start=R_START_DEFAULT):
+    """The profile solve through scipy's solve_ivp with dense output.
+
+    Same seed, right-hand side, Jacobian and inner tolerance as
+    ``solve_rotational_translator``; its ``OdeSolution`` is the reference
+    for the Nordsieck records the solve keeps itself.
+    """
+    k0, a4 = vertex_series_coeffs(n, r)
+    y0 = [
+        0.5 * k0 * R_start**2 + a4 * R_start**4,
+        k0 * R_start + 4.0 * a4 * R_start**3,
+        R_start + k0**2 * R_start**3 / 6.0,
+    ]
+    c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
+
+    def rhs(R, y):
+        v = y[1]
+        return [v, translators._upp(c1, c2, r, R, v), math.sqrt(1.0 + v * v)]
+
+    def jac(R, y):
+        v = y[1]
+        return [[0.0, 1.0, 0.0], [0.0, translators._upp(c1, c2, r, R, v, slope=True)[1], 0.0],
+                [0.0, v / math.sqrt(1.0 + v * v), 0.0]]
+
+    inner = max(tol / 100.0, 5e-14)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, (R_start, R_max), y0, method="LSODA", rtol=inner, atol=inner,
+                         dense_output=True, jac=jac)
+
+
+def oracle_rows(sol, p, R):
+    """u, u' and arclength (3, m) as the OdeSolution gives them, each radius evaluated twice."""
+    R = np.asarray(R, dtype=float).ravel()
+    out = np.empty((3, R.size))
+    low = R < p.R_start
+    x = R[low]
+    out[:, low] = (0.5 * p.k0 * x**2 + p.a4 * x**4, p.k0 * x + 4.0 * p.a4 * x**3,
+                   x + p.k0**2 * x**3 / 6.0)
+    high = R[~low]
+    if high.size:
+        out[:, ~low] = sol.sol(np.concatenate((high, high)))[:, : high.size]
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNordsieckOracle:
+    """The recorded Nordsieck arrays against solve_ivp's OdeSolution, bit for bit."""
+
+    @pytest.mark.parametrize("n, r, R_max", [
+        (2, 1, 300.0), (3, 1, 300.0), (3, 2, 1e3), (4, 3, 1e3), (2, 2, 1.3), (3, 3, 1.3),
+        (3, 3, domain_radius(3, 3) * (1.0 - 1e-6)),  # next to the rim, u' ~ 4e5
+    ])
+    def test_table_and_counts(self, n, r, R_max):
+        p = solve_rotational_translator(n, r, R_max=R_max, tol=1e-10)
+        sol = solve_ivp_oracle(n, r, R_max)
+        assert (p.meta["steps"], p.meta["nfev"], p.meta["njev"]) == (
+            sol.t.size - 1, sol.nfev, sol.njev)
+        for got, want in zip(p._nodes, (sol.t, sol.y[0], sol.y[1])):
+            assert same_bits(got, np.concatenate(([0.0], want)))
+        node = np.isin(p.grid, p._nodes[0])
+        want = oracle_rows(sol, p, p.grid[~node])
+        assert same_bits(p.u[~node], want[0]) and same_bits(p.up[~node], want[1])
+
+    @pytest.mark.parametrize("n, r, R_max", [(2, 1, 300.0), (3, 2, 1e3), (2, 2, 1.3)])
+    def test_dense_rows(self, n, r, R_max):
+        p = solve_rotational_translator(n, r, R_max=R_max, tol=1e-10)
+        sol = solve_ivp_oracle(n, r, R_max)
+        rng = np.random.default_rng(5)
+        cases = {
+            "random": rng.uniform(0.0, R_max, 2000),
+            "step nodes": sol.t,
+            "below R_start": rng.uniform(0.0, p.R_start, 20),
+            "R_max": np.array([R_max]),
+        }
+        for name, R in cases.items():
+            assert same_bits(p._dense_rows(R), oracle_rows(sol, p, R)), name
+        # a lone radius, a node among them, gets the bits of the oracle and of a batch
+        lone = np.concatenate((cases["random"][:30], sol.t[::40], [R_max]))
+        batch = p._dense_rows(lone)
+        for i, R in enumerate(lone):
+            got = p._dense_rows(R)
+            assert same_bits(got, oracle_rows(sol, p, R)) and same_bits(got[:, 0], batch[:, i])
+
+    def test_stalled_solve(self, monkeypatch):
+        # an LSODA step that fails after 40 accepted steps
+        step = LSODA._step_impl
+        calls = []
+
+        def failing(self):
+            calls.append(None)
+            return (False, "Unexpected istate in LSODA.") if len(calls) > 40 else step(self)
+
+        monkeypatch.setattr(LSODA, "_step_impl", failing)
+        sol = solve_ivp_oracle(2, 1, 10.0)
+        assert sol.status == -1
+        calls.clear()
+        with pytest.raises(StiffFailureError) as info:
+            solve_rotational_translator(2, 1, R_max=10.0, tol=1e-10)
+        assert str(info.value) == f"integrator stalled at R={sol.t[-1]:.6g}: {sol.message}"
+        assert info.value.last_good_R == sol.t[-1]
+
+    def test_nonfinite_solve(self, monkeypatch):
+        # u'' turns NaN past R = 5
+        upp = translators._upp
+
+        def nan_past_5(c1, c2, r, R, up, slope=False):
+            if R > 5.0:
+                return (math.nan, math.nan) if slope else math.nan
+            return upp(c1, c2, r, R, up, slope)
+
+        monkeypatch.setattr(translators, "_upp", nan_past_5)
+        sol = solve_ivp_oracle(2, 1, 10.0)
+        finite = np.isfinite(sol.y).all(axis=0)
+        assert not finite.all()
+        with pytest.raises(DomainError, match=f"past R = {sol.t[np.argmin(finite) - 1]:.12g}, "):
+            solve_rotational_translator(2, 1, R_max=10.0, tol=1e-10)
 
 
 class TestBoundedDomain:
