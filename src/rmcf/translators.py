@@ -41,8 +41,12 @@ For r = n the profile turns vertical at a finite radius R_*
 over a ball, and solves must stop short of R_*.
 """
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -309,13 +313,17 @@ class RotProfile:
 def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DEFAULT):
     """Integrate the bowl-family profile from its vertex series seed.
 
-    LSODA with dense output and the closed-form Jacobian, at the inner
-    tolerance max(tol / 100, 5e-14), for every r. The arclength from the
-    vertex rides along as a third state component. ``meta["steps"]``
-    counts integrator steps; the table (``RotProfile._rows``) has more
-    rows. For r = n the graph ends at ``domain_radius(n, n)``; an R_max at
-    or beyond it raises DomainError, and so does a solve that gets so
-    close that u' stops being finite.
+    ODEPACK's LSODA, called one step at a time (``_odepack_lsoda``, set up
+    as scipy's ``LSODA`` class sets it up, without importing the
+    ``scipy.integrate`` package), with the closed-form Jacobian, at the
+    inner tolerance max(tol / 100, 5e-14), for every r. After each step
+    the Nordsieck history is recorded for the dense output (see
+    ``_nordsieck_records``). The arclength from the vertex rides along as
+    a third state component. ``meta["steps"]`` counts integrator steps;
+    the table (``RotProfile._rows``) has more rows. A negative LSODA
+    istate raises StiffFailureError naming it. For r = n the graph ends at
+    ``domain_radius(n, n)``; an R_max at or beyond it raises DomainError,
+    and so does a solve that gets so close that u' stops being finite.
     """
     _check_orders(n, r)
     if not (0 < R_max <= R_MAX_LIMIT):
@@ -330,8 +338,6 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
             f"the (n, r) = ({n}, {r}) translator is a graph only over R < R_* = "
             f"{R_star:.6f}, where n int_0^(pi/2) sin^(n-1) = R_*^n; got R_max = {R_max:g}"
         )
-    from scipy.integrate import LSODA
-
     k0, a4 = vertex_series_coeffs(n, r)
     y0 = [
         0.5 * k0 * R_start**2 + a4 * R_start**4,
@@ -340,8 +346,11 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     ]
 
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
+    nfev = 0
 
     def rhs(R, y):
+        nonlocal nfev
+        nfev += 1
         v = y[1]
         return [v, _upp(c1, c2, r, R, v), math.sqrt(1.0 + v * v)]
 
@@ -355,22 +364,35 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     # tol / 100; at 2.2e-14 and below the far (5, 4) field at R_max 1e4
     # stops with "excess accuracy requested", hence the 5e-14 floor.
     inner = max(tol / 100.0, 5e-14)
-    # each step's LSODA work arrays, appended as raw bytes (one growing buffer each)
-    ts, ys, iwork, rwork = [float(R_start)], [y0], array("i"), array("d")
+    # ODEPACK's work arrays for n = 3 and a full user Jacobian (jt = 1), set up as
+    # scipy.integrate.LSODA sets them: itask 5 stops at rwork[0] = R_max; first,
+    # max and min step (rwork[4:7]) are 0, i.e. chosen by LSODA, unbounded, none;
+    # at most 500 steps per call and the Adams and BDF orders 12 and 5
+    rwork = np.zeros(20 + (12 + 4) * 3)
+    rwork[0] = R_max
+    iwork = np.zeros(20 + 3, dtype=np.int32)
+    iwork[[5, 7, 8]] = 500, 12, 5
+    state_doubles, state_ints = np.zeros(240), np.zeros(48, dtype=np.int32)
+    atol = np.asarray(inner)
+    lsoda = _odepack_lsoda()
+    # each step's state and LSODA work arrays, appended as raw bytes (one growing buffer each)
+    t, y, istate = float(R_start), np.array(y0), 1
+    ts, ys, steps_i, steps_d = [t], array("d", y0), array("i"), array("d")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states are caught below
-        solver = LSODA(rhs, float(R_start), y0, float(R_max), rtol=inner, atol=inner, jac=jac)
-        lsoda = solver._lsoda_solver._integrator
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
+        while t < R_max:
+            y, t, istate = lsoda(rhs, y, t, R_max, inner, atol, 5, istate, rwork, iwork, jac,
+                                 1, (), 1, (), state_doubles, state_ints)
+            if istate < 0:
                 raise StiffFailureError(
-                    f"integrator stalled at R={ts[-1]:.6g}: {message}", last_good_R=float(ts[-1])
+                    f"integrator stalled at R={ts[-1]:.6g}: LSODA istate {istate}: "
+                    f"{_ISTATE_MEANING.get(istate, 'unexpected istate')}",
+                    last_good_R=float(ts[-1]),
                 )
-            ts.append(solver.t)
-            ys.append(solver.y)
-            iwork.frombytes(lsoda.iwork[13:15].tobytes())
-            rwork.frombytes(lsoda.rwork[10:_RWORK_END].tobytes())
-    Y = np.array(ys).T
+            ts.append(t)
+            ys.frombytes(y.tobytes())
+            steps_i.frombytes(iwork[13:15].tobytes())
+            steps_d.frombytes(rwork[10:_RWORK_END].tobytes())
+    Y = np.frombuffer(ys).reshape(-1, 3).T
     finite = np.isfinite(Y).all(axis=0)
     if not finite.all():
         R_end = ts[np.argmin(finite) - 1]  # the seed column is finite
@@ -382,8 +404,8 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
 
     t = np.array(ts)
     h, order, yh = _nordsieck_records(
-        np.frombuffer(iwork, dtype=np.intc).reshape(-1, 2),
-        np.frombuffer(rwork).reshape(-1, _RWORK_END - 10),
+        np.frombuffer(steps_i, dtype=np.intc).reshape(-1, 2),
+        np.frombuffer(steps_d).reshape(-1, _RWORK_END - 10),
     )
     profile = RotProfile(
         n=n,
@@ -400,8 +422,8 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     meta = {
         "method": "LSODA",
         "steps": h.size,
-        "nfev": int(solver.nfev),
-        "njev": int(solver.njev),
+        "nfev": nfev,
+        "njev": int(iwork[12]),
         "rtol": float(inner),
         "atol": float(inner),
         "R_start": float(R_start),
@@ -410,6 +432,38 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     }
     object.__setattr__(profile, "meta", meta)
     return profile
+
+
+# what ODEPACK's LSODA means by a negative istate, in the words of scipy's ``_ode.lsoda.messages``
+_ISTATE_MEANING = {
+    -1: "excess work done on this call (perhaps wrong Dfun type)",
+    -2: "excess accuracy requested (tolerances too small)",
+    -3: "illegal input detected (internal error)",
+    -4: "repeated error test failures (internal error)",
+    -5: "repeated convergence failures (perhaps bad Jacobian or tolerances)",
+    -6: "error weight became zero during problem",
+    -7: "internal workspace insufficient to finish (internal error)",
+}
+
+
+def _odepack_lsoda():
+    """ODEPACK's LSODA routine from scipy's compiled ``scipy.integrate._odepack``.
+
+    The extension is loaded from scipy's package directory without running
+    ``scipy/integrate/__init__.py``, whose imports (scipy.special,
+    optimize, sparse, linalg) cost a fresh process most of a second. It is
+    registered under its own name, so it is loaded once per process and a
+    later ``import scipy.integrate`` shares it; an already loaded one is
+    used as it is.
+    """
+    name = "scipy.integrate._odepack"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "integrate")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].lsoda
 
 
 def _nordsieck_records(iwork, rwork):

@@ -77,7 +77,11 @@ def test_complement_trivial_orders():
     assert np.allclose(kernels.complement_sigma(k, 2), [[6.0, 3.0, 2.0]])
 
 
-_NO_INTEGRATE_CONFIGS = {
+_COMMAND_CONFIGS = {
+    # the README identity battery on the (2, 1) bowl: a profile solve
+    "bowl.json": {
+        "surface": {"kind": "bowl", "n": 2, "r": 1, "R_max": 60.0, "tol": 1e-10}, "seed": 3,
+    },
     # a Grim Reaper cone check (a README command)
     "grim-reaper.json": {
         "surface": {"kind": "grim_reaper", "n": 2, "t_halfwidth": 12.0},
@@ -102,14 +106,17 @@ _NO_INTEGRATE_CONFIGS = {
 
 
 def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
-    # importing rmcf.cli loads none of them; the commands above then run
-    # without scipy.integrate, whose import costs about 0.6 s per process
+    # importing rmcf.cli loads none of them; the commands above and the README
+    # profile then run without the scipy.integrate package, whose import costs
+    # about 0.7 s per process: a profile solve loads only its compiled LSODA
     heavy = ("numba", "scipy.integrate", "jsonschema")
-    for name, config in _NO_INTEGRATE_CONFIGS.items():
+    for name, config in _COMMAND_CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(config))
     commands = [["theorem-check", "--config", "grim-reaper.json"],
                 ["theorem-check", "--config", "paraboloid.json"],
-                ["oy-run", "--config", "sphere.json"]]
+                ["oy-run", "--config", "sphere.json"],
+                ["verify-identities", "--config", "bowl.json"],
+                ["profile", "--n", "2", "--r", "1", "--rmax", "100", "--tol", "1e-10"]]
     code = (
         "import sys, contextlib, io, rmcf.cli\n"
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"

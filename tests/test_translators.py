@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-import scipy.integrate  # noqa: F401  (imported up front so that timed solves do not pay for it)
-from scipy.integrate import LSODA, solve_ivp
+from scipy.integrate import LSODA
 from scipy.optimize import brentq
 
 from rmcf import translators
@@ -22,7 +24,6 @@ from rmcf.errors import (
 )
 from rmcf.translators import (
     R_MAX_LIMIT,
-    R_START_DEFAULT,
     TABLE_PARTS,
     RotProfile,
     _upp,
@@ -38,6 +39,8 @@ from rmcf.translators import (
     vertex_curvature,
     vertex_series_coeffs,
 )
+
+from lsoda_oracle import solve_ivp_oracle
 
 
 @pytest.fixture(scope="module")
@@ -249,36 +252,6 @@ class TestTable:
                      "--out", str(tmp_path)]) == 0
 
 
-def solve_ivp_oracle(n, r, R_max, tol=1e-10, R_start=R_START_DEFAULT):
-    """The profile solve through scipy's solve_ivp with dense output.
-
-    Same seed, right-hand side, Jacobian and inner tolerance as
-    ``solve_rotational_translator``; its ``OdeSolution`` is the reference
-    for the Nordsieck records the solve keeps itself.
-    """
-    k0, a4 = vertex_series_coeffs(n, r)
-    y0 = [
-        0.5 * k0 * R_start**2 + a4 * R_start**4,
-        k0 * R_start + 4.0 * a4 * R_start**3,
-        R_start + k0**2 * R_start**3 / 6.0,
-    ]
-    c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
-
-    def rhs(R, y):
-        v = y[1]
-        return [v, translators._upp(c1, c2, r, R, v), math.sqrt(1.0 + v * v)]
-
-    def jac(R, y):
-        v = y[1]
-        return [[0.0, 1.0, 0.0], [0.0, translators._upp(c1, c2, r, R, v, slope=True)[1], 0.0],
-                [0.0, v / math.sqrt(1.0 + v * v), 0.0]]
-
-    inner = max(tol / 100.0, 5e-14)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (R_start, R_max), y0, method="LSODA", rtol=inner, atol=inner,
-                         dense_output=True, jac=jac)
-
-
 def oracle_rows(sol, p, R):
     """u, u' and arclength (3, m) as the OdeSolution gives them, each radius evaluated twice."""
     R = np.asarray(R, dtype=float).ravel()
@@ -337,7 +310,8 @@ class TestNordsieckOracle:
             assert same_bits(got, oracle_rows(sol, p, R)) and same_bits(got[:, 0], batch[:, i])
 
     def test_stalled_solve(self, monkeypatch):
-        # an LSODA step that fails after 40 accepted steps
+        # the oracle's LSODA steps fail after 40 accepted steps, and so do
+        # rmcf's calls of the LSODA routine, with istate -5
         step = LSODA._step_impl
         calls = []
 
@@ -348,11 +322,58 @@ class TestNordsieckOracle:
         monkeypatch.setattr(LSODA, "_step_impl", failing)
         sol = solve_ivp_oracle(2, 1, 10.0)
         assert sol.status == -1
+        lsoda = translators._odepack_lsoda()
         calls.clear()
+
+        def failing_lsoda(fun, y, t, *args):
+            calls.append(None)
+            return (y, t, -5) if len(calls) > 40 else lsoda(fun, y, t, *args)
+
+        monkeypatch.setattr(translators, "_odepack_lsoda", lambda: failing_lsoda)
         with pytest.raises(StiffFailureError) as info:
             solve_rotational_translator(2, 1, R_max=10.0, tol=1e-10)
-        assert str(info.value) == f"integrator stalled at R={sol.t[-1]:.6g}: {sol.message}"
+        assert str(info.value) == (
+            f"integrator stalled at R={sol.t[-1]:.6g}: LSODA istate -5: "
+            "repeated convergence failures (perhaps bad Jacobian or tolerances)"
+        )
         assert info.value.last_good_R == sol.t[-1]
+
+    def test_istate_meanings_are_scipys(self):
+        from scipy.integrate._ode import lsoda
+
+        assert translators._ISTATE_MEANING == {
+            code: text[0].lower() + text[1:].rstrip(".")
+            for code, text in lsoda.messages.items() if code < 0
+        }
+
+    def test_extension_loaded_first(self):
+        # in a fresh process the solve loads ODEPACK's LSODA without the
+        # scipy.integrate package; a later import of the package shares it,
+        # and solve_ivp then gives rmcf's nodes and counts
+        code = (
+            "import sys\n"
+            "from rmcf.translators import solve_rotational_translator\n"
+            "p = solve_rotational_translator(3, 2, R_max=1e3, tol=1e-10)\n"
+            "print([m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize')"
+            " if m in sys.modules])\n"
+            "odepack = sys.modules['scipy.integrate._odepack']\n"
+            "import scipy.integrate\n"
+            "print(sys.modules['scipy.integrate._odepack'] is odepack)\n"
+            "import numpy as np\n"
+            "from lsoda_oracle import solve_ivp_oracle\n"
+            "sol = solve_ivp_oracle(3, 2, 1e3)\n"
+            "print(all(got.tobytes() == np.concatenate(([0.0], want)).tobytes()"
+            " for got, want in zip(p._nodes, (sol.t, sol.y[0], sol.y[1]))))\n"
+            "print((p.meta['nfev'], p.meta['njev']) == (sol.nfev, sol.njev) and p.meta['nfev'] > 0)\n"
+        )
+        src = os.path.dirname(os.path.dirname(translators.__file__))
+        path = os.pathsep.join(
+            filter(None, (src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")))
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True", "True", "True"]
 
     def test_nonfinite_solve(self, monkeypatch):
         # u'' turns NaN past R = 5
