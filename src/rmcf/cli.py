@@ -2,9 +2,12 @@
 
 Commands: verify-identities, theorem-check, profile, oy-run. Configs are
 single JSON documents validated against a strict schema (unknown fields
-rejected); every report embeds the config hash and the library version,
-floats are formatted to 12 significant digits, and reductions are index
-ordered, so a rerun of the same config produces byte-identical output.
+rejected). ``_CONFIG_SCHEMA`` is the one statement of that schema, and a
+small walker over it gives jsonschema's draft 2020-12 verdicts and its
+``best_match`` messages without importing jsonschema, which only the tests
+use, as the oracle. Every report embeds the config hash and the library
+version, floats are formatted to 12 significant digits, and reductions are
+index ordered, so a rerun of the same config produces byte-identical output.
 
 Exit codes: 0 consistent/pass, 1 mathematical failure, 2 usage or config
 error.
@@ -97,11 +100,12 @@ _CONFIG_SCHEMA = {
                 {"type": "array", "items": {"type": "integer", "minimum": 2}},
             ]
         },
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "field": {"type": "object"},
         "gamma": {"type": "object"},
         "G": {"type": "object"},
-        "k_max": {"type": "integer", "minimum": 1},
+        # oy_sequence scans the whole mesh once per index
+        "k_max": {"type": "integer", "minimum": 1, "maximum": 1000},
     },
 }
 
@@ -128,20 +132,112 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _load_config(path):
-    # the schema is a constant, checked once by the test suite rather than
-    # by jsonschema.validate on every load
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
+# the JSON types the schema names, as draft 2020-12 (jsonschema's default for
+# a schema without "$schema") defines them on what json.load returns: a bool
+# is neither an integer nor a number, an integral float such as 3.0 is an
+# integer, and NaN and Infinity are numbers
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
 
+
+def _schema_errors(schema, value, path=()):
+    """Each way ``value`` breaks ``schema``, in jsonschema's order and words.
+
+    Knows only the keywords ``_CONFIG_SCHEMA`` uses, ``additionalProperties``
+    only as ``false``, and ``minItems``/``maxItems`` only above 1 and 0
+    (jsonschema words those messages differently). An error is
+    ``(relevance, message, context)``, where ``context`` holds the errors of
+    all branches of a failed ``anyOf``, with paths relative to its value.
+    """
+    # jsonschema's relevance key: minus the depth, the path, whether the keyword
+    # is not anyOf, and whether the value misses the schema's type (a schema
+    # without one counts as missed); its "strong keyword" slot is always empty
+    mistyped = not ("type" in schema and _TYPES[schema["type"]](value))
+    relevance = (-len(path), path, True, mistyped)
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _TYPES["number"](value)
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _TYPES[arg](value):
+                yield relevance, f"{value!r} is not of type {arg!r}", ()
+        elif keyword == "enum":
+            if value not in arg:  # the schema's enums hold strings only
+                yield relevance, f"{value!r} is not one of {arg!r}", ()
+        elif keyword == "minimum":
+            if is_number and value < arg:
+                yield relevance, f"{value!r} is less than the minimum of {arg!r}", ()
+        elif keyword == "maximum":
+            if is_number and value > arg:
+                yield relevance, f"{value!r} is greater than the maximum of {arg!r}", ()
+        elif keyword == "required":
+            if is_object:
+                for name in arg:
+                    if name not in value:
+                        yield relevance, f"{name!r} is a required property", ()
+        elif keyword == "additionalProperties":
+            extras = sorted(set(value) - set(schema["properties"])) if is_object else ()
+            if extras:
+                names = ", ".join(repr(name) for name in extras)
+                verb = "was" if len(extras) == 1 else "were"
+                yield (relevance,
+                       f"Additional properties are not allowed ({names} {verb} unexpected)", ())
+        elif keyword == "properties":
+            if is_object:
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(sub, value[name], path + (name,))
+        elif keyword == "items":
+            if is_array:
+                for index, item in enumerate(value):
+                    yield from _schema_errors(arg, item, path + (index,))
+        elif keyword == "minItems":
+            if is_array and len(value) < arg:
+                yield relevance, f"{value!r} is too short", ()
+        elif keyword == "maxItems":
+            if is_array and len(value) > arg:
+                yield relevance, f"{value!r} is too long", ()
+        elif keyword == "anyOf":
+            context = []
+            for sub in arg:
+                branch = list(_schema_errors(sub, value))
+                if not branch:
+                    break
+                context += branch
+            else:
+                yield ((-len(path), path, False, mistyped),
+                       f"{value!r} is not valid under any of the given schemas", context)
+
+
+def _best_message(errors):
+    """The message jsonschema's ``best_match`` picks from ``errors``, or None.
+
+    The error with the largest relevance key (the first of ties); then, while
+    it is an ``anyOf``, the error of its branches with the smallest key (the
+    deepest), unless two share that key.
+    """
+    best = max(errors, key=lambda e: e[0], default=None)
+    while best is not None and best[2]:
+        least = sorted(best[2], key=lambda e: e[0])[:2]
+        if len(least) == 2 and least[0][0] == least[1][0]:
+            break
+        best = least[0]
+    return None if best is None else best[1]
+
+
+def _load_config(path):
     try:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot parse config {path}: {exc}") from exc
-    error = best_match(validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA).iter_errors(config))
-    if error is not None:
-        raise _UsageError(f"config rejected: {error.message}")
+    message = _best_message(_schema_errors(_CONFIG_SCHEMA, config))
+    if message is not None:
+        raise _UsageError(f"config rejected: {message}")
     return config
 
 
@@ -168,12 +264,18 @@ def _header(command, config, seed):
     }
 
 
+# int() on the validated integer fields: draft 2020-12 lets an integral float
+# such as 3.0 pass as an integer, and it must give the report of its int
+def _seed(args, config):
+    return int(args.seed if args.seed is not None else config.get("seed", 0))
+
+
 def _mesh_counts(config, args, n):
     counts = args.mesh if args.mesh is not None else config.get("mesh")
     if counts is None:
         counts = max(4, int(round(2000 ** (1.0 / n))))
-    if isinstance(counts, int):
-        return (counts,) * n
+    if not isinstance(counts, list):
+        return (int(counts),) * n
     if len(counts) != n:
         raise _UsageError(f"mesh spec needs {n} axis counts")
     return tuple(int(c) for c in counts)
@@ -181,7 +283,7 @@ def _mesh_counts(config, args, n):
 
 def cmd_verify_identities(args):
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     chart = registry.build_chart(config["surface"])
     rng = np.random.default_rng(seed)
     results = identities.run_identity_suite(chart, rng)
@@ -281,7 +383,7 @@ def _check_theorem_config(config, n):
 
 def cmd_theorem_check(args):
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     for key in ("region", "theorem", "r", "V"):
         if key not in config:
             raise _UsageError(f"theorem-check config needs {key!r}")
@@ -364,7 +466,7 @@ def cmd_profile(args):
 
 def cmd_oy_run(args):
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed(args, config)
     if "field" not in config:
         raise _UsageError("oy-run config needs a 'field' entry")
     chart = registry.build_chart(config["surface"])
@@ -393,6 +495,12 @@ def cmd_oy_run(args):
     return 0
 
 
+def _nonnegative_int(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer (got {text!r})")
+    return int(text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="rmcf",
@@ -405,7 +513,7 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory for reports")
         p.add_argument("--mesh", type=int, default=None, help="grid points per axis")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_nonnegative_int, default=None,
                        help="seed for randomized identity trials")
 
     p_vi = sub.add_parser("verify-identities", help="run the identity battery on a surface")

@@ -1,16 +1,20 @@
 """CLI contract tests: exit codes, report determinism, file formats."""
 
 import collections
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmcf.cli
 import rmcf.maxprinciple
 import rmcf.regions
 from rmcf.charts import MeshGeometry, cone_excess
-from rmcf.cli import _CONFIG_SCHEMA, main
+from rmcf.cli import _CONFIG_SCHEMA, _TYPES, _best_message, _schema_errors, main
 from rmcf.translators import load_profile
 
 
@@ -435,3 +439,206 @@ class TestOyRun:
     def test_field_required(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": {"kind": "sphere", "n": 2}})
         assert main(["oy-run", "--config", cfg]) == 2
+
+
+README_OY = {"surface": {"kind": "sphere", "n": 2},
+             "field": {"kind": "height", "W": [0.0, 0.0, 1.0]},
+             "gamma": {"kind": "dist_sq", "origin": [0.0, 0.0, -2.0]},
+             "G": {"kind": "iterated_log", "levels": 1}, "mesh": 21, "k_max": 6}
+PARABOLOID_CONE = {"surface": {"kind": "paraboloid", "n": 2, "halfwidth": 10.0},
+                   "region": {"kind": "cone", "V": [0.0, 0.0, 1.0], "a": 0.3},
+                   "theorem": "cone", "r": 1, "V": [0.0, 0.0, 1.0], "a": 0.3,
+                   "asserted": "bounded-sigma", "mesh": 13}
+# the README and CI configs, which the validator test mutates
+BASE_CONFIGS = [
+    {"surface": {"kind": "bowl", "n": 2, "r": 1, "R_max": 60.0, "tol": 1e-10}, "seed": 3},
+    {"surface": {"kind": "grim_reaper", "n": 2, "t_halfwidth": 12.0},
+     "region": {"kind": "cone", "V": [0.0, 0.0, 1.0], "a": 0.3},
+     "theorem": "cone", "r": 1, "V": [0.0, 0.0, 1.0], "a": 0.3, "mesh": [41, 9]},
+    README_OY,
+    {"surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 40.0, "tol": 1e-9},
+     "region": {"kind": "bihalfspace", "vertical_to": [0.0, 0.0, 0.0, 1.0],
+                "halfspaces": [{"W": [0.6, 0.8, 0.0, 0.0]}, {"W": [0.6, -0.8, 0.0, 0.0]}]},
+     "theorem": "bihalfspace", "r": 2, "V": [0.0, 0.0, 0.0, 1.0], "R": 2.0},
+    {"surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 1000.0, "tol": 1e-9},
+     "region": {"kind": "halfspace", "W": [0.6, 0.0, 0.0, 0.8]},
+     "theorem": "halfspace", "r": 2, "V": [0.0, 0.0, 0.0, 1.0]},
+    PARABOLOID_CONE,
+    {"surface": {"kind": "sphere", "n": 2, "center": [0.0, 0.0]}},
+    {"surface": {"kind": "bowl", "n": 2, "r": 1, "R_max": 40.0},
+     "region": {"kind": "halfspace", "B": [0.0, 0.0, 2000.0], "W": [0.0, 0.0, 1.0]},
+     "theorem": "halfspace", "r": 1, "V": [0.0, 0.0, 1.0], "mesh": 9},
+]
+
+
+def _schema_keys(schema):
+    keys = set(schema.get("properties", ()))
+    for sub in schema.get("properties", {}).values():
+        keys |= _schema_keys(sub)
+    if isinstance(schema.get("items"), dict):
+        keys |= _schema_keys(schema["items"])
+    return keys
+
+
+_NUMBERS = st.sampled_from([0, 1, 2, 3, 21, -1, 17, 1000, 1001, 0.0, 1.0, 2.0, 3.0, 21.0, 2.5,
+                            -0.5, 1e30, 1e9, math.nan, math.inf, -math.inf])
+_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=2),
+                    st.sampled_from(["bowl", "sphere", "cone", "halfspace", "upper", "proper"]))
+_KEYS = st.sampled_from(sorted(_schema_keys(_CONFIG_SCHEMA)) + ["bogus", "zz", "Kind"])
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+_MESHES = st.one_of(_NUMBERS, st.booleans(), st.text(max_size=1),
+                    st.lists(st.one_of(_NUMBERS, st.booleans()), max_size=4))
+_HALFSPACES = st.lists(
+    st.one_of(st.dictionaries(st.sampled_from(["W", "B", "kind"]),
+                              st.lists(_NUMBERS | st.booleans(), max_size=4), max_size=3),
+              _VALUES),
+    max_size=4,
+)
+
+
+def _containers(value):
+    """Every dict and list inside ``value``, ``value`` included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
+
+
+def _mutate(data, config):
+    """One random edit of ``config``, in place where it can be; returns the result."""
+    kind = data.draw(st.sampled_from(["retype"] * 5 + ["number"] * 2 + [
+        "set", "drop", "drop", "extras", "mesh", "mesh", "halfspaces", "halfspaces", "top"]))
+    containers = list(_containers(config))
+    if kind == "top" or not containers:
+        return data.draw(_VALUES.filter(lambda v: not isinstance(v, dict)))
+    if kind == "number" and isinstance(config, dict):
+        # the bounded integer fields, at and past their bounds
+        target, keys = data.draw(st.sampled_from([(config, ["seed", "k_max", "r", "mesh"]),
+                                                  (config.get("surface"), ["n", "r"])]))
+        if isinstance(target, dict):
+            target[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(
+                [-1, 0, 1, 2, 16, 17, 1000, 1001, 1e9, 3.0, 2.5, True, math.nan, math.inf]))
+        return config
+    if kind == "mesh":
+        if isinstance(config, dict):
+            config["mesh"] = data.draw(_MESHES)
+        return config
+    if kind == "halfspaces":
+        if isinstance(config, dict) and isinstance(config.setdefault("region", {}), dict):
+            config["region"]["halfspaces"] = data.draw(_HALFSPACES)
+        return config
+    target = data.draw(st.sampled_from(containers))
+    keys = sorted(target) if isinstance(target, dict) else range(len(target))
+    if kind == "drop" and keys:
+        del target[data.draw(st.sampled_from(keys))]
+    elif kind == "retype" and keys:
+        target[data.draw(st.sampled_from(keys))] = data.draw(_NUMBERS | _LEAVES | _VALUES)
+    elif isinstance(target, list):
+        target.append(data.draw(_VALUES))
+    elif kind == "extras":
+        for key in data.draw(st.lists(st.sampled_from(["bogus", "zz", "Kind", "theorem"]),
+                                      min_size=1, max_size=3)):
+            target[key] = data.draw(_LEAVES)
+    else:
+        target[data.draw(_KEYS)] = data.draw(_VALUES)
+    return config
+
+
+class TestConfigValidator:
+    def test_schema_uses_only_supported_keywords(self):
+        supported = {"type", "enum", "minimum", "maximum", "required", "additionalProperties",
+                     "properties", "items", "minItems", "maxItems", "anyOf"}
+
+        def check(schema):
+            assert set(schema) <= supported, set(schema) - supported
+            assert schema.get("type", "object") in _TYPES
+            assert all(isinstance(value, str) for value in schema.get("enum", ()))
+            assert schema.get("minItems", 2) > 1 and schema.get("maxItems", 1) > 0
+            if "additionalProperties" in schema:
+                assert schema["additionalProperties"] is False and "properties" in schema
+            subs = list(schema.get("properties", {}).values()) + schema.get("anyOf", [])
+            subs += [schema["items"]] if "items" in schema else []
+            for sub in subs:
+                check(sub)
+
+        check(_CONFIG_SCHEMA)
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_jsonschema_best_match(self, data):
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
+
+        config = copy.deepcopy(data.draw(st.sampled_from(BASE_CONFIGS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            config = _mutate(data, config)
+        want = best_match(validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA).iter_errors(config))
+        got = _best_message(_schema_errors(_CONFIG_SCHEMA, config))
+        assert got == (None if want is None else want.message), config
+
+    @pytest.mark.parametrize("config, message", [
+        ({"surface": {"kind": "bowl", "n": 0}, "mesh": [1, 4]}, "1 is less than the minimum of 2"),
+        ({"surface": {"kind": "bowl"}, "mesh": True},
+         "True is not valid under any of the given schemas"),
+        ({"surface": {"kind": "bowl", "n": 2.5}}, "2.5 is not of type 'integer'"),
+        ({"surface": {"kind": "bowl", "R_max": True}}, "True is not of type 'number'"),
+        ({"surface": {"kind": "bowl"}, "bogus": 1, "zz": 2},
+         "Additional properties are not allowed ('bogus', 'zz' were unexpected)"),
+        ({"seed": 1}, "'surface' is a required property"),
+        ([1, 2], "[1, 2] is not of type 'object'"),
+        ({"surface": {"kind": "bowl"},
+          "region": {"kind": "bihalfspace", "halfspaces": [{"W": [1.0, 0.0]}]}},
+         "[{'W': [1.0, 0.0]}] is too short"),
+        # draft 2020-12: integral floats are integers, NaN and Infinity are numbers
+        ({"surface": {"kind": "bowl", "n": 2.0}, "mesh": [21.0, 9], "seed": 1e30}, None),
+        ({"surface": {"kind": "bowl", "R_max": math.inf, "tol": math.nan}}, None),
+    ])
+    def test_messages(self, config, message):
+        assert _best_message(_schema_errors(_CONFIG_SCHEMA, config)) == message
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("command, config, ints", [
+        ("verify-identities", {"surface": {"kind": "paraboloid", "n": 2}}, {"seed": 3}),
+        ("verify-identities", {"surface": {"kind": "paraboloid", "n": 2}}, {"seed": int(1e30)}),
+        ("oy-run", README_OY, {"mesh": 21, "k_max": 6, "r": 1, "seed": 2}),
+        ("theorem-check", PARABOLOID_CONE, {"mesh": 7, "r": 1, "seed": 4}),
+    ])
+    def test_integral_floats_give_the_integer_report(self, tmp_path, command, config, ints):
+        # draft 2020-12 lets 3.0 pass as an integer; only config_hash, the
+        # hash of the config as written, may differ
+        reports = []
+        for number in (float, int):
+            cfg = write_config(tmp_path, dict(config, **{k: number(v) for k, v in ints.items()}))
+            out = tmp_path / number.__name__
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            (path,) = out.glob("*.json")
+            reports.append(json.loads(path.read_text()))
+            del reports[-1]["config_hash"]
+        assert reports[0] == reports[1]
+        assert reports[0]["seed"] == ints["seed"]
+
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}, "seed": -1})
+        assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: config rejected: -1 is less than the minimum of 0")
+        cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}})
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities", "--config", cfg, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer (got '-1')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_max", [1e9, 1001])
+    def test_k_max_bound(self, tmp_path, capsys, monkeypatch, k_max):
+        def no_run(*args, **kwargs):
+            raise AssertionError("oy_sequence ran for a rejected config")
+
+        monkeypatch.setattr(rmcf.cli, "oy_sequence", no_run)
+        cfg = write_config(tmp_path, dict(README_OY, k_max=k_max))
+        assert main(["oy-run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "is greater than the maximum of 1000" in capsys.readouterr().err
