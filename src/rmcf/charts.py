@@ -5,8 +5,10 @@ first and second derivatives at every query. From those we build the
 induced metric, a deterministic orthonormal frame (inverse Cholesky factor
 of g), the unit normal with a per-chart orientation rule, the shape
 operator, intrinsic gradients and Hessians of ambient fields (tangential
-projection and the Gauss formula), the operator L_{r-1} f = tr(P_{r-1} hess f),
-and the translator residual sigma_r - <N, V>.
+projection and the Gauss formula), the operator L_{r-1} f = tr(P_{r-1} hess f)
+and its closed form on distance functions. All of it acts on stacks of
+parameter points through ``MeshGeometry``; ``point_geometry`` and
+``L_operator`` are its one-row calls.
 
 Sign convention: the second fundamental form is II(Y, Z) = <dd X(Y,Z), N>,
 so the unit sphere carries A = +I when the normal points inward. Graph
@@ -27,7 +29,7 @@ from .errors import (
     SingularPointError,
 )
 from . import kernels
-from .symfun import CurvatureSpectrum, SymMatrix, newton_transforms, symmetrized
+from .symfun import SymMatrix, newton_transforms, symmetrized
 
 _RANK_TOL = 1e-8          # smallest singular value of dX below this is singular
 _BOUNDARY_MARGIN = 1e-6   # mesh points this close (fractionally) to the box edge are dropped
@@ -113,8 +115,10 @@ class PointGeometry:
     d2X: np.ndarray
     N: np.ndarray
     L: np.ndarray          # lower Cholesky factor of g
+    E: np.ndarray          # (n+1, n) ambient orthonormal tangent frame
     A: SymMatrix           # shape operator in the frame E
-    sigma: CurvatureSpectrum
+    k: np.ndarray          # ascending principal curvatures
+    sigma: np.ndarray      # sigma_0, ..., sigma_n
     normA: float
 
     @property
@@ -122,13 +126,11 @@ class PointGeometry:
         """Induced metric."""
         return self.dX.T @ self.dX
 
-    @property
-    def E(self):
-        """(n+1, n) ambient orthonormal tangent frame."""
-        return self.dX @ np.linalg.inv(self.L).T
-
     def sigma_r(self, r):
-        return self.sigma.sigma_r(r)
+        """sigma_r with the convention sigma_r = 0 for r > n."""
+        if r < 0:
+            raise DomainError("sigma_r needs r >= 0")
+        return float(self.sigma[r]) if r < self.sigma.size else 0.0
 
 
 def _contract(a, b):
@@ -175,8 +177,9 @@ class MeshGeometry:
     (m, n+1, n), the shape operator A (m, n, n) in that frame, its ascending
     spectrum k (m, n), the table sigma (m, n+1) of sigma_0..sigma_n and the
     Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index,
-    which errors name. ``len``, indexing and iteration give
-    ``PointGeometry`` rows, built on demand.
+    which errors name, and ``len`` is the row count. Every method acts on
+    all rows at once; there is no per-row object (``point_geometry`` is the
+    one-row call).
 
     A field's frame gradient E^T grad F and intrinsic Hessian
     E^T D^2F E + <grad F, N> A (the Gauss formula) come from its ambient
@@ -203,25 +206,6 @@ class MeshGeometry:
 
     def __len__(self):
         return self.u.shape[0]
-
-    def __getitem__(self, i):
-        return PointGeometry(
-            u=self.u[i], X=self.X[i], dX=self.dX[i], d2X=self.d2X[i], N=self.N[i],
-            L=self.L[i], A=SymMatrix(self.A[i]),
-            sigma=CurvatureSpectrum(k=self.k[i], sigma=self.sigma[i]),
-            normA=float(self.normA[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def of_point(cls, chart, pg):
-        """One-row geometry holding a PointGeometry."""
-        arrays = (pg.u, pg.X, pg.dX, pg.d2X, pg.N, pg.L, pg.E, pg.A.entries, pg.sigma.k,
-                  pg.sigma.sigma, pg.normA)
-        return cls(chart, np.zeros(1, dtype=int),
-                   *(_frozen(np.asarray(a, dtype=float)[None]) for a in arrays))
 
     def take(self, idx):
         """The rows ``idx`` (indices or a boolean mask), in that order."""
@@ -434,8 +418,19 @@ def _geometry(chart, U, index, jets):
 
 
 def point_geometry(chart, u):
-    """Metric, oriented unit normal, frame shape operator and curvatures at u."""
-    return mesh_geometry(chart, _param_row(chart, u))[0]
+    """Metric, oriented unit normal, frame shape operator and curvatures at u.
+
+    The one row of ``mesh_geometry(chart, [u])``.
+    """
+    mg = mesh_geometry(chart, _param_row(chart, u))
+    row = {key: getattr(mg, key)[0] for key in ("u", "X", "dX", "d2X", "N", "L", "E", "k")}
+    return PointGeometry(**row, A=SymMatrix(mg.A[0]), sigma=mg.sigma[0], normA=float(mg.normA[0]))
+
+
+def L_operator(chart, f, u, r):
+    """L_{r-1} f = tr(P_{r-1} hess f) at u: the one row of ``MeshGeometry.L_operator``."""
+    _check_order(r, chart.n, "L operator")
+    return float(mesh_geometry(chart, _param_row(chart, u)).L_operator(f, r)[0])
 
 
 def _param_row(chart, u):
@@ -443,13 +438,6 @@ def _param_row(chart, u):
     if u.shape != (chart.n,):
         raise InvalidInputError(f"parameter point must have {chart.n} coordinates")
     return u[None, :]
-
-
-def _row_geometry(chart, u, pg):
-    """One-row MeshGeometry at u, from ``pg`` when the caller has it."""
-    if pg is None:
-        return mesh_geometry(chart, _param_row(chart, u))
-    return MeshGeometry.of_point(chart, pg)
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +473,13 @@ class AmbientField:
 
 
 def linear_height(W):
-    """f(X) = <X, W>."""
+    """f(X) = <X, W>, for one vector W (n+1,) or one per row of a stack (m, n+1)."""
     W = np.asarray(W, dtype=float)
+    dim = W.shape[-1]
     return AmbientField(
         lambda X: rowdot(X, W),
         lambda X: W,
-        lambda X: np.zeros((W.size, W.size)),
+        lambda X: np.zeros((dim, dim)),
     )
 
 
@@ -546,76 +535,43 @@ def cone_excess(V, a, origin=None):
 
 
 # ---------------------------------------------------------------------------
-# intrinsic derivatives and the L operator
-
-
-def intrinsic_hessian(chart, f, u, pg=None):
-    """hess f in the orthonormal frame, by the Gauss formula E^T D^2F E + <grad F, N> A."""
-    return SymMatrix(_row_geometry(chart, u, pg).intrinsic_hessian(f)[0])
-
-
-def frame_gradient(chart, f, u, pg=None):
-    """Gradient components E^T grad F in the orthonormal frame."""
-    return _row_geometry(chart, u, pg).frame_gradient(f)[0]
-
-
-def gradient_norm(chart, f, u, pg=None):
-    """Intrinsic |grad f|, the length of the tangential part of grad F."""
-    return float(np.linalg.norm(frame_gradient(chart, f, u, pg=pg)))
-
-
-def L_operator(chart, f, u, r, pg=None):
-    """L_{r-1} f = tr(P_{r-1} hess f) in the orthonormal frame."""
-    _check_order(r, chart.n, "L operator")
-    return float(_row_geometry(chart, u, pg).L_operator(f, r)[0])
-
-
-def L_distance(chart, u, r, origin, pg=None):
-    """Closed form for L_{r-1} of the distance-to-origin function (see MeshGeometry)."""
-    _check_order(r, chart.n, "L_distance")
-    return float(_row_geometry(chart, u, pg).L_distance(r, origin)[0])
-
-
-def soliton_residual(chart, u, V, r, pg=None):
-    """sigma_r - <N, V>; vanishes exactly on translators with velocity V."""
-    V = np.asarray(V, dtype=float).ravel()
-    if V.shape != (chart.n + 1,):
-        raise InvalidInputError("velocity must be an ambient vector")
-    if abs(np.linalg.norm(V) - 1.0) > 1e-10:
-        raise InvalidInputError("velocity must be a unit vector")
-    if pg is None:
-        pg = point_geometry(chart, u)
-    return pg.sigma_r(r) - float(pg.N @ V)
-
-
-# ---------------------------------------------------------------------------
 # derivative cross-checks
 
 
-def fd_jet_error(chart, u, h):
-    """Max deviation of the analytic dX / d2X from central differences of X.
+def fd_jet_error(chart, U, steps):
+    """Max deviations of the analytic dX / d2X from central differences of X.
 
-    One ``chart.jets`` call evaluates the whole stencil: u, u +- h e_i and
-    u +- h e_i +- h e_j for i < j.
+    For each step h in ``steps`` and each row u of U (m, n) the stencil is
+    u, u +- h e_i and u +- h e_i +- h e_j for i < j; one ``chart.jets`` call
+    evaluates every stencil. Returns (err1, err2), each (len(steps), m).
     """
-    u = np.asarray(u, dtype=float)
-    n = chart.n
-    steps = h * np.eye(n)
+    U = np.asarray(U, dtype=float)
+    m, n = U.shape
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    stencil = [u, *(u + e for e in steps), *(u - e for e in steps)]
-    for i, j in pairs:
-        ei, ej = steps[i], steps[j]
-        stencil += [u + ei + ej, u + ei - ej, u - ei + ej, u - ei - ej]
-    X, dX, d2X = chart.jets(np.array(stencil))
-    x0, xp, xm = X[0], X[1 : n + 1], X[n + 1 : 2 * n + 1]
-    err1 = np.max(np.abs((xp - xm) / (2 * h) - dX[0].T))
-    err2 = np.max(np.abs((xp - 2 * x0 + xm) / h**2 - np.diagonal(d2X[0]).T))
-    if pairs:
-        corners = X[2 * n + 1 :].reshape(len(pairs), 4, n + 1)
-        mixed = (corners[:, 0] - corners[:, 1] - corners[:, 2] + corners[:, 3]) / (4 * h**2)
-        i, j = np.array(pairs).T
-        err2 = max(err2, np.max(np.abs(mixed - d2X[0, i, j])))
-    return float(err1), float(err2)
+    stencils = []
+    for h in steps:
+        e = h * np.eye(n)
+        pts = [U, *(U + ei for ei in e), *(U - ei for ei in e)]
+        for i, j in pairs:
+            pts += [U + e[i] + e[j], U + e[i] - e[j], U - e[i] + e[j], U - e[i] - e[j]]
+        stencils.append(np.stack(pts, axis=1))
+    X, dX, d2X = chart.jets(np.array(stencils))
+    size = stencils[0].shape[1]
+    X = X.reshape(len(stencils), m, size, n + 1)
+    dX0 = _transposed(dX.reshape(len(stencils), m, size, n + 1, n)[:, :, 0])
+    d2X0 = d2X.reshape(len(stencils), m, size, n, n, n + 1)[:, :, 0]
+    err1, err2 = np.empty((2, len(stencils), m))
+    for s, h in enumerate(steps):
+        x0, xp, xm = X[s, :, :1], X[s, :, 1 : n + 1], X[s, :, n + 1 : 2 * n + 1]
+        err1[s] = np.max(np.abs((xp - xm) / (2 * h) - dX0[s]), axis=(1, 2))
+        diag = _transposed(np.diagonal(d2X0[s], axis1=1, axis2=2))
+        err2[s] = np.max(np.abs((xp - 2 * x0 + xm) / h**2 - diag), axis=(1, 2))
+        if pairs:
+            c = np.moveaxis(X[s, :, 2 * n + 1 :].reshape(m, len(pairs), 4, n + 1), 2, 0)
+            mixed = (c[0] - c[1] - c[2] + c[3]) / (4 * h**2)
+            i, j = np.array(pairs).T
+            err2[s] = np.maximum(err2[s], np.max(np.abs(mixed - d2X0[s][:, i, j]), axis=(1, 2)))
+    return err1, err2
 
 
 def richardson_slope(err_h, err_h2):
@@ -744,10 +700,6 @@ class Mesh:
                     worst = max(worst, float(np.max(np.linalg.norm(d, axis=-1))))
             self._cache["spacing"] = worst
         return self._cache["spacing"]
-
-    def refined(self, factor=2):
-        counts = tuple((c - 1) * factor + 1 for c in self.shape)
-        return Mesh.grid(self.chart, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,30 +2,31 @@
 
 Each check returns (id, max_err, tol, pass). The ids are stable strings
 the CLI reports and its exit code keys off.
+
+The battery works on one ``MeshGeometry`` of the sampled points: every
+check is a stacked expression over its rows, set against an oracle that
+shares no formula with the path it checks (subset enumeration for sigma,
+determinants for the characteristic polynomial, the polynomial form of
+P_r for the recursion, closed forms for the operators). Each section that
+needs random numbers draws them for all rows in one call, in the order of
+the rows.
 """
 
 import itertools
 
 import numpy as np
 
+from . import kernels
 from .charts import (
-    L_operator,
     distance_sq_to,
     distance_to,
     fd_jet_error,
-    gradient_norm,
     linear_height,
     mesh_geometry,
     richardson_slope,
     rowdot,
 )
-from .symfun import (
-    char_poly_eval,
-    min_eigen_Pr,
-    newton_polynomial,
-    newton_transform,
-    trace_identities,
-)
+from .symfun import char_poly_eval, newton_polynomial
 
 
 def _interior_sample(chart, rng, count):
@@ -33,10 +34,28 @@ def _interior_sample(chart, rng, count):
     return lo + (hi - lo) * rng.uniform(0.15, 0.85, size=(count, chart.n))
 
 
-def _enum_sigma(vals, r):
+def _enum_sigma(k, r):
+    """sigma_r of each row of k (m, n) as the sum of its r-fold products of distinct entries."""
     if r == 0:
-        return 1.0
-    return float(sum(np.prod(c) for c in itertools.combinations(vals, r)))
+        return np.ones(len(k))
+    acc = 0.0
+    for c in itertools.combinations(range(k.shape[1]), r):
+        prod = k[:, c[0]]
+        for j in c[1:]:
+            prod = prod * k[:, j]
+        acc = acc + prod
+    return acc
+
+
+def _dots(a, b):
+    """Row-wise dot products of (m, k) stacks, with the bits of the 1-d ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(rng, m, dim):
+    """m random unit vectors: one stacked normal draw, each row divided by its norm."""
+    V = rng.standard_normal((m, dim))
+    return V / np.sqrt(_dots(V, V))[:, None]
 
 
 def run_identity_suite(chart, rng, sample_count=24, origin=None):
@@ -49,7 +68,7 @@ def run_identity_suite(chart, rng, sample_count=24, origin=None):
     origin = np.zeros(n + 1) if origin is None else np.asarray(origin, dtype=float)
     pts = _interior_sample(chart, rng, sample_count)
     mg = mesh_geometry(chart, pts)
-    geos = list(mg)
+    m = len(mg)
     results = []
 
     def record(cid, err, tol):
@@ -69,77 +88,60 @@ def run_identity_suite(chart, rng, sample_count=24, origin=None):
     worst_slope = np.inf
     ext = float(np.min(chart.param_domain[:, 1] - chart.param_domain[:, 0]))
     h = 3e-2 * min(ext, 1.0)
-    for u in pts[: min(6, len(pts))]:
-        e1a, e2a = fd_jet_error(chart, u, h)
-        e1b, e2b = fd_jet_error(chart, u, h / 2)
-        if e1b > 1e-8:
-            worst_slope = min(worst_slope, richardson_slope(e1a, e1b))
-        if e2b > 1e-7:
-            worst_slope = min(worst_slope, richardson_slope(e2a, e2b))
+    (e1a, e1b), (e2a, e2b) = (e.tolist() for e in fd_jet_error(chart, pts[:6], (h, h / 2)))
+    for i in range(len(e1a)):
+        if e1b[i] > 1e-8:
+            worst_slope = min(worst_slope, richardson_slope(e1a[i], e1b[i]))
+        if e2b[i] > 1e-7:
+            worst_slope = min(worst_slope, richardson_slope(e2a[i], e2b[i]))
     # report the order deficit so that 0 err means clean second order
     deficit = max(0.0, 1.9 - worst_slope) if np.isfinite(worst_slope) else 0.0
     record("fd-consistency", deficit, 0.0)
 
     # symmetric-function identities on the sampled shape operators
-    err = 0.0
-    for pg in geos:
-        vals = pg.A.eigenvalues()
-        for r in range(n + 1):
-            err = max(err, abs(pg.sigma_r(r) - _enum_sigma(vals, r)))
+    err = max(float(np.max(np.abs(mg.sigma[:, r] - _enum_sigma(mg.k, r)))) for r in range(n + 1))
     record("sigma-eigencheck", err, 1e-9)
 
-    err = 0.0
-    for pg in geos:
-        scale = max(1.0, float(np.max(np.abs(pg.A.entries)))) ** n
-        for t in rng.uniform(-2.0, 2.0, size=4):
-            det = float(np.linalg.det(pg.A.entries - t * np.eye(n)))
-            err = max(err, abs(char_poly_eval(pg.A, float(t)) - det) / scale)
+    scale = np.maximum(1.0, np.max(np.abs(mg.A), axis=(1, 2))) ** n
+    t = rng.uniform(-2.0, 2.0, size=(m, 4))
+    det = np.linalg.det(mg.A[:, None] - t[:, :, None, None] * np.eye(n))
+    err = np.max(np.abs(char_poly_eval(mg.sigma, t) - det) / scale[:, None])
     record("char-poly", err, 1e-8)
 
     err_pol = 0.0
     err_comm = 0.0
-    for pg in geos:
-        for r in range(n + 1):
-            P = newton_transform(pg.A, r)
-            err_pol = max(
-                err_pol,
-                float(np.max(np.abs(P.entries - newton_polynomial(pg.A, r).entries))),
-            )
-            err_comm = max(
-                err_comm,
-                float(np.max(np.abs(pg.A.entries @ P.entries - P.entries @ pg.A.entries))),
-            )
+    for r in range(n + 1):
+        P = mg.newton(r)
+        err_pol = max(err_pol, float(np.max(np.abs(P - newton_polynomial(mg.A, mg.sigma, r)))))
+        err_comm = max(err_comm, float(np.max(np.abs(mg.A @ P - P @ mg.A))))
     record("newton-poly-vs-recursion", err_pol, 1e-10)
     record("newton-commutes", err_comm, 1e-10)
 
-    err = max(
-        float(np.max(np.abs(newton_transform(pg.A, n).entries))) for pg in geos
-    )
-    record("cayley-hamilton", err, 1e-9)
+    record("cayley-hamilton", np.max(np.abs(mg.newton(n))), 1e-9)
 
     err = 0.0
-    for pg in geos:
-        for r in range(1, n + 1):
-            trP, trAP = trace_identities(pg.A, r)
-            want_trP = (n - r + 1) * pg.sigma_r(r - 1)
-            want_trAP = r * pg.sigma_r(r)
-            scale = 1.0 + abs(want_trP) + abs(want_trAP)
-            err = max(err, abs(trP - want_trP) / scale, abs(trAP - want_trAP) / scale)
+    for r in range(1, n + 1):
+        P = mg.newton(r - 1)
+        trP = np.trace(P, axis1=1, axis2=2)
+        trAP = np.trace(mg.A @ P, axis1=1, axis2=2)
+        want_trP = (n - r + 1) * mg.sigma[:, r - 1]
+        want_trAP = r * mg.sigma[:, r]
+        scale = 1.0 + np.abs(want_trP) + np.abs(want_trAP)
+        err = max(err, float(np.max(np.maximum(np.abs(trP - want_trP) / scale,
+                                                np.abs(trAP - want_trAP) / scale))))
     record("trace-identities", err, 1e-9)
 
-    err = max(abs(min_eigen_Pr(pg.A, 0) - 1.0) for pg in geos)
-    record("newton-p0-identity", err, 1e-12)  # P_0 = I has min eigenvalue 1
+    # P_0 = I has min eigenvalue 1
+    err = np.max(np.abs(np.min(kernels.complement_sigma(mg.k, 0), axis=1) - 1.0))
+    record("newton-p0-identity", err, 1e-12)
 
     # operator identities; the height and gradient checks draw a direction per point
+    V = _unit_rows(rng, m, n + 1)
+    fV = linear_height(V)
     err = 0.0
-    for u, pg in zip(pts, geos):
-        V = rng.standard_normal(n + 1)
-        V /= np.linalg.norm(V)
-        fV = linear_height(V)
-        for r in range(1, n + 1):
-            got = L_operator(chart, fV, u, r, pg=pg)
-            want = r * pg.sigma_r(r) * float(pg.N @ V)
-            err = max(err, abs(got - want) / (1.0 + pg.normA**2))
+    for r in range(1, n + 1):
+        want = r * mg.sigma[:, r] * _dots(mg.N, V)
+        err = max(err, float(np.max(np.abs(mg.L_operator(fV, r) - want) / (1.0 + mg.normA**2))))
     record("operator-height", err, 1e-7)
 
     y = mg.X - origin
@@ -151,12 +153,10 @@ def run_identity_suite(chart, rng, sample_count=24, origin=None):
         err = max(err, float(np.max(np.abs(got - want) / ((1.0 + mg.normA**2) * (1.0 + yy)))))
     record("operator-distsq", err, 1e-7)
 
-    err = 0.0
-    for u, pg in zip(pts, geos):
-        W = rng.standard_normal(n + 1)
-        W /= np.linalg.norm(W)
-        gn = gradient_norm(chart, linear_height(W), u, pg=pg)
-        err = max(err, abs(gn**2 + float(pg.N @ W) ** 2 - 1.0))
+    W = _unit_rows(rng, m, n + 1)
+    grads = mg.frame_gradient(linear_height(W))
+    gn = np.sqrt(_dots(grads, grads))
+    err = np.max(np.abs(gn**2 + _dots(mg.N, W) ** 2 - 1.0))
     record("grad-pythagoras", err, 1e-10)
 
     dist = distance_to(origin)

@@ -397,7 +397,7 @@ def min_eigen_over_mesh(mesh, r):
     """
     n = mesh.chart.n
     if not isinstance(r, (int, np.integer)) or r < 1 or r > n:
-        raise DomainError(f"min_eigen_Pr needs 0 <= r <= n-1 (got r={r - 1}, n={n})")
+        raise DomainError(f"min_eigen_over_mesh needs 1 <= r <= n (got r={r}, n={n})")
     return float(np.min(kernels.complement_sigma(mesh.geometry().k, r - 1)))
 
 

@@ -1,13 +1,11 @@
 """Elementary symmetric functions of principal curvatures and Newton transformations.
 
 Everything here is finite-dimensional linear algebra on small (n <= 16)
-symmetric matrices: sigma_r values, the characteristic polynomial, the
-recursively defined transforms P_r together with their polynomial form,
-and the trace identities tr P_{r-1} = (n-r+1) sigma_{r-1},
-tr(A P_{r-1}) = r sigma_r.
+symmetric matrices, stacked along a leading row axis: the symmetry check,
+the characteristic polynomial from a sigma table, and the transforms P_r
+by their recursion and by their polynomial form. ``SymMatrix`` and
+``newton_transform`` are the one-row forms.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,53 +120,32 @@ class SymMatrix:
             object.__setattr__(self, "_sigma", sig)
         return self._sigma
 
-    def trace(self):
-        return float(np.trace(self.entries))
-
-    def __matmul__(self, other):
-        rhs = other.entries if isinstance(other, SymMatrix) else other
-        return self.entries @ rhs
-
     def __repr__(self):
         return f"SymMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
-    """Principal curvatures at a point together with sigma_0..sigma_n."""
+def char_poly_eval(sigma, t):
+    """det(A - t I) = sum_j (-1)^j sigma_{n-j} t^j by Horner, at points t (m, q).
 
-    k: np.ndarray
-    sigma: np.ndarray = field(repr=False)
-
-    @property
-    def n(self):
-        return self.k.size
-
-    def sigma_r(self, r):
-        """sigma_r with the convention sigma_r = 0 for r > n."""
-        if r < 0:
-            raise DomainError("sigma_r needs r >= 0")
-        if r > self.n:
-            return 0.0
-        return float(self.sigma[r])
-
-
-def char_poly_eval(A, t):
-    """sum_j (-1)^j sigma_{n-j} t^j, which equals det(A - t I).
-
-    The sigmas come from the spectrum of A, so agreement with a direct
-    determinant is a genuine cross-check, not a tautology.
+    ``sigma`` holds one sigma table (sigma_0, ..., sigma_n) per row (m, n+1),
+    and row i of ``t`` is evaluated with row i of ``sigma``. The sigmas come
+    from the spectrum of A, so agreement with a direct determinant is a
+    genuine cross-check, not a tautology.
     """
-    A = _as_symmatrix(A)
-    if not np.isfinite(t):
+    sigma = np.asarray(sigma, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if sigma.ndim != 2 or t.ndim != 2 or len(t) != len(sigma):
+        raise InvalidInputError(
+            f"need sigma tables (m, n+1) and points (m, q), got {sigma.shape} and {t.shape}"
+        )
+    if not np.all(np.isfinite(t)):
         raise InvalidInputError("evaluation point t must be finite")
-    sig = A.sigma_table().tolist()
-    n = A.n
+    n = sigma.shape[1] - 1
     # Horner on c_j = (-1)^j sigma_{n-j}, highest degree first
-    acc = 0.0
+    acc = np.zeros_like(t)
     for j in range(n, -1, -1):
-        acc = acc * t + ((-1.0) ** j) * sig[n - j]
-    return float(acc)
+        acc = acc * t + ((-1.0) ** j) * sigma[:, n - j, None]
+    return acc
 
 
 def newton_transform(A, r):
@@ -177,13 +154,16 @@ def newton_transform(A, r):
     Defined for 0 <= r <= n; the r = n case closes the recursion at the
     zero matrix (Cayley-Hamilton) and exists purely as a test surface.
     """
-    A = _as_symmatrix(A)
-    n = A.n
+    A = A if isinstance(A, SymMatrix) else SymMatrix(A)
+    _check_newton_order(r, A.n)
+    return SymMatrix._of_symmetrized(newton_transforms(A.entries, A.sigma_table(), r))
+
+
+def _check_newton_order(r, n):
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise InvalidInputError("order r must be a nonnegative integer")
     if r > n:
         raise DomainError(f"P_r is only defined for r <= n (got r={r}, n={n})")
-    return SymMatrix._of_symmetrized(newton_transforms(A.entries, A.sigma_table(), r))
 
 
 def newton_transforms(A, sigma, r, where=_nowhere):
@@ -201,53 +181,19 @@ def newton_transforms(A, sigma, r, where=_nowhere):
     return _symmetrized_derived(P, where)
 
 
-def newton_polynomial(A, r):
-    """P_r as the explicit polynomial sum_j (-1)^j sigma_{r-j} A^j via Horner."""
-    A = _as_symmatrix(A)
-    n = A.n
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise InvalidInputError("order r must be a nonnegative integer")
-    if r > n:
-        raise DomainError(f"P_r is only defined for r <= n (got r={r}, n={n})")
-    sig = A.sigma_table()
-    B = -A.entries
-    eye = np.eye(n)
-    acc = sig[0] * eye  # sigma_0 I, then fold in B = -A
+def newton_polynomial(A, sigma, r):
+    """P_r of symmetric matrices A (m, n, n) as the polynomial sum_j (-1)^j sigma_{r-j} A^j.
+
+    ``sigma`` holds the rows' sigma tables (m, n+1). Horner's scheme in
+    B = -A shares no step with the recursion of ``newton_transforms``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise InvalidInputError(f"expected a stack of square matrices, got shape {A.shape}")
+    _check_newton_order(r, A.shape[-1])
+    B = -A
+    eye = np.eye(A.shape[-1])
+    acc = sigma[:, 0, None, None] * eye  # sigma_0 I, then fold in B = -A
     for j in range(1, r + 1):
-        acc = B @ acc + sig[j] * eye
-    return SymMatrix._of_symmetrized(_symmetrized_derived(acc))
-
-
-def trace_identities(A, r):
-    """(tr P_{r-1}, tr(A P_{r-1})) for 1 <= r <= n.
-
-    Contract: the pair equals ((n-r+1) sigma_{r-1}, r sigma_r).
-    """
-    A = _as_symmatrix(A)
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > A.n:
-        raise InvalidInputError(f"trace identities need 1 <= r <= n (got r={r}, n={A.n})")
-    P = newton_transform(A, r - 1)
-    trP = P.trace()
-    trAP = float(np.trace(A.entries @ P.entries))
-    return trP, trAP
-
-
-def min_eigen_Pr(A, r):
-    """Smallest eigenvalue of P_r, computed from the complement spectrum.
-
-    In the eigenbasis of A, the eigenvalue of P_r attached to the i-th
-    eigenvector is sigma_r of the other curvatures; the minimum over i
-    is what the positive (semi)definiteness hypotheses ask about.
-    """
-    A = _as_symmatrix(A)
-    if not isinstance(r, (int, np.integer)) or r < 0 or r > A.n - 1:
-        raise DomainError(f"min_eigen_Pr needs 0 <= r <= n-1 (got r={r}, n={A.n})")
-    vals = A.eigenvalues()
-    comp = kernels.complement_sigma(vals[None, :], r)[0]
-    return float(np.min(comp))
-
-
-def _as_symmatrix(A):
-    if isinstance(A, SymMatrix):
-        return A
-    return SymMatrix(A)
+        acc = B @ acc + sigma[:, j, None, None] * eye
+    return _symmetrized_derived(acc)

@@ -15,6 +15,7 @@ import rmcf.maxprinciple
 import rmcf.regions
 from rmcf.charts import MeshGeometry, cone_excess
 from rmcf.cli import _CONFIG_SCHEMA, _TYPES, _best_message, _schema_errors, main
+from rmcf.registry import build_region
 from rmcf.translators import load_profile
 
 
@@ -31,6 +32,11 @@ CONE_1E3 = {"surface": RBOWL_1E3, "region": {"kind": "cone", "V": V4, "a": 0.3},
             "theorem": "cone", "r": 2, "V": V4, "a": 0.3}
 HALFSPACE_1E3 = {"surface": RBOWL_1E3, "region": {"kind": "halfspace", "W": [0.6, 0.0, 0.0, 0.8]},
                  "theorem": "halfspace", "r": 2, "V": V4}
+BIHALFSPACE_40 = {
+    "surface": {"kind": "bowl", "n": 3, "r": 2, "R_max": 40.0, "tol": 1e-9},
+    "region": {"kind": "bihalfspace", "vertical_to": V4,
+               "halfspaces": [{"W": [0.6, 0.8, 0.0, 0.0]}, {"W": [0.6, -0.8, 0.0, 0.0]}]},
+    "theorem": "bihalfspace", "r": 2, "V": V4, "R": 2.0, "mesh": 9}
 PREMISE_FUNCTIONS = ("first_exit", "growth_report", "min_eigen_over_mesh",
                      "_translator_residual_sup")
 
@@ -186,6 +192,38 @@ class TestTheoremCheck:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["results"]["consistent"] is True
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_bihalfspace_eps_is_the_gates(self, tmp_path, monkeypatch, order):
+        # eps defaults to the gate's smallest P_{r-1} eigenvalue. The drive
+        # runs on the moved mesh, whose geometry keeps k under the motion
+        # (registry charts set orient_ref), so for det Q = +1 and -1 alike
+        # the moved mesh's own eigenvalue is the same float and the report
+        # bytes are those of the drive given that eps
+        config = copy.deepcopy(BIHALFSPACE_40)
+        config["region"]["halfspaces"] = config["region"]["halfspaces"][::order]
+        Q = rmcf.regions.normalize_bihalfspace(build_region(config["region"]), np.array(V4))[0]
+        assert np.linalg.det(Q) == pytest.approx(order)
+        drive = rmcf.cli.bihalfspace_drive
+        seen = []
+
+        def spied(chart, a, b, R, r, eps, mesh):
+            seen.append((eps, max(rmcf.regions.min_eigen_over_mesh(mesh, r), 0.0)))
+            return drive(chart, a, b, R, r, eps, mesh)
+
+        def moved_mesh_eps(chart, a, b, R, r, eps, mesh):
+            return drive(chart, a, b, R, r, max(rmcf.regions.min_eigen_over_mesh(mesh, r), 0.0),
+                         mesh)
+
+        reports = []
+        for name, wrapper in (("gate", spied), ("moved", moved_mesh_eps)):
+            monkeypatch.setattr(rmcf.cli, "bihalfspace_drive", wrapper)
+            (tmp_path / name).mkdir()
+            theorem_check(tmp_path / name, config)
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        [(eps, moved)] = seen
+        assert eps == moved > 0.0
+        assert reports[0] == reports[1]
+
     def test_cone_field_gradients_evaluated_on_stacks(self, tmp_path, monkeypatch):
         # the (3, 2) bowl at R_max 1e3 on the default 13^3 mesh: the drive's
         # identity check and maximizer run each evaluate psi's ambient
@@ -259,6 +297,8 @@ class TestTheoremCheck:
         (HALFSPACE_1E3, 1),
         # the bounded-sigma gate reads HS2-2; the cone drive still reads HS2-1
         (dict(CONE_1E3, asserted="bounded-sigma"), 2),
+        # the bi-half-space drive's default eps is the gate's P_{r-1} eigenvalue
+        (BIHALFSPACE_40, 1),
     ])
     def test_premises_computed_once(self, tmp_path, monkeypatch, config, growth_reports):
         # the drive and the first_exit entry read the gate's results

@@ -33,6 +33,7 @@ from rmcf.regions import Cone, Halfspace, bihalfspace_drive, first_exit
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
 
 import g_quadrature
+from scalar_api import refined
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +213,7 @@ class TestOYSequence:
         u = linear_height(np.array([0.0, 0.0, 1.0]))
         G = GFunction.iterated_log(1)
         coarse = Mesh.grid(ch, 25)
-        fine = coarse.refined(2)
+        fine = refined(coarse, 2)
         run_c = oy_sequence(coarse, u, _vertical_gamma(), G, k_max=5)
         run_f = oy_sequence(fine, u, _vertical_gamma(), G, k_max=5)
         assert np.max(np.abs(run_c.u_values - run_f.u_values)) <= run_c.mesh_tol

@@ -25,7 +25,6 @@ from rmcf.charts import (
     cone_excess,
     distance_sq_to,
     flat_chart,
-    frame_gradient,
     linear_height,
     mesh_geometry,
     oscillating_graph_chart,
@@ -46,6 +45,7 @@ from rmcf.symfun import SymMatrix
 from rmcf.translators import _omega_jet, grim_reaper_chart, rot_ode_rhs
 
 from fd_fields import ScalarField
+from scalar_api import frame_gradient
 
 # ---------------------------------------------------------------------------
 # oracles: the scalar code the batched path replaced
@@ -336,7 +336,7 @@ class TestAgainstScalarOracles:
                 _assert_close(got[i], want[key], f"{name} jet {key}")
             for key in ("X", "N", "L", "E", "A", "k", "sigma", "normA"):
                 _assert_close(getattr(mg, key)[i], want[key], f"{name} {key}")
-            pg = mg[i]
+            pg = point_geometry(chart, u)
             _assert_close(pg.A.entries, want["A"], f"{name} row A")
             _assert_close(pg.sigma_r(chart.n), want["sigma"][chart.n], f"{name} row sigma_n")
 
@@ -470,7 +470,7 @@ class TestMeshGeometry:
         geom = mesh.geometry()
         assert np.array_equal(mesh.positions(), geom.X)
         assert calls == [len(mesh)]
-        assert len(geom) == len(mesh) == len(list(geom))
+        assert len(geom) == len(mesh) == len(geom.u)
 
     def test_positions_then_geometry_one_jet_per_point(self):
         base = paraboloid_chart(2)
@@ -492,11 +492,11 @@ class TestMeshGeometry:
         ch = translator_charts[(4, 2)]
         mesh = Mesh.grid(ch, (3, 2, 2, 3))
         u = mesh.points[7]
-        pg, row = point_geometry(ch, u), mesh.geometry()[7]
+        pg, geom = point_geometry(ch, u), mesh.geometry()
         for key in ("X", "N", "L", "normA"):
-            assert np.array_equal(getattr(pg, key), getattr(row, key)), key
-        assert np.array_equal(pg.A.entries, row.A.entries)
-        assert np.array_equal(pg.sigma.sigma, row.sigma.sigma)
+            assert np.array_equal(getattr(pg, key), getattr(geom, key)[7]), key
+        assert np.array_equal(pg.A.entries, geom.A[7])
+        assert np.array_equal(pg.sigma, geom.sigma[7])
 
     def test_singular_row_names_its_index(self):
         # X(u) = (u^3, u^2) has dX = 0 at u = 0 only, the centre of the mesh

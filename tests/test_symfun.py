@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcf import kernels
+from rmcf import kernels, symfun
 from rmcf.errors import DomainError, InvalidInputError
-from rmcf.symfun import (
+from rmcf.symfun import SymMatrix, newton_transform, newton_transforms
+
+from scalar_api import (
     CurvatureSpectrum,
-    SymMatrix,
     char_poly_eval,
     min_eigen_Pr,
     newton_polynomial,
-    newton_transform,
-    newton_transforms,
     trace_identities,
 )
 
@@ -265,6 +264,33 @@ class TestNewtonPolynomial:
         for r in range(n + 1):
             diff = newton_transform(a, r).entries - newton_polynomial(a, r).entries
             assert np.max(np.abs(diff)) < 1e-10
+
+
+class TestStackedOracles:
+    def test_rows_are_one_row_calls(self):
+        rng = np.random.default_rng(71)
+        a = np.stack([random_sym(rng, 4, radius=1.5) for _ in range(5)])
+        sig = kernels.sigma_table(np.linalg.eigvalsh(a))
+        t = rng.uniform(-2.0, 2.0, size=(5, 3))
+        got = symfun.char_poly_eval(sig, t)
+        P = symfun.newton_polynomial(a, sig, 2)
+        for i in range(5):
+            row = slice(i, i + 1)
+            assert np.array_equal(got[i], symfun.char_poly_eval(sig[row], t[row])[0])
+            assert np.array_equal(P[i], symfun.newton_polynomial(a[row], sig[row], 2)[0])
+
+    def test_argument_checks(self):
+        sig = kernels.sigma_table(np.ones((2, 3)))
+        with pytest.raises(InvalidInputError, match="finite"):
+            symfun.char_poly_eval(sig, np.array([[0.0], [np.nan]]))
+        with pytest.raises(InvalidInputError):
+            symfun.char_poly_eval(sig, np.zeros((3, 1)))
+        with pytest.raises(InvalidInputError):
+            symfun.newton_polynomial(np.eye(3), sig, 1)
+        with pytest.raises(InvalidInputError):
+            symfun.newton_polynomial(np.stack([np.eye(3)] * 2), sig, -1)
+        with pytest.raises(DomainError):
+            symfun.newton_polynomial(np.stack([np.eye(3)] * 2), sig, 4)
 
 
 class TestTraceIdentities:
