@@ -286,24 +286,6 @@ class MeshGeometry:
         s_rm1, s_r = self.sigma[:, r - 1], self.sigma[:, r]
         return ((n - r + 1) * s_rm1 + r * s_r * rowdot(y, self.N)) / d - quad / d**3
 
-    def moved(self, chart, Q, shift):
-        """The same rows on ``chart = transform_chart(self.chart, Q, shift)``.
-
-        The jets move with the chart's own expressions. A rigid motion keeps
-        u, index, L, A, k, sigma and normA and rotates E to Q E. The normal
-        becomes Q N when the chart has ``orient_ref``; without it the raw
-        normal (a generalized cross product) picks up det Q, so a reflection
-        flips N, A and k, and multiplies sigma_j by (-1)^j.
-        """
-        X, dX, d2X = _moved_jets(Q, shift, (self.X, self.dX, self.d2X))
-        N = _matvec(Q, self.N)
-        A, k, sigma = self.A, self.k, self.sigma
-        if chart.orient_ref is None and np.linalg.det(Q) < 0.0:
-            N, A, k = -N, -A, -k[:, ::-1]
-            sigma = sigma * np.where(np.arange(sigma.shape[1]) % 2 == 0, 1.0, -1.0)
-        arrays = (self.u, X, dX, d2X, N, self.L, Q @ self.E, A, k, sigma, self.normA)
-        return MeshGeometry(chart, self.index, *(_frozen(a) for a in arrays))
-
     def _where(self, i):
         return _where(self.index, self.u, i)
 
@@ -653,41 +635,19 @@ class Mesh:
     def masked_geometry(self, mask):
         """MeshGeometry of the mesh points selected by a boolean mask (m,).
 
-        The slice of the last mask asked for is kept, so callers that share
-        a mask share one slice and its cached derivatives.
+        The rows are sliced from ``geometry()`` once it is built; before that
+        only the selected rows are computed, so the points left out cost only
+        their jets. The slice of the last mask asked for is kept, so callers
+        that share a mask share one slice and its cached derivatives.
         """
         mask = np.asarray(mask, dtype=bool)
         key = mask.tobytes()
         hit = self._cache.get("masked")
         if hit is None or hit[0] != key:
-            hit = self._cache["masked"] = (key, self.geometry().take(mask))
+            geom = self._cache.get("geom")
+            rows = self._geometry_of(mask) if geom is None else geom.take(mask)
+            hit = self._cache["masked"] = (key, rows)
         return hit[1]
-
-    def moved(self, Q, shift=None):
-        """This mesh over ``transform_chart(self.chart, Q, shift)``.
-
-        When this mesh has built its geometry, the moved mesh takes its jets
-        and geometry from it through ``MeshGeometry.moved``; otherwise it
-        computes them through the moved chart on demand.
-        """
-        Q, s = _rigid_motion(self.chart, Q, shift)
-        chart = transform_chart(self.chart, Q, s)
-        out = Mesh(chart=chart, points=self.points, boundary=self.boundary, shape=self.shape)
-        if "geom" in self._cache:
-            geom = out._cache["geom"] = self._cache["geom"].moved(chart, Q, s)
-            out._cache["jets"] = (geom.X, geom.dX, geom.d2X)
-        return out
-
-    def geometry_where(self, keep):
-        """MeshGeometry of the mesh points whose position X passes ``keep(X)``.
-
-        Before ``geometry()`` is built, the points left out cost only their jets.
-        """
-        mask = np.array([bool(keep(X)) for X in self.positions()], dtype=bool)
-        geom = self._cache.get("geom")
-        if geom is not None:
-            return geom.take(mask)
-        return self._geometry_of(mask)
 
     def spacing(self):
         """Max ambient distance between axis-neighbors: the mesh resolution."""
@@ -844,31 +804,21 @@ def oscillating_graph_chart(n, x_lo=2.0, x_hi=12.0, halfwidth=1.0):
     return graph_chart(n, height, grad, hess, dom, name="oscillating-graph")
 
 
-def _rigid_motion(chart, Q, shift):
-    """Q and shift of a rigid motion of the chart's ambient space, checked."""
-    Q = np.asarray(Q, dtype=float)
-    m = chart.n + 1
-    if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
-        raise InvalidInputError("Q must be an ambient orthogonal matrix")
-    return Q, np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
-
-
-def _moved_jets(Q, shift, jets):
-    """Stacked jets (X, dX, d2X) under X -> Q X + shift."""
-    X, dX, d2X = jets
-    return _matvec(Q, X) + shift, Q @ dX, d2X @ Q.T
-
-
 def transform_chart(chart, Q, shift=None, name=None):
     """Rigid motion X -> Q X + shift applied to a chart.
 
     A rigid motion keeps distances along the surface, so the moved chart
     keeps ``intrinsic_distance``.
     """
-    Q, s = _rigid_motion(chart, Q, shift)
+    Q = np.asarray(Q, dtype=float)
+    m = chart.n + 1
+    if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
+        raise InvalidInputError("Q must be an ambient orthogonal matrix")
+    s = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
 
     def jets(U):
-        return _moved_jets(Q, s, chart.jets(U))
+        X, dX, d2X = chart.jets(U)
+        return _matvec(Q, X) + s, Q @ dX, d2X @ Q.T
 
     ref = None if chart.orient_ref is None else Q @ chart.orient_ref
     return Chart(

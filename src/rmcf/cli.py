@@ -26,7 +26,7 @@ from . import __version__, identities, registry
 from .charts import Mesh
 from .errors import BoundaryDominatedWarning, InvalidInputError, RmcfError, StiffFailureError
 from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
-from .regions import bihalfspace_drive, normalize_bihalfspace
+from .regions import bihalfspace_drive
 from .translators import asymptotic_fit, bowl_drift, export_profile, solve_rotational_translator
 
 _NUM_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 2}
@@ -311,18 +311,13 @@ def _run_drive(chart, mesh, region, theorem, params, config, gate):
             chart, mesh, np.asarray(params["V"], dtype=float), region.W, int(params["r"]),
             gate=gate,
         ).to_json_dict()
-    # bihalfspace: normalize the pair, move the chart, run the pocket drive
-    V = np.asarray(params["V"], dtype=float)
-    Q, shift, a, b = normalize_bihalfspace(region, V)
-    mesh2 = mesh.moved(Q, shift=-Q @ shift)
-    moved = mesh2.chart
+    # bihalfspace: the pocket drive, in the wedge coordinates of the pair
     R = float(config.get("R", 1.0))
     eps = float(params.get("eps", 0.0))
     if eps <= 0.0:
-        # the gate's smallest P_{r-1} eigenvalue: a rigid motion keeps every
-        # chart's k when the chart sets orient_ref, as all registry charts do
-        eps = max(gate.min_eigen_P, 0.0)
-    rep = bihalfspace_drive(moved, a, b, R, int(params["r"]), eps, mesh2)
+        eps = max(gate.min_eigen_P, 0.0)  # the gate's smallest P_{r-1} eigenvalue
+    rep = bihalfspace_drive(mesh, region, np.asarray(params["V"], dtype=float), R,
+                            int(params["r"]), eps)
     return rep.to_json_dict()
 
 

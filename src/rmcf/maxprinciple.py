@@ -224,36 +224,29 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
     rows = np.flatnonzero(active)
     geom = mesh.masked_geometry(active)
 
-    uvals = np.full(m, -np.inf)
-    gvals = np.empty(m)
-    uvals[rows] = u_field.values(geom)
-    gvals[rows] = gamma_field.values(geom)
-    if np.any(gvals[rows] <= 0.0):
+    uvals = u_field.values(geom)
+    gvals = gamma_field.values(geom)
+    if np.any(gvals <= 0.0):
         raise InvalidInputError("gamma must be strictly positive on the mesh")
     P = geom.newton(r - 1)
     Hu = geom.intrinsic_hessian(u_field)
     gu = geom.frame_gradient(u_field)
     Hg = geom.intrinsic_hessian(gamma_field)
     gg = geom.frame_gradient(gamma_field)
-    grad_u = np.zeros(m)
-    L_u = np.zeros(m)
-    grad_g = np.zeros(m)
-    L_g = np.zeros(m)
-    grad_u[rows] = np.sqrt(rowdot(gu, gu))
-    L_u[rows] = np.trace(P @ Hu, axis1=1, axis2=2)
-    grad_g[rows] = np.sqrt(rowdot(gg, gg))
-    L_g[rows] = np.trace(P @ Hg, axis1=1, axis2=2)
+    grad_u = np.sqrt(rowdot(gu, gu))
+    L_u = np.trace(P @ Hu, axis1=1, axis2=2)
+    grad_g = np.sqrt(rowdot(gg, gg))
+    L_g = np.trace(P @ Hg, axis1=1, axis2=2)
     supz = 0.0
     if z_field is not None:
         zv = np.broadcast_to(np.asarray(z_field(geom), dtype=float), gu.shape)
         supz = float(np.max(np.sqrt(rowdot(zv, zv))))
-        L_u[rows] -= rowdot(zv, gu)
-        L_g[rows] -= rowdot(zv, gg)
+        L_u = L_u - rowdot(zv, gu)
+        L_g = L_g - rowdot(zv, gg)
     lip = float(np.max(np.abs(np.linalg.eigvalsh(Hu)), initial=0.0))
 
-    pb = np.full(m, np.nan)
-    pb[rows] = G.p_bound(gvals[rows])
-    usable = active & np.isfinite(pb) & (pb > 0.0)
+    pb = G.p_bound(gvals)
+    usable = np.isfinite(pb) & (pb > 0.0)
     if np.any(usable):
         A = float(np.max(grad_g[usable] / pb[usable]))
         B = float(np.max(L_g[usable] / pb[usable]))
@@ -261,19 +254,17 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
         A = B = 1.0
     denom = max(A, B + A * supz, 1e-8)
 
-    phi_g = np.zeros(m)
-    phi_g[rows] = G.phi(gvals[rows])
+    phi_g = G.phi(gvals)
 
     ks = np.arange(1, k_max + 1)
     eps = 1.0 / (2.0 * ks * denom)
-    idx = np.empty(k_max, dtype=int)
-    for j, e in enumerate(eps):
-        fk = np.where(active, uvals - e * phi_g, -np.inf)
-        idx[j] = int(np.argmax(fk))
+    # the masked rows ascend, so ties go to the lowest mesh index
+    at = np.array([int(np.argmax(uvals - e * phi_g)) for e in eps])
+    idx = rows[at]
 
     mesh_tol = 2.0 * mesh.spacing() * max(lip, 1e-30)
-    grad_at = grad_u[idx]
-    L_at = L_u[idx]
+    grad_at = grad_u[at]
+    L_at = L_u[at]
     passes = (grad_at < 1.0 / ks + mesh_tol) & (L_at < 1.0 / ks + mesh_tol)
     boundary_dominated = bool(np.all(mesh.boundary[idx]))
     if boundary_dominated:
@@ -287,7 +278,7 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
         eps=eps,
         idx=idx,
         maximizers=mesh.points[idx].copy(),
-        u_values=uvals[idx],
+        u_values=uvals[at],
         grad_norms=grad_at,
         L_values=L_at,
         passes=passes,

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .charts import AmbientField, rowdot, segment_arclength
+from .charts import AmbientField, _matvec, rowdot, segment_arclength
 from .errors import DomainError, InvalidInputError, SingularPointError
 
 CONCLUSIVE_SCALE = 1e3
@@ -93,21 +93,14 @@ class BiHalfspace:
 
 
 def region_contains(reg, X):
-    """Membership of an ambient point in the region (see each region's contract)."""
+    """Membership of an ambient point: the one row of ``violation_margins``, margin <= 0.
+
+    Cone membership is undefined at the vertex X = 0.
+    """
     X = np.asarray(X, dtype=float).ravel()
-    if isinstance(reg, Cone):
-        nrm = np.linalg.norm(X)
-        if nrm < 1e-300:
-            raise DomainError("cone membership undefined at the vertex X = 0")
-        return bool(X @ reg.V <= reg.a * nrm)
-    if isinstance(reg, Halfspace):
-        return bool((X - reg.B) @ reg.W <= 0.0)
-    if isinstance(reg, BiHalfspace):
-        return bool(
-            (X - reg.first.B) @ reg.first.W >= 0.0
-            and (X - reg.second.B) @ reg.second.W >= 0.0
-        )
-    raise InvalidInputError(f"unknown region type {type(reg)!r}")
+    if isinstance(reg, Cone) and np.linalg.norm(X) < 1e-300:
+        raise DomainError("cone membership undefined at the vertex X = 0")
+    return bool(violation_margins(reg, X)[0] <= 0.0)
 
 
 def violation_margins(reg, xs):
@@ -300,13 +293,24 @@ def ambient_cylinder_hessian(R, a, X):
     return eig[..., 0, None, None] * (chi[..., :, None] * chi[..., None, :])
 
 
-def cylinder_field(R, a):
-    """d_R restricted to charts, as an analytic ambient field."""
+def _wedge_coordinates(Q, shift, X):
+    """T X = Q (X - shift), the rigid motion of ``normalize_bihalfspace``, on a stack X."""
+    return _matvec(Q, X) - Q @ shift
+
+
+def cylinder_field(R, a, Q, shift):
+    """d_R(T X) on charts, as an analytic ambient field, with T X = Q (X - shift).
+
+    The field is d_R pulled back by the rigid motion T: its gradient is
+    grad d_R(T X) Q and its Hessian Q^T D^2 d_R(T X) Q, so it acts on a
+    chart's own positions.
+    """
     _check_cyl(R, a)
+    Q = np.asarray(Q, dtype=float)
     return AmbientField(
-        lambda X: cylinder_distance(R, a, X),
-        lambda X: cylinder_hessian_frame(R, a, X)[0],
-        lambda X: ambient_cylinder_hessian(R, a, X),
+        lambda X: cylinder_distance(R, a, _wedge_coordinates(Q, shift, X)),
+        lambda X: _matvec(Q.T, cylinder_hessian_frame(R, a, _wedge_coordinates(Q, shift, X))[0]),
+        lambda X: Q.T @ ambient_cylinder_hessian(R, a, _wedge_coordinates(Q, shift, X)) @ Q,
     )
 
 
@@ -356,30 +360,35 @@ class BiHalfspaceDriveReport:
         }
 
 
-def bihalfspace_drive(chart, a, b, R, r, eps, mesh):
-    """Check L_{r-1} d_R >= eps (1 - <chi,N>^2)/d + r <E_{n+1},N><grad d,N>.
+def bihalfspace_drive(mesh, region, V, R, r, eps):
+    """Check L_{r-1} d_R >= eps (1 - <chi,N>^2)/d + r <V,N><grad d,N> in the pocket.
 
-    Evaluated at every mesh point inside the pocket region; the minimum
-    slack must stay above -1e-6 whenever P_{r-1} >= eps I holds there.
-    An empty intersection is reported, not raised.
+    ``normalize_bihalfspace(region, V)`` gives the rigid motion T that puts
+    the pair into wedge form. The surface stays where it is: the pocket,
+    d_R, chi and grad d are evaluated at the positions T X, and d_R is
+    pulled back by T (``cylinder_field``). Evaluated at every mesh point
+    inside the pocket region; the minimum slack must stay above -1e-6
+    whenever P_{r-1} >= eps I holds there. An empty intersection is
+    reported, not raised.
     """
-    if abs(a * a + b * b - 1.0) > 1e-10:
-        raise InvalidInputError("normalized wedge needs a^2 + b^2 = 1")
     if not (R > 0.0):
         raise InvalidInputError("cylinder radius must be positive")
-    if mesh.chart is not chart:
-        raise InvalidInputError("mesh was built over a different chart")
-    f = cylinder_field(R, a)
-    mg = mesh.geometry_where(lambda X: in_pocket(X, a, b, R))
-    if len(mg) == 0:
+    Q, shift, a, b = normalize_bihalfspace(region, V)
+    f = cylinder_field(R, a, Q, shift)
+    TX = _wedge_coordinates(Q, shift, mesh.positions())
+    mask = np.array([in_pocket(x, a, b, R) for x in TX], dtype=bool)
+    if not np.any(mask):
         return BiHalfspaceDriveReport(
             a=a, b=b, R=R, r=r, eps=eps, empty=True, n_points=0,
             min_slack=math.nan, argmin_param=None, max_d=0.0,
         )
-    d = cylinder_distance(R, a, mg.X)
-    grad, chi, _ = cylinder_hessian_frame(R, a, mg.X)
+    mg = mesh.masked_geometry(mask)
+    d = cylinder_distance(R, a, TX[mask])
+    grad, chi, _ = cylinder_hessian_frame(R, a, TX[mask])
+    # <chi Q, N> = <chi, Q N>, and the last entry of Q N is <V, N>
+    TN = _matvec(Q, mg.N)
     lhs = mg.L_operator(f, r)
-    rhs = eps * (1.0 - rowdot(chi, mg.N) ** 2) / d + r * mg.N[:, -1] * rowdot(grad, mg.N)
+    rhs = eps * (1.0 - rowdot(chi, TN) ** 2) / d + r * TN[:, -1] * rowdot(grad, TN)
     slacks = lhs - rhs
     imin = int(np.argmin(slacks))
     return BiHalfspaceDriveReport(

@@ -195,10 +195,10 @@ class TestTheoremCheck:
     @pytest.mark.parametrize("order", [1, -1])
     def test_bihalfspace_eps_is_the_gates(self, tmp_path, monkeypatch, order):
         # eps defaults to the gate's smallest P_{r-1} eigenvalue. The drive
-        # runs on the moved mesh, whose geometry keeps k under the motion
-        # (registry charts set orient_ref), so for det Q = +1 and -1 alike
-        # the moved mesh's own eigenvalue is the same float and the report
-        # bytes are those of the drive given that eps
+        # runs on the mesh the gate read, in the wedge coordinates of the
+        # pair, so for det Q = +1 and -1 alike the mesh's own eigenvalue is
+        # the same float and the report bytes are those of the drive given
+        # that eps
         config = copy.deepcopy(BIHALFSPACE_40)
         config["region"]["halfspaces"] = config["region"]["halfspaces"][::order]
         Q = rmcf.regions.normalize_bihalfspace(build_region(config["region"]), np.array(V4))[0]
@@ -206,22 +206,22 @@ class TestTheoremCheck:
         drive = rmcf.cli.bihalfspace_drive
         seen = []
 
-        def spied(chart, a, b, R, r, eps, mesh):
+        def spied(mesh, region, V, R, r, eps):
             seen.append((eps, max(rmcf.regions.min_eigen_over_mesh(mesh, r), 0.0)))
-            return drive(chart, a, b, R, r, eps, mesh)
+            return drive(mesh, region, V, R, r, eps)
 
-        def moved_mesh_eps(chart, a, b, R, r, eps, mesh):
-            return drive(chart, a, b, R, r, max(rmcf.regions.min_eigen_over_mesh(mesh, r), 0.0),
-                         mesh)
+        def mesh_eps(mesh, region, V, R, r, eps):
+            own = max(rmcf.regions.min_eigen_over_mesh(mesh, r), 0.0)
+            return drive(mesh, region, V, R, r, own)
 
         reports = []
-        for name, wrapper in (("gate", spied), ("moved", moved_mesh_eps)):
+        for name, wrapper in (("gate", spied), ("mesh", mesh_eps)):
             monkeypatch.setattr(rmcf.cli, "bihalfspace_drive", wrapper)
             (tmp_path / name).mkdir()
             theorem_check(tmp_path / name, config)
             reports.append((tmp_path / name / "report.json").read_bytes())
-        [(eps, moved)] = seen
-        assert eps == moved > 0.0
+        [(eps, own)] = seen
+        assert eps == own > 0.0
         assert reports[0] == reports[1]
 
     def test_cone_field_gradients_evaluated_on_stacks(self, tmp_path, monkeypatch):

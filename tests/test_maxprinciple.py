@@ -29,7 +29,7 @@ from rmcf.maxprinciple import (
     oy_sequence,
     phi,
 )
-from rmcf.regions import Cone, Halfspace, bihalfspace_drive, first_exit
+from rmcf.regions import BiHalfspace, Cone, Halfspace, bihalfspace_drive, first_exit
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
 
 import g_quadrature
@@ -430,6 +430,11 @@ def _counting(chart):
     return replace(chart, jet=jet), count
 
 
+# the wedge a x1 +- b x2 >= 0 with (a, b) = (0.6, 0.8) and V = e_3, already normalized
+_WEDGE3 = (BiHalfspace(Halfspace(np.zeros(3), [0.6, 0.8, 0.0]),
+                       Halfspace(np.zeros(3), [0.6, -0.8, 0.0])), np.array([0.0, 0.0, 1.0]))
+
+
 class TestJetCount:
     """Mesh consumers read the jet that point geometry holds."""
 
@@ -452,7 +457,7 @@ class TestJetCount:
         mesh = Mesh.grid(ch, (21, 21))
         mesh.geometry()
         built = dict(calls)
-        rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
+        rep = bihalfspace_drive(mesh, *_WEDGE3, 0.5, 1, 1.0)
         assert not rep.empty
         assert calls == built == {"calls": 1, "rows": len(mesh)}
 
@@ -460,11 +465,11 @@ class TestJetCount:
         # without built geometry: one jet per mesh point, geometry only in the pocket
         base = grim_reaper_chart(2, t_halfwidth=2.0)
         ch, calls = _counting(base)
-        rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, Mesh.grid(ch, (21, 21)))
+        rep = bihalfspace_drive(Mesh.grid(ch, (21, 21)), *_WEDGE3, 0.5, 1, 1.0)
         assert 0 < rep.n_points < 21 * 21
         assert calls == {"calls": 1, "rows": 21 * 21}
         built = Mesh.grid(base, (21, 21))
         built.geometry()
-        want = bihalfspace_drive(base, 0.6, 0.8, 0.5, 1, 1.0, built)
+        want = bihalfspace_drive(built, *_WEDGE3, 0.5, 1, 1.0)
         assert rep.to_json_dict() == want.to_json_dict()
         assert np.array_equal(rep.argmin_param, want.argmin_param)

@@ -22,6 +22,7 @@ from rmcf.charts import (
     Chart,
     L_operator,
     Mesh,
+    _matvec,
     cone_excess,
     distance_sq_to,
     flat_chart,
@@ -485,7 +486,7 @@ class TestMeshGeometry:
         geom = mesh.geometry()
         assert calls == [len(mesh)]
         assert np.array_equal(xs, geom.X)
-        assert np.array_equal(mesh.geometry_where(lambda X: X[0] > 0.0).X, geom.X[xs[:, 0] > 0.0])
+        assert np.array_equal(mesh.masked_geometry(xs[:, 0] > 0.0).X, geom.X[xs[:, 0] > 0.0])
         assert calls == [len(mesh)]
 
     def test_point_geometry_is_a_row(self, translator_charts):
@@ -514,7 +515,7 @@ class TestMeshGeometry:
             mesh.geometry()
         mesh_geometry(ch, mesh.points[[0, 1, 3, 4]])  # the other rows are regular
         with pytest.raises(SingularPointError, match=r"mesh index 2, u = \[0\.\]"):
-            mesh.geometry_where(lambda X: X[1] < 0.5)  # rows 1, 2, 3 of the mesh
+            mesh.masked_geometry(mesh.positions()[:, 1] < 0.5)  # rows 1, 2, 3 of the mesh
 
     def test_domain_error_names_the_row(self):
         ch = paraboloid_chart(2)
@@ -530,6 +531,8 @@ class TestMeshGeometry:
 
 
 class TestMovedMesh:
+    """Meshes over ``transform_chart``, the rigid-motion oracle of the bi-half-space drive."""
+
     FIELDS = TestRowIndependence.FIELDS
 
     @staticmethod
@@ -550,54 +553,57 @@ class TestMovedMesh:
     @pytest.mark.parametrize("name", ["bowl", "bowl-reflected", "grim-reaper",
                                       "no-orient-ref-reflected", "no-orient-ref-rotated"])
     def test_matches_recomputation(self, translator_charts, name):
+        # the geometry over the moved chart is the parent's under the rigid
+        # motion: u, L and normA stay and E turns to Q E. The normal becomes
+        # Q N when the chart has orient_ref; without it the raw normal (a
+        # generalized cross product) picks up det Q, so a reflection flips N,
+        # A and k, and multiplies sigma_j by (-1)^j
         chart, Q, shift, counts = self._case(translator_charts, name)
-        mesh = Mesh.grid(chart, counts)
-        parent = mesh.geometry()
-        moved = mesh.moved(Q, shift)
+        parent = Mesh.grid(chart, counts).geometry()
+        moved = Mesh.grid(transform_chart(chart, Q, shift), counts)
         got = moved.geometry()
-        fresh = Mesh.grid(transform_chart(chart, Q, shift), counts).geometry()
         assert moved.chart.intrinsic_distance is chart.intrinsic_distance
-        assert np.array_equal(got.index, fresh.index)
-        for key in self.FIELDS:
-            g, w = getattr(got, key), getattr(fresh, key)
-            scale = max(1.0, float(np.max(np.abs(w))))
-            assert np.max(np.abs(g - w)) <= 1e-12 * scale, key
-        # the jets are the moved chart's own; the intrinsic data are the parent's
-        for key in ("X", "dX", "d2X"):
-            assert np.array_equal(getattr(got, key), getattr(fresh, key)), key
-        assert np.array_equal(moved.positions(), fresh.X)
-        for key in ("u", "L", "normA"):
-            assert np.array_equal(getattr(got, key), getattr(parent, key)), key
+        assert np.array_equal(got.index, parent.index)
+        s = np.zeros(chart.n + 1) if shift is None else shift
+        # the jets are the chart's own, moved
+        want = {"X": _matvec(Q, parent.X) + s, "dX": Q @ parent.dX, "d2X": parent.d2X @ Q.T}
+        for key, value in want.items():
+            assert np.array_equal(getattr(got, key), value), key
+        assert np.array_equal(moved.positions(), want["X"])
         flip = chart.orient_ref is None and np.linalg.det(Q) < 0.0
         assert flip == (name == "no-orient-ref-reflected")
+        sign = -1.0 if flip else 1.0
         signs = (-1.0) ** np.arange(chart.n + 1) if flip else 1.0
-        assert np.array_equal(got.A, -parent.A if flip else parent.A)
-        assert np.array_equal(got.k, -parent.k[:, ::-1] if flip else parent.k)
-        assert np.array_equal(got.sigma, parent.sigma * signs)
-
-    def test_unbuilt_mesh_computes_through_the_moved_chart(self, translator_charts):
-        chart, Q, shift, counts = self._case(translator_charts, "bowl")
-        got = Mesh.grid(chart, counts).moved(Q, shift).geometry()
-        fresh = Mesh.grid(transform_chart(chart, Q, shift), counts).geometry()
+        want.update(u=parent.u, L=parent.L, normA=parent.normA, E=Q @ parent.E,
+                    N=sign * _matvec(Q, parent.N), A=sign * parent.A,
+                    k=-parent.k[:, ::-1] if flip else parent.k, sigma=parent.sigma * signs)
         for key in self.FIELDS:
-            assert np.array_equal(getattr(got, key), getattr(fresh, key)), key
+            g, w = getattr(got, key), want[key]
+            scale = max(1.0, float(np.max(np.abs(w))))
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale, key
 
     def test_bihalfspace_drive_report(self, translator_charts):
+        # a pair turned 0.4 rad about V and offset from the origin: the drive
+        # in the bowl's own frame reports what the drive on a fresh mesh over
+        # the moved chart reports for the normalized pair
         chart = translator_charts[(3, 2)]
         V = np.eye(4)[-1]
-        zero = np.zeros(4)
-        region = BiHalfspace(Halfspace(B=zero, W=[0.6, 0.8, 0.0, 0.0]),
-                             Halfspace(B=zero, W=[0.6, -0.8, 0.0, 0.0]), vertical_to=V)
+        turn = _rotation(4, 0.4)
+        region = BiHalfspace(Halfspace(B=[0.3, -0.2, 0.0, 1.0], W=turn @ [0.6, 0.8, 0.0, 0.0]),
+                             Halfspace(B=[-0.1, 0.4, 0.5, 0.0], W=turn @ [0.6, -0.8, 0.0, 0.0]),
+                             vertical_to=V)
         Q, shift, a, b = normalize_bihalfspace(region, V)
+        zero = np.zeros(4)
+        wedge = BiHalfspace(Halfspace(B=zero, W=[a, b, 0.0, 0.0]),
+                            Halfspace(B=zero, W=[a, -b, 0.0, 0.0]), vertical_to=V)
+        assert np.array_equal(normalize_bihalfspace(wedge, V)[0], np.eye(4))
         mesh = Mesh.grid(chart, (13, 7, 9))
         mesh.geometry()
-        meshes = (mesh.moved(Q, -Q @ shift),
-                  Mesh.grid(transform_chart(chart, Q, -Q @ shift), mesh.shape))
-        eps = [min_eigen_over_mesh(m, 2) for m in meshes]
-        assert eps[0] == min_eigen_over_mesh(mesh, 2)
-        assert eps[0] == pytest.approx(eps[1], rel=1e-12)
-        got, want = (bihalfspace_drive(m.chart, a, b, 2.0, 2, eps[0], m).to_json_dict()
-                     for m in meshes)
+        moved = Mesh.grid(transform_chart(chart, Q, -Q @ shift), mesh.shape)
+        eps = min_eigen_over_mesh(mesh, 2)
+        assert eps == pytest.approx(min_eigen_over_mesh(moved, 2), rel=1e-12)
+        got = bihalfspace_drive(mesh, region, V, 2.0, 2, eps).to_json_dict()
+        want = bihalfspace_drive(moved, wedge, V, 2.0, 2, eps).to_json_dict()
         assert got["n_points"] > 0 and not got["empty"]
         assert got.keys() == want.keys()
         for key, value in want.items():

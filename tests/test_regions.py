@@ -1,6 +1,7 @@
 """Tests for region predicates, growth estimators, and the cylinder machinery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,12 +312,21 @@ class TestPocket:
                 assert R < d <= R / a + 1e-12
 
 
+def _wedge(m, W1=(0.6, 0.8), W2=(0.6, -0.8), B1=None, B2=None):
+    """A vertical pair in R^m, velocity e_m, through B_i (default the origin)."""
+    V = np.eye(m)[-1]
+    zero = np.zeros(m)
+    halves = [Halfspace(zero if B is None else B, np.append(W, np.zeros(m - 2)))
+              for W, B in ((W1, B1), (W2, B2))]
+    return BiHalfspace(*halves, vertical_to=V), V
+
+
 class TestBiHalfspaceDrive:
     def test_grim_reaper_identity_case(self):
         # r = 1: P_0 = I, eps = 1, and the inequality is an identity
         ch = grim_reaper_chart(2, t_halfwidth=2.0)
         mesh = Mesh.grid(ch, (41, 41))
-        rep = bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
+        rep = bihalfspace_drive(mesh, *_wedge(3), 0.5, 1, 1.0)
         assert not rep.empty
         assert rep.n_points > 10
         assert rep.min_slack >= -1e-6
@@ -328,22 +338,39 @@ class TestBiHalfspaceDrive:
         mesh = Mesh.grid(ch, (25, 9, 17))
         eps = min_eigen_over_mesh(mesh, 2)
         assert eps >= -1e-10
-        rep = bihalfspace_drive(ch, 0.6, 0.8, 2.0, 2, max(eps, 0.0), mesh)
+        rep = bihalfspace_drive(mesh, *_wedge(4), 2.0, 2, max(eps, 0.0))
         assert not rep.empty
         assert rep.min_slack >= -1e-6
 
-    def test_rejects_mesh_over_other_chart(self):
-        ch = grim_reaper_chart(2, t_halfwidth=2.0)
-        mesh = Mesh.grid(grim_reaper_chart(2, t_halfwidth=2.0), 6)
-        with pytest.raises(InvalidInputError):
-            bihalfspace_drive(ch, 0.6, 0.8, 0.5, 1, 1.0, mesh)
+    @pytest.mark.parametrize("orient_ref", [True, False])
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_pair_order(self, orient_ref, turned):
+        # the verdict does not depend on which half-space is listed first,
+        # also on a chart without orient_ref, whose raw normal a reflecting
+        # rigid motion would flip
+        ch = rot_chart(solve_rotational_translator(3, 2, R_max=40.0, tol=1e-9))
+        if not orient_ref:
+            ch = replace(ch, orient_ref=None)
+        mesh = Mesh.grid(ch, 13)
+        W1, W2 = np.array([0.6, 0.8]), np.array([0.6, -0.8])
+        B1 = B2 = None
+        if turned:
+            c, s = math.cos(0.4), math.sin(0.4)
+            W1, W2 = (np.array([[c, -s], [s, c]]) @ W for W in (W1, W2))
+            B1, B2 = np.array([0.3, -0.2, 0.0, 1.0]), np.array([-0.1, 0.4, 0.5, 0.0])
+        got, want = (bihalfspace_drive(mesh, *_wedge(4, *pair), 2.0, 2, 0.01).to_json_dict()
+                     for pair in ((W1, W2, B1, B2), (W2, W1, B2, B1)))
+        assert got["n_points"] > 0
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-10, abs=1e-14), key
 
     def test_empty_intersection(self):
         from rmcf.charts import sphere_chart
 
         ch = sphere_chart(2, center=np.array([-40.0, 0.0, 0.0]))
         mesh = Mesh.grid(ch, 6)
-        rep = bihalfspace_drive(ch, 0.6, 0.8, 1.0, 1, 1.0, mesh)
+        rep = bihalfspace_drive(mesh, *_wedge(3), 1.0, 1, 1.0)
         assert rep.empty
         assert math.isnan(rep.min_slack)
 
