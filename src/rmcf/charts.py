@@ -674,7 +674,6 @@ def graph_chart(
     domain,
     kind="graph",
     name="graph",
-    orient_up=True,
     derivative_bias=0.0,
 ):
     """Chart of a height function X = (u, h(u)) with the upward normal.
@@ -703,7 +702,7 @@ def graph_chart(
         return X, dX, d2X
 
     ref = np.zeros(n + 1)
-    ref[n] = 1.0 if orient_up else -1.0
+    ref[n] = 1.0
     return Chart(n=n, param_domain=dom, jet=jet, kind=kind, name=name, orient_ref=ref)
 
 

@@ -78,6 +78,13 @@ _REGION_SCHEMA = {
     },
 }
 
+# an oy-run scalar field; registry.build_scalar_field checks the keys its kind
+# needs and the vector lengths
+_FIELD_SCHEMA = {
+    "type": "object",
+    "properties": {"W": _NUM_ARRAY, "V": _NUM_ARRAY, "a": {"type": "number"}, "origin": _NUM_ARRAY},
+}
+
 _CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -101,9 +108,12 @@ _CONFIG_SCHEMA = {
             ]
         },
         "seed": {"type": "integer", "minimum": 0},
-        "field": {"type": "object"},
-        "gamma": {"type": "object"},
-        "G": {"type": "object"},
+        "field": _FIELD_SCHEMA,
+        "gamma": _FIELD_SCHEMA,
+        "G": {
+            "type": "object",
+            "properties": {"levels": {"type": "integer"}, "value": {"type": "number"}},
+        },
         # oy_sequence scans the whole mesh once per index
         "k_max": {"type": "integer", "minimum": 1, "maximum": 1000},
     },
@@ -112,9 +122,7 @@ _CONFIG_SCHEMA = {
 
 def _fmt(value):
     """Canonical float formatting (12 significant digits) applied recursively."""
-    if isinstance(value, float):
-        return float(f"{value:.12e}")
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return float(f"{float(value):.12e}")
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -300,24 +308,16 @@ def cmd_verify_identities(args):
     return 0
 
 
-def _run_drive(chart, mesh, region, theorem, params, config, gate):
-    if theorem == "cone":
-        return cone_drive(
-            chart, mesh, np.asarray(params["V"], dtype=float), float(params["a"]),
-            int(params["r"]), gate=gate,
-        ).to_json_dict()
-    if theorem == "halfspace":
-        return halfspace_drive(
-            chart, mesh, np.asarray(params["V"], dtype=float), region.W, int(params["r"]),
-            gate=gate,
-        ).to_json_dict()
+def _run_drive(mesh, gate, config):
+    if gate.theorem == "cone":
+        return cone_drive(mesh, gate).to_json_dict()
+    if gate.theorem == "halfspace":
+        return halfspace_drive(mesh, gate).to_json_dict()
     # bihalfspace: the pocket drive, in the wedge coordinates of the pair
-    R = float(config.get("R", 1.0))
-    eps = float(params.get("eps", 0.0))
+    eps = float(config.get("eps", 0.0))
     if eps <= 0.0:
         eps = max(gate.min_eigen_P, 0.0)  # the gate's smallest P_{r-1} eigenvalue
-    rep = bihalfspace_drive(mesh, region, np.asarray(params["V"], dtype=float), R,
-                            int(params["r"]), eps)
+    rep = bihalfspace_drive(mesh, gate.region, gate.V, float(config.get("R", 1.0)), gate.r, eps)
     return rep.to_json_dict()
 
 
@@ -352,7 +352,8 @@ def _check_theorem_config(config, n):
             raise _UsageError(
                 f"{name!r} needs n + 1 = {n + 1} coordinates for this surface (got {len(vec)})"
             )
-    # the drives check these too, but only after the mesh and the gate are built
+    # the drives check V and <V, W> again on the gate, and Cone checks a, but
+    # only after the mesh and the gate are built; Halfspace normalizes W
     V = np.asarray(config["V"], dtype=float)
     if abs(np.linalg.norm(V) - 1.0) > 1e-10:
         raise _UsageError(f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
@@ -374,8 +375,15 @@ def _check_theorem_config(config, n):
         if not np.allclose(axis * np.linalg.norm(V), V * np.linalg.norm(axis),
                            rtol=0.0, atol=1e-10 * np.linalg.norm(V) * np.linalg.norm(axis)):
             raise _UsageError("'region.V' must point along the velocity 'V'")
-    if not 1 <= config["r"] <= n:
-        raise _UsageError(f"'r' must satisfy 1 <= r <= n = {n} (got r={config['r']})")
+    _order(config, n)
+
+
+def _order(config, n):
+    """The config's r (1 when it has none); a usage error unless 1 <= r <= n."""
+    r = config.get("r", 1)
+    if not 1 <= r <= n:
+        raise _UsageError(f"'r' must satisfy 1 <= r <= n = {n} (got r={r})")
+    return int(r)
 
 
 def cmd_theorem_check(args):
@@ -388,20 +396,14 @@ def cmd_theorem_check(args):
     _check_theorem_config(config, chart.n)
     region = registry.build_region(config["region"])
     theorem = config["theorem"]
-    params = {
-        "r": int(config["r"]),
-        "V": config["V"],
-        "residual_tol": float(config.get("residual_tol", 1e-6)),
-    }
-    for key in ("a", "eps", "asserted", "growth_bound"):
-        if key in config:
-            params[key] = config[key]
+    params = {key: config[key] for key in ("r", "V", "a", "eps", "asserted", "growth_bound",
+                                           "residual_tol") if key in config}
     mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryDominatedWarning)
-        gate = hypothesis_gate(chart, mesh, theorem, params, region=region)
-        drive = _run_drive(chart, mesh, region, theorem, params, config, gate)
+        gate = hypothesis_gate(mesh, theorem, params, region=region)
+        drive = _run_drive(mesh, gate, config)
     exit_res = gate.exit
 
     payload = _header("theorem-check", config, seed)
@@ -467,22 +469,18 @@ def cmd_oy_run(args):
     if "field" not in config:
         raise _UsageError("oy-run config needs a 'field' entry")
     chart = registry.build_chart(config["surface"])
-    mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
-    u_field = registry.build_scalar_field(config["field"], chart.n + 1)
+    r = _order(config, chart.n)
+    u_field = registry.build_scalar_field(config["field"], chart.n + 1, "field")
     gamma = registry.build_scalar_field(
-        config.get("gamma", {"kind": "dist_sq"}), chart.n + 1
+        config.get("gamma", {"kind": "dist_sq"}), chart.n + 1, "gamma"
     )
     G = registry.build_G(config.get("G", {"kind": "iterated_log", "levels": 1}))
-    xs = mesh.geometry().X
-    mask = np.linalg.norm(xs, axis=1) > 1e-6
+    mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
+    mask = np.linalg.norm(mesh.geometry().X, axis=1) > 1e-6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryDominatedWarning)
-        run = oy_sequence(
-            mesh, u_field, gamma, G,
-            k_max=int(config.get("k_max", 8)),
-            r=int(config.get("r", 1)),
-            mask=mask if not mask.all() else None,
-        )
+        run = oy_sequence(mesh, u_field, gamma, G, k_max=int(config.get("k_max", 8)), r=r,
+                          mask=mask if not mask.all() else None)
     payload = _header("oy-run", config, seed)
     payload["results"] = run.to_json_dict()
     path = _write_report(args.out, "oyrun.json", payload)

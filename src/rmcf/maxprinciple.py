@@ -12,26 +12,15 @@ maximizer sequences. All limsup-style checks are labeled empirical.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .charts import cone_excess, distance_sq_to, linear_height, rowdot
-from .errors import (
-    BoundaryDominatedWarning,
-    DomainError,
-    InvalidInputError,
-)
-from .regions import (
-    Cone,
-    FirstExit,
-    GrowthReport,
-    Halfspace,
-    first_exit,
-    growth_report,
-    min_eigen_over_mesh,
-)
+from .charts import _check_order, cone_excess, distance_sq_to, linear_height, rowdot
+from .errors import BoundaryDominatedWarning, DomainError, InvalidInputError
+from .regions import (BiHalfspace, Cone, FirstExit, GrowthReport, Halfspace, first_exit,
+                      growth_report, min_eigen_over_mesh)
 
 SPLICE_T0 = math.exp(math.e) * 1.01   # splice point of the iterated-log profiles
 BOUND_LOWER_LIMIT = math.exp(2 * math.e)  # integration base of the constant estimates
@@ -148,11 +137,6 @@ class GFunction:
         )
 
 
-def phi(G, t):
-    """Module-level convenience for G.phi(t)."""
-    return G.phi(t)
-
-
 def alpha(t, a):
     """t - sqrt(t^2 - (1 - a^2) t), decreasing on [1 - a^2, 1] with alpha(1) = 1 - a."""
     if not (0.0 < a < 1.0):
@@ -213,8 +197,10 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
     (m, n) of a drift Z at the rows of a MeshGeometry; the L values then
     read L_{r-1} - <Z, grad>. Ties in the argmax break to the lowest mesh
     index. Runs whose maximizer sits on the truncation boundary for every
-    k are flagged boundary-dominated and marked inconclusive.
+    k are flagged boundary-dominated and marked inconclusive. r must lie
+    in 1..n, as for ``MeshGeometry.L_operator``.
     """
+    _check_order(r, mesh.chart.n, "oy_sequence")
     if k_max < 1:
         raise InvalidInputError("need k_max >= 1")
     m = len(mesh)
@@ -306,9 +292,9 @@ class DriveReport:
     L_identity_err: float
     containment_holds: bool
     exit_margin: float
-    oy: Optional[OYRun]
+    oy: OYRun
     failed_premises: tuple
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     def to_json_dict(self):
         out = {
@@ -320,13 +306,10 @@ class DriveReport:
             "containment_holds": self.containment_holds,
             "exit_margin": float(self.exit_margin),
             "failed_premises": list(self.failed_premises),
-            "oy": None if self.oy is None else self.oy.to_json_dict(),
+            "oy": self.oy.to_json_dict(),
         }
         for key, val in self.extras.items():
-            if isinstance(val, np.ndarray):
-                out[key] = list(map(float, val))
-            else:
-                out[key] = val
+            out[key] = list(map(float, val)) if isinstance(val, np.ndarray) else val
         return out
 
 
@@ -336,27 +319,37 @@ def _translator_residual_sup(mesh, V, r):
     return float(np.max(np.abs(res), initial=0.0))
 
 
-def _origin_mask(mesh, origin, floor=1e-6):
-    xs = mesh.positions()
-    return np.linalg.norm(xs - origin, axis=1) > floor
+def _maximizer_run(mesh, psi, r, expected):
+    """Both drives' work on psi over the mesh points away from the origin.
 
-
-def _identity_errors(mesh, psi, r, mask, expected):
-    """Worst gradient and scaled L_{r-1} identity errors of psi over the masked mesh.
-
-    ``expected(mg)`` returns the frame gradients (m, n) and the L_{r-1} psi
-    values (m,) that the drive's identities predict at the rows of mg.
+    Returns the worst gradient and scaled L_{r-1} identity errors against
+    ``expected(mg)`` (the predicted frame gradients (m, n) and L_{r-1} psi
+    (m,) at the rows of mg), the maximizer run against gamma = |X|^2 with
+    the one-level iterated-log G and k = 1..8, and the maximizers' geometry.
     """
+    mask = np.linalg.norm(mesh.positions(), axis=1) > 1e-6
     mg = mesh.masked_geometry(mask)
     want_grad, want_L = expected(mg)
-    gpsi = mg.frame_gradient(psi)
-    grad_err = float(np.max(np.abs(gpsi - want_grad), initial=0.0))
+    grad_err = float(np.max(np.abs(mg.frame_gradient(psi) - want_grad), initial=0.0))
     lhs = mg.L_operator(psi, r)
     L_err = float(np.max(np.abs(lhs - want_L) / (1.0 + mg.normA**2), initial=0.0))
-    return grad_err, L_err
+    run = oy_sequence(mesh, psi, distance_sq_to(np.zeros(mesh.chart.n + 1)),
+                      GFunction.iterated_log(1), k_max=8, r=r, mask=mask)
+    return (grad_err, L_err), run, mesh.geometry().take(run.idx)
 
 
-def cone_drive(chart, mesh, V, a, r, G=None, k_max=8, origin=None, gate=None):
+def _drive_report(gate, errors, run, growth, extras):
+    """The drive's identity errors, run and extras; the rest read from the gate and ``growth``."""
+    return DriveReport(
+        kind=gate.theorem, r=gate.r, residual_sup=gate.residual_sup,
+        grad_identity_err=errors[0], L_identity_err=errors[1],
+        containment_holds=gate.contained, exit_margin=gate.exit.margin, oy=run,
+        failed_premises=gate.failed_premises(growth),
+        extras={"min_eigen_P": gate.min_eigen_P, "growth": growth.to_json_dict(), **extras},
+    )
+
+
+def cone_drive(mesh, gate):
     """Drive the cone argument: psi = <X, V> - a |X| on a translator mesh.
 
     Verifies the gradient identity grad psi = V^T - a grad|X| and the
@@ -365,72 +358,37 @@ def cone_drive(chart, mesh, V, a, r, G=None, k_max=8, origin=None, gate=None):
     comparison sequence, and reports which premise of the nonexistence
     statement fails on this mesh (for genuine translators: containment).
 
-    The premises come from ``gate``, a cone ``hypothesis_gate`` report on
-    this mesh with a region; without one the drive builds it against
-    ``Cone(V, a)``. A gate on the bounded-sigma branch reads HS2-2, so the
-    drive then makes its own HS2-1 growth report.
+    ``gate`` is a cone ``hypothesis_gate`` report on this mesh with a
+    region: the drive reads r, V, the premises and the cone's a from it.
+    A gate on the bounded-sigma branch reads HS2-2, so the drive then makes
+    its own HS2-1 growth report.
     """
-    V = np.asarray(V, dtype=float)
-    if abs(np.linalg.norm(V) - 1.0) > 1e-10:
-        raise InvalidInputError("velocity must be a unit vector")
-    if not (0.0 < a < 1.0):
-        raise InvalidInputError("cone parameter a must lie in (0, 1)")
-    origin = np.zeros(chart.n + 1) if origin is None else np.asarray(origin, dtype=float)
-    G = G or GFunction.iterated_log(1)
-    if gate is None:
-        gate = hypothesis_gate(chart, mesh, "cone", {"r": r, "V": V, "a": a, "base_point": origin},
-                               region=Cone(V=V, a=a))
     _check_gate(gate, "cone")
-
-    psi = cone_excess(V, a, origin)
-    mask = _origin_mask(mesh, origin)
+    V, r, a = gate.V, gate.r, gate.region.a
+    n = mesh.chart.n
 
     def expected(mg):
-        y = mg.X - origin
-        d = np.sqrt(rowdot(y, y))
-        grad = mg.tangential(V) - (a / d)[:, None] * mg.tangential(y)
-        return grad, r * mg.sigma_r(r) ** 2 - a * mg.L_distance(r, origin)
+        d = np.sqrt(rowdot(mg.X, mg.X))
+        grad = mg.tangential(V) - (a / d)[:, None] * mg.tangential(mg.X)
+        return grad, r * mg.sigma_r(r) ** 2 - a * mg.L_distance(r, np.zeros(n + 1))
 
-    grad_err, L_err = _identity_errors(mesh, psi, r, mask, expected)
+    errors, run, at = _maximizer_run(mesh, cone_excess(V, a), r, expected)
 
-    run = oy_sequence(
-        mesh, psi, distance_sq_to(origin), G, k_max=k_max, r=r, mask=mask
-    )
-
-    at = mesh.geometry().take(run.idx)
     t = at.sigma_r(r) ** 2
-    alphas = np.full(k_max, np.nan)
+    alphas = np.full(len(run.ks), np.nan)
     for j in np.flatnonzero(t >= 1.0 - a * a - 1e-12):
         alphas[j] = alpha(min(t[j], 1.0), a)
-    y = at.X - origin
-    d = np.sqrt(rowdot(y, y))
-    bounds = (1.0 / r) * (1.0 / run.ks + a * (chart.n - r + 1) * at.sigma_r(r - 1) / d)
+    d = np.sqrt(rowdot(at.X, at.X))
+    bounds = (1.0 / r) * (1.0 / run.ks + a * (n - r + 1) * at.sigma_r(r - 1) / d)
 
     growth = gate.growth
     if growth.hypothesis != "HS2-1":
-        growth = growth_report(chart, mesh, "HS2-1", {"r": r, "a": a, "base_point": origin})
-
-    return DriveReport(
-        kind="cone",
-        r=r,
-        residual_sup=gate.residual_sup,
-        grad_identity_err=grad_err,
-        L_identity_err=L_err,
-        containment_holds=gate.contained,
-        exit_margin=gate.exit.margin,
-        oy=run,
-        failed_premises=gate.failed_premises(growth),
-        extras={
-            "alpha_values": alphas,
-            "comparison_bounds": bounds,
-            "min_eigen_P": gate.min_eigen_P,
-            "growth": growth.to_json_dict(),
-            "a": a,
-        },
-    )
+        growth = growth_report(mesh, "HS2-1", {"r": r, "a": a})
+    return _drive_report(gate, errors, run, growth,
+                         {"alpha_values": alphas, "comparison_bounds": bounds, "a": a})
 
 
-def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None, gate=None):
+def halfspace_drive(mesh, gate):
     """Drive the half-space argument: psi = <X, W> with <V, W> > 0.
 
     Verifies grad psi = W^T and L_{r-1} psi = r sigma_r <N, W> pointwise,
@@ -439,65 +397,39 @@ def halfspace_drive(chart, mesh, V, W, r, G=None, k_max=8, origin=None, gate=Non
     Runs on non-translator charts too; the L values at maximizers then
     stay away from r <V, W>.
 
-    The premises come from ``gate``, a half-space ``hypothesis_gate``
-    report on this mesh with a region; without one the drive builds it
-    against the half-space through the origin with normal W.
+    ``gate`` is a half-space ``hypothesis_gate`` report on this mesh with
+    a region: the drive reads r, V, the premises and the normal W from it.
     """
-    V = np.asarray(V, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if abs(np.linalg.norm(W) - 1.0) > 1e-10:
-        raise InvalidInputError("half-space direction must be a unit vector")
+    _check_gate(gate, "halfspace")
+    V, r, W = gate.V, gate.r, gate.region.W
     c = float(V @ W)
     if c <= 0.0:
         raise InvalidInputError("need <V, W> > 0")
-    origin = np.zeros(chart.n + 1) if origin is None else np.asarray(origin, dtype=float)
-    G = G or GFunction.iterated_log(1)
-    if gate is None:
-        gate = hypothesis_gate(chart, mesh, "halfspace", {"r": r, "V": V, "base_point": origin},
-                               region=Halfspace(B=np.zeros(chart.n + 1), W=W))
-    _check_gate(gate, "halfspace")
 
-    psi = linear_height(W)
-    mask = _origin_mask(mesh, origin)
     def height_L(mg):
         return r * mg.sigma_r(r) * rowdot(mg.N, np.broadcast_to(W, mg.N.shape))
 
-    grad_err, L_err = _identity_errors(
-        mesh, psi, r, mask, lambda mg: (mg.tangential(W), height_L(mg)),
+    errors, run, at = _maximizer_run(
+        mesh, linear_height(W), r, lambda mg: (mg.tangential(W), height_L(mg)),
     )
 
-    run = oy_sequence(mesh, psi, distance_sq_to(origin), G, k_max=k_max, r=r, mask=mask)
-
-    at = mesh.geometry().take(run.idx)
     NV = rowdot(at.N, np.broadcast_to(V, at.N.shape))
     NW = rowdot(at.N, np.broadcast_to(W, at.N.shape))
     expansion = rowdot(at.tangential(V), at.tangential(W)) + NV * NW
     frame_err = float(np.max(np.abs(c - expansion)))
-    L_at = height_L(at)
-
-    return DriveReport(
-        kind="halfspace",
-        r=r,
-        residual_sup=gate.residual_sup,
-        grad_identity_err=grad_err,
-        L_identity_err=L_err,
-        containment_holds=gate.contained,
-        exit_margin=gate.exit.margin,
-        oy=run,
-        failed_premises=gate.failed_premises(gate.growth),
-        extras={
-            "frame_identity_err": frame_err,
-            "L_at_maximizers": np.asarray(L_at),
-            "r_times_c": r * c,
-            "min_eigen_P": gate.min_eigen_P,
-            "growth": gate.growth.to_json_dict(),
-        },
-    )
+    return _drive_report(gate, errors, run, gate.growth, {
+        "frame_identity_err": frame_err,
+        "L_at_maximizers": np.asarray(height_L(at)),
+        "r_times_c": r * c,
+    })
 
 
 # ---------------------------------------------------------------------------
 # hypothesis gates
 
+
+# the region type each statement is checked against
+_REGION_KIND = {"cone": Cone, "halfspace": Halfspace, "bihalfspace": BiHalfspace}
 
 # the premise id under which each growth hypothesis is reported
 _GROWTH_PREMISE = {
@@ -512,12 +444,16 @@ _GROWTH_PREMISE = {
 class GateReport:
     """Pass/fail per premise of one nonexistence statement, on one mesh.
 
-    Beside the premise dicts it keeps what they were computed from: the
-    translator residual sup, the smallest eigenvalue of P_{r-1}, the
-    growth report and, when a region was given, the first-exit scan.
+    Beside the premise dicts it keeps what they were computed from: r, the
+    velocity V, the translator residual sup, the smallest eigenvalue of
+    P_{r-1}, the growth report and, when a region was given, the region
+    and its first-exit scan.
     """
 
     theorem: str
+    r: int
+    V: np.ndarray
+    region: Optional[object]
     premises: tuple
     contained: Optional[bool]
     consistent: Optional[bool]
@@ -553,6 +489,8 @@ class GateReport:
 def _check_gate(gate, theorem):
     if gate.theorem != theorem or gate.exit is None:
         raise InvalidInputError(f"the {theorem} drive needs a {theorem} gate built with a region")
+    if abs(np.linalg.norm(gate.V) - 1.0) > 1e-10:
+        raise InvalidInputError("velocity must be a unit vector")
 
 
 def _premise(pid, ok, value, threshold, empirical=False, conclusive=True):
@@ -566,24 +504,29 @@ def _premise(pid, ok, value, threshold, empirical=False, conclusive=True):
     }
 
 
-def hypothesis_gate(chart, mesh, theorem, params, region=None):
+def hypothesis_gate(mesh, theorem, params, region=None):
     """Aggregate premise checks for one of the nonexistence statements.
 
     theorem is 'cone', 'halfspace' or 'bihalfspace'. params carry r, V,
     the cone parameter a, the asserted branch for the cone statement
     ('proper' checks the sigma/delta ratio, 'bounded-sigma' the intrinsic
     curvature growth), the positivity margin eps for the bi-half-space
-    statement, and residual_tol. With a region the report also states
-    containment and overall consistency: no configured mesh may pass
-    every premise and stay contained. This is the one place a theorem's
-    premises are computed; the drives read the report.
+    statement, and residual_tol. With a region, of the theorem's kind and
+    for a cone with the same a, the report also states containment and
+    overall consistency: no configured mesh may pass every premise and
+    stay contained. This is the one place a theorem's premises are
+    computed; the drives read the report.
     """
-    if theorem not in ("cone", "halfspace", "bihalfspace"):
+    if theorem not in _REGION_KIND:
         raise InvalidInputError(f"unknown theorem id {theorem!r}")
+    if region is not None and not isinstance(region, _REGION_KIND[theorem]):
+        raise InvalidInputError(f"the {theorem} statement needs a {theorem} region")
+    if theorem == "cone" and region is not None and float(params["a"]) != region.a:
+        raise InvalidInputError(f"the cone parameter a = {params['a']} must equal the "
+                                f"region's a = {region.a}")
     r = int(params["r"])
     V = np.asarray(params["V"], dtype=float)
     res_tol = float(params.get("residual_tol", 1e-6))
-    base = np.asarray(params.get("base_point", np.zeros(chart.n + 1)), dtype=float)
 
     premises = []
 
@@ -605,16 +548,15 @@ def hypothesis_gate(chart, mesh, theorem, params, region=None):
     if theorem == "cone":
         branch = params.get("asserted", "proper")
         if branch == "proper":
-            hyp, growth_params = "HS2-1", {"r": r, "a": float(params["a"]), "base_point": base}
+            hyp, growth_params = "HS2-1", {"r": r, "a": float(params["a"])}
         elif branch == "bounded-sigma":
-            hyp, growth_params = "HS2-2", {"r": r, "base_point": base}
+            hyp, growth_params = "HS2-2", {"r": r}
         else:
             raise InvalidInputError("asserted branch must be 'proper' or 'bounded-sigma'")
     else:
         hyp = "CM" if theorem == "bihalfspace" else "HS1-1"
-        growth_params = {"r": r, "base_point": base,
-                         "bound": float(params.get("growth_bound", 1.0))}
-    growth = growth_report(chart, mesh, hyp, growth_params)
+        growth_params = {"r": r, "bound": float(params.get("growth_bound", 1.0))}
+    growth = growth_report(mesh, hyp, growth_params)
     premises.append(
         _premise(_GROWTH_PREMISE[hyp], growth.satisfied, growth.tail_estimate, growth.bound,
                  empirical=True, conclusive=growth.conclusive)
@@ -622,13 +564,13 @@ def hypothesis_gate(chart, mesh, theorem, params, region=None):
 
     exit_res = contained = consistent = None
     if region is not None:
-        exit_res = first_exit(chart, region, mesh)
+        exit_res = first_exit(region, mesh)
         contained = not exit_res.found
         all_pass = all(p["pass"] for p in premises)
         consistent = not (all_pass and contained)
 
     return GateReport(
-        theorem=theorem, premises=tuple(premises), contained=contained,
-        consistent=consistent, residual_sup=res_sup, min_eigen_P=psd, growth=growth,
-        exit=exit_res,
+        theorem=theorem, r=r, V=V, region=region, premises=tuple(premises),
+        contained=contained, consistent=consistent, residual_sup=res_sup, min_eigen_P=psd,
+        growth=growth, exit=exit_res,
     )

@@ -128,7 +128,7 @@ class FirstExit(NamedTuple):
     margin: float
 
 
-def first_exit(chart, reg, mesh):
+def first_exit(reg, mesh):
     """Scan the mesh for a point outside the region.
 
     Returns the witness with the largest violation margin (first index on
@@ -137,8 +137,6 @@ def first_exit(chart, reg, mesh):
     """
     if len(mesh) == 0:
         raise InvalidInputError("mesh is empty")
-    if mesh.chart is not chart:
-        raise InvalidInputError("mesh was built over a different chart")
     xs = mesh.positions()
     margins = violation_margins(reg, xs)
     idx = int(np.argmax(margins))
@@ -182,19 +180,20 @@ def _loglog_denom(s, power):
     return s**power * np.log(s) * np.log(np.log(s))
 
 
-def growth_report(chart, mesh, hypothesis, params):
+def growth_report(mesh, hypothesis, params):
     """Estimate one growth hypothesis ratio over a mesh.
 
     hypothesis values: 'HS2-1' (sigma_{r-1}/delta against the explicit
     cone bound), 'HS2-2' (|A| against rho log rho loglog rho), 'HS1-1'
-    and 'CM' (sigma_{r-1} against delta^2 log delta loglog delta). The
-    tail estimate is the max ratio over the top decade of scale.
+    and 'CM' (sigma_{r-1} against delta^2 log delta loglog delta), with
+    delta = |X| the distance to the origin. The tail estimate is the max
+    ratio over the top decade of scale.
     """
     if hypothesis not in HYPOTHESIS_IDS:
         raise InvalidInputError(f"unknown hypothesis {hypothesis!r}")
     r = int(params["r"])
+    chart = mesh.chart
     n = chart.n
-    base = np.asarray(params.get("base_point", np.zeros(n + 1)), dtype=float)
     geom = mesh.geometry()
 
     if hypothesis == "HS2-2":
@@ -207,8 +206,7 @@ def growth_report(chart, mesh, hypothesis, params):
             )
         values = geom.normA
     else:
-        y = geom.X - base
-        scales = np.sqrt(rowdot(y, y))
+        scales = np.sqrt(rowdot(geom.X, geom.X))
         values = geom.sigma_r(r - 1)
 
     top = float(np.max(scales)) if len(scales) else 0.0

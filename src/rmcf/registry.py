@@ -77,21 +77,32 @@ def build_region(spec):
     raise InvalidInputError(f"unknown region kind {kind!r}")
 
 
-def build_scalar_field(spec, ambient_dim):
-    """Field for maximizer runs: height, cone excess, or squared distance."""
+def build_scalar_field(spec, ambient_dim, name):
+    """Field for maximizer runs: height, cone excess, or squared distance.
+
+    A key the kind needs (W; V and a) that is missing, or a vector (W, V,
+    origin) without ambient_dim coordinates, is an InvalidInputError that
+    names the key in the config entry ``name``. origin defaults to 0.
+    """
     kind = spec.get("kind")
+    needs = ("W",) if kind == "height" else ("V", "a") if kind == "cone_excess" else ()
+    for key in needs:
+        if key not in spec:
+            raise InvalidInputError(f"a {kind} field needs '{name}.{key}'")
+
+    def vector(key):
+        vec = np.asarray(spec.get(key, np.zeros(ambient_dim)), dtype=float)
+        if vec.shape != (ambient_dim,):
+            raise InvalidInputError(f"'{name}.{key}' needs n + 1 = {ambient_dim} coordinates "
+                                    f"for this surface (got {vec.size})")
+        return vec
+
     if kind == "height":
-        return charts.linear_height(np.asarray(spec["W"], dtype=float))
+        return charts.linear_height(vector("W"))
     if kind == "cone_excess":
-        return charts.cone_excess(
-            np.asarray(spec["V"], dtype=float),
-            float(spec["a"]),
-            origin=np.asarray(spec.get("origin", np.zeros(ambient_dim)), dtype=float),
-        )
+        return charts.cone_excess(vector("V"), float(spec["a"]), origin=vector("origin"))
     if kind == "dist_sq":
-        return charts.distance_sq_to(
-            np.asarray(spec.get("origin", np.zeros(ambient_dim)), dtype=float)
-        )
+        return charts.distance_sq_to(vector("origin"))
     raise InvalidInputError(f"unknown field kind {kind!r}")
 
 

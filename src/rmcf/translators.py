@@ -532,7 +532,7 @@ def _omega_jet(phi):
     return omega, dom, ddom
 
 
-def rot_chart(profile, R_lo=None, angle_pad=0.3):
+def rot_chart(profile, R_lo=None):
     """Rotational immersion chart (R, angles) -> (R omega, u(R)) from one profile.
 
     The jets of all rows come from one dense-output call for u and u' and
@@ -550,7 +550,7 @@ def rot_chart(profile, R_lo=None, angle_pad=0.3):
     rows = [[R_lo, profile.R_max]]
     for i in range(n - 1):
         hi = math.pi if i < n - 2 else 2.0 * math.pi
-        rows.append([angle_pad, hi - angle_pad])
+        rows.append([0.3, hi - 0.3])  # 0.3 clear of the poles and the seam
     dom = np.array(rows)
 
     def jets(Q):

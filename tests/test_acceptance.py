@@ -320,12 +320,12 @@ def test_theorem_consistency_battery(translator_charts, translator_meshes):
             vel[-1] = 1.0
 
             for a in np.arange(0.1, 0.95, 0.1):
-                res = first_exit(chart, Cone(V=vel, a=float(a)), mesh)
+                res = first_exit(Cone(V=vel, a=float(a)), mesh)
                 assert res.found, f"{key}: contained in cone complement a={a:.1f}"
                 checked += 1
 
             for w in _halfspace_directions(dim):
-                res = first_exit(chart, Halfspace(B=np.zeros(dim), W=w), mesh)
+                res = first_exit(Halfspace(B=np.zeros(dim), W=w), mesh)
                 assert res.found, f"{key}: contained in half-space {w}"
                 checked += 1
 
@@ -338,7 +338,7 @@ def test_theorem_consistency_battery(translator_charts, translator_meshes):
                     Halfspace(np.zeros(dim), w2),
                     vertical_to=vel,
                 )
-                res = first_exit(chart, reg, mesh)
+                res = first_exit(reg, mesh)
                 assert res.found, f"{key}: contained in bi-half-space a={a}"
                 checked += 1
         elapsed = time.perf_counter() - t0
@@ -347,7 +347,7 @@ def test_theorem_consistency_battery(translator_charts, translator_meshes):
         assert elapsed < 120.0
 
 
-def test_oy_mechanics_and_gate_labels(translator_charts, translator_meshes):
+def test_oy_mechanics_and_gate_labels(translator_meshes):
     with criterion("oy-mechanics"):
         from rmcf.charts import AmbientField, sphere_chart
 
@@ -373,7 +373,6 @@ def test_oy_mechanics_and_gate_labels(translator_charts, translator_meshes):
         # gate labels every limsup check as empirical
         key = (2, 1)
         gate = hypothesis_gate(
-            translator_charts[key],
             translator_meshes[key],
             "cone",
             {"r": 1, "V": [0.0, 0.0, 1.0], "a": 0.5},

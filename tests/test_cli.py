@@ -480,6 +480,40 @@ class TestOyRun:
         cfg = write_config(tmp_path, {"surface": {"kind": "sphere", "n": 2}})
         assert main(["oy-run", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("change, message", [
+        # P_2 = 0 on the 2-sphere: r = 3 used to report every L value as 0
+        ({"r": 3}, "config error: 'r' must satisfy 1 <= r <= n = 2 (got r=3)"),
+        ({"field": {"kind": "height"}}, "invalid input: a height field needs 'field.W'"),
+        ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 1.0]}},
+         "invalid input: a cone_excess field needs 'field.a'"),
+        ({"field": {"kind": "height", "W": [0.0, 1.0]}},
+         "invalid input: 'field.W' needs n + 1 = 3 coordinates for this surface (got 2)"),
+        ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 0.0, 1.0], "a": 0.3}},
+         "invalid input: 'field.V' needs n + 1 = 3 coordinates for this surface (got 4)"),
+        ({"gamma": {"kind": "dist_sq", "origin": [0.0, 1.0]}},
+         "invalid input: 'gamma.origin' needs n + 1 = 3 coordinates for this surface (got 2)"),
+        ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 1.0], "a": "x"}},
+         "config error: config rejected: 'x' is not of type 'number'"),
+        ({"gamma": {"kind": "dist_sq", "origin": [0.0, "x", 1.0]}},
+         "config error: config rejected: 'x' is not of type 'number'"),
+        ({"G": {"kind": "iterated_log", "levels": "x"}},
+         "config error: config rejected: 'x' is not of type 'integer'"),
+        ({"G": {"kind": "constant", "value": "x"}},
+         "config error: config rejected: 'x' is not of type 'number'"),
+    ], ids=["r-past-n", "height-without-W", "cone-excess-without-a", "short-W", "long-V",
+            "short-origin", "a-not-a-number", "origin-entry-not-a-number", "levels-not-an-integer",
+            "value-not-a-number"])
+    def test_malformed_entry_is_a_config_error(self, tmp_path, capsys, monkeypatch, change,
+                                               message):
+        # each used to end in a traceback with exit 1, or to succeed (r = 3)
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built for a rejected config")
+
+        monkeypatch.setattr(rmcf.cli.Mesh, "grid", no_mesh)
+        cfg = write_config(tmp_path, dict(README_OY, **change))
+        assert main(["oy-run", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip() == message
+
 
 README_OY = {"surface": {"kind": "sphere", "n": 2},
              "field": {"kind": "height", "W": [0.0, 0.0, 1.0]},

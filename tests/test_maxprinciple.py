@@ -1,6 +1,5 @@
 """Tests for the growth profiles, maximizer sequences, and theorem drives."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -27,7 +26,6 @@ from rmcf.maxprinciple import (
     halfspace_drive,
     hypothesis_gate,
     oy_sequence,
-    phi,
 )
 from rmcf.regions import BiHalfspace, Cone, Halfspace, bihalfspace_drive, first_exit
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
@@ -41,16 +39,27 @@ def bowl_chart():
     return rot_chart(solve_rotational_translator(2, 1, R_max=30.0, tol=1e-9))
 
 
+def cone_gate(mesh, V, a, r):
+    """The cone gate a cone drive reads: against the cone (V, a), on the proper branch."""
+    return hypothesis_gate(mesh, "cone", {"r": r, "V": V, "a": a}, region=Cone(V=V, a=a))
+
+
+def halfspace_gate(mesh, V, W, r):
+    """The half-space gate a half-space drive reads: the half-space through 0 with normal W."""
+    return hypothesis_gate(mesh, "halfspace", {"r": r, "V": V},
+                           region=Halfspace(B=np.zeros(len(W)), W=W))
+
+
 class TestGFunction:
     def test_constant_phi(self):
         G = GFunction.constant_fn(1.0)
         for t in (0.0, 0.5, 2.0, 10.0):
-            assert phi(G, t) == pytest.approx(math.log(t + 1.0), abs=1e-12)
+            assert G.phi(t) == pytest.approx(math.log(t + 1.0), abs=1e-12)
 
     def test_constant_four(self):
         G = GFunction.constant_fn(4.0)
         for t in (0.0, 1.0, 6.0):
-            assert phi(G, t) == pytest.approx(math.log(t / 2.0 + 1.0), abs=1e-12)
+            assert G.phi(t) == pytest.approx(math.log(t / 2.0 + 1.0), abs=1e-12)
 
     def test_splice_floor_positive_monotone(self):
         G = GFunction.iterated_log(1)
@@ -208,6 +217,14 @@ class TestOYSequence:
         assert np.all(run.passes)
         assert np.all(np.diff(run.eps) < 0)
 
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_order_outside_one_to_n(self, r):
+        # P_2 = 0 when n = 2, so r = 3 would read every L value as 0
+        mesh = Mesh.grid(sphere_chart(2), 5)
+        u = linear_height(np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(DomainError, match="1 <= r <= n"):
+            oy_sequence(mesh, u, _vertical_gamma(), GFunction.iterated_log(1), r=r)
+
     def test_refinement_stability(self):
         ch = sphere_chart(2)
         u = linear_height(np.array([0.0, 0.0, 1.0]))
@@ -283,9 +300,11 @@ class TestConeDrive:
     @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_bowl_containment_fails(self, bowl_chart):
         mesh = Mesh.grid(bowl_chart, (25, 13))
-        rep = cone_drive(bowl_chart, mesh, np.array([0.0, 0.0, 1.0]), 0.5, 1)
+        gate = cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.5, 1)
+        rep = cone_drive(mesh, gate)
         assert "containment" in rep.failed_premises
         assert not rep.containment_holds
+        assert rep.exit_margin == gate.exit.margin
         assert rep.residual_sup < 1e-6
         assert rep.grad_identity_err < 1e-8
         assert rep.L_identity_err < 1e-6
@@ -294,7 +313,7 @@ class TestConeDrive:
     @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_identity_chain_on_maximizers(self, bowl_chart):
         mesh = Mesh.grid(bowl_chart, (25, 13))
-        rep = cone_drive(bowl_chart, mesh, np.array([0.0, 0.0, 1.0]), 0.6, 1)
+        rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.6, 1))
         alphas = rep.extras["alpha_values"]
         finite = np.isfinite(alphas)
         # where defined, alpha stays within its range
@@ -306,7 +325,7 @@ class TestConeDrive:
         # a paraboloid is no translator: the drive runs and names the premise
         ch = paraboloid_chart(2, halfwidth=10.0)
         mesh = Mesh.grid(ch, 13)
-        rep = cone_drive(ch, mesh, np.array([0.0, 0.0, 1.0]), 0.3, 1)
+        rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.3, 1))
         assert "translator-residual" in rep.failed_premises
         assert rep.residual_sup > 1e-6
 
@@ -318,7 +337,7 @@ class TestHalfspaceDrive:
         mesh = Mesh.grid(ch, (31, 9))
         V = np.array([0.0, 0.0, 1.0])
         W = np.array([math.sin(0.4), 0.0, math.cos(0.4)])
-        rep = halfspace_drive(ch, mesh, V, W, 1)
+        rep = halfspace_drive(mesh, halfspace_gate(mesh, V, W, 1))
         assert "containment" in rep.failed_premises
         assert rep.grad_identity_err < 1e-9
         assert rep.L_identity_err < 1e-7
@@ -331,7 +350,7 @@ class TestHalfspaceDrive:
         mesh = Mesh.grid(ch, 15)
         V = np.array([0.0, 0.0, -1.0])
         W = np.array([0.0, 0.0, -1.0])
-        rep = halfspace_drive(ch, mesh, V, W, 1)
+        rep = halfspace_drive(mesh, halfspace_gate(mesh, V, W, 1))
         assert rep.containment_holds
         assert "containment" not in rep.failed_premises
         assert not rep.oy.boundary_dominated
@@ -341,10 +360,9 @@ class TestHalfspaceDrive:
     def test_needs_positive_inner_product(self):
         ch = grim_reaper_chart(2)
         mesh = Mesh.grid(ch, (9, 5))
+        gate = halfspace_gate(mesh, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 1)
         with pytest.raises(InvalidInputError):
-            halfspace_drive(
-                ch, mesh, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 1
-            )
+            halfspace_drive(mesh, gate)
 
 
 class TestHypothesisGate:
@@ -352,7 +370,6 @@ class TestHypothesisGate:
         mesh = Mesh.grid(bowl_chart, (25, 13))
         region = Cone(V=[0.0, 0.0, 1.0], a=0.5)
         gate = hypothesis_gate(
-            bowl_chart,
             mesh,
             "cone",
             {"r": 1, "V": [0.0, 0.0, 1.0], "a": 0.5},
@@ -371,7 +388,6 @@ class TestHypothesisGate:
         ch = rot_chart(p)
         mesh = Mesh.grid(ch, (15, 7, 9))
         gate = hypothesis_gate(
-            ch,
             mesh,
             "bihalfspace",
             {"r": 2, "V": [0.0, 0.0, 0.0, 1.0], "eps": 1e-6},
@@ -386,36 +402,33 @@ class TestHypothesisGate:
         ch = flat_chart(2)
         mesh = Mesh.grid(ch, 5)
         with pytest.raises(InvalidInputError):
-            hypothesis_gate(ch, mesh, "slab", {"r": 1, "V": [0, 0, 1]})
+            hypothesis_gate(mesh, "slab", {"r": 1, "V": [0, 0, 1]})
 
 
 class TestDrivesReadTheGate:
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
-    def test_given_gate_matches_the_drives_own(self, bowl_chart):
-        mesh = Mesh.grid(bowl_chart, (25, 13))
-        V, W = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
-        params = {"r": 1, "V": V, "a": 0.5}
-        cone = hypothesis_gate(bowl_chart, mesh, "cone", params, region=Cone(V=V, a=0.5))
-        half = hypothesis_gate(bowl_chart, mesh, "halfspace", params,
-                               region=Halfspace(B=np.zeros(3), W=W))
-        for given, own in [
-            (cone_drive(bowl_chart, mesh, V, 0.5, 1, gate=cone),
-             cone_drive(bowl_chart, mesh, V, 0.5, 1)),
-            (halfspace_drive(bowl_chart, mesh, V, W, 1, gate=half),
-             halfspace_drive(bowl_chart, mesh, V, W, 1)),
-        ]:
-            assert json.dumps(given.to_json_dict()) == json.dumps(own.to_json_dict())
-        assert cone_drive(bowl_chart, mesh, V, 0.5, 1, gate=cone).exit_margin == cone.exit.margin
-
     def test_gate_of_another_theorem_or_without_region_rejected(self, bowl_chart):
         mesh = Mesh.grid(bowl_chart, (9, 5))
         V = np.array([0.0, 0.0, 1.0])
         params = {"r": 1, "V": V, "a": 0.5}
-        for gate in (hypothesis_gate(bowl_chart, mesh, "halfspace", params,
+        for gate in (hypothesis_gate(mesh, "halfspace", params,
                                      region=Halfspace(B=np.zeros(3), W=V)),
-                     hypothesis_gate(bowl_chart, mesh, "cone", params)):
+                     hypothesis_gate(mesh, "cone", params)):
             with pytest.raises(InvalidInputError):
-                cone_drive(bowl_chart, mesh, V, 0.5, 1, gate=gate)
+                cone_drive(mesh, gate)
+
+    def test_cone_gate_rejects_another_a(self, bowl_chart):
+        # the gate's HS2-1 report and the cone drive read one a: the region's
+        mesh = Mesh.grid(bowl_chart, (9, 5))
+        V = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="must equal the region's a"):
+            hypothesis_gate(mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=Cone(V=V, a=0.5))
+
+    def test_gate_rejects_a_region_of_another_kind(self, bowl_chart):
+        mesh = Mesh.grid(bowl_chart, (9, 5))
+        V = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="needs a cone region"):
+            hypothesis_gate(mesh, "cone", {"r": 1, "V": V, "a": 0.5},
+                            region=Halfspace(B=np.zeros(3), W=V))
 
 
 def _counting(chart):
@@ -445,9 +458,9 @@ class TestJetCount:
         mesh = Mesh.grid(ch, (21, 5))
         V = np.array([0.0, 0.0, 1.0])
         cone = Cone(V=V, a=0.3)
-        hypothesis_gate(ch, mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=cone)
-        cone_drive(ch, mesh, V, 0.3, 1)
-        first_exit(ch, cone, mesh)
+        gate = hypothesis_gate(mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=cone)
+        cone_drive(mesh, gate)
+        first_exit(cone, mesh)
         assert calls == {"calls": 1, "rows": len(mesh)}
         want = np.array([base.jets(u)[0][0] for u in mesh.points])
         assert np.array_equal(mesh.positions(), want)

@@ -94,7 +94,7 @@ class TestFirstExit:
         ch = grim_reaper_chart(2, t_halfwidth=5.0)
         mesh = Mesh.grid(ch, (121, 5))
         for a in np.arange(0.1, 0.95, 0.1):
-            res = first_exit(ch, Cone(V=[0.0, 0.0, 1.0], a=float(a)), mesh)
+            res = first_exit(Cone(V=[0.0, 0.0, 1.0], a=float(a)), mesh)
             assert res.found, f"no witness for a={a}"
 
     def test_bowl_exits_shifted_halfspace(self, bowl21_chart):
@@ -103,7 +103,7 @@ class TestFirstExit:
         W = np.array([0.6, 0.0, 0.8])
         for t in (0.0, 5.0, 25.0):
             reg = Halfspace(B=-t * np.array([0.0, 0.0, 1.0]), W=W)
-            res = first_exit(ch, reg, mesh)
+            res = first_exit(reg, mesh)
             assert res.found
 
     def test_bounded_chart_inside_huge_cone_complement(self):
@@ -112,7 +112,7 @@ class TestFirstExit:
         ch = sphere_chart(2, center=np.array([10.0, 0.0, 0.0]))
         mesh = Mesh.grid(ch, 8)
         reg = Cone(V=[0.0, 0.0, 1.0], a=0.9)
-        res = first_exit(ch, reg, mesh)
+        res = first_exit(reg, mesh)
         assert not res.found
         assert res.witness is None
 
@@ -121,7 +121,7 @@ class TestGrowthReport:
     def test_bowl_linear_hypothesis_trivially_satisfied(self, bowl21_chart):
         # r = 1: sigma_0 = 1, so sigma_0/delta -> 0 under any positive bound
         mesh = Mesh.grid(bowl21_chart, (30, 8))
-        rep = growth_report(bowl21_chart, mesh, "HS2-1", {"r": 1, "a": 0.5})
+        rep = growth_report(mesh, "HS2-1", {"r": 1, "a": 0.5})
         assert rep.satisfied
         assert rep.bound == pytest.approx(1.0 * 0.5 / (0.5 * 2.0))
         assert rep.note == "empirical"
@@ -129,7 +129,7 @@ class TestGrowthReport:
     def test_grim_reaper_curvature_hypothesis(self):
         ch = grim_reaper_chart(2, t_halfwidth=1100.0)
         mesh = Mesh.grid(ch, (15, 41))
-        rep = growth_report(ch, mesh, "HS2-2", {"r": 1})
+        rep = growth_report(mesh, "HS2-2", {"r": 1})
         assert rep.satisfied  # |A| <= 1 everywhere on the grim reaper
         assert rep.conclusive  # mesh reaches intrinsic scale 1e3
 
@@ -138,7 +138,7 @@ class TestGrowthReport:
 
         ch = oscillating_graph_chart(2, x_lo=3.0, x_hi=1050.0)
         mesh = Mesh.grid(ch, (400, 3))
-        rep = growth_report(ch, mesh, "HS1-1", {"r": 2})
+        rep = growth_report(mesh, "HS1-1", {"r": 2})
         assert not rep.satisfied
         assert rep.tail_estimate > rep.bound
 
@@ -149,7 +149,7 @@ class TestGrowthReport:
         c, s = math.cos(0.7), math.sin(0.7)
         Q = np.array([[c, -s, 0.0, 0.0], [s, c, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
                       [0.0, 0.0, 0.0, 1.0]])
-        reports = [growth_report(chart, Mesh.grid(chart, 13), "HS2-2", {"r": 2})
+        reports = [growth_report(Mesh.grid(chart, 13), "HS2-2", {"r": 2})
                    for chart in (ch, transform_chart(ch, Q))]
         got, want = (rep.to_json_dict() for rep in reports)
         assert np.array_equal(reports[0].scales, reports[1].scales)
@@ -175,7 +175,7 @@ class TestGrowthReport:
             want = (rho * np.sqrt(1.0 + (c * rho) ** 2) + np.arcsinh(c * rho) / c) / 2.0
         else:
             want = rho
-        rep = growth_report(ch, mesh, "HS2-2", {"r": 1})
+        rep = growth_report(mesh, "HS2-2", {"r": 1})
         want = want[want > _LOGLOG_FLOOR]
         assert rep.scales.shape == want.shape
         assert np.max(np.abs(rep.scales / want - 1.0)) <= tol
@@ -196,11 +196,11 @@ class TestGrowthReport:
         ch = paraboloid_chart(2)
         mesh = Mesh.grid(ch, 5)
         with pytest.raises(InvalidInputError):
-            growth_report(ch, mesh, "HS2-1", {"r": 1, "a": 0.5})
+            growth_report(mesh, "HS2-1", {"r": 1, "a": 0.5})
 
     def test_inconclusive_below_kiloscale(self, bowl21_chart):
         mesh = Mesh.grid(bowl21_chart, (12, 6))
-        rep = growth_report(bowl21_chart, mesh, "CM", {"r": 1})
+        rep = growth_report(mesh, "CM", {"r": 1})
         assert rep.scale_reached < 1e3 or rep.conclusive
 
 
