@@ -57,7 +57,6 @@ class Chart:
     n: int
     param_domain: np.ndarray
     jet: Callable
-    kind: str = "custom"
     name: str = ""
     orient_ref: Optional[np.ndarray] = None
     orient_sign: float = 1.0
@@ -176,8 +175,9 @@ class MeshGeometry:
     factor L (m, n, n) of the metric, the orthonormal frame E = dX L^{-T}
     (m, n+1, n), the shape operator A (m, n, n) in that frame, its ascending
     spectrum k (m, n), the table sigma (m, n+1) of sigma_0..sigma_n and the
-    Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index,
-    which errors name, and ``len`` is the row count. Every method acts on
+    Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index
+    (0, 1, ... when built, kept by ``take``), which errors name, and ``len``
+    is the row count. Every method acts on
     all rows at once; there is no per-row object (``point_geometry`` is the
     one-row call).
 
@@ -314,38 +314,36 @@ def _first(bad):
     return int(hits[0]) if hits.size else None
 
 
-def mesh_geometry(chart, U, index=None):
+def mesh_geometry(chart, U):
     """Metric, oriented unit normal, frame shape operator and curvatures at the rows of U.
 
-    ``index`` gives the rows' mesh indices (default 0, 1, ...). The checks
-    run stage by stage over all rows (domain, finite jet, rank, Cholesky,
-    normal, orientation, shape operator); each error names the first
-    failing row by its mesh index and parameter point.
+    Row i has mesh index i. The checks run stage by stage over all rows
+    (domain, finite jet, rank, Cholesky, normal, orientation, shape
+    operator); each error names the first failing row by its mesh index
+    and parameter point.
     """
-    U, index = _checked_params(chart, U, index)
-    return _geometry(chart, U, index, chart.jets(U))
+    U = _checked_params(chart, U)
+    return _geometry(chart, U, chart.jets(U))
 
 
-def _checked_params(chart, U, index):
-    """U as a float (m, n) stack inside the chart domain, and its mesh indices."""
+def _checked_params(chart, U):
+    """U as a float (m, n) stack inside the chart domain."""
     U = np.asarray(U, dtype=float)
     n = chart.n
     if U.ndim != 2 or U.shape[1] != n:
         raise InvalidInputError(f"parameter points must have {n} coordinates")
-    index = np.arange(len(U)) if index is None else np.asarray(index, dtype=int)
     tol = 1e-9 * (1.0 + chart.domain_diameter())
     lo, hi = chart.param_domain[:, 0], chart.param_domain[:, 1]
     i = _first(np.any((U < lo - tol) | (U > hi + tol) | ~np.isfinite(U), axis=1))
     if i is not None:
-        raise DomainError(
-            f"parameter point {U[i]} outside chart domain (mesh index {index[i]})"
-        )
-    return U, index
+        raise DomainError(f"parameter point {U[i]} outside chart domain (mesh index {i})")
+    return U
 
 
-def _geometry(chart, U, index, jets):
+def _geometry(chart, U, jets):
     """The body of ``mesh_geometry``, given the stacked jets (X, dX, d2X) of the rows of U."""
     n = chart.n
+    index = np.arange(len(U))
     X, dX, d2X = jets
     i = _first(~np.all(np.isfinite(X), axis=1) | ~np.all(np.isfinite(dX), axis=(1, 2)))
     if i is not None:
@@ -612,42 +610,22 @@ class Mesh:
     def __len__(self):
         return self.points.shape[0]
 
-    def _jets(self, rows=slice(None)):
-        """Stacked jets of the mesh points ``rows``, sliced from one ``chart.jets`` call."""
+    def _jets(self):
+        """Stacked jets of every mesh point, from one ``chart.jets`` call."""
         if "jets" not in self._cache:
             self._cache["jets"] = tuple(_frozen(a) for a in self.chart.jets(self.points))
-        return tuple(a[rows] for a in self._cache["jets"])
-
-    def _geometry_of(self, rows):
-        U, index = _checked_params(self.chart, self.points[rows], np.arange(len(self))[rows])
-        return _geometry(self.chart, U, index, self._jets(rows))
+        return self._cache["jets"]
 
     def positions(self):
         """Ambient positions X(u) of every mesh point."""
         return self._jets()[0]
 
     def geometry(self):
-        """MeshGeometry of every mesh point (computed once)."""
+        """MeshGeometry of every mesh point (computed once); ``take`` gives its rows."""
         if "geom" not in self._cache:
-            self._cache["geom"] = self._geometry_of(slice(None))
+            self._cache["geom"] = _geometry(self.chart, _checked_params(self.chart, self.points),
+                                            self._jets())
         return self._cache["geom"]
-
-    def masked_geometry(self, mask):
-        """MeshGeometry of the mesh points selected by a boolean mask (m,).
-
-        The rows are sliced from ``geometry()`` once it is built; before that
-        only the selected rows are computed, so the points left out cost only
-        their jets. The slice of the last mask asked for is kept, so callers
-        that share a mask share one slice and its cached derivatives.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        key = mask.tobytes()
-        hit = self._cache.get("masked")
-        if hit is None or hit[0] != key:
-            geom = self._cache.get("geom")
-            rows = self._geometry_of(mask) if geom is None else geom.take(mask)
-            hit = self._cache["masked"] = (key, rows)
-        return hit[1]
 
     def spacing(self):
         """Max ambient distance between axis-neighbors: the mesh resolution."""
@@ -672,7 +650,6 @@ def graph_chart(
     grad,
     hess,
     domain,
-    kind="graph",
     name="graph",
     derivative_bias=0.0,
 ):
@@ -703,7 +680,7 @@ def graph_chart(
 
     ref = np.zeros(n + 1)
     ref[n] = 1.0
-    return Chart(n=n, param_domain=dom, jet=jet, kind=kind, name=name, orient_ref=ref)
+    return Chart(n=n, param_domain=dom, jet=jet, name=name, orient_ref=ref)
 
 
 def flat_chart(n, halfwidth=1.0):
@@ -768,7 +745,7 @@ def sphere_chart(n, radius=1.0, center=None, cap="upper"):
     # inward normal: points toward the center, i.e. against the cap side
     ref = np.zeros(n + 1)
     ref[n] = -sign
-    return replace(ch, orient_ref=ref, kind="graph")
+    return replace(ch, orient_ref=ref)
 
 
 def oscillating_graph_chart(n, x_lo=2.0, x_hi=12.0, halfwidth=1.0):
@@ -801,35 +778,6 @@ def oscillating_graph_chart(n, x_lo=2.0, x_hi=12.0, halfwidth=1.0):
         return out
 
     return graph_chart(n, height, grad, hess, dom, name="oscillating-graph")
-
-
-def transform_chart(chart, Q, shift=None, name=None):
-    """Rigid motion X -> Q X + shift applied to a chart.
-
-    A rigid motion keeps distances along the surface, so the moved chart
-    keeps ``intrinsic_distance``.
-    """
-    Q = np.asarray(Q, dtype=float)
-    m = chart.n + 1
-    if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
-        raise InvalidInputError("Q must be an ambient orthogonal matrix")
-    s = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
-
-    def jets(U):
-        X, dX, d2X = chart.jets(U)
-        return _matvec(Q, X) + s, Q @ dX, d2X @ Q.T
-
-    ref = None if chart.orient_ref is None else Q @ chart.orient_ref
-    return Chart(
-        n=chart.n,
-        param_domain=chart.param_domain,
-        jet=jets,
-        kind=chart.kind,
-        name=name or (chart.name + "-moved"),
-        orient_ref=ref,
-        orient_sign=chart.orient_sign,
-        intrinsic_distance=chart.intrinsic_distance,
-    )
 
 
 def segment_arclength(chart, u, base_u):

@@ -325,7 +325,7 @@ _REGION_NEEDS = {"cone": ("V", "a"), "halfspace": ("W",), "bihalfspace": ("halfs
 
 
 def _check_theorem_config(config, n):
-    """Reject what the schema cannot see, before any mesh work.
+    """Reject what the schema cannot see, before any mesh work; return r.
 
     That is the region's kind and fields, vector lengths, a unit velocity
     V, a unit half-space normal W with <V, W> > 0, the cone parameter a in
@@ -352,8 +352,9 @@ def _check_theorem_config(config, n):
             raise _UsageError(
                 f"{name!r} needs n + 1 = {n + 1} coordinates for this surface (got {len(vec)})"
             )
-    # the drives check V and <V, W> again on the gate, and Cone checks a, but
-    # only after the mesh and the gate are built; Halfspace normalizes W
+    # hypothesis_gate checks r, V, <V, W> and the cone's axis again, and Cone
+    # checks a, but their errors cannot name the config field; Halfspace
+    # normalizes W, and the gate reads a from the region
     V = np.asarray(config["V"], dtype=float)
     if abs(np.linalg.norm(V) - 1.0) > 1e-10:
         raise _UsageError(f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
@@ -365,7 +366,7 @@ def _check_theorem_config(config, n):
         if not V @ W > 0.0:
             raise _UsageError(f"'region.W' needs <V, W> > 0 (got {V @ W:g})")
     if config["theorem"] == "cone":
-        # the drive reads the gate's first-exit scan: one cone for both
+        # the config states a twice, and the gate reads the region's
         if region["a"] != config["a"]:
             raise _UsageError(f"'region.a' = {region['a']} must equal the cone parameter "
                               f"'a' = {config['a']}")
@@ -375,7 +376,7 @@ def _check_theorem_config(config, n):
         if not np.allclose(axis * np.linalg.norm(V), V * np.linalg.norm(axis),
                            rtol=0.0, atol=1e-10 * np.linalg.norm(V) * np.linalg.norm(axis)):
             raise _UsageError("'region.V' must point along the velocity 'V'")
-    _order(config, n)
+    return _order(config, n)
 
 
 def _order(config, n):
@@ -393,16 +394,15 @@ def cmd_theorem_check(args):
         if key not in config:
             raise _UsageError(f"theorem-check config needs {key!r}")
     chart = registry.build_chart(config["surface"])
-    _check_theorem_config(config, chart.n)
-    region = registry.build_region(config["region"])
-    theorem = config["theorem"]
-    params = {key: config[key] for key in ("r", "V", "a", "eps", "asserted", "growth_bound",
+    params = {key: config[key] for key in ("V", "eps", "asserted", "growth_bound",
                                            "residual_tol") if key in config}
+    params["r"] = _check_theorem_config(config, chart.n)
+    region = registry.build_region(config["region"])
     mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryDominatedWarning)
-        gate = hypothesis_gate(mesh, theorem, params, region=region)
+        gate = hypothesis_gate(mesh, region, params)
         drive = _run_drive(mesh, gate, config)
     exit_res = gate.exit
 
@@ -476,11 +476,12 @@ def cmd_oy_run(args):
     )
     G = registry.build_G(config.get("G", {"kind": "iterated_log", "levels": 1}))
     mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
-    mask = np.linalg.norm(mesh.geometry().X, axis=1) > 1e-6
+    geom = mesh.geometry()
+    rows = geom.take(np.linalg.norm(geom.X, axis=1) > 1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryDominatedWarning)
         run = oy_sequence(mesh, u_field, gamma, G, k_max=int(config.get("k_max", 8)), r=r,
-                          mask=mask if not mask.all() else None)
+                          rows=rows)
     payload = _header("oy-run", config, seed)
     payload["results"] = run.to_json_dict()
     path = _write_report(args.out, "oyrun.json", payload)

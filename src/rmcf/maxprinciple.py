@@ -13,7 +13,6 @@ maximizer sequences. All limsup-style checks are labeled empirical.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -188,27 +187,24 @@ class OYRun:
         }
 
 
-def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask=None):
+def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, rows=None):
     """Maximizers of f_k = u - eps_k phi(gamma) with recorded gradient and L values.
 
-    eps_k = 1 / (2 k max(A, B + A sup|Z|)) with A and B the empirical
-    maxima of |grad gamma| and L_{r-1} gamma against the growth comparison
-    scale. ``z_field(mg)``, when given, returns the frame components
-    (m, n) of a drift Z at the rows of a MeshGeometry; the L values then
-    read L_{r-1} - <Z, grad>. Ties in the argmax break to the lowest mesh
-    index. Runs whose maximizer sits on the truncation boundary for every
-    k are flagged boundary-dominated and marked inconclusive. r must lie
-    in 1..n, as for ``MeshGeometry.L_operator``.
+    eps_k = 1 / (2 k max(A, B)) with A and B the empirical maxima of
+    |grad gamma| and L_{r-1} gamma against the growth comparison scale.
+    The search runs over ``rows``, rows of ``mesh.geometry()`` taken in
+    ascending mesh order (all of them when not given). Ties in the argmax
+    break to the lowest mesh index. Runs whose maximizer sits on the
+    truncation boundary for every k are flagged boundary-dominated and
+    marked inconclusive. r must lie in 1..n, as for
+    ``MeshGeometry.L_operator``.
     """
     _check_order(r, mesh.chart.n, "oy_sequence")
     if k_max < 1:
         raise InvalidInputError("need k_max >= 1")
-    m = len(mesh)
-    active = np.ones(m, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if active.shape != (m,) or not np.any(active):
-        raise InvalidInputError("mask must keep at least one mesh point")
-    rows = np.flatnonzero(active)
-    geom = mesh.masked_geometry(active)
+    geom = mesh.geometry() if rows is None else rows
+    if len(geom) == 0:
+        raise InvalidInputError("rows must hold at least one mesh point")
 
     uvals = u_field.values(geom)
     gvals = gamma_field.values(geom)
@@ -223,12 +219,6 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
     L_u = np.trace(P @ Hu, axis1=1, axis2=2)
     grad_g = np.sqrt(rowdot(gg, gg))
     L_g = np.trace(P @ Hg, axis1=1, axis2=2)
-    supz = 0.0
-    if z_field is not None:
-        zv = np.broadcast_to(np.asarray(z_field(geom), dtype=float), gu.shape)
-        supz = float(np.max(np.sqrt(rowdot(zv, zv))))
-        L_u = L_u - rowdot(zv, gu)
-        L_g = L_g - rowdot(zv, gg)
     lip = float(np.max(np.abs(np.linalg.eigvalsh(Hu)), initial=0.0))
 
     pb = G.p_bound(gvals)
@@ -238,15 +228,15 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, z_field=None, mask
         B = float(np.max(L_g[usable] / pb[usable]))
     else:
         A = B = 1.0
-    denom = max(A, B + A * supz, 1e-8)
+    denom = max(A, B, 1e-8)
 
     phi_g = G.phi(gvals)
 
     ks = np.arange(1, k_max + 1)
     eps = 1.0 / (2.0 * ks * denom)
-    # the masked rows ascend, so ties go to the lowest mesh index
+    # the rows ascend, so ties go to the lowest mesh index
     at = np.array([int(np.argmax(uvals - e * phi_g)) for e in eps])
-    idx = rows[at]
+    idx = geom.index[at]
 
     mesh_tol = 2.0 * mesh.spacing() * max(lip, 1e-30)
     grad_at = grad_u[at]
@@ -327,15 +317,15 @@ def _maximizer_run(mesh, psi, r, expected):
     (m,) at the rows of mg), the maximizer run against gamma = |X|^2 with
     the one-level iterated-log G and k = 1..8, and the maximizers' geometry.
     """
-    mask = np.linalg.norm(mesh.positions(), axis=1) > 1e-6
-    mg = mesh.masked_geometry(mask)
+    geom = mesh.geometry()
+    mg = geom.take(np.linalg.norm(geom.X, axis=1) > 1e-6)
     want_grad, want_L = expected(mg)
     grad_err = float(np.max(np.abs(mg.frame_gradient(psi) - want_grad), initial=0.0))
     lhs = mg.L_operator(psi, r)
     L_err = float(np.max(np.abs(lhs - want_L) / (1.0 + mg.normA**2), initial=0.0))
     run = oy_sequence(mesh, psi, distance_sq_to(np.zeros(mesh.chart.n + 1)),
-                      GFunction.iterated_log(1), k_max=8, r=r, mask=mask)
-    return (grad_err, L_err), run, mesh.geometry().take(run.idx)
+                      GFunction.iterated_log(1), k_max=8, r=r, rows=mg)
+    return (grad_err, L_err), run, geom.take(run.idx)
 
 
 def _drive_report(gate, errors, run, growth, extras):
@@ -358,8 +348,8 @@ def cone_drive(mesh, gate):
     comparison sequence, and reports which premise of the nonexistence
     statement fails on this mesh (for genuine translators: containment).
 
-    ``gate`` is a cone ``hypothesis_gate`` report on this mesh with a
-    region: the drive reads r, V, the premises and the cone's a from it.
+    ``gate`` is a cone ``hypothesis_gate`` report on this mesh: the drive
+    reads r, V, the premises and the cone's a from it.
     A gate on the bounded-sigma branch reads HS2-2, so the drive then makes
     its own HS2-1 growth report.
     """
@@ -397,14 +387,13 @@ def halfspace_drive(mesh, gate):
     Runs on non-translator charts too; the L values at maximizers then
     stay away from r <V, W>.
 
-    ``gate`` is a half-space ``hypothesis_gate`` report on this mesh with
-    a region: the drive reads r, V, the premises and the normal W from it.
+    ``gate`` is a half-space ``hypothesis_gate`` report on this mesh: the
+    drive reads r, V, the premises and the normal W from it; the gate has
+    checked <V, W> > 0.
     """
     _check_gate(gate, "halfspace")
     V, r, W = gate.V, gate.r, gate.region.W
     c = float(V @ W)
-    if c <= 0.0:
-        raise InvalidInputError("need <V, W> > 0")
 
     def height_L(mg):
         return r * mg.sigma_r(r) * rowdot(mg.N, np.broadcast_to(W, mg.N.shape))
@@ -428,8 +417,8 @@ def halfspace_drive(mesh, gate):
 # hypothesis gates
 
 
-# the region type each statement is checked against
-_REGION_KIND = {"cone": Cone, "halfspace": Halfspace, "bihalfspace": BiHalfspace}
+# the statement each region type states
+_THEOREM = {Cone: "cone", Halfspace: "halfspace", BiHalfspace: "bihalfspace"}
 
 # the premise id under which each growth hypothesis is reported
 _GROWTH_PREMISE = {
@@ -445,22 +434,25 @@ class GateReport:
     """Pass/fail per premise of one nonexistence statement, on one mesh.
 
     Beside the premise dicts it keeps what they were computed from: r, the
-    velocity V, the translator residual sup, the smallest eigenvalue of
-    P_{r-1}, the growth report and, when a region was given, the region
-    and its first-exit scan.
+    velocity V, the region (whose type names the statement), the
+    translator residual sup, the smallest eigenvalue of P_{r-1}, the
+    growth report and the region's first-exit scan.
     """
 
-    theorem: str
     r: int
     V: np.ndarray
-    region: Optional[object]
+    region: object
     premises: tuple
-    contained: Optional[bool]
-    consistent: Optional[bool]
+    contained: bool
+    consistent: bool
     residual_sup: float
     min_eigen_P: float
     growth: GrowthReport
-    exit: Optional[FirstExit]
+    exit: FirstExit
+
+    @property
+    def theorem(self):
+        return _THEOREM[type(self.region)]
 
     def to_json_dict(self):
         return {
@@ -487,10 +479,8 @@ class GateReport:
 
 
 def _check_gate(gate, theorem):
-    if gate.theorem != theorem or gate.exit is None:
-        raise InvalidInputError(f"the {theorem} drive needs a {theorem} gate built with a region")
-    if abs(np.linalg.norm(gate.V) - 1.0) > 1e-10:
-        raise InvalidInputError("velocity must be a unit vector")
+    if gate.theorem != theorem:
+        raise InvalidInputError(f"the {theorem} drive needs a {theorem} gate")
 
 
 def _premise(pid, ok, value, threshold, empirical=False, conclusive=True):
@@ -504,28 +494,35 @@ def _premise(pid, ok, value, threshold, empirical=False, conclusive=True):
     }
 
 
-def hypothesis_gate(mesh, theorem, params, region=None):
-    """Aggregate premise checks for one of the nonexistence statements.
+def hypothesis_gate(mesh, region, params):
+    """Aggregate premise checks for the nonexistence statement of ``region``.
 
-    theorem is 'cone', 'halfspace' or 'bihalfspace'. params carry r, V,
-    the cone parameter a, the asserted branch for the cone statement
-    ('proper' checks the sigma/delta ratio, 'bounded-sigma' the intrinsic
-    curvature growth), the positivity margin eps for the bi-half-space
-    statement, and residual_tol. With a region, of the theorem's kind and
-    for a cone with the same a, the report also states containment and
-    overall consistency: no configured mesh may pass every premise and
-    stay contained. This is the one place a theorem's premises are
-    computed; the drives read the report.
+    The region's type is the statement: a ``Cone`` (axis V, parameter a)
+    the cone statement, a ``Halfspace`` (normal W) the half-space one and
+    a ``BiHalfspace`` the bi-half-space one. params carry r, V, the
+    asserted branch for the cone statement ('proper' checks the
+    sigma/delta ratio against the region's a, 'bounded-sigma' the
+    intrinsic curvature growth), the positivity margin eps for the
+    bi-half-space statement, residual_tol and growth_bound. The inputs are
+    checked before any geometry: r in 1..n, a unit V with n + 1
+    coordinates, <V, W> > 0 for a half-space and a cone axis equal to V.
+    The report states containment and overall consistency: no configured
+    mesh may pass every premise and stay contained. This is the one place
+    a statement's premises are computed; the drives read the report.
     """
-    if theorem not in _REGION_KIND:
-        raise InvalidInputError(f"unknown theorem id {theorem!r}")
-    if region is not None and not isinstance(region, _REGION_KIND[theorem]):
-        raise InvalidInputError(f"the {theorem} statement needs a {theorem} region")
-    if theorem == "cone" and region is not None and float(params["a"]) != region.a:
-        raise InvalidInputError(f"the cone parameter a = {params['a']} must equal the "
-                                f"region's a = {region.a}")
-    r = int(params["r"])
+    theorem = _THEOREM.get(type(region))
+    if theorem is None:
+        raise InvalidInputError(f"no nonexistence statement for a {type(region).__name__} region")
+    n = mesh.chart.n
+    _check_order(params["r"], n, "hypothesis_gate")
     V = np.asarray(params["V"], dtype=float)
+    if V.shape != (n + 1,) or not abs(np.linalg.norm(V) - 1.0) <= 1e-10:
+        raise InvalidInputError(f"velocity must be a unit vector with n + 1 = {n + 1} coordinates")
+    if isinstance(region, Halfspace) and not V @ region.W > 0.0:
+        raise InvalidInputError("need <V, W> > 0")
+    if isinstance(region, Cone) and not np.allclose(region.V, V, rtol=0.0, atol=1e-10):
+        raise InvalidInputError("the cone's axis must be the velocity V")
+    r = int(params["r"])
     res_tol = float(params.get("residual_tol", 1e-6))
 
     premises = []
@@ -548,7 +545,7 @@ def hypothesis_gate(mesh, theorem, params, region=None):
     if theorem == "cone":
         branch = params.get("asserted", "proper")
         if branch == "proper":
-            hyp, growth_params = "HS2-1", {"r": r, "a": float(params["a"])}
+            hyp, growth_params = "HS2-1", {"r": r, "a": region.a}
         elif branch == "bounded-sigma":
             hyp, growth_params = "HS2-2", {"r": r}
         else:
@@ -562,15 +559,12 @@ def hypothesis_gate(mesh, theorem, params, region=None):
                  empirical=True, conclusive=growth.conclusive)
     )
 
-    exit_res = contained = consistent = None
-    if region is not None:
-        exit_res = first_exit(region, mesh)
-        contained = not exit_res.found
-        all_pass = all(p["pass"] for p in premises)
-        consistent = not (all_pass and contained)
+    exit_res = first_exit(region, mesh)
+    contained = not exit_res.found
+    consistent = not (contained and all(p["pass"] for p in premises))
 
     return GateReport(
-        theorem=theorem, r=r, V=V, region=region, premises=tuple(premises),
+        r=r, V=V, region=region, premises=tuple(premises),
         contained=contained, consistent=consistent, residual_sup=res_sup, min_eigen_P=psd,
         growth=growth, exit=exit_res,
     )

@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kernels
-from .charts import AmbientField, _matvec, rowdot, segment_arclength
-from .errors import DomainError, InvalidInputError, SingularPointError
+from .charts import AmbientField, _check_order, _matvec, rowdot, segment_arclength
+from .errors import InvalidInputError, SingularPointError
 
 CONCLUSIVE_SCALE = 1e3
 _LOGLOG_FLOOR = math.e * 1.01
@@ -37,8 +37,7 @@ def _unit(v, what):
 class Cone:
     """Open rotational cone around axis V with aperture parameter a in (0, 1).
 
-    ``region_contains`` tests membership in the closed complement
-    <X/|X|, V> <= a.
+    The region is the closed complement <X/|X|, V> <= a.
     """
 
     V: np.ndarray
@@ -92,17 +91,6 @@ class BiHalfspace:
             object.__setattr__(self, "vertical_to", v)
 
 
-def region_contains(reg, X):
-    """Membership of an ambient point: the one row of ``violation_margins``, margin <= 0.
-
-    Cone membership is undefined at the vertex X = 0.
-    """
-    X = np.asarray(X, dtype=float).ravel()
-    if isinstance(reg, Cone) and np.linalg.norm(X) < 1e-300:
-        raise DomainError("cone membership undefined at the vertex X = 0")
-    return bool(violation_margins(reg, X)[0] <= 0.0)
-
-
 def violation_margins(reg, xs):
     """Signed violation margin per row of xs; positive means outside the region."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -124,7 +112,6 @@ def violation_margins(reg, xs):
 class FirstExit(NamedTuple):
     found: bool
     witness: Optional[np.ndarray]
-    param: Optional[np.ndarray]
     margin: float
 
 
@@ -141,8 +128,8 @@ def first_exit(reg, mesh):
     margins = violation_margins(reg, xs)
     idx = int(np.argmax(margins))
     if margins[idx] > 0.0:
-        return FirstExit(True, xs[idx].copy(), mesh.points[idx].copy(), float(margins[idx]))
-    return FirstExit(False, None, None, float(margins[idx]))
+        return FirstExit(True, xs[idx].copy(), float(margins[idx]))
+    return FirstExit(False, None, float(margins[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +142,6 @@ class GrowthReport:
 
     hypothesis: str
     scales: np.ndarray
-    ratios: np.ndarray
     tail_estimate: float
     bound: float
     satisfied: bool
@@ -237,7 +223,6 @@ def growth_report(mesh, hypothesis, params):
     return GrowthReport(
         hypothesis=hypothesis,
         scales=scales_kept,
-        ratios=ratios,
         tail_estimate=tail,
         bound=bound,
         satisfied=bool(tail < bound),
@@ -340,7 +325,7 @@ class BiHalfspaceDriveReport:
     eps: float
     empty: bool
     n_points: int
-    min_slack: float
+    min_slack: Optional[float]
     argmin_param: Optional[np.ndarray]
     max_d: float
 
@@ -367,7 +352,7 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
     pulled back by T (``cylinder_field``). Evaluated at every mesh point
     inside the pocket region; the minimum slack must stay above -1e-6
     whenever P_{r-1} >= eps I holds there. An empty intersection is
-    reported, not raised.
+    reported, not raised, with ``min_slack`` None (null in JSON).
     """
     if not (R > 0.0):
         raise InvalidInputError("cylinder radius must be positive")
@@ -378,9 +363,9 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
     if not np.any(mask):
         return BiHalfspaceDriveReport(
             a=a, b=b, R=R, r=r, eps=eps, empty=True, n_points=0,
-            min_slack=math.nan, argmin_param=None, max_d=0.0,
+            min_slack=None, argmin_param=None, max_d=0.0,
         )
-    mg = mesh.masked_geometry(mask)
+    mg = mesh.geometry().take(mask)
     d = cylinder_distance(R, a, TX[mask])
     grad, chi, _ = cylinder_hessian_frame(R, a, TX[mask])
     # <chi Q, N> = <chi, Q N>, and the last entry of Q N is <V, N>
@@ -402,9 +387,7 @@ def min_eigen_over_mesh(mesh, r):
     One ``kernels.complement_sigma`` call over the stacked spectra: the
     eigenvalues of P_{r-1} in the eigenbasis of A.
     """
-    n = mesh.chart.n
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > n:
-        raise DomainError(f"min_eigen_over_mesh needs 1 <= r <= n (got r={r}, n={n})")
+    _check_order(r, mesh.chart.n, "min_eigen_over_mesh")
     return float(np.min(kernels.complement_sigma(mesh.geometry().k, r - 1)))
 
 

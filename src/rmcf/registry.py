@@ -7,47 +7,50 @@ from .errors import InvalidInputError
 from .maxprinciple import GFunction
 
 
+def _surface_keys(spec, **defaults):
+    """The values of the keys a surface kind reads, in the order of ``defaults``.
+
+    ``defaults`` names every key the kind reads, with the value a spec
+    without it gets. Any other key of the spec is an InvalidInputError
+    that names it, raised before the chart is built.
+    """
+    unread = sorted(set(spec) - {"kind"} - set(defaults))
+    if unread:
+        raise InvalidInputError(f"a {spec['kind']} surface does not read "
+                                + ", ".join(f"'surface.{key}'" for key in unread))
+    return [spec.get(key, default) for key, default in defaults.items()]
+
+
 def build_chart(spec):
     """Chart from a declarative surface description (kind + parameters)."""
     kind = spec.get("kind")
     if kind == "grim_reaper":
-        return translators.grim_reaper_chart(
-            int(spec.get("n", 2)),
-            eta=float(spec.get("eta", 1e-3)),
-            t_halfwidth=float(spec.get("t_halfwidth", 50.0)),
-        )
+        n, eta, t_halfwidth = _surface_keys(spec, n=2, eta=1e-3, t_halfwidth=50.0)
+        return translators.grim_reaper_chart(int(n), eta=float(eta),
+                                             t_halfwidth=float(t_halfwidth))
     if kind == "bowl":
-        profile = translators.solve_rotational_translator(
-            int(spec.get("n", 2)),
-            int(spec.get("r", 1)),
-            R_max=float(spec.get("R_max", 100.0)),
-            tol=float(spec.get("tol", 1e-10)),
-        )
+        n, r, R_max, tol = _surface_keys(spec, n=2, r=1, R_max=100.0, tol=1e-10)
+        profile = translators.solve_rotational_translator(int(n), int(r), R_max=float(R_max),
+                                                          tol=float(tol))
         return translators.rot_chart(profile)
     if kind == "sphere":
+        n, radius, center, cap = _surface_keys(spec, n=2, radius=1.0, center=None, cap="upper")
         return charts.sphere_chart(
-            int(spec.get("n", 2)),
-            radius=float(spec.get("radius", 1.0)),
-            center=np.asarray(spec["center"], dtype=float) if "center" in spec else None,
-            cap=spec.get("cap", "upper"),
+            int(n), radius=float(radius),
+            center=None if center is None else np.asarray(center, dtype=float), cap=cap,
         )
     if kind == "paraboloid":
-        return charts.paraboloid_chart(
-            int(spec.get("n", 2)),
-            curvature=float(spec.get("curvature", 1.0)),
-            halfwidth=float(spec.get("halfwidth", 1.0)),
-            derivative_bias=float(spec.get("derivative_bias", 0.0)),
-        )
+        n, curvature, halfwidth, bias = _surface_keys(spec, n=2, curvature=1.0, halfwidth=1.0,
+                                                      derivative_bias=0.0)
+        return charts.paraboloid_chart(int(n), curvature=float(curvature),
+                                       halfwidth=float(halfwidth), derivative_bias=float(bias))
     if kind == "flat":
-        return charts.flat_chart(
-            int(spec.get("n", 2)), halfwidth=float(spec.get("halfwidth", 1.0))
-        )
+        n, halfwidth = _surface_keys(spec, n=2, halfwidth=1.0)
+        return charts.flat_chart(int(n), halfwidth=float(halfwidth))
     if kind == "oscillating":
-        return charts.oscillating_graph_chart(
-            int(spec.get("n", 2)),
-            x_lo=float(spec.get("x_lo", 2.0)),
-            x_hi=float(spec.get("x_hi", 12.0)),
-        )
+        n, x_lo, x_hi, halfwidth = _surface_keys(spec, n=2, x_lo=2.0, x_hi=12.0, halfwidth=1.0)
+        return charts.oscillating_graph_chart(int(n), x_lo=float(x_lo), x_hi=float(x_hi),
+                                              halfwidth=float(halfwidth))
     raise InvalidInputError(f"unknown surface kind {kind!r}")
 
 

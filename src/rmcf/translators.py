@@ -61,7 +61,7 @@ from .errors import (
     StiffFailureError,
 )
 
-R_START_DEFAULT = 1e-3
+R_START = 1e-3  # the vertex series seeds the solve at this radius
 R_MAX_LIMIT = 1e4
 TOL_RANGE = (1e-12, 1e-6)
 # rows of a solved profile's table lie at most R_max / TABLE_PARTS apart
@@ -116,14 +116,6 @@ def _upp(c1, c2, r, R, up, slope=False):
         return upp
     bend = 3.0 * up - (r - 1) / up if r > 1 else 3.0 * up
     return upp, (upp / s) * bend - up / den - r * c1 / (c2 * R)
-
-
-def rot_ode_rhs(n, r, R, up):
-    """Second derivative of the rotational profile from the translator equation."""
-    _check_orders(n, r)
-    if not (R > 0):
-        raise DomainError("profile equation needs R > 0")
-    return _upp(math.comb(n - 1, r), math.comb(n - 1, r - 1), r, R, up)
 
 
 def domain_radius(n, r):
@@ -310,7 +302,7 @@ class RotProfile:
         return float(out) if R.ndim == 0 else out
 
 
-def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DEFAULT):
+def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10):
     """Integrate the bowl-family profile from its vertex series seed.
 
     ODEPACK's LSODA, called one step at a time (``_odepack_lsoda``, set up
@@ -326,12 +318,10 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     and so does a solve that gets so close that u' stops being finite.
     """
     _check_orders(n, r)
-    if not (0 < R_max <= R_MAX_LIMIT):
-        raise InvalidInputError(f"R_max must lie in (0, {R_MAX_LIMIT:.0e}]")
+    if not (R_START < R_max <= R_MAX_LIMIT):
+        raise InvalidInputError(f"R_max must lie in ({R_START:g}, {R_MAX_LIMIT:.0e}]")
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise InvalidInputError(f"tol must lie in [{TOL_RANGE[0]:.0e}, {TOL_RANGE[1]:.0e}]")
-    if not (0 < R_start < R_max):
-        raise InvalidInputError("need 0 < R_start < R_max")
     R_star = domain_radius(n, r)
     if R_max >= R_star:
         raise DomainError(
@@ -340,9 +330,9 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         )
     k0, a4 = vertex_series_coeffs(n, r)
     y0 = [
-        0.5 * k0 * R_start**2 + a4 * R_start**4,
-        k0 * R_start + 4.0 * a4 * R_start**3,
-        R_start + k0**2 * R_start**3 / 6.0,
+        0.5 * k0 * R_START**2 + a4 * R_START**4,
+        k0 * R_START + 4.0 * a4 * R_START**3,
+        R_START + k0**2 * R_START**3 / 6.0,
     ]
 
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
@@ -376,7 +366,7 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
     atol = np.asarray(inner)
     lsoda = _odepack_lsoda()
     # each step's state and LSODA work arrays, appended as raw bytes (one growing buffer each)
-    t, y, istate = float(R_start), np.array(y0), 1
+    t, y, istate = float(R_START), np.array(y0), 1
     ts, ys, steps_i, steps_d = [t], array("d", y0), array("i"), array("d")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states are caught below
         while t < R_max:
@@ -413,12 +403,12 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         meta={},
         k0=k0,
         a4=a4,
-        R_start=R_start,
+        R_start=R_START,
         R_max=float(R_max),
         _nordsieck=(t, h, order, yh),
         _nodes=tuple(np.concatenate(([0.0], v)) for v in (t, Y[0], Y[1])),
     )
-    probe = np.linspace(max(10 * R_start, 0.05 * R_max), 0.9 * R_max, 9)
+    probe = np.linspace(max(10 * R_START, 0.05 * R_max), 0.9 * R_max, 9)
     meta = {
         "method": "LSODA",
         "steps": h.size,
@@ -426,7 +416,7 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10, R_start=R_START_DE
         "njev": int(iwork[12]),
         "rtol": float(inner),
         "atol": float(inner),
-        "R_start": float(R_start),
+        "R_start": float(R_START),
         "R_max": float(R_max),
         "fd_residual_probe": float(np.max(np.abs(profile.fd_residual(probe)))),
     }
@@ -532,20 +522,20 @@ def _omega_jet(phi):
     return omega, dom, ddom
 
 
-def rot_chart(profile, R_lo=None):
+def rot_chart(profile):
     """Rotational immersion chart (R, angles) -> (R omega, u(R)) from one profile.
 
     The jets of all rows come from one dense-output call for u and u' and
     from the profile equation's u'', each taken once per distinct radius (a
     grid mesh repeats every radius once per angle node). The vertical
     component of the normal is positive, matching the graph orientation.
+    The radii run from max(2 R_start, 0.01) to R_max.
     """
     n, r = profile.n, profile.r
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
-    if R_lo is None:
-        R_lo = max(2.0 * profile.R_start, 1e-2)
-    if not (0 < R_lo < profile.R_max):
-        raise InvalidInputError("R_lo must lie inside (0, R_max)")
+    R_lo = max(2.0 * profile.R_start, 1e-2)
+    if not R_lo < profile.R_max:
+        raise InvalidInputError(f"a rotational chart needs R_max above its inner radius {R_lo:g}")
 
     rows = [[R_lo, profile.R_max]]
     for i in range(n - 1):
@@ -588,7 +578,6 @@ def rot_chart(profile, R_lo=None):
         n=n,
         param_domain=dom,
         jet=jets,
-        kind="rotational",
         name=label,
         orient_ref=ref,
         intrinsic_distance=lambda Q: profile.arclength(np.reshape(Q, (-1, n))[:, 0]),
@@ -627,7 +616,6 @@ def grim_reaper_chart(n, eta=1e-3, t_halfwidth=50.0):
         grad,
         hess,
         np.array(rows),
-        kind="product" if n > 1 else "graph",
         name="grim-reaper",
     )
 
@@ -645,11 +633,11 @@ def grim_reaper_chart(n, eta=1e-3, t_halfwidth=50.0):
 # asymptotics and export
 
 
-def asymptotic_fit(profile, lo=50.0, hi=100.0, count=200):
-    """Least-squares fit of u on the basis {R^2, log R, 1} over [lo, hi]."""
+def asymptotic_fit(profile, lo=50.0, hi=100.0):
+    """Least-squares fit of u on the basis {R^2, log R, 1} at 200 radii over [lo, hi]."""
     if not (0 < lo < hi <= profile.R_max):
         raise InvalidInputError("fit window must lie inside (0, R_max]")
-    R = np.linspace(lo, hi, count)
+    R = np.linspace(lo, hi, 200)
     u = np.asarray(profile.eval_u(R))
     basis = np.stack([R**2, np.log(R), np.ones_like(R)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)

@@ -13,10 +13,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from rmcf import translators
-from rmcf.translators import R_START_DEFAULT, vertex_series_coeffs
+from rmcf.translators import R_START, vertex_series_coeffs
 
 
-def solve_ivp_oracle(n, r, R_max, tol=1e-10, R_start=R_START_DEFAULT):
+def solve_ivp_oracle(n, r, R_max, tol=1e-10, R_start=R_START):
     """The profile solve through scipy's solve_ivp with dense output.
 
     Same seed, right-hand side, Jacobian and inner tolerance as

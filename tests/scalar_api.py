@@ -6,17 +6,23 @@ or for one matrix, so the one-row forms that rmcf no longer calls live on
 here, with the argument checks they had. The geometry functions, the
 characteristic polynomial and the polynomial form of P_r are one-row
 calls of the stacked code; ``trace_identities`` and ``min_eigen_Pr`` read
-the one-row ``newton_transform`` and ``kernels.complement_sigma``.
+the one-row ``newton_transform`` and ``kernels.complement_sigma``. So are
+the one-point region membership ``region_contains``, the one-radius
+profile equation ``rot_ode_rhs`` and ``transform_chart``, the rigid-motion
+oracle of the bi-half-space drive.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from rmcf import kernels, symfun
-from rmcf.charts import Mesh, _param_row, mesh_geometry
+from rmcf.charts import Chart, Mesh, _matvec, _param_row, mesh_geometry
 from rmcf.errors import DomainError, InvalidInputError
+from rmcf.regions import Cone, violation_margins
 from rmcf.symfun import SymMatrix, newton_transform
+from rmcf.translators import _check_orders, _upp
 
 
 def _row(chart, u):
@@ -119,3 +125,50 @@ def min_eigen_Pr(A, r):
     if not isinstance(r, (int, np.integer)) or r < 0 or r > A.n - 1:
         raise DomainError(f"min_eigen_Pr needs 0 <= r <= n-1 (got r={r}, n={A.n})")
     return float(np.min(kernels.complement_sigma(A.eigenvalues()[None, :], r)[0]))
+
+
+def region_contains(reg, X):
+    """Membership of an ambient point: the one row of ``violation_margins``, margin <= 0.
+
+    Cone membership is undefined at the vertex X = 0.
+    """
+    X = np.asarray(X, dtype=float).ravel()
+    if isinstance(reg, Cone) and np.linalg.norm(X) < 1e-300:
+        raise DomainError("cone membership undefined at the vertex X = 0")
+    return bool(violation_margins(reg, X)[0] <= 0.0)
+
+
+def rot_ode_rhs(n, r, R, up):
+    """Second derivative of the rotational profile from the translator equation."""
+    _check_orders(n, r)
+    if not (R > 0):
+        raise DomainError("profile equation needs R > 0")
+    return _upp(math.comb(n - 1, r), math.comb(n - 1, r - 1), r, R, up)
+
+
+def transform_chart(chart, Q, shift=None, name=None):
+    """Rigid motion X -> Q X + shift applied to a chart.
+
+    A rigid motion keeps distances along the surface, so the moved chart
+    keeps ``intrinsic_distance``.
+    """
+    Q = np.asarray(Q, dtype=float)
+    m = chart.n + 1
+    if Q.shape != (m, m) or np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
+        raise InvalidInputError("Q must be an ambient orthogonal matrix")
+    s = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
+
+    def jets(U):
+        X, dX, d2X = chart.jets(U)
+        return _matvec(Q, X) + s, Q @ dX, d2X @ Q.T
+
+    ref = None if chart.orient_ref is None else Q @ chart.orient_ref
+    return Chart(
+        n=chart.n,
+        param_domain=chart.param_domain,
+        jet=jets,
+        name=name or (chart.name + "-moved"),
+        orient_ref=ref,
+        orient_sign=chart.orient_sign,
+        intrinsic_distance=chart.intrinsic_distance,
+    )

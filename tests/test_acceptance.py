@@ -373,10 +373,7 @@ def test_oy_mechanics_and_gate_labels(translator_meshes):
         # gate labels every limsup check as empirical
         key = (2, 1)
         gate = hypothesis_gate(
-            translator_meshes[key],
-            "cone",
-            {"r": 1, "V": [0.0, 0.0, 1.0], "a": 0.5},
-            region=Cone(V=[0.0, 0.0, 1.0], a=0.5),
+            translator_meshes[key], Cone(V=[0.0, 0.0, 1.0], a=0.5), {"r": 1, "V": [0.0, 0.0, 1.0]}
         )
         growth_premises = [p for p in gate.premises if p["id"].startswith("growth")]
         assert growth_premises

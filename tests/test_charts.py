@@ -19,7 +19,6 @@ from rmcf.charts import (
     point_geometry,
     richardson_slope,
     sphere_chart,
-    transform_chart,
 )
 from rmcf.errors import (
     DomainError,
@@ -37,6 +36,7 @@ from scalar_api import (
     intrinsic_hessian,
     refined,
     soliton_residual,
+    transform_chart,
 )
 
 

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import rmcf.cli
 import rmcf.maxprinciple
 import rmcf.regions
+import rmcf.translators
 from rmcf.charts import MeshGeometry, cone_excess
 from rmcf.cli import _CONFIG_SCHEMA, _TYPES, _best_message, _schema_errors, main
-from rmcf.registry import build_region
+from rmcf.registry import build_chart, build_region
 from rmcf.translators import load_profile
 
 
@@ -93,6 +94,27 @@ class TestVerifyIdentities:
         cfg = write_config(tmp_path, {"surface": {"kind": "bowl", "r": 1}})
         assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "report.json").read_text())["results"]["surface"] == "bowl-n2"
+
+    @pytest.mark.parametrize("surface, key", [
+        ({"kind": "sphere", "n": 2, "tol": 1e-9}, "'surface.tol'"),
+        ({"kind": "sphere", "n": 2, "R_max": 5.0, "r": 1}, "'surface.R_max', 'surface.r'"),
+        ({"kind": "bowl", "n": 2, "r": 1, "radius": 2.0}, "'surface.radius'"),
+    ])
+    def test_surface_key_its_kind_does_not_read(self, tmp_path, capsys, monkeypatch, surface, key):
+        # the schema allows every surface key on every kind; the kind's builder
+        # names the ones it does not read, before any profile solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a profile was solved for a rejected surface")
+
+        monkeypatch.setattr(rmcf.translators, "solve_rotational_translator", no_solve)
+        cfg = write_config(tmp_path, {"surface": surface})
+        assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and key in err, err
+
+    def test_oscillating_halfwidth_is_read(self):
+        chart = build_chart({"kind": "oscillating", "halfwidth": 5.0})
+        assert chart.param_domain.tolist() == [[2.0, 12.0], [-5.0, 5.0]]
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -331,6 +353,24 @@ class TestTheoremCheck:
         res = theorem_check(tmp_path, dict(HALFSPACE_1E3, growth_bound=0.5))
         gate = {p["id"]: p for p in res["gate"]["premises"]}
         assert res["drive"]["growth"]["bound"] == gate["growth-sigma-quadlog"]["threshold"] == 0.5
+
+    def test_empty_pocket_report_is_strict_json(self, tmp_path):
+        # the pair turned -1.0 rad about V, base points off the origin: no mesh
+        # point lies in the pocket, and the report must still be RFC 8259 JSON
+        c, s = math.cos(-1.0), math.sin(-1.0)
+        halves = [{"W": [0.6 * c - 0.8 * s, 0.6 * s + 0.8 * c, 0.0, 0.0], "B": [0.3, -0.2, 0.0, 1.0]},
+                  {"W": [0.6 * c + 0.8 * s, 0.6 * s - 0.8 * c, 0.0, 0.0], "B": [-0.1, 0.4, 0.5, 0.0]}]
+        config = dict(BIHALFSPACE_40, surface=RBOWL_1E3, eps=0.01, mesh=7,
+                      region={"kind": "bihalfspace", "halfspaces": halves, "vertical_to": V4})
+        theorem_check(tmp_path, config)
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        with open(tmp_path / "report.json") as fh:
+            drive = json.load(fh, parse_constant=no_constant)["results"]["drive"]
+        assert drive["empty"] and drive["n_points"] == 0
+        assert drive["min_slack"] is None
 
     def test_missing_region(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": BOWL_SURFACE, "theorem": "cone"})

@@ -1,7 +1,7 @@
 """Tests for the growth profiles, maximizer sequences, and theorem drives."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -41,13 +41,12 @@ def bowl_chart():
 
 def cone_gate(mesh, V, a, r):
     """The cone gate a cone drive reads: against the cone (V, a), on the proper branch."""
-    return hypothesis_gate(mesh, "cone", {"r": r, "V": V, "a": a}, region=Cone(V=V, a=a))
+    return hypothesis_gate(mesh, Cone(V=V, a=a), {"r": r, "V": V})
 
 
 def halfspace_gate(mesh, V, W, r):
     """The half-space gate a half-space drive reads: the half-space through 0 with normal W."""
-    return hypothesis_gate(mesh, "halfspace", {"r": r, "V": V},
-                           region=Halfspace(B=np.zeros(len(W)), W=W))
+    return hypothesis_gate(mesh, Halfspace(B=np.zeros(len(W)), W=W), {"r": r, "V": V})
 
 
 class TestGFunction:
@@ -255,11 +254,12 @@ class TestOYSequence:
         from rmcf.charts import cone_excess, distance_sq_to
 
         psi = cone_excess(np.array([0.0, 0.0, 1.0]), 0.9)
-        mask = np.linalg.norm(mesh.positions(), axis=1) > 1e-6
+        geom = mesh.geometry()
+        rows = geom.take(np.linalg.norm(geom.X, axis=1) > 1e-6)
         with pytest.warns(BoundaryDominatedWarning):
             run = oy_sequence(
                 mesh, psi, distance_sq_to(np.zeros(3)),
-                GFunction.iterated_log(1), k_max=6, mask=mask,
+                GFunction.iterated_log(1), k_max=6, rows=rows,
             )
         assert run.boundary_dominated and not run.conclusive
         # maximizers drift toward the asymptotic planes, gradient norms
@@ -268,22 +268,6 @@ class TestOYSequence:
         assert np.all(np.diff(xs) >= -1e-12)
         assert xs[-1] > 1.2
         assert np.all(np.diff(run.grad_norms) <= 1e-12)
-
-    def test_z_field_path(self):
-        # flat chart, linear u: L_0 u = 0 and the Z term contributes -<Z, grad u>
-        ch = flat_chart(2)
-        mesh = Mesh.grid(ch, 7)
-        w = np.array([0.6, 0.8, 0.0])
-        u = linear_height(w)
-        gamma = AmbientField(
-            lambda X: 1.0 + np.sum(X * X, axis=-1), lambda X: 2.0 * X, lambda X: 2.0 * np.eye(3)
-        )
-        z = lambda mg: np.tile([1.0, 0.0], (len(mg), 1))
-        with pytest.warns(BoundaryDominatedWarning):
-            run = oy_sequence(
-                mesh, u, gamma, GFunction.constant_fn(1.0), k_max=3, z_field=z
-            )
-        assert np.allclose(run.L_values, -0.6, atol=1e-12)
 
     def test_gamma_positive_validation(self):
         ch = flat_chart(2)
@@ -360,21 +344,15 @@ class TestHalfspaceDrive:
     def test_needs_positive_inner_product(self):
         ch = grim_reaper_chart(2)
         mesh = Mesh.grid(ch, (9, 5))
-        gate = halfspace_gate(mesh, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 1)
         with pytest.raises(InvalidInputError):
-            halfspace_drive(mesh, gate)
+            halfspace_gate(mesh, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 1)
 
 
 class TestHypothesisGate:
     def test_bowl_cone_gate(self, bowl_chart):
         mesh = Mesh.grid(bowl_chart, (25, 13))
         region = Cone(V=[0.0, 0.0, 1.0], a=0.5)
-        gate = hypothesis_gate(
-            mesh,
-            "cone",
-            {"r": 1, "V": [0.0, 0.0, 1.0], "a": 0.5},
-            region=region,
-        )
+        gate = hypothesis_gate(mesh, region, {"r": 1, "V": [0.0, 0.0, 1.0]})
         ids = {p["id"]: p for p in gate.premises}
         assert ids["translator-residual"]["pass"]
         assert ids["sigma-r-bounded"]["pass"]
@@ -387,48 +365,57 @@ class TestHypothesisGate:
         p = solve_rotational_translator(3, 2, R_max=30.0, tol=1e-9)
         ch = rot_chart(p)
         mesh = Mesh.grid(ch, (15, 7, 9))
-        gate = hypothesis_gate(
-            mesh,
-            "bihalfspace",
-            {"r": 2, "V": [0.0, 0.0, 0.0, 1.0], "eps": 1e-6},
-        )
+        V = np.array([0.0, 0.0, 0.0, 1.0])
+        region = BiHalfspace(Halfspace(np.zeros(4), [0.6, 0.8, 0.0, 0.0]),
+                             Halfspace(np.zeros(4), [0.6, -0.8, 0.0, 0.0]), vertical_to=V)
+        gate = hypothesis_gate(mesh, region, {"r": 2, "V": V, "eps": 1e-6})
         ids = {p["id"]: p for p in gate.premises}
         assert ids["sigma-r-bounded"]["pass"]
         assert "newton-eps-definite" in ids
         assert ids["growth-sigma-quadlog"]["empirical"]
-        assert gate.consistent is None  # no region supplied
+        assert isinstance(gate.contained, bool) and isinstance(gate.consistent, bool)
 
     def test_unknown_theorem(self):
+        # a region type that states no theorem
+        @dataclass(frozen=True)
+        class Slab:
+            W: np.ndarray
+            width: float
+
         ch = flat_chart(2)
         mesh = Mesh.grid(ch, 5)
-        with pytest.raises(InvalidInputError):
-            hypothesis_gate(mesh, "slab", {"r": 1, "V": [0, 0, 1]})
+        slab = Slab(W=np.array([0.0, 0.0, 1.0]), width=1.0)
+        with pytest.raises(InvalidInputError, match="no nonexistence statement for a Slab"):
+            hypothesis_gate(mesh, slab, {"r": 1, "V": [0, 0, 1]})
+
+    _E3 = [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("region, params, error, match", [
+        (Cone(V=_E3, a=0.3), {"r": 1, "V": [0.0, 0.0, 2.0]}, InvalidInputError, "unit vector"),
+        (Halfspace(np.zeros(3), [1.0, 0.0, 0.0]), {"r": 1, "V": _E3}, InvalidInputError,
+         "<V, W> > 0"),
+        (Halfspace(np.zeros(3), [0.6, 0.0, -0.8]), {"r": 1, "V": _E3}, InvalidInputError,
+         "<V, W> > 0"),
+        (Cone(V=[0.0, 0.6, 0.8], a=0.3), {"r": 1, "V": _E3}, InvalidInputError, "axis"),
+        (Cone(V=_E3, a=0.3), {"r": 0, "V": _E3}, DomainError, "1 <= r <= n"),
+        (Cone(V=_E3, a=0.3), {"r": 3, "V": _E3}, DomainError, "1 <= r <= n"),
+    ])
+    def test_inputs_rejected_before_any_jet(self, region, params, error, match):
+        # the gate checks r, V, <V, W> and the cone's axis before any geometry
+        ch, calls = _counting(grim_reaper_chart(2))
+        mesh = Mesh.grid(ch, (9, 5))
+        with pytest.raises(error, match=match):
+            hypothesis_gate(mesh, region, params)
+        assert calls == {"calls": 0, "rows": 0}
 
 
 class TestDrivesReadTheGate:
-    def test_gate_of_another_theorem_or_without_region_rejected(self, bowl_chart):
+    def test_gate_of_another_theorem_rejected(self, bowl_chart):
         mesh = Mesh.grid(bowl_chart, (9, 5))
         V = np.array([0.0, 0.0, 1.0])
-        params = {"r": 1, "V": V, "a": 0.5}
-        for gate in (hypothesis_gate(mesh, "halfspace", params,
-                                     region=Halfspace(B=np.zeros(3), W=V)),
-                     hypothesis_gate(mesh, "cone", params)):
-            with pytest.raises(InvalidInputError):
-                cone_drive(mesh, gate)
-
-    def test_cone_gate_rejects_another_a(self, bowl_chart):
-        # the gate's HS2-1 report and the cone drive read one a: the region's
-        mesh = Mesh.grid(bowl_chart, (9, 5))
-        V = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(InvalidInputError, match="must equal the region's a"):
-            hypothesis_gate(mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=Cone(V=V, a=0.5))
-
-    def test_gate_rejects_a_region_of_another_kind(self, bowl_chart):
-        mesh = Mesh.grid(bowl_chart, (9, 5))
-        V = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(InvalidInputError, match="needs a cone region"):
-            hypothesis_gate(mesh, "cone", {"r": 1, "V": V, "a": 0.5},
-                            region=Halfspace(B=np.zeros(3), W=V))
+        gate = hypothesis_gate(mesh, Halfspace(B=np.zeros(3), W=V), {"r": 1, "V": V})
+        with pytest.raises(InvalidInputError):
+            cone_drive(mesh, gate)
 
 
 def _counting(chart):
@@ -458,7 +445,7 @@ class TestJetCount:
         mesh = Mesh.grid(ch, (21, 5))
         V = np.array([0.0, 0.0, 1.0])
         cone = Cone(V=V, a=0.3)
-        gate = hypothesis_gate(mesh, "cone", {"r": 1, "V": V, "a": 0.3}, region=cone)
+        gate = hypothesis_gate(mesh, cone, {"r": 1, "V": V})
         cone_drive(mesh, gate)
         first_exit(cone, mesh)
         assert calls == {"calls": 1, "rows": len(mesh)}

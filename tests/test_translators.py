@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,14 +35,13 @@ from rmcf.translators import (
     grim_reaper_chart,
     load_profile,
     rot_chart,
-    rot_ode_rhs,
     solve_rotational_translator,
     vertex_curvature,
     vertex_series_coeffs,
 )
 
 from lsoda_oracle import solve_ivp_oracle
-from scalar_api import soliton_residual
+from scalar_api import rot_ode_rhs, soliton_residual
 
 
 @pytest.fixture(scope="module")
@@ -523,7 +523,9 @@ class TestRotChart:
             assert worst < 1e-6
 
     def test_vertex_curvatures(self, rbowl32):
-        ch = rot_chart(rbowl32, R_lo=5e-3)
+        ch = rot_chart(rbowl32)
+        # the radii from 5e-3, below the chart's inner radius 1e-2
+        ch = replace(ch, param_domain=np.vstack([[5e-3, rbowl32.R_max], ch.param_domain[1:]]))
         pg = point_geometry(ch, [5.5e-3, 1.0, 1.0])
         k0 = vertex_curvature(3, 2)
         assert np.allclose(pg.A.eigenvalues(), k0, atol=1e-4)
