@@ -29,7 +29,7 @@ from .errors import (
     SingularPointError,
 )
 from . import kernels
-from .symfun import SymMatrix, newton_transforms, symmetrized
+from .symfun import newton_transforms, symmetrized
 
 _RANK_TOL = 1e-8          # smallest singular value of dX below this is singular
 _BOUNDARY_MARGIN = 1e-6   # mesh points this close (fractionally) to the box edge are dropped
@@ -104,34 +104,6 @@ class Chart:
         return replace(self, orient_sign=-self.orient_sign)
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """First and second order data of a chart at one parameter point (a MeshGeometry row)."""
-
-    u: np.ndarray
-    X: np.ndarray
-    dX: np.ndarray
-    d2X: np.ndarray
-    N: np.ndarray
-    L: np.ndarray          # lower Cholesky factor of g
-    E: np.ndarray          # (n+1, n) ambient orthonormal tangent frame
-    A: SymMatrix           # shape operator in the frame E
-    k: np.ndarray          # ascending principal curvatures
-    sigma: np.ndarray      # sigma_0, ..., sigma_n
-    normA: float
-
-    @property
-    def g(self):
-        """Induced metric."""
-        return self.dX.T @ self.dX
-
-    def sigma_r(self, r):
-        """sigma_r with the convention sigma_r = 0 for r > n."""
-        if r < 0:
-            raise DomainError("sigma_r needs r >= 0")
-        return float(self.sigma[r]) if r < self.sigma.size else 0.0
-
-
 def _contract(a, b):
     """sum_j a[..., j] b[..., j], summed in index order.
 
@@ -177,9 +149,8 @@ class MeshGeometry:
     spectrum k (m, n), the table sigma (m, n+1) of sigma_0..sigma_n and the
     Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index
     (0, 1, ... when built, kept by ``take``), which errors name, and ``len``
-    is the row count. Every method acts on
-    all rows at once; there is no per-row object (``point_geometry`` is the
-    one-row call).
+    is the row count. Every method acts on all rows at once; a single
+    point is a geometry of one row (``point_geometry``).
 
     A field's frame gradient E^T grad F and intrinsic Hessian
     E^T D^2F E + <grad F, N> A (the Gauss formula) come from its ambient
@@ -208,7 +179,14 @@ class MeshGeometry:
         return self.u.shape[0]
 
     def take(self, idx):
-        """The rows ``idx`` (indices or a boolean mask), in that order."""
+        """The rows ``idx`` (indices or a boolean mask), in that order.
+
+        A boolean mask that keeps every row gives this geometry itself, so
+        the rows are not copied and the caches are shared.
+        """
+        mask = np.asarray(idx)
+        if mask.dtype == bool and mask.shape == (len(self),) and mask.all():
+            return self
         arrays = (self.u, self.X, self.dX, self.d2X, self.N, self.L, self.E, self.A, self.k,
                   self.sigma, self.normA)
         return MeshGeometry(self.chart, self.index[idx], *(_frozen(a[idx]) for a in arrays))
@@ -398,18 +376,12 @@ def _geometry(chart, U, jets):
 
 
 def point_geometry(chart, u):
-    """Metric, oriented unit normal, frame shape operator and curvatures at u.
-
-    The one row of ``mesh_geometry(chart, [u])``.
-    """
-    mg = mesh_geometry(chart, _param_row(chart, u))
-    row = {key: getattr(mg, key)[0] for key in ("u", "X", "dX", "d2X", "N", "L", "E", "k")}
-    return PointGeometry(**row, A=SymMatrix(mg.A[0]), sigma=mg.sigma[0], normA=float(mg.normA[0]))
+    """``mesh_geometry(chart, [u])``: the one-row MeshGeometry of the point u."""
+    return mesh_geometry(chart, _param_row(chart, u))
 
 
 def L_operator(chart, f, u, r):
     """L_{r-1} f = tr(P_{r-1} hess f) at u: the one row of ``MeshGeometry.L_operator``."""
-    _check_order(r, chart.n, "L operator")
     return float(mesh_geometry(chart, _param_row(chart, u)).L_operator(f, r)[0])
 
 

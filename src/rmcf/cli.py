@@ -329,7 +329,8 @@ def _check_theorem_config(config, n):
 
     That is the region's kind and fields, vector lengths, a unit velocity
     V, a unit half-space normal W with <V, W> > 0, the cone parameter a in
-    (0, 1) and r in 1..n.
+    (0, 1), a cone axis along V, a ``vertical_to`` parallel to V, a
+    positive cylinder radius R and r in 1..n.
     """
     region = config["region"]
     if region["kind"] != config["theorem"]:
@@ -372,11 +373,21 @@ def _check_theorem_config(config, n):
                               f"'a' = {config['a']}")
         if not 0.0 < config["a"] < 1.0:
             raise _UsageError(f"the cone parameter 'a' must lie in (0, 1) (got {config['a']})")
-        axis = np.asarray(region["V"], dtype=float)
-        if not np.allclose(axis * np.linalg.norm(V), V * np.linalg.norm(axis),
-                           rtol=0.0, atol=1e-10 * np.linalg.norm(V) * np.linalg.norm(axis)):
+        if not _points_along(region["V"], V):
             raise _UsageError("'region.V' must point along the velocity 'V'")
+    if "vertical_to" in region and not (_points_along(region["vertical_to"], V)
+                                        or _points_along(region["vertical_to"], -V)):
+        raise _UsageError("'region.vertical_to' must be parallel to the velocity 'V'")
+    if not config.get("R", 1.0) > 0.0:
+        raise _UsageError(f"the cylinder radius 'R' must be positive (got {config['R']})")
     return _order(config, n)
+
+
+def _points_along(vec, V):
+    """Whether vec is a positive multiple of V, to 1e-10 of |vec| |V|."""
+    vec = np.asarray(vec, dtype=float)
+    nvec, nV = np.linalg.norm(vec), np.linalg.norm(V)
+    return np.allclose(vec * nV, V * nvec, rtol=0.0, atol=1e-10 * nV * nvec)
 
 
 def _order(config, n):

@@ -504,8 +504,10 @@ def hypothesis_gate(mesh, region, params):
     sigma/delta ratio against the region's a, 'bounded-sigma' the
     intrinsic curvature growth), the positivity margin eps for the
     bi-half-space statement, residual_tol and growth_bound. The inputs are
-    checked before any geometry: r in 1..n, a unit V with n + 1
-    coordinates, <V, W> > 0 for a half-space and a cone axis equal to V.
+    checked before any geometry: r in 1..n, a unit V and region vectors
+    with n + 1 coordinates, <V, W> > 0 for a half-space, <V, W_i> = 0
+    (within 1e-10, as ``BiHalfspace`` checks it) for a pair and a cone
+    axis equal to V.
     The report states containment and overall consistency: no configured
     mesh may pass every premise and stay contained. This is the one place
     a statement's premises are computed; the drives read the report.
@@ -518,6 +520,12 @@ def hypothesis_gate(mesh, region, params):
     V = np.asarray(params["V"], dtype=float)
     if V.shape != (n + 1,) or not abs(np.linalg.norm(V) - 1.0) <= 1e-10:
         raise InvalidInputError(f"velocity must be a unit vector with n + 1 = {n + 1} coordinates")
+    halves = (region.first, region.second) if theorem == "bihalfspace" else (region,)
+    vectors = [region.V] if theorem == "cone" else [v for h in halves for v in (h.W, h.B)]
+    if any(v.shape != (n + 1,) for v in vectors):
+        raise InvalidInputError(f"region vectors must have n + 1 = {n + 1} coordinates")
+    if theorem == "bihalfspace":
+        BiHalfspace(region.first, region.second, vertical_to=V)  # checks <V, W_i> = 0
     if isinstance(region, Halfspace) and not V @ region.W > 0.0:
         raise InvalidInputError("need <V, W> > 0")
     if isinstance(region, Cone) and not np.allclose(region.V, V, rtol=0.0, atol=1e-10):

@@ -246,34 +246,28 @@ def cylinder_distance(R, a, X):
 
 
 def cylinder_hessian_frame(R, a, X):
-    """Gradient, rotated eigenvector chi, and the ambient Hessian spectrum of d_R.
+    """d_R, its gradient and the rotated unit vector chi, at each point of X (..., n+1).
 
-    The Hessian is the rank-one matrix (1/d) chi chi^T: one eigenvalue
-    1/d along chi and zeros along the gradient and the trailing
-    coordinate directions. Each result has the shape of X (..., n+1).
+    The Hessian of d_R is the rank-one matrix (1/d) chi chi^T: one
+    eigenvalue 1/d along chi and zeros along the gradient and the trailing
+    coordinate directions. d has shape (...,), grad and chi the shape of X.
     """
-    _check_cyl(R, a)
     X = np.asarray(X, dtype=float)
     d = cylinder_distance(R, a, X)
     if np.any(d <= 1e-10):
         raise SingularPointError("cylinder distance Hessian is singular on the axis")
     c1 = (X[..., 0] - R / a) / d
     c2 = X[..., 1] / d
-    grad = np.zeros(X.shape)
-    grad[..., 0] = c1
-    grad[..., 1] = c2
-    chi = np.zeros(X.shape)
-    chi[..., 0] = -c2
-    chi[..., 1] = c1
-    eigvals = np.zeros(X.shape)
-    eigvals[..., 0] = 1.0 / d
-    return grad, chi, eigvals
+    grad, chi = np.zeros(X.shape), np.zeros(X.shape)
+    grad[..., 0], grad[..., 1] = c1, c2
+    chi[..., 0], chi[..., 1] = -c2, c1
+    return d, grad, chi
 
 
 def ambient_cylinder_hessian(R, a, X):
     """The full (n+1) x (n+1) ambient Hessian of d_R at X, per point of X (..., n+1)."""
-    _, chi, eig = cylinder_hessian_frame(R, a, X)
-    return eig[..., 0, None, None] * (chi[..., :, None] * chi[..., None, :])
+    d, _, chi = cylinder_hessian_frame(R, a, X)
+    return (1.0 / d)[..., None, None] * (chi[..., :, None] * chi[..., None, :])
 
 
 def _wedge_coordinates(Q, shift, X):
@@ -292,7 +286,7 @@ def cylinder_field(R, a, Q, shift):
     Q = np.asarray(Q, dtype=float)
     return AmbientField(
         lambda X: cylinder_distance(R, a, _wedge_coordinates(Q, shift, X)),
-        lambda X: _matvec(Q.T, cylinder_hessian_frame(R, a, _wedge_coordinates(Q, shift, X))[0]),
+        lambda X: _matvec(Q.T, cylinder_hessian_frame(R, a, _wedge_coordinates(Q, shift, X))[1]),
         lambda X: Q.T @ ambient_cylinder_hessian(R, a, _wedge_coordinates(Q, shift, X)) @ Q,
     )
 
@@ -354,8 +348,6 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
     whenever P_{r-1} >= eps I holds there. An empty intersection is
     reported, not raised, with ``min_slack`` None (null in JSON).
     """
-    if not (R > 0.0):
-        raise InvalidInputError("cylinder radius must be positive")
     Q, shift, a, b = normalize_bihalfspace(region, V)
     f = cylinder_field(R, a, Q, shift)
     TX = _wedge_coordinates(Q, shift, mesh.positions())
@@ -366,8 +358,7 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
             min_slack=None, argmin_param=None, max_d=0.0,
         )
     mg = mesh.geometry().take(mask)
-    d = cylinder_distance(R, a, TX[mask])
-    grad, chi, _ = cylinder_hessian_frame(R, a, TX[mask])
+    d, grad, chi = cylinder_hessian_frame(R, a, TX[mask])
     # <chi Q, N> = <chi, Q N>, and the last entry of Q N is <V, N>
     TN = _matvec(Q, mg.N)
     lhs = mg.L_operator(f, r)

@@ -89,6 +89,11 @@ def vertex_series_coeffs(n, r):
     return k0, a4
 
 
+def _vertex_series(k0, a4, x):
+    """u, u' and the meridian arclength of the vertex series at radii x (a float or an array)."""
+    return 0.5 * k0 * x**2 + a4 * x**4, k0 * x + 4.0 * a4 * x**3, x + k0**2 * x**3 / 6.0
+
+
 def _upp(c1, c2, r, R, up, slope=False):
     """u'' of the profile equation at (R, u') > 0; with ``slope``, also d u''/d u'.
 
@@ -200,14 +205,6 @@ class RotProfile:
             raise DomainError(f"radius outside [0, {self.R_max}]")
         return np.clip(R, 0.0, self.R_max)
 
-    def _series(self, x, comp):
-        """Vertex series of u, u' or the arclength below R_start."""
-        if comp == 0:
-            return 0.5 * self.k0 * x**2 + self.a4 * x**4
-        if comp == 1:
-            return self.k0 * x + 4.0 * self.a4 * x**3
-        return x + self.k0**2 * x**3 / 6.0
-
     def _dense_rows(self, R):
         """u, u' and the arclength (3, m) at an array of radii.
 
@@ -235,9 +232,7 @@ class RotProfile:
         R = self._check_R(np.asarray(R, dtype=float).ravel())
         out = np.empty((3, R.size))
         low = R < self.R_start
-        if np.any(low):
-            for comp in range(3):
-                out[comp, low] = self._series(R[low], comp)
+        out[:, low] = _vertex_series(self.k0, self.a4, R[low])
         t, h, order, yh = self._nordsieck
         high = np.flatnonzero(~low)
         seg = np.clip(np.searchsorted(t, R[high], side="right") - 1, 0, h.size - 1)
@@ -329,11 +324,7 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10):
             f"{R_star:.6f}, where n int_0^(pi/2) sin^(n-1) = R_*^n; got R_max = {R_max:g}"
         )
     k0, a4 = vertex_series_coeffs(n, r)
-    y0 = [
-        0.5 * k0 * R_START**2 + a4 * R_START**4,
-        k0 * R_START + 4.0 * a4 * R_START**3,
-        R_START + k0**2 * R_START**3 / 6.0,
-    ]
+    y0 = _vertex_series(k0, a4, R_START)
 
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
     nfev = 0

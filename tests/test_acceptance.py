@@ -181,7 +181,7 @@ def test_angle_function_rbowl(profiles, translator_charts):
                 if R >= 50.0:
                     want = c1 * R**-r * (1.0 + r * c1 * (c2 - c1 / 2.0) * R ** (-2 * r))
                     assert abs(th[R] / want - 1.0) < 1e-8, (n, r, R, th[R], want)
-                N = point_geometry(chart, np.concatenate(([R], angles))).N
+                N = point_geometry(chart, np.concatenate(([R], angles))).N[0]
                 assert abs(float(N[-1]) - th[R]) < 1e-12, (n, r, R, N[-1], th[R])
             assert math.sqrt(1.0 - th[100.0] ** 2) > 0.95
 
@@ -197,21 +197,21 @@ def test_operator_identities_on_registered_charts():
                 pg = point_geometry(chart, u)
                 V = rng.standard_normal(chart.n + 1)
                 V /= np.linalg.norm(V)
-                tol = 1e-6 * (1.0 + pg.normA**2)
+                tol = 1e-6 * (1.0 + pg.normA[0]**2)
                 from rmcf.charts import L_operator, distance_sq_to
 
                 fV = linear_height(V)
                 fD = distance_sq_to(np.zeros(chart.n + 1))
                 for r in range(1, chart.n + 1):
                     got = L_operator(chart, fV, u, r)
-                    want = r * pg.sigma_r(r) * float(pg.N @ V)
+                    want = r * pg.sigma_r(r)[0] * float(pg.N[0] @ V)
                     assert abs(got - want) < tol
                     worst = max(worst, abs(got - want) / tol)
                     got2 = L_operator(chart, fD, u, r)
-                    want2 = 2 * (chart.n - r + 1) * pg.sigma_r(r - 1) + 2 * r * pg.sigma_r(
+                    want2 = 2 * (chart.n - r + 1) * pg.sigma_r(r - 1)[0] + 2 * r * pg.sigma_r(
                         r
-                    ) * float(pg.N @ pg.X)
-                    scale2 = tol * (1.0 + float(pg.X @ pg.X))
+                    )[0] * float(pg.N[0] @ pg.X[0])
+                    scale2 = tol * (1.0 + float(pg.X[0] @ pg.X[0]))
                     assert abs(got2 - want2) < scale2
                     worst = max(worst, abs(got2 - want2) / scale2)
             print(f"  {chart.name}: worst normalized error {worst:.3e}")
@@ -271,7 +271,7 @@ def test_cylinder_distance_machinery():
             if cylinder_distance(R, a, X) < 1e-6:
                 continue
             count += 1
-            g, _, _ = cylinder_hessian_frame(R, a, X)
+            _, g, _ = cylinder_hessian_frame(R, a, X)
             N = rng.normal(size=5)
             N /= np.linalg.norm(N)
             lhs = N[-1] ** 2

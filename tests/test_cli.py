@@ -403,6 +403,10 @@ class TestTheoremCheck:
         ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.0, -0.8])}),
         ("'a'", {"a": 1.5, "region": {"kind": "cone", "V": _V, "a": 1.5}}),
         ("'a'", {"a": 0.0, "region": {"kind": "cone", "V": _V, "a": 0.0}}),
+        ("'R'", {"theorem": "bihalfspace", "region": _BI, "R": 0.0}),
+        ("'R'", {"theorem": "bihalfspace", "region": _BI, "R": -2.0}),
+        ("'region.vertical_to'",
+         {"theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0, 0.0])}),
     ])
     def test_config_rejected_before_mesh_work(self, tmp_path, capsys, monkeypatch, field, change):
         # each passes the schema; each must exit 2 naming its field, before any mesh is built
@@ -422,6 +426,28 @@ class TestTheoremCheck:
         assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err, err
+
+    def test_non_vertical_pair_rejected_by_the_gate_head(self, tmp_path, capsys, monkeypatch):
+        # W_1 is not orthogonal to V: the gate says so before any geometry
+        def no_geometry(self):
+            raise AssertionError("geometry was built for a rejected pair")
+
+        monkeypatch.setattr(rmcf.cli.Mesh, "geometry", no_geometry)
+        region = dict(BIHALFSPACE_40["region"], halfspaces=[{"W": [0.6, 0.0, 0.0, 0.8]},
+                                                            {"W": [0.6, -0.8, 0.0, 0.0]}])
+        region.pop("vertical_to")
+        cfg = write_config(tmp_path, dict(BIHALFSPACE_40, region=region))
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "orthogonal to V" in capsys.readouterr().err
+
+    def test_vertical_to_of_either_sign(self, tmp_path):
+        flipped = dict(BIHALFSPACE_40, mesh=5,
+                       region=dict(BIHALFSPACE_40["region"], vertical_to=[0.0, 0.0, 0.0, -1.0]))
+        runs = []
+        for name, config in (("flipped", flipped), ("same", dict(BIHALFSPACE_40, mesh=5))):
+            (tmp_path / name).mkdir()
+            runs.append(theorem_check(tmp_path / name, config))
+        assert runs[0] == runs[1]
 
 
 class TestProfile:

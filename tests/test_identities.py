@@ -2,7 +2,7 @@
 
 ``identity_battery_reference.json`` holds the (id, max_err, tol, pass)
 rows that ``run_identity_suite`` gave when it walked the sampled points
-one ``PointGeometry`` at a time, with one-row calls and one draw per point.
+one point at a time, with one-row calls and one draw per point.
 The stacked battery must keep the ids, their order, the tolerances and
 the pass flags, and the errors up to round-off. Each section draws its
 numbers for all rows in one call, so a section that draws out of order

@@ -305,6 +305,14 @@ class TestConeDrive:
         assert np.all(alphas[finite] >= 1 - 0.6**2 - 1e-12)
 
     @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
+    def test_psi_hessian_cached_on_the_mesh_geometry(self, bowl_chart):
+        # no bowl row sits at the origin, so the drive's rows are mesh.geometry()
+        # itself, which keeps the Hessians of psi and of gamma = |X|^2
+        mesh = Mesh.grid(bowl_chart, (9, 5))
+        cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.3, 1))
+        assert [key[0] for key in mesh.geometry()._cache if key[0] == "hess"] == ["hess"] * 2
+
+    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_non_translator_lists_residual_premise(self):
         # a paraboloid is no translator: the drive runs and names the premise
         ch = paraboloid_chart(2, halfwidth=10.0)
@@ -399,9 +407,20 @@ class TestHypothesisGate:
         (Cone(V=[0.0, 0.6, 0.8], a=0.3), {"r": 1, "V": _E3}, InvalidInputError, "axis"),
         (Cone(V=_E3, a=0.3), {"r": 0, "V": _E3}, DomainError, "1 <= r <= n"),
         (Cone(V=_E3, a=0.3), {"r": 3, "V": _E3}, DomainError, "1 <= r <= n"),
+        (BiHalfspace(Halfspace(np.zeros(3), [0.6, 0.0, 0.8]),
+                     Halfspace(np.zeros(3), [0.6, -0.8, 0.0])), {"r": 1, "V": _E3},
+         InvalidInputError, "orthogonal to V"),
+        (Cone(V=[0.0, 0.0, 0.0, 1.0], a=0.3), {"r": 1, "V": _E3}, InvalidInputError,
+         "n \\+ 1 = 3 coordinates"),
+        (Halfspace(np.zeros(4), [0.0, 0.0, 0.6, 0.8]), {"r": 1, "V": _E3}, InvalidInputError,
+         "n \\+ 1 = 3 coordinates"),
+        (BiHalfspace(Halfspace(np.zeros(4), [0.6, 0.8, 0.0, 0.0]),
+                     Halfspace(np.zeros(4), [0.6, -0.8, 0.0, 0.0])), {"r": 1, "V": _E3},
+         InvalidInputError, "n \\+ 1 = 3 coordinates"),
     ])
     def test_inputs_rejected_before_any_jet(self, region, params, error, match):
-        # the gate checks r, V, <V, W> and the cone's axis before any geometry
+        # the gate checks r, V, the region's vector lengths, <V, W>, <V, W_i> and
+        # the cone's axis before any geometry
         ch, calls = _counting(grim_reaper_chart(2))
         mesh = Mesh.grid(ch, (9, 5))
         with pytest.raises(error, match=match):

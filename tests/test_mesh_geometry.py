@@ -22,6 +22,7 @@ from rmcf.charts import (
     Chart,
     L_operator,
     Mesh,
+    MeshGeometry,
     _matvec,
     cone_excess,
     distance_sq_to,
@@ -337,8 +338,8 @@ class TestAgainstScalarOracles:
             for key in ("X", "N", "L", "E", "A", "k", "sigma", "normA"):
                 _assert_close(getattr(mg, key)[i], want[key], f"{name} {key}")
             pg = point_geometry(chart, u)
-            _assert_close(pg.A.entries, want["A"], f"{name} row A")
-            _assert_close(pg.sigma_r(chart.n), want["sigma"][chart.n], f"{name} row sigma_n")
+            _assert_close(pg.A[0], want["A"], f"{name} row A")
+            _assert_close(pg.sigma_r(chart.n)[0], want["sigma"][chart.n], f"{name} row sigma_n")
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -488,15 +489,30 @@ class TestMeshGeometry:
         assert np.array_equal(geom.take(xs[:, 0] > 0.0).X, geom.X[xs[:, 0] > 0.0])
         assert calls == [len(mesh)]
 
+    def test_take_of_every_row_is_the_geometry(self):
+        geom = Mesh.grid(paraboloid_chart(2), 5).geometry()
+        every = np.ones(len(geom), dtype=bool)
+        assert geom.take(every) is geom
+        # index arrays and partial masks copy the rows they keep
+        for idx in (np.arange(len(geom)), np.arange(len(geom)) > 0):
+            rows = geom.take(idx)
+            assert rows is not geom and rows._cache is not geom._cache
+            assert np.array_equal(rows.index, geom.index[idx])
+
     def test_point_geometry_is_a_row(self, translator_charts):
         ch = translator_charts[(4, 2)]
         mesh = Mesh.grid(ch, (3, 2, 2, 3))
         u = mesh.points[7]
         pg, geom = point_geometry(ch, u), mesh.geometry()
+        assert isinstance(pg, MeshGeometry) and len(pg) == 1
         for key in ("X", "N", "L", "normA"):
-            assert np.array_equal(getattr(pg, key), getattr(geom, key)[7]), key
-        assert np.array_equal(pg.A.entries, geom.A[7])
-        assert np.array_equal(pg.sigma, geom.sigma[7])
+            assert np.array_equal(getattr(pg, key)[0], getattr(geom, key)[7]), key
+        assert np.array_equal(pg.A[0], geom.A[7])
+        assert np.array_equal(pg.sigma[0], geom.sigma[7])
+        # the one-row MeshGeometry of mesh_geometry(chart, [u]), bit for bit
+        row = mesh_geometry(ch, [u])
+        for key in TestRowIndependence.FIELDS + ("index",):
+            assert np.array_equal(getattr(pg, key), getattr(row, key)), key
 
     def test_singular_row_names_its_index(self):
         # X(u) = (u^3, u^2) has dX = 0 at u = 0 only, the centre of the mesh

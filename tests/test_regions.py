@@ -229,16 +229,19 @@ class TestCylinderDistance:
 class TestCylinderHessian:
     def test_eigenvalues(self):
         X = np.array([2.0 / 0.5 + 2.0, 0.0, 7.0])
-        _, _, eig = cylinder_hessian_frame(2.0, 0.5, X)
-        assert eig[0] == pytest.approx(0.5)
-        assert np.allclose(eig[1:], 0.0)
+        d, _, _ = cylinder_hessian_frame(2.0, 0.5, X)
+        assert 1.0 / d == pytest.approx(0.5)
+        # the Hessian (1/d) chi chi^T: 1/d along chi, zero along the other directions
+        eig = np.linalg.eigvalsh(ambient_cylinder_hessian(2.0, 0.5, X))
+        assert eig[-1] == pytest.approx(1.0 / d)
+        assert np.allclose(eig[:-1], 0.0)
 
     def test_orthogonality_and_unit(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             X = rng.normal(scale=3.0, size=4)
             try:
-                g, chi, _ = cylinder_hessian_frame(1.5, 0.6, X)
+                _, g, chi = cylinder_hessian_frame(1.5, 0.6, X)
             except SingularPointError:
                 continue
             assert abs(g @ chi) < 1e-14
@@ -286,7 +289,7 @@ class TestCylinderHessian:
         for _ in range(2000):
             X = rng.normal(scale=4.0, size=4)
             try:
-                g, _, _ = cylinder_hessian_frame(1.0, 0.5, X)
+                _, g, _ = cylinder_hessian_frame(1.0, 0.5, X)
             except SingularPointError:
                 continue
             N = rng.normal(size=4)
@@ -378,9 +381,9 @@ class TestBiHalfspaceDrive:
     def test_degenerate_alignment_identity(self):
         # N orthogonal to chi and parallel to grad d: rhs reduces to
         # +- r <E,N> evaluated directly
-        grad, chi, _ = cylinder_hessian_frame(1.0, 0.6, np.array([0.2, 0.3, 0.0]))
+        d, grad, chi = cylinder_hessian_frame(1.0, 0.6, np.array([0.2, 0.3, 0.0]))
         N = grad.copy()
-        d = cylinder_distance(1.0, 0.6, np.array([0.2, 0.3, 0.0]))
+        assert d == cylinder_distance(1.0, 0.6, np.array([0.2, 0.3, 0.0]))
         eps, r = 0.7, 2
         rhs = eps * (1.0 - float(chi @ N) ** 2) / d + r * float(N[-1]) * float(grad @ N)
         assert rhs == pytest.approx(eps / d + r * N[-1], abs=1e-12)
