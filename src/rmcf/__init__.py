@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from . import charts, kernels, maxprinciple, regions, symfun, translators
 from .errors import (
-    BoundaryDominatedWarning,
     DegenerateODEError,
     DomainError,
     InvalidInputError,
@@ -33,5 +32,4 @@ __all__ = [
     "NearOriginError",
     "DegenerateODEError",
     "StiffFailureError",
-    "BoundaryDominatedWarning",
 ]

@@ -104,7 +104,7 @@ class Chart:
         return replace(self, orient_sign=-self.orient_sign)
 
 
-def _contract(a, b):
+def rowdot(a, b):
     """sum_j a[..., j] b[..., j], summed in index order.
 
     Only elementwise products and sums, so a row's result depends on that
@@ -118,14 +118,9 @@ def _contract(a, b):
     return acc
 
 
-def rowdot(a, b):
-    """Row-wise dot products of two (m, k) stacks."""
-    return _contract(a, b)
-
-
 def _matvec(M, v):
     """Row-wise M_i @ v_i for stacks M (..., p, q) and v (..., q)."""
-    return _contract(M, v[..., None, :])
+    return rowdot(M, v[..., None, :])
 
 
 def _transposed(M):
@@ -143,9 +138,9 @@ class MeshGeometry:
     """Geometry of a chart at m parameter points, one row per point.
 
     Arrays: u (m, n), the jet X (m, n+1), dX (m, n+1, n), d2X
-    (m, n, n, n+1), the oriented unit normal N (m, n+1), the lower Cholesky
-    factor L (m, n, n) of the metric, the orthonormal frame E = dX L^{-T}
-    (m, n+1, n), the shape operator A (m, n, n) in that frame, its ascending
+    (m, n, n, n+1), the oriented unit normal N (m, n+1), the orthonormal
+    frame E = dX L^{-T} (m, n+1, n), with L the lower Cholesky factor of the
+    metric, the shape operator A (m, n, n) in that frame, its ascending
     spectrum k (m, n), the table sigma (m, n+1) of sigma_0..sigma_n and the
     Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index
     (0, 1, ... when built, kept by ``take``), which errors name, and ``len``
@@ -167,7 +162,6 @@ class MeshGeometry:
     dX: np.ndarray
     d2X: np.ndarray
     N: np.ndarray
-    L: np.ndarray
     E: np.ndarray
     A: np.ndarray
     k: np.ndarray
@@ -187,8 +181,8 @@ class MeshGeometry:
         mask = np.asarray(idx)
         if mask.dtype == bool and mask.shape == (len(self),) and mask.all():
             return self
-        arrays = (self.u, self.X, self.dX, self.d2X, self.N, self.L, self.E, self.A, self.k,
-                  self.sigma, self.normA)
+        arrays = (self.u, self.X, self.dX, self.d2X, self.N, self.E, self.A, self.k, self.sigma,
+                  self.normA)
         return MeshGeometry(self.chart, self.index[idx], *(_frozen(a[idx]) for a in arrays))
 
     def sigma_r(self, r):
@@ -371,7 +365,7 @@ def _geometry(chart, U, jets):
     flatA = A.reshape(len(U), n * n)
     normA = np.sqrt(rowdot(flatA, flatA))
     E = dX @ _transposed(Linv)
-    arrays = (U, X, dX, d2X, N, L, E, A, k, sigma, normA)
+    arrays = (U, X, dX, d2X, N, E, A, k, sigma, normA)
     return MeshGeometry(chart, index, *(_frozen(a) for a in arrays))
 
 
@@ -616,23 +610,13 @@ class Mesh:
 # chart constructors
 
 
-def graph_chart(
-    n,
-    height,
-    grad,
-    hess,
-    domain,
-    name="graph",
-    derivative_bias=0.0,
-):
+def graph_chart(n, height, grad, hess, domain, name="graph"):
     """Chart of a height function X = (u, h(u)) with the upward normal.
 
     ``height``, ``grad`` and ``hess`` act on parameter stacks U (m, n) and
     return (m,), (m, n) and (m, n, n), or values that broadcast to them. A
     row's result must depend on that row alone: sum with ``rowdot``, not
-    ``@`` or ``np.sum``. ``derivative_bias`` perturbs the reported first
-    derivatives without touching positions; it exists so consistency
-    checks can be fed a deliberately corrupted jet.
+    ``@`` or ``np.sum``.
     """
     dom = np.asarray(domain, dtype=float)
 
@@ -644,8 +628,6 @@ def graph_chart(
         dX = np.zeros((m, n + 1, n))
         dX[:, :n, :] = np.eye(n)
         dX[:, n, :] = grad(U)
-        if derivative_bias:
-            dX = dX * (1.0 + derivative_bias)
         d2X = np.zeros((m, n, n, n + 1))
         d2X[..., n] = hess(U)
         return X, dX, d2X
@@ -661,7 +643,7 @@ def flat_chart(n, halfwidth=1.0):
     return graph_chart(n, lambda U: 0.0, lambda U: 0.0, lambda U: 0.0, dom, name="flat")
 
 
-def paraboloid_chart(n, curvature=1.0, halfwidth=1.0, derivative_bias=0.0):
+def paraboloid_chart(n, curvature=1.0, halfwidth=1.0):
     """Graph of (c/2) |u|^2; umbilic with k_i = c at the origin."""
     dom = np.array([[-halfwidth, halfwidth]] * n)
     c = float(curvature)
@@ -672,7 +654,6 @@ def paraboloid_chart(n, curvature=1.0, halfwidth=1.0, derivative_bias=0.0):
         lambda U: c * np.eye(n),
         dom,
         name="paraboloid",
-        derivative_bias=derivative_bias,
     )
 
 

@@ -17,14 +17,13 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, identities, registry
 from .charts import Mesh
-from .errors import BoundaryDominatedWarning, InvalidInputError, RmcfError, StiffFailureError
+from .errors import InvalidInputError, RmcfError, StiffFailureError
 from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
 from .regions import bihalfspace_drive
 from .translators import asymptotic_fit, bowl_drift, export_profile, solve_rotational_translator
@@ -50,7 +49,6 @@ _SURFACE_SCHEMA = {
         "cap": {"enum": ["upper", "lower"]},
         "curvature": {"type": "number"},
         "halfwidth": {"type": "number"},
-        "derivative_bias": {"type": "number"},
         "x_lo": {"type": "number"},
         "x_hi": {"type": "number"},
     },
@@ -411,10 +409,8 @@ def cmd_theorem_check(args):
     region = registry.build_region(config["region"])
     mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryDominatedWarning)
-        gate = hypothesis_gate(mesh, region, params)
-        drive = _run_drive(mesh, gate, config)
+    gate = hypothesis_gate(mesh, region, params)
+    drive = _run_drive(mesh, gate, config)
     exit_res = gate.exit
 
     payload = _header("theorem-check", config, seed)
@@ -489,10 +485,8 @@ def cmd_oy_run(args):
     mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
     geom = mesh.geometry()
     rows = geom.take(np.linalg.norm(geom.X, axis=1) > 1e-6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryDominatedWarning)
-        run = oy_sequence(mesh, u_field, gamma, G, k_max=int(config.get("k_max", 8)), r=r,
-                          rows=rows)
+    run = oy_sequence(mesh, u_field, gamma, G, k_max=int(config.get("k_max", 8)), r=r,
+                      rows=rows)
     payload = _header("oy-run", config, seed)
     payload["results"] = run.to_json_dict()
     path = _write_report(args.out, "oyrun.json", payload)

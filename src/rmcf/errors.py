@@ -39,7 +39,3 @@ class StiffFailureError(NumericalError):
     def __init__(self, message, last_good_R=None):
         super().__init__(message)
         self.last_good_R = last_good_R
-
-
-class BoundaryDominatedWarning(UserWarning):
-    """Maximizer search hit the mesh truncation boundary for every index."""

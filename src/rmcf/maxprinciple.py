@@ -11,13 +11,12 @@ maximizer sequences. All limsup-style checks are labeled empirical.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .charts import _check_order, cone_excess, distance_sq_to, linear_height, rowdot
-from .errors import BoundaryDominatedWarning, DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .regions import (BiHalfspace, Cone, FirstExit, GrowthReport, Halfspace, first_exit,
                       growth_report, min_eigen_over_mesh)
 
@@ -157,7 +156,6 @@ class OYRun:
     ks: np.ndarray
     eps: np.ndarray
     idx: np.ndarray
-    maximizers: np.ndarray
     u_values: np.ndarray
     grad_norms: np.ndarray
     L_values: np.ndarray
@@ -243,17 +241,10 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, rows=None):
     L_at = L_u[at]
     passes = (grad_at < 1.0 / ks + mesh_tol) & (L_at < 1.0 / ks + mesh_tol)
     boundary_dominated = bool(np.all(mesh.boundary[idx]))
-    if boundary_dominated:
-        warnings.warn(
-            "maximizers sit on the mesh truncation boundary for every k; "
-            "the run is inconclusive",
-            BoundaryDominatedWarning,
-        )
     return OYRun(
         ks=ks,
         eps=eps,
         idx=idx,
-        maximizers=mesh.points[idx].copy(),
         u_values=uvals[at],
         grad_norms=grad_at,
         L_values=L_at,
@@ -425,7 +416,6 @@ _GROWTH_PREMISE = {
     "HS2-1": "growth-sigma-linear",
     "HS2-2": "growth-curvature-loglog",
     "HS1-1": "growth-sigma-quadlog",
-    "CM": "growth-sigma-quadlog",
 }
 
 
@@ -559,7 +549,7 @@ def hypothesis_gate(mesh, region, params):
         else:
             raise InvalidInputError("asserted branch must be 'proper' or 'bounded-sigma'")
     else:
-        hyp = "CM" if theorem == "bihalfspace" else "HS1-1"
+        hyp = "HS1-1"
         growth_params = {"r": r, "bound": float(params.get("growth_bound", 1.0))}
     growth = growth_report(mesh, hyp, growth_params)
     premises.append(

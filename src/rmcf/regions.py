@@ -22,7 +22,7 @@ from .errors import InvalidInputError, SingularPointError
 CONCLUSIVE_SCALE = 1e3
 _LOGLOG_FLOOR = math.e * 1.01
 
-HYPOTHESIS_IDS = ("HS2-1", "HS2-2", "HS1-1", "CM")
+HYPOTHESIS_IDS = ("HS2-1", "HS2-2", "HS1-1")
 
 
 def _unit(v, what):
@@ -170,9 +170,9 @@ def growth_report(mesh, hypothesis, params):
     """Estimate one growth hypothesis ratio over a mesh.
 
     hypothesis values: 'HS2-1' (sigma_{r-1}/delta against the explicit
-    cone bound), 'HS2-2' (|A| against rho log rho loglog rho), 'HS1-1'
-    and 'CM' (sigma_{r-1} against delta^2 log delta loglog delta), with
-    delta = |X| the distance to the origin. The tail estimate is the max
+    cone bound), 'HS2-2' (|A| against rho log rho loglog rho) and 'HS1-1'
+    (sigma_{r-1} against delta^2 log delta loglog delta), with delta = |X|
+    the distance to the origin. The tail estimate is the max
     ratio over the top decade of scale.
     """
     if hypothesis not in HYPOTHESIS_IDS:
@@ -320,7 +320,6 @@ class BiHalfspaceDriveReport:
     empty: bool
     n_points: int
     min_slack: Optional[float]
-    argmin_param: Optional[np.ndarray]
     max_d: float
 
     def to_json_dict(self):
@@ -355,7 +354,7 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
     if not np.any(mask):
         return BiHalfspaceDriveReport(
             a=a, b=b, R=R, r=r, eps=eps, empty=True, n_points=0,
-            min_slack=None, argmin_param=None, max_d=0.0,
+            min_slack=None, max_d=0.0,
         )
     mg = mesh.geometry().take(mask)
     d, grad, chi = cylinder_hessian_frame(R, a, TX[mask])
@@ -363,12 +362,9 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
     TN = _matvec(Q, mg.N)
     lhs = mg.L_operator(f, r)
     rhs = eps * (1.0 - rowdot(chi, TN) ** 2) / d + r * TN[:, -1] * rowdot(grad, TN)
-    slacks = lhs - rhs
-    imin = int(np.argmin(slacks))
     return BiHalfspaceDriveReport(
         a=a, b=b, R=R, r=r, eps=eps, empty=False, n_points=len(mg),
-        min_slack=float(slacks[imin]), argmin_param=mg.u[imin].copy(),
-        max_d=float(np.max(d)),
+        min_slack=float(np.min(lhs - rhs)), max_d=float(np.max(d)),
     )
 
 

@@ -40,10 +40,9 @@ def build_chart(spec):
             center=None if center is None else np.asarray(center, dtype=float), cap=cap,
         )
     if kind == "paraboloid":
-        n, curvature, halfwidth, bias = _surface_keys(spec, n=2, curvature=1.0, halfwidth=1.0,
-                                                      derivative_bias=0.0)
+        n, curvature, halfwidth = _surface_keys(spec, n=2, curvature=1.0, halfwidth=1.0)
         return charts.paraboloid_chart(int(n), curvature=float(curvature),
-                                       halfwidth=float(halfwidth), derivative_bias=float(bias))
+                                       halfwidth=float(halfwidth))
     if kind == "flat":
         n, halfwidth = _surface_keys(spec, n=2, halfwidth=1.0)
         return charts.flat_chart(int(n), halfwidth=float(halfwidth))

@@ -1,5 +1,6 @@
 """Tests for chart geometry: metric, normal, shape operator, Hessians, L operator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -356,7 +357,14 @@ class TestFdConsistency:
                 assert stacked == loop(ch, u, 1e-2), (ch.name, frac)
 
     def test_corrupted_jet_detected(self):
-        ch = paraboloid_chart(2, derivative_bias=1e-3)
+        # first derivatives scaled by 1 + 1e-3, positions untouched
+        clean = paraboloid_chart(2)
+
+        def jet(U):
+            X, dX, d2X = clean.jet(U)
+            return X, dX * (1.0 + 1e-3), d2X
+
+        ch = dataclasses.replace(clean, jet=jet)
         e1 = fd_jet_error(ch, np.array([[0.3, 0.2]]), [1e-4])[0][0, 0]
         assert e1 > 1e-5
 

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import rmcf.cli
 import rmcf.maxprinciple
 import rmcf.regions
+import rmcf.registry
 import rmcf.translators
 from rmcf.charts import MeshGeometry, cone_excess
 from rmcf.cli import _CONFIG_SCHEMA, _TYPES, _best_message, _schema_errors, main
@@ -74,11 +76,19 @@ class TestVerifyIdentities:
         assert report["config_hash"]
         assert report["results"]["failing"] == []
 
-    def test_corrupted_derivatives_fail_fd_consistency(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"surface": {"kind": "paraboloid", "n": 2, "derivative_bias": 1e-3}},
-        )
+    def test_corrupted_derivatives_fail_fd_consistency(self, tmp_path, monkeypatch):
+        # the chart's first derivatives scaled by 1 + 1e-3, positions untouched
+        def biased_chart(spec):
+            chart = build_chart(spec)
+
+            def jet(U):
+                X, dX, d2X = chart.jet(U)
+                return X, dX * (1.0 + 1e-3), d2X
+
+            return dataclasses.replace(chart, jet=jet)
+
+        monkeypatch.setattr(rmcf.registry, "build_chart", biased_chart)
+        cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}})
         assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert "fd-consistency" in report["results"]["failing"]
@@ -130,6 +140,11 @@ class TestVerifyIdentities:
             tmp_path, {"surface": {"kind": "bowl", "n": 2, "r": 1, "shape": "x"}}
         )
         assert main(["verify-identities", "--config", cfg]) == 2
+
+    def test_derivative_bias_is_not_a_surface_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "derivative_bias": 1e-3}})
+        assert main(["verify-identities", "--config", cfg]) == 2
+        assert "'derivative_bias' was unexpected" in capsys.readouterr().err
 
     def test_config_schema_is_a_valid_schema(self, tmp_path, capsys):
         # loads validate against the constant schema without re-checking it

@@ -1,6 +1,7 @@
 """Tests for the growth profiles, maximizer sequences, and theorem drives."""
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from rmcf.charts import (
     paraboloid_chart,
     sphere_chart,
 )
-from rmcf.errors import BoundaryDominatedWarning, DomainError, InvalidInputError
+from rmcf.errors import DomainError, InvalidInputError
 from rmcf.maxprinciple import (
     BOUND_LOWER_LIMIT,
     GFunction,
@@ -241,9 +242,12 @@ class TestOYSequence:
         gamma = AmbientField(
             lambda X: 1.0, lambda X: np.zeros(3), lambda X: np.zeros((3, 3))
         )
-        with pytest.warns(BoundaryDominatedWarning):
-            # every point maximizes; ties break to index 0 on the grid boundary
+        # every point maximizes; ties break to index 0 on the grid boundary,
+        # which the run's flag reports, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             run = oy_sequence(mesh, u, gamma, GFunction.constant_fn(1.0), k_max=4)
+        assert run.boundary_dominated and not run.conclusive
         assert np.all(run.idx == 0)
         assert np.all(run.grad_norms == 0.0)
         assert np.all(np.abs(run.L_values) < 1e-12)
@@ -256,15 +260,14 @@ class TestOYSequence:
         psi = cone_excess(np.array([0.0, 0.0, 1.0]), 0.9)
         geom = mesh.geometry()
         rows = geom.take(np.linalg.norm(geom.X, axis=1) > 1e-6)
-        with pytest.warns(BoundaryDominatedWarning):
-            run = oy_sequence(
-                mesh, psi, distance_sq_to(np.zeros(3)),
-                GFunction.iterated_log(1), k_max=6, rows=rows,
-            )
+        run = oy_sequence(
+            mesh, psi, distance_sq_to(np.zeros(3)),
+            GFunction.iterated_log(1), k_max=6, rows=rows,
+        )
         assert run.boundary_dominated and not run.conclusive
         # maximizers drift toward the asymptotic planes, gradient norms
         # weakly decreasing along the run
-        xs = np.abs(run.maximizers[:, 0])
+        xs = np.abs(mesh.points[run.idx, 0])
         assert np.all(np.diff(xs) >= -1e-12)
         assert xs[-1] > 1.2
         assert np.all(np.diff(run.grad_norms) <= 1e-12)
@@ -281,7 +284,6 @@ class TestOYSequence:
 
 
 class TestConeDrive:
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_bowl_containment_fails(self, bowl_chart):
         mesh = Mesh.grid(bowl_chart, (25, 13))
         gate = cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.5, 1)
@@ -294,17 +296,23 @@ class TestConeDrive:
         assert rep.L_identity_err < 1e-6
         assert rep.extras["min_eigen_P"] >= -1e-10
 
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_identity_chain_on_maximizers(self, bowl_chart):
+        # on the truncated bowl psi = <X, V> - a |X| peaks on the rim for
+        # every k, where |grad psi| is near 1 - a and sigma_1^2 lies below
+        # 1 - a^2, the domain of alpha: every alpha is undefined
+        a = 0.6
         mesh = Mesh.grid(bowl_chart, (25, 13))
-        rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.6, 1))
-        alphas = rep.extras["alpha_values"]
-        finite = np.isfinite(alphas)
-        # where defined, alpha stays within its range
-        assert np.all(alphas[finite] <= 1.0 + 1e-12)
-        assert np.all(alphas[finite] >= 1 - 0.6**2 - 1e-12)
+        rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), a, 1))
+        run = rep.oy
+        assert run.boundary_dominated and not run.conclusive
+        rims = mesh.points[run.idx, 0]
+        assert np.all(rims == np.max(mesh.points[:, 0]))
+        assert rims[0] == pytest.approx(29.99997, abs=1e-5)
+        assert np.allclose(run.grad_norms, 1.0 - a, atol=5e-4)
+        t = mesh.geometry().take(run.idx).sigma_r(1) ** 2
+        assert np.all(t < 2e-3) and np.all(t < 1.0 - a * a)
+        assert np.all(np.isnan(rep.extras["alpha_values"]))
 
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_psi_hessian_cached_on_the_mesh_geometry(self, bowl_chart):
         # no bowl row sits at the origin, so the drive's rows are mesh.geometry()
         # itself, which keeps the Hessians of psi and of gamma = |X|^2
@@ -312,7 +320,6 @@ class TestConeDrive:
         cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.3, 1))
         assert [key[0] for key in mesh.geometry()._cache if key[0] == "hess"] == ["hess"] * 2
 
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_non_translator_lists_residual_premise(self):
         # a paraboloid is no translator: the drive runs and names the premise
         ch = paraboloid_chart(2, halfwidth=10.0)
@@ -323,7 +330,6 @@ class TestConeDrive:
 
 
 class TestHalfspaceDrive:
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_grim_reaper_exits(self):
         ch = grim_reaper_chart(2, t_halfwidth=12.0)
         mesh = Mesh.grid(ch, (31, 9))
@@ -457,7 +463,6 @@ _WEDGE3 = (BiHalfspace(Halfspace(np.zeros(3), [0.6, 0.8, 0.0]),
 class TestJetCount:
     """Mesh consumers read the jet that point geometry holds."""
 
-    @pytest.mark.filterwarnings("ignore::rmcf.errors.BoundaryDominatedWarning")
     def test_one_jet_per_mesh_point(self):
         base = grim_reaper_chart(2, t_halfwidth=12.0)
         ch, calls = _counting(base)
@@ -491,4 +496,3 @@ class TestJetCount:
         built.geometry()
         want = bihalfspace_drive(built, *_WEDGE3, 0.5, 1, 1.0)
         assert rep.to_json_dict() == want.to_json_dict()
-        assert np.array_equal(rep.argmin_param, want.argmin_param)

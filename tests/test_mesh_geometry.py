@@ -335,7 +335,7 @@ class TestAgainstScalarOracles:
             want = _point_geometry_scalar(chart, u, jet)
             for key, got in (("X", X), ("dX", dX), ("d2X", d2X)):
                 _assert_close(got[i], want[key], f"{name} jet {key}")
-            for key in ("X", "N", "L", "E", "A", "k", "sigma", "normA"):
+            for key in ("X", "N", "E", "A", "k", "sigma", "normA"):
                 _assert_close(getattr(mg, key)[i], want[key], f"{name} {key}")
             pg = point_geometry(chart, u)
             _assert_close(pg.A[0], want["A"], f"{name} row A")
@@ -394,7 +394,7 @@ class TestAgainstScalarOracles:
 
 
 class TestRowIndependence:
-    FIELDS = ("u", "X", "dX", "d2X", "N", "L", "E", "A", "k", "sigma", "normA")
+    FIELDS = ("u", "X", "dX", "d2X", "N", "E", "A", "k", "sigma", "normA")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -505,7 +505,7 @@ class TestMeshGeometry:
         u = mesh.points[7]
         pg, geom = point_geometry(ch, u), mesh.geometry()
         assert isinstance(pg, MeshGeometry) and len(pg) == 1
-        for key in ("X", "N", "L", "normA"):
+        for key in ("X", "N", "normA"):
             assert np.array_equal(getattr(pg, key)[0], getattr(geom, key)[7]), key
         assert np.array_equal(pg.A[0], geom.A[7])
         assert np.array_equal(pg.sigma[0], geom.sigma[7])
@@ -589,7 +589,7 @@ class TestMovedMesh:
         assert flip == (name == "no-orient-ref-reflected")
         sign = -1.0 if flip else 1.0
         signs = (-1.0) ** np.arange(chart.n + 1) if flip else 1.0
-        want.update(u=parent.u, L=parent.L, normA=parent.normA, E=Q @ parent.E,
+        want.update(u=parent.u, normA=parent.normA, E=Q @ parent.E,
                     N=sign * _matvec(Q, parent.N), A=sign * parent.A,
                     k=-parent.k[:, ::-1] if flip else parent.k, sigma=parent.sigma * signs)
         for key in self.FIELDS:

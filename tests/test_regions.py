@@ -201,7 +201,7 @@ class TestGrowthReport:
 
     def test_inconclusive_below_kiloscale(self, bowl21_chart):
         mesh = Mesh.grid(bowl21_chart, (12, 6))
-        rep = growth_report(mesh, "CM", {"r": 1})
+        rep = growth_report(mesh, "HS1-1", {"r": 1})
         assert rep.scale_reached < 1e3 or rep.conclusive
 
 
