@@ -90,8 +90,9 @@ def vertex_series_coeffs(n, r):
 
 
 def _vertex_series(k0, a4, x):
-    """u, u' and the meridian arclength of the vertex series at radii x (a float or an array)."""
-    return 0.5 * k0 * x**2 + a4 * x**4, k0 * x + 4.0 * a4 * x**3, x + k0**2 * x**3 / 6.0
+    """u, u', the meridian arclength and u'' of the vertex series at radii x (float or array)."""
+    return (0.5 * k0 * x**2 + a4 * x**4, k0 * x + 4.0 * a4 * x**3, x + k0**2 * x**3 / 6.0,
+            k0 + 12.0 * a4 * x**2)
 
 
 def _upp(c1, c2, r, R, up, slope=False):
@@ -206,7 +207,7 @@ class RotProfile:
         return np.clip(R, 0.0, self.R_max)
 
     def _dense_rows(self, R):
-        """u, u' and the arclength (3, m) at an array of radii.
+        """u, u', the arclength and u'' (4, m) at an array of radii.
 
         Below R_start the vertex series gives the values. Above, a radius
         belongs to the step found by ``searchsorted(t, R, side="right")``,
@@ -224,13 +225,19 @@ class RotProfile:
         whatever the batch, as when scipy evaluates each radius twice, and a
         row's values do not depend on which other radii share the call.
         Rows are gathered at most ``_DENSE_CHUNK`` at a time.
+
+        u'' is the R-derivative of the u' polynomial, sum_j j yh[1, j]
+        x^(j-1) / h, from a (1, q) @ (q, 2) product of the same kind. It is
+        the solution's own second derivative: the profile equation solved
+        for u'' at the dense u' is ill-conditioned in the stiff far field,
+        where du''/du' is large.
         """
         if self._nordsieck is None:
             raise NumericalError(
                 "profile has no dense output (loaded from disk?); re-solve to evaluate"
             )
         R = self._check_R(np.asarray(R, dtype=float).ravel())
-        out = np.empty((3, R.size))
+        out = np.empty((4, R.size))
         low = R < self.R_start
         out[:, low] = _vertex_series(self.k0, self.a4, R[low])
         t, h, order, yh = self._nordsieck
@@ -245,12 +252,14 @@ class RotProfile:
                 s = seg[at]
                 x = ((R[high[at]] - t[s + 1]) / h[s]) ** p[:, None]
                 x = np.repeat(x.T[:, :, None], 2, axis=2)
-                out[:, high[at]] = np.matmul(yh[s, :, : q + 1], x)[:, :, 0].T
+                out[:3, high[at]] = np.matmul(yh[s, :, : q + 1], x)[:, :, 0].T
+                slope = yh[s, 1:2, 1 : q + 1] * p[1:]
+                out[3, high[at]] = np.matmul(slope, x[:, :q])[:, 0, 0] / h[s]
         return out
 
     def u_and_up(self, R):
         """u and u' at an array of radii (see ``_dense_rows``)."""
-        u, up, _ = self._dense_rows(R)
+        u, up = self._dense_rows(R)[:2]
         return u, up
 
     def _component(self, R, comp):
@@ -324,7 +333,7 @@ def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10):
             f"{R_star:.6f}, where n int_0^(pi/2) sin^(n-1) = R_*^n; got R_max = {R_max:g}"
         )
     k0, a4 = vertex_series_coeffs(n, r)
-    y0 = _vertex_series(k0, a4, R_START)
+    y0 = _vertex_series(k0, a4, R_START)[:3]
 
     c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
     nfev = 0
@@ -516,14 +525,13 @@ def _omega_jet(phi):
 def rot_chart(profile):
     """Rotational immersion chart (R, angles) -> (R omega, u(R)) from one profile.
 
-    The jets of all rows come from one dense-output call for u and u' and
-    from the profile equation's u'', each taken once per distinct radius (a
-    grid mesh repeats every radius once per angle node). The vertical
+    The jets of all rows take u, u' and u'' from one dense-output call,
+    once per distinct radius (a grid mesh repeats every radius once per
+    angle node). The vertical
     component of the normal is positive, matching the graph orientation.
     The radii run from max(2 R_start, 0.01) to R_max.
     """
     n, r = profile.n, profile.r
-    c1, c2 = math.comb(n - 1, r), math.comb(n - 1, r - 1)
     R_lo = max(2.0 * profile.R_start, 1e-2)
     if not R_lo < profile.R_max:
         raise InvalidInputError(f"a rotational chart needs R_max above its inner radius {R_lo:g}")
@@ -537,11 +545,7 @@ def rot_chart(profile):
     def jets(Q):
         R = Q[:, 0]
         radii, row = np.unique(R, return_inverse=True)
-        u_val, up = profile.u_and_up(radii)
-        if not np.all(radii > 0):
-            raise DomainError("profile equation needs R > 0")
-        upp = np.array([_upp(c1, c2, r, a, b) for a, b in zip(radii.tolist(), up.tolist())])
-        u_val, up, upp = u_val[row], up[row], upp[row]
+        u_val, up, _, upp = profile._dense_rows(radii)[:, row]
         m = len(R)
         X = np.empty((m, n + 1))
         dX = np.zeros((m, n + 1, n))

@@ -44,3 +44,22 @@ def solve_ivp_oracle(n, r, R_max, tol=1e-10, R_start=R_START):
     with np.errstate(over="ignore", invalid="ignore"):
         return solve_ivp(rhs, (R_start, R_max), y0, method="LSODA", rtol=inner, atol=inner,
                          dense_output=True, jac=jac)
+
+
+def dense_upp(sol, R):
+    """u'' at radii R >= R_start from the ``OdeSolution`` of ``solve_ivp_oracle``.
+
+    Each radius reads the ``LsodaDenseOutput`` interpolant that scipy's
+    ``OdeSolution`` picks for it, and differentiates its u' row,
+    sum_j yh[1, j] x^j with x = (R - t) / h, term by term: the R-derivative
+    sum_j j yh[1, j] x^(j-1) / h.
+    """
+    ode = sol.sol
+    R = np.atleast_1d(np.asarray(R, dtype=float))
+    seg = np.clip(np.searchsorted(ode.ts_sorted, R, side=ode.side) - 1, 0, ode.n_segments - 1)
+    out = np.empty(R.size)
+    for i, (radius, s) in enumerate(zip(R, seg)):
+        f = ode.interpolants[s]
+        x = (radius - f.t) / f.h
+        out[i] = sum(j * f.yh[1, j] * x ** (j - 1) for j in f.p[1:]) / f.h
+    return out

@@ -6,9 +6,10 @@ one point at a time, with one-row calls and one draw per point.
 The stacked battery must keep the ids, their order, the tolerances and
 the pass flags, and the errors up to round-off. Each section draws its
 numbers for all rows in one call, so a section that draws out of order
-moves the errors of the sections after it. The (4, 3) bowl's record
-fails ``fd-consistency`` alone: its far-field u'' comes from the profile
-equation, and the second jet shows no Richardson order there.
+moves the errors of the sections after it. The (4, 3) bowl's record was
+written again by the stacked battery once the rotational jets took u''
+from the dense output: the profile equation's u'' had failed
+``fd-consistency`` there, and the solution's own u'' passes it.
 """
 
 import json

@@ -46,7 +46,8 @@ from rmcf.symfun import SymMatrix
 from rmcf.translators import _omega_jet, grim_reaper_chart
 
 from fd_fields import ScalarField
-from scalar_api import frame_gradient, rot_ode_rhs, transform_chart
+from lsoda_oracle import dense_upp, solve_ivp_oracle
+from scalar_api import frame_gradient, transform_chart
 
 # ---------------------------------------------------------------------------
 # oracles: the scalar code the batched path replaced
@@ -91,21 +92,21 @@ def _omega_jet_scalar(phi):
     return omega, dom, ddom
 
 
-def _rot_jet_scalar(profile):
-    """The scalar rotational-chart jet closure.
+def _rot_jet_scalar(profile, tol=1e-10):
+    """The scalar rotational-chart jet closure of a profile solved at ``tol``.
 
-    u and u' come from the profile's dense-output rows: far out, u'' =
-    rot_ode_rhs(u') is the small difference theta - C(n-1, r) w^r, which
-    amplifies a last-bit change of u' by orders of magnitude, so a
-    differently rounded u' would test that rounding rather than the assembly.
+    u and u' come from the profile's dense-output rows, and u'' from the
+    derivative of the interpolants of scipy's ``OdeSolution`` for the same
+    solve (``dense_upp``).
     """
-    n, r = profile.n, profile.r
+    n = profile.n
+    sol = solve_ivp_oracle(n, profile.r, profile.R_max, tol)
 
     def jet(q):
         q = np.asarray(q, dtype=float)
         R = float(q[0])
         u_val, up = (float(v[0]) for v in profile.u_and_up([R]))
-        upp = rot_ode_rhs(n, r, R, up)
+        upp = float(dense_upp(sol, R)[0])
         if n == 1:
             X = np.array([R, u_val])
             dX = np.array([[1.0], [up]])

@@ -40,7 +40,7 @@ from rmcf.translators import (
     vertex_series_coeffs,
 )
 
-from lsoda_oracle import solve_ivp_oracle
+from lsoda_oracle import dense_upp, solve_ivp_oracle
 from scalar_api import rot_ode_rhs, soliton_residual
 
 
@@ -254,17 +254,27 @@ class TestTable:
 
 
 def oracle_rows(sol, p, R):
-    """u, u' and arclength (3, m) as the OdeSolution gives them, each radius evaluated twice."""
+    """u, u', arclength and u'' (4, m) from the OdeSolution.
+
+    The first three rows are its values, each radius evaluated twice; u''
+    is the derivative of its interpolants (``dense_upp``).
+    """
     R = np.asarray(R, dtype=float).ravel()
-    out = np.empty((3, R.size))
+    out = np.empty((4, R.size))
     low = R < p.R_start
     x = R[low]
     out[:, low] = (0.5 * p.k0 * x**2 + p.a4 * x**4, p.k0 * x + 4.0 * p.a4 * x**3,
-                   x + p.k0**2 * x**3 / 6.0)
+                   x + p.k0**2 * x**3 / 6.0, p.k0 + 12.0 * p.a4 * x**2)
     high = R[~low]
     if high.size:
-        out[:, ~low] = sol.sol(np.concatenate((high, high)))[:, : high.size]
+        out[:3, ~low] = sol.sol(np.concatenate((high, high)))[:, : high.size]
+        out[3, ~low] = dense_upp(sol, high)
     return out
+
+
+def same_rows(got, want):
+    """u, u' and arclength bit for bit; u'' to round-off."""
+    return same_bits(got[:3], want[:3]) and np.allclose(got[3], want[3], rtol=1e-12, atol=0.0)
 
 
 def same_bits(a, b):
@@ -302,13 +312,13 @@ class TestNordsieckOracle:
             "R_max": np.array([R_max]),
         }
         for name, R in cases.items():
-            assert same_bits(p._dense_rows(R), oracle_rows(sol, p, R)), name
-        # a lone radius, a node among them, gets the bits of the oracle and of a batch
+            assert same_rows(p._dense_rows(R), oracle_rows(sol, p, R)), name
+        # a lone radius, a node among them, gets the oracle's rows and the bits of a batch
         lone = np.concatenate((cases["random"][:30], sol.t[::40], [R_max]))
         batch = p._dense_rows(lone)
         for i, R in enumerate(lone):
             got = p._dense_rows(R)
-            assert same_bits(got, oracle_rows(sol, p, R)) and same_bits(got[:, 0], batch[:, i])
+            assert same_rows(got, oracle_rows(sol, p, R)) and same_bits(got[:, 0], batch[:, i])
 
     def test_stalled_solve(self, monkeypatch):
         # the oracle's LSODA steps fail after 40 accepted steps, and so do
@@ -545,6 +555,23 @@ class TestRotChart:
         ch = rot_chart(bowl21)
         with pytest.raises(DomainError):
             point_geometry(ch, [200.0, 1.0])
+
+    @pytest.mark.parametrize("n, r, tol", [(3, 2, 1e-9), (4, 2, 1e-10), (4, 3, 1e-10)])
+    def test_far_field_second_derivative(self, n, r, tol):
+        # the jets' u'' is the solution's own: it agrees with the centered
+        # difference of the dense u' (h = 1e-3 R; its truncation error, h^2
+        # times the fourth derivative over 6, is 3.3e-7 of u'' on (4, 3)) and
+        # with the leading asymptotics u'' ~ r R^(r-1) / C(n-1, r); the
+        # profile equation solved for u'' was off by 0.17 on (3, 2) at R = 950
+        p = solve_rotational_translator(n, r, R_max=1e3, tol=tol)
+        R = np.geomspace(50.0, 950.0, 25)
+        U = np.column_stack([R] + [np.full(R.size, 1.0)] * (n - 1))
+        upp = rot_chart(p).jets(U)[2][:, 0, 0, n]
+        h = 1e-3 * R
+        fd = (p.eval_up(R + h) - p.eval_up(R - h)) / (2 * h)
+        assert np.max(np.abs(upp / fd - 1.0)) < 1e-6
+        dev = np.abs(upp / (r * R ** (r - 1) / math.comb(n - 1, r)) - 1.0)
+        assert np.max(dev) < 1e-5 and np.max(dev[R >= 400.0]) < 1e-8
 
 
 class TestGrimReaper:
