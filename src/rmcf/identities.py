@@ -16,7 +16,6 @@ import itertools
 
 import numpy as np
 
-from . import kernels
 from .charts import (
     distance_sq_to,
     distance_to,
@@ -131,8 +130,8 @@ def run_identity_suite(chart, rng):
                                                 np.abs(trAP - want_trAP) / scale))))
     record("trace-identities", err, 1e-9)
 
-    # P_0 = I has min eigenvalue 1
-    err = np.max(np.abs(np.min(kernels.complement_sigma(mg.k, 0), axis=1) - 1.0))
+    # the recursion's P_0 is the identity
+    err = np.max(np.abs(mg.newton(0) - np.eye(n)))
     record("newton-p0-identity", err, 1e-12)
 
     # operator identities; the height and gradient checks draw a direction per point

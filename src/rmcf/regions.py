@@ -86,6 +86,9 @@ class BiHalfspace:
             raise InvalidInputError("normals must be transversal (angle > 1e-6)")
         if self.vertical_to is not None:
             v = _unit(self.vertical_to, "velocity")
+            if v.shape != w1.shape:
+                raise InvalidInputError(
+                    f"vertical_to needs the normals' {w1.size} coordinates (got {v.size})")
             if abs(w1 @ v) > 1e-10 or abs(w2 @ v) > 1e-10:
                 raise InvalidInputError("vertical bi-half-space needs W_i orthogonal to V")
             object.__setattr__(self, "vertical_to", v)

@@ -73,3 +73,21 @@ def test_sections_draw_the_per_point_stream(monkeypatch):
     assert len(seen["t"]) == 1 and np.array_equal(seen["t"][0], want_t)
     assert [d.shape for d in seen["dirs"]] == [(m, n + 1)] * 2
     assert np.max(np.abs(np.concatenate(seen["dirs"]) - want_dirs)) <= 1e-15
+
+
+def test_newton_p0_identity_reads_the_recursion(monkeypatch):
+    # a recursion whose P_0 is 2I fails the check
+    ref = REFERENCE["sphere-3-seed5"]
+    chart = registry.build_chart(ref["surface"])
+
+    def doubled_p0(A, sigma, r, where=None):
+        P = symfun.newton_transforms(A, sigma, r)
+        return 2.0 * P if r == 0 else P
+
+    def p0_pass():
+        results = run_identity_suite(chart, np.random.default_rng(ref["seed"]))
+        return next(r["pass"] for r in results if r["id"] == "newton-p0-identity")
+
+    assert p0_pass()
+    monkeypatch.setattr(charts, "newton_transforms", doubled_p0)
+    assert not p0_pass()

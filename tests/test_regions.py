@@ -419,6 +419,15 @@ class TestNormalizeBiHalfspace:
             assert lhs1 == pytest.approx(float((X - bhs.first.B) @ w1), abs=1e-9)
             assert lhs2 == pytest.approx(float((X - bhs.second.B) @ w2), abs=1e-9)
 
+    def test_vertical_to_of_the_wrong_length(self):
+        # normals in R^4 and a velocity in R^3: a typed error, not numpy's matmul error
+        pair = BiHalfspace(Halfspace(np.zeros(4), [0.6, 0.8, 0.0, 0.0]),
+                           Halfspace(np.zeros(4), [0.6, -0.8, 0.0, 0.0]))
+        with pytest.raises(InvalidInputError, match="4 coordinates"):
+            BiHalfspace(pair.first, pair.second, vertical_to=[0.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="4 coordinates"):
+            normalize_bihalfspace(pair, [0.0, 0.0, 1.0])
+
 
 def test_margins_vectorized_consistency():
     reg = Cone(V=[0.0, 0.0, 1.0], a=0.4)
