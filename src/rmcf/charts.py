@@ -137,9 +137,8 @@ def _frozen(a):
 class MeshGeometry:
     """Geometry of a chart at m parameter points, one row per point.
 
-    Arrays: u (m, n), the jet X (m, n+1), dX (m, n+1, n), d2X
-    (m, n, n, n+1), the oriented unit normal N (m, n+1), the orthonormal
-    frame E = dX L^{-T} (m, n+1, n), with L the lower Cholesky factor of the
+    Arrays: u (m, n), the jet X (m, n+1) and dX (m, n+1, n), the oriented
+    unit normal N (m, n+1), the orthonormal frame E = dX L^{-T} (m, n+1, n), with L the lower Cholesky factor of the
     metric, the shape operator A (m, n, n) in that frame, its ascending
     spectrum k (m, n), the table sigma (m, n+1) of sigma_0..sigma_n and the
     Frobenius norm normA (m,). ``index`` (m,) holds each row's mesh index
@@ -160,7 +159,6 @@ class MeshGeometry:
     u: np.ndarray
     X: np.ndarray
     dX: np.ndarray
-    d2X: np.ndarray
     N: np.ndarray
     E: np.ndarray
     A: np.ndarray
@@ -181,8 +179,7 @@ class MeshGeometry:
         mask = np.asarray(idx)
         if mask.dtype == bool and mask.shape == (len(self),) and mask.all():
             return self
-        arrays = (self.u, self.X, self.dX, self.d2X, self.N, self.E, self.A, self.k, self.sigma,
-                  self.normA)
+        arrays = (self.u, self.X, self.dX, self.N, self.E, self.A, self.k, self.sigma, self.normA)
         return MeshGeometry(self.chart, self.index[idx], *(_frozen(a[idx]) for a in arrays))
 
     def sigma_r(self, r):
@@ -289,17 +286,11 @@ def _first(bad):
 def mesh_geometry(chart, U):
     """Metric, oriented unit normal, frame shape operator and curvatures at the rows of U.
 
-    Row i has mesh index i. The checks run stage by stage over all rows
-    (domain, finite jet, rank, Cholesky, normal, orientation, shape
-    operator); each error names the first failing row by its mesh index
-    and parameter point.
+    Row i has mesh index i. One ``chart.jets`` call evaluates every row.
+    The checks run stage by stage over all rows (domain, finite jet,
+    rank, Cholesky, normal, orientation, shape operator); each error
+    names the first failing row by its mesh index and parameter point.
     """
-    U = _checked_params(chart, U)
-    return _geometry(chart, U, chart.jets(U))
-
-
-def _checked_params(chart, U):
-    """U as a float (m, n) stack inside the chart domain."""
     U = np.asarray(U, dtype=float)
     n = chart.n
     if U.ndim != 2 or U.shape[1] != n:
@@ -309,14 +300,8 @@ def _checked_params(chart, U):
     i = _first(np.any((U < lo - tol) | (U > hi + tol) | ~np.isfinite(U), axis=1))
     if i is not None:
         raise DomainError(f"parameter point {U[i]} outside chart domain (mesh index {i})")
-    return U
-
-
-def _geometry(chart, U, jets):
-    """The body of ``mesh_geometry``, given the stacked jets (X, dX, d2X) of the rows of U."""
-    n = chart.n
     index = np.arange(len(U))
-    X, dX, d2X = jets
+    X, dX, d2X = chart.jets(U)
     i = _first(~np.all(np.isfinite(X), axis=1) | ~np.all(np.isfinite(dX), axis=(1, 2)))
     if i is not None:
         raise SingularPointError(f"non-finite chart jet{_where(index, U, i)}")
@@ -365,7 +350,7 @@ def _geometry(chart, U, jets):
     flatA = A.reshape(len(U), n * n)
     normA = np.sqrt(rowdot(flatA, flatA))
     E = dX @ _transposed(Linv)
-    arrays = (U, X, dX, d2X, N, E, A, k, sigma, normA)
+    arrays = (U, X, dX, N, E, A, k, sigma, normA)
     return MeshGeometry(chart, index, *(_frozen(a) for a in arrays))
 
 
@@ -576,21 +561,14 @@ class Mesh:
     def __len__(self):
         return self.points.shape[0]
 
-    def _jets(self):
-        """Stacked jets of every mesh point, from one ``chart.jets`` call."""
-        if "jets" not in self._cache:
-            self._cache["jets"] = tuple(_frozen(a) for a in self.chart.jets(self.points))
-        return self._cache["jets"]
-
     def positions(self):
-        """Ambient positions X(u) of every mesh point."""
-        return self._jets()[0]
+        """Ambient positions X(u) of every mesh point: the geometry's X."""
+        return self.geometry().X
 
     def geometry(self):
         """MeshGeometry of every mesh point (computed once); ``take`` gives its rows."""
         if "geom" not in self._cache:
-            self._cache["geom"] = _geometry(self.chart, _checked_params(self.chart, self.points),
-                                            self._jets())
+            self._cache["geom"] = mesh_geometry(self.chart, self.points)
         return self._cache["geom"]
 
     def spacing(self):

@@ -395,7 +395,7 @@ class TestAgainstScalarOracles:
 
 
 class TestRowIndependence:
-    FIELDS = ("u", "X", "dX", "d2X", "N", "E", "A", "k", "sigma", "normA")
+    FIELDS = ("u", "X", "dX", "N", "E", "A", "k", "sigma", "normA")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -410,6 +410,8 @@ class TestRowIndependence:
         full, part = mesh_geometry(chart, U), mesh_geometry(chart, U[idx])
         for key in self.FIELDS:
             assert np.array_equal(getattr(part, key), getattr(full, key)[idx]), key
+        # d2X lives on the jets, not on the geometry
+        assert np.array_equal(chart.jets(U[idx])[2], chart.jets(U)[2][idx])
         taken = full.take(idx)
         for key in self.FIELDS:
             assert np.array_equal(getattr(taken, key), getattr(part, key)), key
@@ -487,6 +489,7 @@ class TestMeshGeometry:
         geom = mesh.geometry()
         assert calls == [len(mesh)]
         assert np.array_equal(xs, geom.X)
+        assert mesh.positions() is mesh.geometry().X
         assert np.array_equal(geom.take(xs[:, 0] > 0.0).X, geom.X[xs[:, 0] > 0.0])
         assert calls == [len(mesh)]
 
@@ -514,6 +517,7 @@ class TestMeshGeometry:
         row = mesh_geometry(ch, [u])
         for key in TestRowIndependence.FIELDS + ("index",):
             assert np.array_equal(getattr(pg, key), getattr(row, key)), key
+        assert np.array_equal(ch.jets(u)[2][0], ch.jets(mesh.points)[2][7])
 
     def test_singular_row_names_its_index(self):
         # X(u) = (u^3, u^2) has dX = 0 at u = 0 only, the centre of the mesh
@@ -582,9 +586,11 @@ class TestMovedMesh:
         assert np.array_equal(got.index, parent.index)
         s = np.zeros(chart.n + 1) if shift is None else shift
         # the jets are the chart's own, moved
-        want = {"X": _matvec(Q, parent.X) + s, "dX": Q @ parent.dX, "d2X": parent.d2X @ Q.T}
+        want = {"X": _matvec(Q, parent.X) + s, "dX": Q @ parent.dX}
         for key, value in want.items():
             assert np.array_equal(getattr(got, key), value), key
+        d2X = chart.jets(moved.points)[2]
+        assert np.array_equal(moved.chart.jets(moved.points)[2], d2X @ Q.T)
         assert np.array_equal(moved.positions(), want["X"])
         flip = chart.orient_ref is None and np.linalg.det(Q) < 0.0
         assert flip == (name == "no-orient-ref-reflected")
