@@ -12,7 +12,6 @@ from .errors import (
     RmcfError,
     SingularPointError,
     StiffFailureError,
-    ToleranceError,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "DomainError",
     "NumericalError",
     "SingularPointError",
-    "ToleranceError",
     "NearOriginError",
     "DegenerateODEError",
     "StiffFailureError",

@@ -80,7 +80,9 @@ _REGION_SCHEMA = {
 # needs and the vector lengths
 _FIELD_SCHEMA = {
     "type": "object",
-    "properties": {"W": _NUM_ARRAY, "V": _NUM_ARRAY, "a": {"type": "number"}, "origin": _NUM_ARRAY},
+    "additionalProperties": False,
+    "properties": {"kind": {"enum": ["height", "cone_excess", "dist_sq"]}, "W": _NUM_ARRAY,
+                   "V": _NUM_ARRAY, "a": {"type": "number"}, "origin": _NUM_ARRAY},
 }
 
 _CONFIG_SCHEMA = {
@@ -97,8 +99,6 @@ _CONFIG_SCHEMA = {
         "eps": {"type": "number"},
         "R": {"type": "number"},
         "asserted": {"enum": ["proper", "bounded-sigma"]},
-        "growth_bound": {"type": "number"},
-        "residual_tol": {"type": "number"},
         "mesh": {
             "anyOf": [
                 {"type": "integer", "minimum": 2},
@@ -110,7 +110,9 @@ _CONFIG_SCHEMA = {
         "gamma": _FIELD_SCHEMA,
         "G": {
             "type": "object",
-            "properties": {"levels": {"type": "integer"}, "value": {"type": "number"}},
+            "additionalProperties": False,
+            "properties": {"kind": {"enum": ["iterated_log", "constant"]},
+                           "levels": {"type": "integer"}, "value": {"type": "number"}},
         },
         # oy_sequence scans the whole mesh once per index
         "k_max": {"type": "integer", "minimum": 1, "maximum": 1000},
@@ -403,8 +405,7 @@ def cmd_theorem_check(args):
         if key not in config:
             raise _UsageError(f"theorem-check config needs {key!r}")
     chart = registry.build_chart(config["surface"])
-    params = {key: config[key] for key in ("V", "eps", "asserted", "growth_bound",
-                                           "residual_tol") if key in config}
+    params = {key: config[key] for key in ("V", "eps", "asserted") if key in config}
     params["r"] = _check_theorem_config(config, chart.n)
     region = registry.build_region(config["region"])
     mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))

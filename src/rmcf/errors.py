@@ -21,10 +21,6 @@ class SingularPointError(NumericalError):
     """Chart point is singular: rank-deficient Jacobian or non-positive metric."""
 
 
-class ToleranceError(NumericalError):
-    """A requested step or tolerance is too small to be meaningful in float64."""
-
-
 class NearOriginError(NumericalError):
     """Distance-based quantity evaluated too close to its singular locus."""
 

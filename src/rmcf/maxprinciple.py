@@ -23,6 +23,7 @@ from .regions import (BiHalfspace, Cone, FirstExit, GrowthReport, Halfspace, fir
 SPLICE_T0 = math.exp(math.e) * 1.01   # splice point of the iterated-log profiles
 BOUND_LOWER_LIMIT = math.exp(2 * math.e)  # integration base of the constant estimates
 _MAX_LOG_LEVELS = 3
+_RESIDUAL_TOL = 1e-6      # sup |sigma_r - <N, V>| a translator premise allows
 
 
 def _log_iterate(t, j):
@@ -492,8 +493,8 @@ def hypothesis_gate(mesh, region, params):
     a ``BiHalfspace`` the bi-half-space one. params carry r, V, the
     asserted branch for the cone statement ('proper' checks the
     sigma/delta ratio against the region's a, 'bounded-sigma' the
-    intrinsic curvature growth), the positivity margin eps for the
-    bi-half-space statement, residual_tol and growth_bound. The inputs are
+    intrinsic curvature growth) and the positivity margin eps for the
+    bi-half-space statement. The inputs are
     checked before any geometry: r in 1..n, a unit V and region vectors
     with n + 1 coordinates, <V, W> > 0 for a half-space, <V, W_i> = 0
     (within 1e-10, as ``BiHalfspace`` checks it) for a pair and a cone
@@ -521,12 +522,12 @@ def hypothesis_gate(mesh, region, params):
     if isinstance(region, Cone) and not np.allclose(region.V, V, rtol=0.0, atol=1e-10):
         raise InvalidInputError("the cone's axis must be the velocity V")
     r = int(params["r"])
-    res_tol = float(params.get("residual_tol", 1e-6))
 
     premises = []
 
     res_sup = _translator_residual_sup(mesh, V, r)
-    premises.append(_premise("translator-residual", res_sup < res_tol, res_sup, res_tol))
+    premises.append(_premise("translator-residual", res_sup < _RESIDUAL_TOL, res_sup,
+                             _RESIDUAL_TOL))
 
     sig_bound = float(np.max(np.abs(mesh.geometry().sigma_r(r))))
     premises.append(
@@ -549,8 +550,7 @@ def hypothesis_gate(mesh, region, params):
         else:
             raise InvalidInputError("asserted branch must be 'proper' or 'bounded-sigma'")
     else:
-        hyp = "HS1-1"
-        growth_params = {"r": r, "bound": float(params.get("growth_bound", 1.0))}
+        hyp, growth_params = "HS1-1", {"r": r}
     growth = growth_report(mesh, hyp, growth_params)
     premises.append(
         _premise(_GROWTH_PREMISE[hyp], growth.satisfied, growth.tail_estimate, growth.bound,

@@ -176,7 +176,7 @@ def growth_report(mesh, hypothesis, params):
     cone bound), 'HS2-2' (|A| against rho log rho loglog rho) and 'HS1-1'
     (sigma_{r-1} against delta^2 log delta loglog delta), with delta = |X|
     the distance to the origin. The tail estimate is the max
-    ratio over the top decade of scale.
+    ratio over the top decade of scale; HS2-2 and HS1-1 hold it to 1.
     """
     if hypothesis not in HYPOTHESIS_IDS:
         raise InvalidInputError(f"unknown hypothesis {hypothesis!r}")
@@ -218,7 +218,7 @@ def growth_report(mesh, hypothesis, params):
             ratios = values[mask] / _loglog_denom(s, 1)
         else:
             ratios = values[mask] / _loglog_denom(s, 2)
-        bound = float(params.get("bound", 1.0))
+        bound = 1.0
 
     scales_kept = scales[mask]
     tail_mask = scales_kept >= top / 10.0

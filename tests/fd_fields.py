@@ -10,7 +10,11 @@ algebra with that route.
 
 import numpy as np
 
-from rmcf.errors import ToleranceError
+from rmcf.errors import NumericalError
+
+
+class ToleranceError(NumericalError):
+    """A requested finite-difference step is too small to be meaningful in float64."""
 
 
 def _fd_step(chart, requested=None):

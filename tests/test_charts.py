@@ -26,11 +26,10 @@ from rmcf.errors import (
     InvalidInputError,
     NearOriginError,
     SingularPointError,
-    ToleranceError,
 )
 from rmcf.translators import grim_reaper_chart
 
-from fd_fields import ScalarField
+from fd_fields import ScalarField, ToleranceError
 from scalar_api import (
     L_distance,
     gradient_norm,

@@ -358,16 +358,20 @@ class TestTheoremCheck:
         assert drive["exit_margin"] == res["first_exit"]["margin"] < 0.0
         assert drive["failed_premises"] == []
 
-    def test_drive_reads_the_residual_tolerance(self, tmp_path):
-        res = theorem_check(tmp_path, dict(CONE_1E3, residual_tol=1e-16))
-        gate = {p["id"]: p for p in res["gate"]["premises"]}
-        assert not gate["translator-residual"]["pass"]
-        assert res["drive"]["failed_premises"] == ["containment", "translator-residual"]
+    @pytest.mark.parametrize("config, key", [(CONE_1E3, "residual_tol"),
+                                             (HALFSPACE_1E3, "growth_bound")],
+                             ids=["residual_tol", "growth_bound"])
+    def test_gate_tolerance_is_not_a_config_key(self, tmp_path, capsys, config, key):
+        # the gate's residual tolerance 1e-6 and growth bound 1.0 are constants
+        cfg = write_config(tmp_path, dict(config, **{key: 0.5}))
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Additional properties are not allowed" in err and f"'{key}'" in err, err
 
     def test_drive_reads_the_growth_bound(self, tmp_path):
-        res = theorem_check(tmp_path, dict(HALFSPACE_1E3, growth_bound=0.5))
+        res = theorem_check(tmp_path, HALFSPACE_1E3)
         gate = {p["id"]: p for p in res["gate"]["premises"]}
-        assert res["drive"]["growth"]["bound"] == gate["growth-sigma-quadlog"]["threshold"] == 0.5
+        assert res["drive"]["growth"]["bound"] == gate["growth-sigma-quadlog"]["threshold"] == 1.0
 
     def test_empty_pocket_report_is_strict_json(self, tmp_path):
         # the pair turned -1.0 rad about V, base points off the origin: no mesh
@@ -581,12 +585,24 @@ class TestOyRun:
          "config error: config rejected: 'x' is not of type 'integer'"),
         ({"G": {"kind": "constant", "value": "x"}},
          "config error: config rejected: 'x' is not of type 'number'"),
+        ({"G": {"kind": "iterated_log", "levles": 3}}, "config error: config rejected: "
+         "Additional properties are not allowed ('levles' was unexpected)"),
+        ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "bogus": 1}}, "config error: "
+         "config rejected: Additional properties are not allowed ('bogus' was unexpected)"),
+        ({"gamma": {"kind": "dist_sq", "bogus": 1}}, "config error: config rejected: "
+         "Additional properties are not allowed ('bogus' was unexpected)"),
+        ({"field": {"kind": "heigth", "W": [0.0, 0.0, 1.0]}}, "config error: config rejected: "
+         "'heigth' is not one of ['height', 'cone_excess', 'dist_sq']"),
+        ({"G": {"kind": "loglog"}},
+         "config error: config rejected: 'loglog' is not one of ['iterated_log', 'constant']"),
     ], ids=["r-past-n", "height-without-W", "cone-excess-without-a", "short-W", "long-V",
             "short-origin", "a-not-a-number", "origin-entry-not-a-number", "levels-not-an-integer",
-            "value-not-a-number"])
+            "value-not-a-number", "G-unknown-key", "field-unknown-key", "gamma-unknown-key",
+            "field-unknown-kind", "G-unknown-kind"])
     def test_malformed_entry_is_a_config_error(self, tmp_path, capsys, monkeypatch, change,
                                                message):
-        # each used to end in a traceback with exit 1, or to succeed (r = 3)
+        # most used to end in a traceback with exit 1, or to succeed (r = 3,
+        # and an unknown field, gamma or G key)
         def no_mesh(*args, **kwargs):
             raise AssertionError("a mesh was built for a rejected config")
 

@@ -313,6 +313,21 @@ class TestConeDrive:
         assert np.all(t < 2e-3) and np.all(t < 1.0 - a * a)
         assert np.all(np.isnan(rep.extras["alpha_values"]))
 
+    def test_alpha_at_an_interior_maximizer(self):
+        # on the radius-20 sphere cap psi = <X, V> - a |X| peaks at the pole
+        # u = 0 (mesh index 40) for every k, where grad psi = 0 and
+        # sigma_1^2 = 0.01 >= 1 - a^2: every alpha is alpha(0.01, a)
+        a = 0.999
+        mesh = Mesh.grid(sphere_chart(2, radius=20.0), 9)
+        rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), a, 1))
+        run = rep.oy
+        assert not run.boundary_dominated
+        assert np.all(run.idx == 40) and np.all(mesh.points[40] == 0.0)
+        assert np.all(run.grad_norms == 0.0)
+        assert alpha(0.01, a) == pytest.approx(0.0010551690904746398, rel=1e-15)
+        assert rep.extras["alpha_values"] == pytest.approx(
+            np.full(len(run.ks), alpha(0.01, a)), rel=1e-12)
+
     def test_psi_hessian_cached_on_the_mesh_geometry(self, bowl_chart):
         # no bowl row sits at the origin, so the drive's rows are mesh.geometry()
         # itself, which keeps the Hessians of psi and of gamma = |X|^2
