@@ -40,11 +40,6 @@ def _nonnegative(t, what):
     return t
 
 
-def _result(x, like):
-    """x as a Python float when ``like`` is a scalar, else as an array."""
-    return float(x) if np.ndim(like) == 0 else x
-
-
 class GFunction:
     """Growth-control function G: nonnegative, nondecreasing, G(0) > 0.
 
@@ -54,8 +49,9 @@ class GFunction:
     forms for the reciprocal-square-root integrals.
 
     ``value``, ``integral_inv_sqrt``, ``phi``, ``phi_prime`` and
-    ``p_bound`` act elementwise on arrays and return a float for a scalar
-    input; each is a numpy expression over the whole array.
+    ``p_bound`` act elementwise on arrays and return their numpy result,
+    which is 0-d for a scalar input; each is a numpy expression over the
+    whole array.
     """
 
     def __init__(self, kind, constant=None, levels=None):
@@ -95,11 +91,9 @@ class GFunction:
     def value(self, t):
         t = _nonnegative(t, "G")
         if self.kind == "constant":
-            out = np.full(t.shape, self.constant)
-        else:
-            # the floor is raw(t0): clamping t at t0 splices G to its floor
-            out = np.maximum(self.floor, self._raw(np.maximum(t, SPLICE_T0)))
-        return _result(out, t)
+            return np.full(t.shape, self.constant)
+        # the floor is raw(t0): clamping t at t0 splices G to its floor
+        return np.maximum(self.floor, self._raw(np.maximum(t, SPLICE_T0)))
 
     def integral_inv_sqrt(self, lo, hi):
         """Signed int_lo^hi ds / sqrt(G(s)) by the piecewise closed form, elementwise."""
@@ -108,32 +102,26 @@ class GFunction:
         sign = np.where(lo > hi, -1.0, 1.0)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         if self.kind == "constant":
-            out = sign * ((hi - lo) / math.sqrt(self.constant))
-        else:
-            flat = np.maximum(np.minimum(hi, SPLICE_T0) - lo, 0.0) / math.sqrt(self.floor)
-            # past the splice: the antiderivative of 1/(s prod log^(j) s) is log^(levels+1)
-            a = np.maximum(lo, SPLICE_T0)
-            top = self.levels + 1
-            tail = _log_iterate(np.maximum(hi, a), top) - _log_iterate(a, top)
-            out = sign * (flat + tail)
-        return _result(out, out)
+            return sign * ((hi - lo) / math.sqrt(self.constant))
+        flat = np.maximum(np.minimum(hi, SPLICE_T0) - lo, 0.0) / math.sqrt(self.floor)
+        # past the splice: the antiderivative of 1/(s prod log^(j) s) is log^(levels+1)
+        a = np.maximum(lo, SPLICE_T0)
+        top = self.levels + 1
+        tail = _log_iterate(np.maximum(hi, a), top) - _log_iterate(a, top)
+        return sign * (flat + tail)
 
     def phi(self, t):
         """phi(t) = log(int_0^t ds/sqrt(G) + 1); phi(0) = 0, increasing, concave."""
         t = _nonnegative(t, "phi")
-        return _result(np.log(self.integral_inv_sqrt(0.0, t) + 1.0), t)
+        return np.log(self.integral_inv_sqrt(0.0, t) + 1.0)
 
     def phi_prime(self, t):
         """Analytic phi' = [sqrt(G(t)) (int_0^t ds/sqrt(G) + 1)]^{ -1 }."""
-        return _result(
-            1.0 / (np.sqrt(self.value(t)) * (self.integral_inv_sqrt(0.0, t) + 1.0)), t
-        )
+        return 1.0 / (np.sqrt(self.value(t)) * (self.integral_inv_sqrt(0.0, t) + 1.0))
 
     def p_bound(self, t):
         """sqrt(G(t)) (int_{e^{2e}}^t ds/sqrt(G) + 1), the growth comparison scale."""
-        return _result(
-            np.sqrt(self.value(t)) * (self.integral_inv_sqrt(BOUND_LOWER_LIMIT, t) + 1.0), t
-        )
+        return np.sqrt(self.value(t)) * (self.integral_inv_sqrt(BOUND_LOWER_LIMIT, t) + 1.0)
 
 
 def alpha(t, a):

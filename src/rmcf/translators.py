@@ -194,7 +194,7 @@ class RotProfile:
             node = np.append(frac == 0.0, True)  # R + d * 0 is R: these rows are the nodes
             table = (grid, np.empty(grid.size), np.empty(grid.size))
             table[1][node], table[2][node] = u, up
-            table[1][~node], table[2][~node] = self.u_and_up(grid[~node])
+            table[1][~node], table[2][~node] = self._dense_rows(grid[~node])[:2]
             for col in table:
                 col.setflags(write=False)
             object.__setattr__(self, "_table", table)
@@ -257,30 +257,10 @@ class RotProfile:
                 out[3, high[at]] = np.matmul(slope, x[:, :q])[:, 0, 0] / h[s]
         return out
 
-    def u_and_up(self, R):
-        """u and u' at an array of radii (see ``_dense_rows``)."""
-        u, up = self._dense_rows(R)[:2]
-        return u, up
-
-    def _component(self, R, comp):
-        """Row ``comp`` of ``_dense_rows`` in the shape of R; a float for a scalar R."""
-        R = np.asarray(R, dtype=float)
-        out = self._dense_rows(R)[comp].reshape(R.shape)
-        return float(out) if R.ndim == 0 else out
-
-    def eval_u(self, R):
-        return self._component(R, 0)
-
-    def eval_up(self, R):
-        return self._component(R, 1)
-
-    def arclength(self, R):
-        """Meridian arclength from the vertex at an array of radii (see ``_dense_rows``)."""
-        return self._dense_rows(R)[2]
-
     def theta(self, R):
-        """Vertical component of the unit normal, 1 / sqrt(1 + u'^2)."""
-        up = self.eval_up(R)
+        """Vertical component of the unit normal, 1 / sqrt(1 + u'^2), in the shape of R."""
+        R = np.asarray(R, dtype=float)
+        up = self._dense_rows(R)[1].reshape(R.shape)
         return 1.0 / np.sqrt(1.0 + np.square(up))
 
     def fd_residual(self, R, h=1e-4):
@@ -289,7 +269,7 @@ class RotProfile:
         The meridian curvature comes from a centered difference of u', so
         the residual measures the real integration and interpolation
         error and shrinks with the solve tolerance. u' at R and R +- h
-        comes from one ``_dense_rows`` call; a scalar R gives a float.
+        comes from one ``_dense_rows`` call; the result has R's shape.
         """
         R = np.asarray(R, dtype=float)
         flat = R.ravel()
@@ -302,8 +282,7 @@ class RotProfile:
             math.comb(self.n - 1, self.r) * w**self.r
             + math.comb(self.n - 1, self.r - 1) * w ** (self.r - 1) * kappa
         )
-        out = (sig - 1.0 / np.sqrt(s)).reshape(R.shape)
-        return float(out) if R.ndim == 0 else out
+        return (sig - 1.0 / np.sqrt(s)).reshape(R.shape)
 
 
 def solve_rotational_translator(n, r, R_max=100.0, tol=1e-10):
@@ -575,7 +554,7 @@ def rot_chart(profile):
         jet=jets,
         name=label,
         orient_ref=ref,
-        intrinsic_distance=lambda Q: profile.arclength(np.reshape(Q, (-1, n))[:, 0]),
+        intrinsic_distance=lambda Q: profile._dense_rows(np.reshape(Q, (-1, n))[:, 0])[2],
     )
 
 
@@ -633,7 +612,7 @@ def asymptotic_fit(profile, lo=50.0, hi=100.0):
     if not (0 < lo < hi <= profile.R_max):
         raise InvalidInputError("fit window must lie inside (0, R_max]")
     R = np.linspace(lo, hi, 200)
-    u = np.asarray(profile.eval_u(R))
+    u = profile._dense_rows(R)[0]
     basis = np.stack([R**2, np.log(R), np.ones_like(R)], axis=1)
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
     return {"leading": float(coef[0]), "log_coef": float(coef[1]), "const": float(coef[2])}
@@ -643,11 +622,9 @@ def bowl_drift(profile, R1=80.0, R2=100.0):
     """Change of u - R^2/(2(n-1)) + log R between two radii (r = 1, n >= 2)."""
     if profile.r != 1 or profile.n < 2:
         raise DomainError("drift check applies to the r = 1 bowls with n >= 2")
-
-    def d(R):
-        return profile.eval_u(R) - R**2 / (2.0 * (profile.n - 1)) + math.log(R)
-
-    return float(d(R2) - d(R1))
+    R = np.array([R1, R2], dtype=float)
+    d = profile._dense_rows(R)[0] - R**2 / (2.0 * (profile.n - 1)) + np.log(R)
+    return float(d[1] - d[0])
 
 
 def export_profile(profile, csv_path, json_path, extra_header=None):

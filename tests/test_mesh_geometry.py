@@ -105,7 +105,7 @@ def _rot_jet_scalar(profile, tol=1e-10):
     def jet(q):
         q = np.asarray(q, dtype=float)
         R = float(q[0])
-        u_val, up = (float(v[0]) for v in profile.u_and_up([R]))
+        u_val, up = (float(v[0]) for v in profile._dense_rows([R])[:2])
         upp = float(dense_upp(sol, R)[0])
         if n == 1:
             X = np.array([R, u_val])

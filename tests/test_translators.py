@@ -157,8 +157,23 @@ class TestSolve:
             R = np.linspace(0.05, 0.9 * p.R_max, 27)
             got = p.fd_residual(R)
             assert got.shape == R.shape
-            assert [float(v) for v in got] == [p.fd_residual(x) for x in R]
-            assert isinstance(p.fd_residual(1.0), float)
+            assert [float(v) for v in got] == [float(p.fd_residual(x)) for x in R]
+            one = p.fd_residual(1.0)
+            assert np.ndim(one) == 0 and one == p.fd_residual(np.array([1.0]))[0]
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_theta_and_fd_residual_keep_the_shape_of_R(self, bowl21, rbowl32, shape):
+        # theta is row 1 of one dense-output call, and fd_residual is the
+        # flat call's residual, both in R's shape and bit for bit
+        for p in (bowl21, rbowl32):
+            R = np.linspace(0.05, 0.9 * p.R_max, 6)[: max(1, math.prod(shape))].reshape(shape)
+            up = p._dense_rows(R.ravel())[1]
+            theta = p.theta(R)
+            assert np.shape(theta) == shape
+            assert np.array_equal(np.ravel(theta), 1.0 / np.sqrt(1.0 + np.square(up)))
+            res = p.fd_residual(R)
+            assert np.shape(res) == shape
+            assert np.array_equal(np.ravel(res), p.fd_residual(R.ravel()))
 
     @pytest.mark.parametrize("n, r, R_max", [(2, 1, 300.0), (3, 1, 300.0), (3, 2, 1e3),
                                              (4, 3, 1e3)])
@@ -188,7 +203,7 @@ class TestSolve:
     def test_grim_reaper_limit(self):
         p = solve_rotational_translator(1, 1, R_max=1.45, tol=1e-11)
         R = np.linspace(0.0, 1.4, 300)
-        diff = np.abs(np.asarray(p.eval_u(R)) + np.log(np.cos(R)))
+        diff = np.abs(p._dense_rows(R)[0] + np.log(np.cos(R)))
         assert diff.max() < 1e-8
 
     def test_validation(self):
@@ -201,9 +216,9 @@ class TestSolve:
 
     def test_domain_guard(self, bowl21):
         with pytest.raises(DomainError):
-            bowl21.eval_u(101.0)
+            bowl21._dense_rows(101.0)
         with pytest.raises(DomainError):
-            bowl21.eval_u(-0.5)
+            bowl21._dense_rows(-0.5)
 
 
 class TestTable:
@@ -226,7 +241,7 @@ class TestTable:
         # linear reads between rows: (h^2 / 8) max |u''|, plus the dense-output error
         upp = max(abs(rot_ode_rhs(n, r, R, v)) for R, v in zip(grid[1:], up[1:]))
         mid = 0.5 * (grid[1:] + grid[:-1])
-        err = np.max(np.abs(np.interp(mid, grid, u) - p.eval_u(mid)))
+        err = np.max(np.abs(np.interp(mid, grid, u) - p._dense_rows(mid)[0]))
         print(f"({n}, {r}, {R_max:g}): {grid.size} rows for {p.meta['steps']} steps, "
               f"midpoint read error {err:.2e}")
         assert err <= h * h / 8.0 * upp
@@ -508,7 +523,7 @@ class TestAsymptotics:
             p = solve_rotational_translator(n, 1, R_max=100.0, tol=1e-10)
             assert abs(bowl_drift(p, 80.0, 100.0)) < 1e-2
             # d/dR [u - R^2/(2(n-1)) + log R] -> 0; below 1e-3 at R = 100
-            dd = p.eval_up(100.0) - 100.0 / (n - 1) + 1.0 / 100.0
+            dd = p._dense_rows(100.0)[1][0] - 100.0 / (n - 1) + 1.0 / 100.0
             assert abs(dd) < 1e-3
 
     def test_theta_limit_exists(self, rbowl32):
@@ -568,7 +583,7 @@ class TestRotChart:
         U = np.column_stack([R] + [np.full(R.size, 1.0)] * (n - 1))
         upp = rot_chart(p).jets(U)[2][:, 0, 0, n]
         h = 1e-3 * R
-        fd = (p.eval_up(R + h) - p.eval_up(R - h)) / (2 * h)
+        fd = (p._dense_rows(R + h)[1] - p._dense_rows(R - h)[1]) / (2 * h)
         assert np.max(np.abs(upp / fd - 1.0)) < 1e-6
         dev = np.abs(upp / (r * R ** (r - 1) / math.comb(n - 1, r)) - 1.0)
         assert np.max(dev) < 1e-5 and np.max(dev[R >= 400.0]) < 1e-8
@@ -616,4 +631,4 @@ class TestExport:
         export_profile(bowl21, csv, js)
         back = load_profile(csv, js)
         with pytest.raises(NumericalError):
-            back.eval_u(1.0)
+            back._dense_rows(1.0)
