@@ -143,7 +143,8 @@ def _config_hash(config):
 # the JSON types the schema names, as draft 2020-12 (jsonschema's default for
 # a schema without "$schema") defines them on what json.load returns: a bool
 # is neither an integer nor a number, an integral float such as 3.0 is an
-# integer, and NaN and Infinity are numbers
+# integer, and NaN and Infinity are numbers (``_load_config`` rejects those
+# tokens before the walker sees a config file)
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -237,11 +238,16 @@ def _best_message(errors):
     return None if best is None else best[1]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _load_config(path):
+    """The config at ``path``: strict JSON (RFC 8259, no NaN or Infinity) that fits the schema."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot parse config {path}: {exc}") from exc
     message = _best_message(_schema_errors(_CONFIG_SCHEMA, config))
     if message is not None:

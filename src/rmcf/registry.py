@@ -7,17 +7,17 @@ from .errors import InvalidInputError
 from .maxprinciple import GFunction
 
 
-def _surface_keys(spec, **defaults):
-    """The values of the keys a surface kind reads, in the order of ``defaults``.
+def _spec_keys(spec, entry, kind, **defaults):
+    """The values of the keys a config entry's kind reads, in the order of ``defaults``.
 
     ``defaults`` names every key the kind reads, with the value a spec
     without it gets. Any other key of the spec is an InvalidInputError
-    that names it, raised before the chart is built.
+    that names it as ``entry.key``, raised before anything is built.
     """
     unread = sorted(set(spec) - {"kind"} - set(defaults))
     if unread:
-        raise InvalidInputError(f"a {spec['kind']} surface does not read "
-                                + ", ".join(f"'surface.{key}'" for key in unread))
+        raise InvalidInputError(f"a {kind} {entry} does not read "
+                                + ", ".join(f"'{entry}.{key}'" for key in unread))
     return [spec.get(key, default) for key, default in defaults.items()]
 
 
@@ -25,29 +25,32 @@ def build_chart(spec):
     """Chart from a declarative surface description (kind + parameters)."""
     kind = spec.get("kind")
     if kind == "grim_reaper":
-        n, eta, t_halfwidth = _surface_keys(spec, n=2, eta=1e-3, t_halfwidth=50.0)
+        n, eta, t_halfwidth = _spec_keys(spec, "surface", kind, n=2, eta=1e-3, t_halfwidth=50.0)
         return translators.grim_reaper_chart(int(n), eta=float(eta),
                                              t_halfwidth=float(t_halfwidth))
     if kind == "bowl":
-        n, r, R_max, tol = _surface_keys(spec, n=2, r=1, R_max=100.0, tol=1e-10)
+        n, r, R_max, tol = _spec_keys(spec, "surface", kind, n=2, r=1, R_max=100.0, tol=1e-10)
         profile = translators.solve_rotational_translator(int(n), int(r), R_max=float(R_max),
                                                           tol=float(tol))
         return translators.rot_chart(profile)
     if kind == "sphere":
-        n, radius, center, cap = _surface_keys(spec, n=2, radius=1.0, center=None, cap="upper")
+        n, radius, center, cap = _spec_keys(spec, "surface", kind, n=2, radius=1.0, center=None,
+                                            cap="upper")
         return charts.sphere_chart(
             int(n), radius=float(radius),
             center=None if center is None else np.asarray(center, dtype=float), cap=cap,
         )
     if kind == "paraboloid":
-        n, curvature, halfwidth = _surface_keys(spec, n=2, curvature=1.0, halfwidth=1.0)
+        n, curvature, halfwidth = _spec_keys(spec, "surface", kind, n=2, curvature=1.0,
+                                             halfwidth=1.0)
         return charts.paraboloid_chart(int(n), curvature=float(curvature),
                                        halfwidth=float(halfwidth))
     if kind == "flat":
-        n, halfwidth = _surface_keys(spec, n=2, halfwidth=1.0)
+        n, halfwidth = _spec_keys(spec, "surface", kind, n=2, halfwidth=1.0)
         return charts.flat_chart(int(n), halfwidth=float(halfwidth))
     if kind == "oscillating":
-        n, x_lo, x_hi, halfwidth = _surface_keys(spec, n=2, x_lo=2.0, x_hi=12.0, halfwidth=1.0)
+        n, x_lo, x_hi, halfwidth = _spec_keys(spec, "surface", kind, n=2, x_lo=2.0, x_hi=12.0,
+                                              halfwidth=1.0)
         return charts.oscillating_graph_chart(int(n), x_lo=float(x_lo), x_hi=float(x_hi),
                                               halfwidth=float(halfwidth))
     raise InvalidInputError(f"unknown surface kind {kind!r}")
@@ -79,17 +82,24 @@ def build_region(spec):
     raise InvalidInputError(f"unknown region kind {kind!r}")
 
 
+# the keys each field kind reads; every one but origin (default 0) is required
+_FIELD_KEYS = {"height": ("W",), "cone_excess": ("V", "a", "origin"), "dist_sq": ("origin",)}
+
+
 def build_scalar_field(spec, ambient_dim, name):
     """Field for maximizer runs: height, cone excess, or squared distance.
 
-    A key the kind needs (W; V and a) that is missing, or a vector (W, V,
-    origin) without ambient_dim coordinates, is an InvalidInputError that
-    names the key in the config entry ``name``. origin defaults to 0.
+    A key the kind does not read (see ``_FIELD_KEYS``), a key it needs
+    that is missing, or a vector (W, V, origin) without ambient_dim
+    coordinates, is an InvalidInputError that names the key in the config
+    entry ``name``. origin defaults to 0.
     """
     kind = spec.get("kind")
-    needs = ("W",) if kind == "height" else ("V", "a") if kind == "cone_excess" else ()
-    for key in needs:
-        if key not in spec:
+    if kind not in _FIELD_KEYS:
+        raise InvalidInputError(f"unknown field kind {kind!r}")
+    _spec_keys(spec, name, kind, **dict.fromkeys(_FIELD_KEYS[kind]))
+    for key in _FIELD_KEYS[kind]:
+        if key != "origin" and key not in spec:
             raise InvalidInputError(f"a {kind} field needs '{name}.{key}'")
 
     def vector(key):
@@ -103,16 +113,17 @@ def build_scalar_field(spec, ambient_dim, name):
         return charts.linear_height(vector("W"))
     if kind == "cone_excess":
         return charts.cone_excess(vector("V"), float(spec["a"]), origin=vector("origin"))
-    if kind == "dist_sq":
-        return charts.distance_sq_to(vector("origin"))
-    raise InvalidInputError(f"unknown field kind {kind!r}")
+    return charts.distance_sq_to(vector("origin"))
 
 
 def build_G(spec):
+    """Growth control from ``{kind?, levels?}`` (iterated_log) or ``{kind, value?}`` (constant)."""
     kind = spec.get("kind", "iterated_log")
     if kind == "iterated_log":
-        return GFunction.iterated_log(int(spec.get("levels", 1)))
+        (levels,) = _spec_keys(spec, "G", kind, levels=1)
+        return GFunction.iterated_log(int(levels))
     if kind == "constant":
-        return GFunction.constant_fn(float(spec.get("value", 1.0)))
+        (value,) = _spec_keys(spec, "G", kind, value=1.0)
+        return GFunction.constant_fn(float(value))
     raise InvalidInputError(f"unknown G kind {kind!r}")
 

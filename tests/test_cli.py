@@ -595,14 +595,24 @@ class TestOyRun:
          "'heigth' is not one of ['height', 'cone_excess', 'dist_sq']"),
         ({"G": {"kind": "loglog"}},
          "config error: config rejected: 'loglog' is not one of ['iterated_log', 'constant']"),
+        ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "a": 0.3, "V": [1.0, 0.0, 0.0]}},
+         "invalid input: a height field does not read 'field.V', 'field.a'"),
+        ({"field": {"kind": "dist_sq", "W": [0.0, 0.0, 1.0]}},
+         "invalid input: a dist_sq field does not read 'field.W'"),
+        ({"G": {"kind": "constant", "levels": 3}},
+         "invalid input: a constant G does not read 'G.levels'"),
+        ({"G": {"kind": "iterated_log", "value": 3.0}},
+         "invalid input: a iterated_log G does not read 'G.value'"),
     ], ids=["r-past-n", "height-without-W", "cone-excess-without-a", "short-W", "long-V",
             "short-origin", "a-not-a-number", "origin-entry-not-a-number", "levels-not-an-integer",
             "value-not-a-number", "G-unknown-key", "field-unknown-key", "gamma-unknown-key",
-            "field-unknown-kind", "G-unknown-kind"])
+            "field-unknown-kind", "G-unknown-kind", "height-reads-only-W",
+            "dist-sq-reads-only-origin", "constant-reads-only-value",
+            "iterated-log-reads-only-levels"])
     def test_malformed_entry_is_a_config_error(self, tmp_path, capsys, monkeypatch, change,
                                                message):
         # most used to end in a traceback with exit 1, or to succeed (r = 3,
-        # and an unknown field, gamma or G key)
+        # an unknown field, gamma or G key, and a key the kind does not read)
         def no_mesh(*args, **kwargs):
             raise AssertionError("a mesh was built for a rejected config")
 
@@ -737,6 +747,24 @@ class TestConfigValidator:
                 check(sub)
 
         check(_CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("config, token", [
+        (dict(BIHALFSPACE_40, eps=math.nan), "NaN"),
+        (dict(BIHALFSPACE_40, R=math.inf), "Infinity"),
+        (dict(PARABOLOID_CONE, surface=dict(PARABOLOID_CONE["surface"], curvature=math.nan)),
+         "NaN"),
+        (dict(PARABOLOID_CONE, V=[0.0, 0.0, math.nan]), "NaN"),
+    ], ids=["bihalfspace-eps", "bihalfspace-R", "paraboloid-curvature", "cone-V"])
+    def test_non_finite_token_is_a_config_error(self, tmp_path, capsys, config, token):
+        # RFC 8259 has no NaN or Infinity; json.load took them, and they ran
+        # (exit 0) or failed as mathematics (exit 1) or as a region mismatch
+        cfg = write_config(tmp_path, config)
+        assert token in (tmp_path / "config.json").read_text()
+        out = tmp_path / "out"
+        assert main(["theorem-check", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"config error: cannot parse config {cfg}: {token} is not a JSON number")
+        assert not out.exists()
 
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(st.data())
