@@ -1,11 +1,12 @@
 """Command-line front end: declarative experiment configs and JSON reports.
 
 Commands: verify-identities, theorem-check, profile, oy-run. Configs are
-single JSON documents validated against a strict schema (unknown fields
-rejected). ``_CONFIG_SCHEMA`` is the one statement of that schema, and a
-small walker over it gives jsonschema's draft 2020-12 verdicts and its
+single JSON documents. ``_CONFIG_SCHEMA`` types their values, and a small
+walker over it gives jsonschema's draft 2020-12 verdicts and its
 ``best_match`` messages without importing jsonschema, which only the tests
-use, as the oracle. Every report embeds the config hash and the library
+use, as the oracle. Which keys each config object reads, and their
+defaults, is ``registry._spec_keys``'s to say (``_COMMAND_KEYS`` for the
+top level). Every report embeds the config hash and the library
 version, floats are formatted to 12 significant digits, and reductions are
 index ordered, so a rerun of the same config produces byte-identical output.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__, identities, registry
 from .charts import Mesh
-from .errors import InvalidInputError, RmcfError, StiffFailureError
+from .errors import InvalidInputError, RmcfError
 from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
 from .regions import bihalfspace_drive
 from .translators import asymptotic_fit, bowl_drift, export_profile, solve_rotational_translator
@@ -32,8 +33,6 @@ _NUM_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 2}
 
 _SURFACE_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
     "properties": {
         "kind": {
             "enum": ["grim_reaper", "bowl", "sphere", "paraboloid", "flat", "oscillating"]
@@ -56,15 +55,11 @@ _SURFACE_SCHEMA = {
 
 _HALFSPACE_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
-    "required": ["W"],
     "properties": {"B": _NUM_ARRAY, "W": _NUM_ARRAY},
 }
 
 _REGION_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
     "properties": {
         "kind": {"enum": ["cone", "halfspace", "bihalfspace"]},
         "V": _NUM_ARRAY,
@@ -76,19 +71,15 @@ _REGION_SCHEMA = {
     },
 }
 
-# an oy-run scalar field; registry.build_scalar_field checks the keys its kind
-# needs and the vector lengths
+# an oy-run scalar field; registry.build_scalar_field checks the vector lengths
 _FIELD_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
     "properties": {"kind": {"enum": ["height", "cone_excess", "dist_sq"]}, "W": _NUM_ARRAY,
                    "V": _NUM_ARRAY, "a": {"type": "number"}, "origin": _NUM_ARRAY},
 }
 
 _CONFIG_SCHEMA = {
     "type": "object",
-    "additionalProperties": False,
-    "required": ["surface"],
     "properties": {
         "surface": _SURFACE_SCHEMA,
         "region": _REGION_SCHEMA,
@@ -110,7 +101,6 @@ _CONFIG_SCHEMA = {
         "gamma": _FIELD_SCHEMA,
         "G": {
             "type": "object",
-            "additionalProperties": False,
             "properties": {"kind": {"enum": ["iterated_log", "constant"]},
                            "levels": {"type": "integer"}, "value": {"type": "number"}},
         },
@@ -157,8 +147,8 @@ _TYPES = {
 def _schema_errors(schema, value, path=()):
     """Each way ``value`` breaks ``schema``, in jsonschema's order and words.
 
-    Knows only the keywords ``_CONFIG_SCHEMA`` uses, ``additionalProperties``
-    only as ``false``, and ``minItems``/``maxItems`` only above 1 and 0
+    Knows only the keywords ``_CONFIG_SCHEMA`` uses, and ``minItems`` and
+    ``maxItems`` only above 1 and 0
     (jsonschema words those messages differently). An error is
     ``(relevance, message, context)``, where ``context`` holds the errors of
     all branches of a failed ``anyOf``, with paths relative to its value.
@@ -183,18 +173,6 @@ def _schema_errors(schema, value, path=()):
         elif keyword == "maximum":
             if is_number and value > arg:
                 yield relevance, f"{value!r} is greater than the maximum of {arg!r}", ()
-        elif keyword == "required":
-            if is_object:
-                for name in arg:
-                    if name not in value:
-                        yield relevance, f"{name!r} is a required property", ()
-        elif keyword == "additionalProperties":
-            extras = sorted(set(value) - set(schema["properties"])) if is_object else ()
-            if extras:
-                names = ", ".join(repr(name) for name in extras)
-                verb = "was" if len(extras) == 1 else "were"
-                yield (relevance,
-                       f"Additional properties are not allowed ({names} {verb} unexpected)", ())
         elif keyword == "properties":
             if is_object:
                 for name, sub in arg.items():
@@ -248,15 +226,39 @@ def _load_config(path):
         with open(path) as fh:
             config = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot parse config {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot parse config {path}: {exc}") from exc
     message = _best_message(_schema_errors(_CONFIG_SCHEMA, config))
     if message is not None:
-        raise _UsageError(f"config rejected: {message}")
+        raise InvalidInputError(f"config rejected: {message}")
     return config
 
 
-class _UsageError(Exception):
-    pass
+# the top-level keys each command reads, with defaults, and a theorem-check's for its theorem
+NEEDED = registry.NEEDED
+_COMMAND_KEYS = {
+    "verify-identities": dict(surface=NEEDED, seed=0),
+    "theorem-check": dict(surface=NEEDED, region=NEEDED, theorem=NEEDED, r=NEEDED, V=NEEDED,
+                          mesh=None, seed=0),
+    "oy-run": dict(surface=NEEDED, field=NEEDED, gamma={"kind": "dist_sq"},
+                   G={"kind": "iterated_log", "levels": 1}, r=1, k_max=8, mesh=None, seed=0),
+}
+_THEOREM_KEYS = {"cone": dict(a=NEEDED, asserted="proper"), "halfspace": {},
+                 "bihalfspace": dict(eps=0.0, R=1.0)}
+
+
+def _read_config(args):
+    """The config at ``args.config``, and the top-level values its command reads, by key.
+
+    ``--seed`` and ``--mesh`` replace the config's; the seed is an int (3.0 gives 3's report).
+    """
+    config = _load_config(args.config)
+    theorem = config.get("theorem") if args.command == "theorem-check" else None
+    keys = registry._spec_keys(config, "", f"{theorem} {args.command}" if theorem else args.command,
+                               kinded=False, **_COMMAND_KEYS[args.command],
+                               **_THEOREM_KEYS.get(theorem, {}))
+    keys.update((k, v) for k, v in vars(args).items() if k in ("seed", "mesh") and v is not None)
+    keys["seed"] = int(keys["seed"])
+    return config, keys
 
 
 def _write_report(out_dir, name, payload):
@@ -278,31 +280,23 @@ def _header(command, config, seed):
     }
 
 
-# int() on the validated integer fields: draft 2020-12 lets an integral float
-# such as 3.0 pass as an integer, and it must give the report of its int
-def _seed(args, config):
-    return int(args.seed if args.seed is not None else config.get("seed", 0))
-
-
-def _mesh_counts(config, args, n):
-    counts = args.mesh if args.mesh is not None else config.get("mesh")
+def _mesh_counts(counts, n):
     if counts is None:
         counts = max(4, int(round(2000 ** (1.0 / n))))
     if not isinstance(counts, list):
         return (int(counts),) * n
     if len(counts) != n:
-        raise _UsageError(f"mesh spec needs {n} axis counts")
+        raise InvalidInputError(f"mesh spec needs {n} axis counts")
     return tuple(int(c) for c in counts)
 
 
 def cmd_verify_identities(args):
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    chart = registry.build_chart(config["surface"])
-    rng = np.random.default_rng(seed)
+    config, keys = _read_config(args)
+    chart = registry.build_chart(keys["surface"])
+    rng = np.random.default_rng(keys["seed"])
     results = identities.run_identity_suite(chart, rng)
     failing = [r["id"] for r in results if not r["pass"]]
-    payload = _header("verify-identities", config, seed)
+    payload = _header("verify-identities", config, keys["seed"])
     payload["results"] = {"surface": chart.name, "identities": results, "failing": failing}
     path = _write_report(args.out, "report.json", payload)
     for r in results:
@@ -314,79 +308,72 @@ def cmd_verify_identities(args):
     return 0
 
 
-def _run_drive(mesh, gate, config):
+def _run_drive(mesh, gate, keys):
     if gate.theorem == "cone":
         return cone_drive(mesh, gate).to_json_dict()
     if gate.theorem == "halfspace":
         return halfspace_drive(mesh, gate).to_json_dict()
     # bihalfspace: the pocket drive, in the wedge coordinates of the pair
-    eps = float(config.get("eps", 0.0))
+    eps = float(keys["eps"])
     if eps <= 0.0:
         eps = max(gate.min_eigen_P, 0.0)  # the gate's smallest P_{r-1} eigenvalue
-    rep = bihalfspace_drive(mesh, gate.region, gate.V, float(config.get("R", 1.0)), gate.r, eps)
+    rep = bihalfspace_drive(mesh, gate.region, gate.V, float(keys["R"]), gate.r, eps)
     return rep.to_json_dict()
 
 
-_REGION_NEEDS = {"cone": ("V", "a"), "halfspace": ("W",), "bihalfspace": ("halfspaces",)}
+def _check_theorem_config(keys, region, n):
+    """Reject values the schema and the key rule cannot see, before any mesh work; return r.
 
-
-def _check_theorem_config(config, n):
-    """Reject what the schema cannot see, before any mesh work; return r.
-
-    That is the region's kind and fields, vector lengths, a unit velocity
-    V, a unit half-space normal W with <V, W> > 0, the cone parameter a in
-    (0, 1), a cone axis along V, a ``vertical_to`` parallel to V, a
-    positive cylinder radius R and r in 1..n.
+    ``region`` holds the region's keys (``registry.region_keys``). That is a
+    region of the theorem's kind, vector lengths, a unit velocity V, a unit
+    half-space normal W with <V, W> > 0, the cone parameter a in (0, 1), a
+    cone axis along V, a ``vertical_to`` parallel to V, a positive cylinder
+    radius R and r in 1..n.
     """
-    region = config["region"]
-    if region["kind"] != config["theorem"]:
-        raise _UsageError(
-            f"theorem {config['theorem']!r} needs a {config['theorem']} region "
-            f"(got 'region.kind' {region['kind']!r})"
-        )
-    for key in _REGION_NEEDS[region["kind"]]:
-        if key not in region:
-            raise _UsageError(f"a {region['kind']} region needs 'region.{key}'")
-    if config["theorem"] == "cone" and "a" not in config:
-        raise _UsageError("theorem 'cone' needs the cone parameter 'a'")
-    vectors = {"V": config["V"]}
+    if region["kind"] != keys["theorem"]:
+        raise InvalidInputError(f"theorem {keys['theorem']!r} needs a {keys['theorem']} region "
+                                f"(got 'region.kind' {region['kind']!r})")
+    vectors = {"V": keys["V"]}
     vectors.update((f"region.{k}", region[k]) for k in ("V", "W", "B", "vertical_to")
-                   if k in region)
+                   if region.get(k) is not None)
     for i, half in enumerate(region.get("halfspaces", ())):
-        vectors.update((f"region.halfspaces[{i}].{k}", half[k]) for k in ("W", "B") if k in half)
+        vectors.update((f"region.halfspaces[{i}].{k}", half[k]) for k in ("W", "B")
+                       if half[k] is not None)
     for name, vec in vectors.items():
         if len(vec) != n + 1:
-            raise _UsageError(
-                f"{name!r} needs n + 1 = {n + 1} coordinates for this surface (got {len(vec)})"
-            )
+            raise InvalidInputError(f"{name!r} needs n + 1 = {n + 1} coordinates for this "
+                                    f"surface (got {len(vec)})")
     # hypothesis_gate checks r, V, <V, W> and the cone's axis again, and Cone
     # checks a, but their errors cannot name the config field; Halfspace
     # normalizes W, and the gate reads a from the region
-    V = np.asarray(config["V"], dtype=float)
+    V = np.asarray(keys["V"], dtype=float)
     if abs(np.linalg.norm(V) - 1.0) > 1e-10:
-        raise _UsageError(f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
-    if config["theorem"] == "halfspace":
+        raise InvalidInputError(
+            f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
+    if keys["theorem"] == "halfspace":
         W = np.asarray(region["W"], dtype=float)
         if abs(np.linalg.norm(W) - 1.0) > 1e-10:
-            raise _UsageError(
+            raise InvalidInputError(
                 f"'region.W' must be a unit vector (|W| = {np.linalg.norm(W):g})")
         if not V @ W > 0.0:
-            raise _UsageError(f"'region.W' needs <V, W> > 0 (got {V @ W:g})")
-    if config["theorem"] == "cone":
+            raise InvalidInputError(f"'region.W' needs <V, W> > 0 (got {V @ W:g})")
+    if keys["theorem"] == "cone":
         # the config states a twice, and the gate reads the region's
-        if region["a"] != config["a"]:
-            raise _UsageError(f"'region.a' = {region['a']} must equal the cone parameter "
-                              f"'a' = {config['a']}")
-        if not 0.0 < config["a"] < 1.0:
-            raise _UsageError(f"the cone parameter 'a' must lie in (0, 1) (got {config['a']})")
+        if region["a"] != keys["a"]:
+            raise InvalidInputError(f"'region.a' = {region['a']} must equal the cone parameter "
+                                    f"'a' = {keys['a']}")
+        if not 0.0 < keys["a"] < 1.0:
+            raise InvalidInputError(
+                f"the cone parameter 'a' must lie in (0, 1) (got {keys['a']})")
         if not _points_along(region["V"], V):
-            raise _UsageError("'region.V' must point along the velocity 'V'")
-    if "vertical_to" in region and not (_points_along(region["vertical_to"], V)
-                                        or _points_along(region["vertical_to"], -V)):
-        raise _UsageError("'region.vertical_to' must be parallel to the velocity 'V'")
-    if not config.get("R", 1.0) > 0.0:
-        raise _UsageError(f"the cylinder radius 'R' must be positive (got {config['R']})")
-    return _order(config, n)
+            raise InvalidInputError("'region.V' must point along the velocity 'V'")
+    vertical_to = region.get("vertical_to")
+    if vertical_to is not None and not (_points_along(vertical_to, V)
+                                        or _points_along(vertical_to, -V)):
+        raise InvalidInputError("'region.vertical_to' must be parallel to the velocity 'V'")
+    if "R" in keys and not keys["R"] > 0.0:
+        raise InvalidInputError(f"the cylinder radius 'R' must be positive (got {keys['R']})")
+    return _order(keys["r"], n)
 
 
 def _points_along(vec, V):
@@ -396,31 +383,27 @@ def _points_along(vec, V):
     return np.allclose(vec * nV, V * nvec, rtol=0.0, atol=1e-10 * nV * nvec)
 
 
-def _order(config, n):
-    """The config's r (1 when it has none); a usage error unless 1 <= r <= n."""
-    r = config.get("r", 1)
+def _order(r, n):
+    """r as an int; a config error unless 1 <= r <= n."""
     if not 1 <= r <= n:
-        raise _UsageError(f"'r' must satisfy 1 <= r <= n = {n} (got r={r})")
+        raise InvalidInputError(f"'r' must satisfy 1 <= r <= n = {n} (got r={r})")
     return int(r)
 
 
 def cmd_theorem_check(args):
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    for key in ("region", "theorem", "r", "V"):
-        if key not in config:
-            raise _UsageError(f"theorem-check config needs {key!r}")
-    chart = registry.build_chart(config["surface"])
-    params = {key: config[key] for key in ("V", "eps", "asserted") if key in config}
-    params["r"] = _check_theorem_config(config, chart.n)
-    region = registry.build_region(config["region"])
-    mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
+    config, keys = _read_config(args)
+    chart = registry.build_chart(keys["surface"])
+    region = registry.region_keys(keys["region"])
+    r = _check_theorem_config(keys, region, chart.n)
+    region = registry.build_region(region)
+    mesh = Mesh.grid(chart, _mesh_counts(keys["mesh"], chart.n))
 
-    gate = hypothesis_gate(mesh, region, params)
-    drive = _run_drive(mesh, gate, config)
+    # the gate reads r, V and the theorem's eps or asserted
+    gate = hypothesis_gate(mesh, region, dict(keys, r=r))
+    drive = _run_drive(mesh, gate, keys)
     exit_res = gate.exit
 
-    payload = _header("theorem-check", config, seed)
+    payload = _header("theorem-check", config, keys["seed"])
     payload["results"] = {
         "surface": chart.name,
         "gate": gate.to_json_dict(),
@@ -443,16 +426,7 @@ def cmd_theorem_check(args):
 
 
 def cmd_profile(args):
-    try:
-        profile = solve_rotational_translator(
-            args.n, args.r, R_max=args.rmax, tol=args.tol
-        )
-    except InvalidInputError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StiffFailureError as exc:
-        print(f"solver failed: {exc} (last good R {exc.last_good_R})", file=sys.stderr)
-        return 1
+    profile = solve_rotational_translator(args.n, args.r, R_max=args.rmax, tol=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "profile.csv"
@@ -478,23 +452,17 @@ def cmd_profile(args):
 
 
 def cmd_oy_run(args):
-    config = _load_config(args.config)
-    seed = _seed(args, config)
-    if "field" not in config:
-        raise _UsageError("oy-run config needs a 'field' entry")
-    chart = registry.build_chart(config["surface"])
-    r = _order(config, chart.n)
-    u_field = registry.build_scalar_field(config["field"], chart.n + 1, "field")
-    gamma = registry.build_scalar_field(
-        config.get("gamma", {"kind": "dist_sq"}), chart.n + 1, "gamma"
-    )
-    G = registry.build_G(config.get("G", {"kind": "iterated_log", "levels": 1}))
-    mesh = Mesh.grid(chart, _mesh_counts(config, args, chart.n))
+    config, keys = _read_config(args)
+    chart = registry.build_chart(keys["surface"])
+    r = _order(keys["r"], chart.n)
+    u_field = registry.build_scalar_field(keys["field"], chart.n + 1, "field")
+    gamma = registry.build_scalar_field(keys["gamma"], chart.n + 1, "gamma")
+    G = registry.build_G(keys["G"])
+    mesh = Mesh.grid(chart, _mesh_counts(keys["mesh"], chart.n))
     geom = mesh.geometry()
     rows = geom.take(np.linalg.norm(geom.X, axis=1) > 1e-6)
-    run = oy_sequence(mesh, u_field, gamma, G, k_max=int(config.get("k_max", 8)), r=r,
-                      rows=rows)
-    payload = _header("oy-run", config, seed)
+    run = oy_sequence(mesh, u_field, gamma, G, k_max=int(keys["k_max"]), r=r, rows=rows)
+    payload = _header("oy-run", config, keys["seed"])
     payload["results"] = run.to_json_dict()
     path = _write_report(args.out, "oyrun.json", payload)
     status = "boundary-dominated (inconclusive)" if run.boundary_dominated else "interior"
@@ -517,20 +485,20 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config_command(name, fn, summary, mesh=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory for reports")
-        p.add_argument("--mesh", type=int, default=None, help="grid points per axis")
+        if mesh:
+            p.add_argument("--mesh", type=int, default=None, help="grid points per axis")
         p.add_argument("--seed", type=_nonnegative_int, default=None,
                        help="seed for randomized identity trials")
+        p.set_defaults(fn=fn)
 
-    p_vi = sub.add_parser("verify-identities", help="run the identity battery on a surface")
-    add_common(p_vi)
-    p_vi.set_defaults(fn=cmd_verify_identities)
-
-    p_tc = sub.add_parser("theorem-check", help="gate + drive + exit scan for one region")
-    add_common(p_tc)
-    p_tc.set_defaults(fn=cmd_theorem_check)
+    add_config_command("verify-identities", cmd_verify_identities,
+                       "run the identity battery on a surface", mesh=False)
+    add_config_command("theorem-check", cmd_theorem_check,
+                       "gate + drive + exit scan for one region")
 
     p_pr = sub.add_parser("profile", help="solve and export a rotational profile")
     p_pr.add_argument("--n", type=int, required=True)
@@ -540,18 +508,13 @@ def main(argv=None):
     p_pr.add_argument("--out", default=".")
     p_pr.set_defaults(fn=cmd_profile)
 
-    p_oy = sub.add_parser("oy-run", help="maximizer-sequence run on a configured surface")
-    add_common(p_oy)
-    p_oy.set_defaults(fn=cmd_oy_run)
+    add_config_command("oy-run", cmd_oy_run, "maximizer-sequence run on a configured surface")
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except InvalidInputError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RmcfError as exc:
         print(f"failure: {exc}", file=sys.stderr)

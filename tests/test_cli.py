@@ -120,7 +120,7 @@ class TestVerifyIdentities:
         cfg = write_config(tmp_path, {"surface": surface})
         assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid input: ") and key in err, err
+        assert err.startswith("config error: ") and key in err, err
 
     def test_oscillating_halfwidth_is_read(self):
         chart = build_chart({"kind": "oscillating", "halfwidth": 5.0})
@@ -144,7 +144,7 @@ class TestVerifyIdentities:
     def test_derivative_bias_is_not_a_surface_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "derivative_bias": 1e-3}})
         assert main(["verify-identities", "--config", cfg]) == 2
-        assert "'derivative_bias' was unexpected" in capsys.readouterr().err
+        assert "does not read 'surface.derivative_bias'" in capsys.readouterr().err
 
     def test_config_schema_is_a_valid_schema(self, tmp_path, capsys):
         # loads validate against the constant schema without re-checking it
@@ -366,7 +366,7 @@ class TestTheoremCheck:
         cfg = write_config(tmp_path, dict(config, **{key: 0.5}))
         assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "Additional properties are not allowed" in err and f"'{key}'" in err, err
+        assert "does not read" in err and f"'{key}'" in err, err
 
     def test_drive_reads_the_growth_bound(self, tmp_path):
         res = theorem_check(tmp_path, HALFSPACE_1E3)
@@ -406,29 +406,33 @@ class TestTheoremCheck:
         ("'region.a'", {"region": {"kind": "cone", "V": _V}}),
         ("'a'", {"a": None}),
         ("'r'", {"r": 3}),
-        ("'region.kind'", {"theorem": "halfspace"}),
-        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.8])}),
-        ("'region.B'", {"theorem": "halfspace", "region": dict(_HALF, B=[0.0, 0.0])}),
+        ("'region.kind'", {"a": None, "theorem": "halfspace"}),
+        ("'region.W'", {"a": None, "theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.8])}),
+        ("'region.B'", {"a": None, "theorem": "halfspace", "region": dict(_HALF, B=[0.0, 0.0])}),
         ("'region.vertical_to'",
-         {"theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0])}),
-        ("'region.halfspaces[1].W'", {"theorem": "bihalfspace", "region": dict(
+         {"a": None, "theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0])}),
+        ("'region.halfspaces[1].W'", {"a": None, "theorem": "bihalfspace", "region": dict(
             _BI, halfspaces=[{"W": [0.6, 0.8, 0.0]}, {"W": [0.6, -0.8]}])}),
         ("'region.a'", {"region": {"kind": "cone", "V": _V, "a": 0.9}}),
         ("'region.V'", {"region": {"kind": "cone", "V": [0.0, 0.6, 0.8], "a": 0.3}}),
         ("'V'", {"V": [0.0, 0.0, 2.0], "region": {"kind": "cone", "V": [0.0, 0.0, 2.0], "a": 0.3}}),
-        ("'V'", {"theorem": "halfspace", "region": _HALF, "V": [0.0, 0.0, 0.5]}),
-        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[1.2, 0.0, 1.6])}),
-        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[1.0, 0.0, 0.0])}),
-        ("'region.W'", {"theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.0, -0.8])}),
+        ("'V'", {"a": None, "theorem": "halfspace", "region": _HALF, "V": [0.0, 0.0, 0.5]}),
+        ("'region.W'",
+         {"a": None, "theorem": "halfspace", "region": dict(_HALF, W=[1.2, 0.0, 1.6])}),
+        ("'region.W'",
+         {"a": None, "theorem": "halfspace", "region": dict(_HALF, W=[1.0, 0.0, 0.0])}),
+        ("'region.W'",
+         {"a": None, "theorem": "halfspace", "region": dict(_HALF, W=[0.6, 0.0, -0.8])}),
         ("'a'", {"a": 1.5, "region": {"kind": "cone", "V": _V, "a": 1.5}}),
         ("'a'", {"a": 0.0, "region": {"kind": "cone", "V": _V, "a": 0.0}}),
-        ("'R'", {"theorem": "bihalfspace", "region": _BI, "R": 0.0}),
-        ("'R'", {"theorem": "bihalfspace", "region": _BI, "R": -2.0}),
+        ("'R'", {"a": None, "theorem": "bihalfspace", "region": _BI, "R": 0.0}),
+        ("'R'", {"a": None, "theorem": "bihalfspace", "region": _BI, "R": -2.0}),
         ("'region.vertical_to'",
-         {"theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0, 0.0])}),
+         {"a": None, "theorem": "bihalfspace", "region": dict(_BI, vertical_to=[0.0, 1.0, 0.0])}),
     ])
     def test_config_rejected_before_mesh_work(self, tmp_path, capsys, monkeypatch, field, change):
         # each passes the schema; each must exit 2 naming its field, before any mesh is built
+        # ("a": None drops the cone's a from a half-space or bi-half-space config)
         def no_mesh(*args, **kwargs):
             raise AssertionError("a mesh was built for a rejected config")
 
@@ -568,15 +572,15 @@ class TestOyRun:
     @pytest.mark.parametrize("change, message", [
         # P_2 = 0 on the 2-sphere: r = 3 used to report every L value as 0
         ({"r": 3}, "config error: 'r' must satisfy 1 <= r <= n = 2 (got r=3)"),
-        ({"field": {"kind": "height"}}, "invalid input: a height field needs 'field.W'"),
+        ({"field": {"kind": "height"}}, "config error: a height field needs 'field.W'"),
         ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 1.0]}},
-         "invalid input: a cone_excess field needs 'field.a'"),
+         "config error: a cone_excess field needs 'field.a'"),
         ({"field": {"kind": "height", "W": [0.0, 1.0]}},
-         "invalid input: 'field.W' needs n + 1 = 3 coordinates for this surface (got 2)"),
+         "config error: 'field.W' needs n + 1 = 3 coordinates for this surface (got 2)"),
         ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 0.0, 1.0], "a": 0.3}},
-         "invalid input: 'field.V' needs n + 1 = 3 coordinates for this surface (got 4)"),
+         "config error: 'field.V' needs n + 1 = 3 coordinates for this surface (got 4)"),
         ({"gamma": {"kind": "dist_sq", "origin": [0.0, 1.0]}},
-         "invalid input: 'gamma.origin' needs n + 1 = 3 coordinates for this surface (got 2)"),
+         "config error: 'gamma.origin' needs n + 1 = 3 coordinates for this surface (got 2)"),
         ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 1.0], "a": "x"}},
          "config error: config rejected: 'x' is not of type 'number'"),
         ({"gamma": {"kind": "dist_sq", "origin": [0.0, "x", 1.0]}},
@@ -585,24 +589,24 @@ class TestOyRun:
          "config error: config rejected: 'x' is not of type 'integer'"),
         ({"G": {"kind": "constant", "value": "x"}},
          "config error: config rejected: 'x' is not of type 'number'"),
-        ({"G": {"kind": "iterated_log", "levles": 3}}, "config error: config rejected: "
-         "Additional properties are not allowed ('levles' was unexpected)"),
-        ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "bogus": 1}}, "config error: "
-         "config rejected: Additional properties are not allowed ('bogus' was unexpected)"),
-        ({"gamma": {"kind": "dist_sq", "bogus": 1}}, "config error: config rejected: "
-         "Additional properties are not allowed ('bogus' was unexpected)"),
+        ({"G": {"kind": "iterated_log", "levles": 3}},
+         "config error: a iterated_log G does not read 'G.levles'"),
+        ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "bogus": 1}},
+         "config error: a height field does not read 'field.bogus'"),
+        ({"gamma": {"kind": "dist_sq", "bogus": 1}},
+         "config error: a dist_sq gamma does not read 'gamma.bogus'"),
         ({"field": {"kind": "heigth", "W": [0.0, 0.0, 1.0]}}, "config error: config rejected: "
          "'heigth' is not one of ['height', 'cone_excess', 'dist_sq']"),
         ({"G": {"kind": "loglog"}},
          "config error: config rejected: 'loglog' is not one of ['iterated_log', 'constant']"),
         ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "a": 0.3, "V": [1.0, 0.0, 0.0]}},
-         "invalid input: a height field does not read 'field.V', 'field.a'"),
+         "config error: a height field does not read 'field.V', 'field.a'"),
         ({"field": {"kind": "dist_sq", "W": [0.0, 0.0, 1.0]}},
-         "invalid input: a dist_sq field does not read 'field.W'"),
+         "config error: a dist_sq field does not read 'field.W'"),
         ({"G": {"kind": "constant", "levels": 3}},
-         "invalid input: a constant G does not read 'G.levels'"),
+         "config error: a constant G does not read 'G.levels'"),
         ({"G": {"kind": "iterated_log", "value": 3.0}},
-         "invalid input: a iterated_log G does not read 'G.value'"),
+         "config error: a iterated_log G does not read 'G.value'"),
     ], ids=["r-past-n", "height-without-W", "cone-excess-without-a", "short-W", "long-V",
             "short-origin", "a-not-a-number", "origin-entry-not-a-number", "levels-not-an-integer",
             "value-not-a-number", "G-unknown-key", "field-unknown-key", "gamma-unknown-key",
@@ -731,16 +735,14 @@ def _mutate(data, config):
 
 class TestConfigValidator:
     def test_schema_uses_only_supported_keywords(self):
-        supported = {"type", "enum", "minimum", "maximum", "required", "additionalProperties",
-                     "properties", "items", "minItems", "maxItems", "anyOf"}
+        supported = {"type", "enum", "minimum", "maximum", "properties", "items", "minItems",
+                     "maxItems", "anyOf"}
 
         def check(schema):
             assert set(schema) <= supported, set(schema) - supported
             assert schema.get("type", "object") in _TYPES
             assert all(isinstance(value, str) for value in schema.get("enum", ()))
             assert schema.get("minItems", 2) > 1 and schema.get("maxItems", 1) > 0
-            if "additionalProperties" in schema:
-                assert schema["additionalProperties"] is False and "properties" in schema
             subs = list(schema.get("properties", {}).values()) + schema.get("anyOf", [])
             subs += [schema["items"]] if "items" in schema else []
             for sub in subs:
@@ -785,9 +787,9 @@ class TestConfigValidator:
          "True is not valid under any of the given schemas"),
         ({"surface": {"kind": "bowl", "n": 2.5}}, "2.5 is not of type 'integer'"),
         ({"surface": {"kind": "bowl", "R_max": True}}, "True is not of type 'number'"),
-        ({"surface": {"kind": "bowl"}, "bogus": 1, "zz": 2},
-         "Additional properties are not allowed ('bogus', 'zz' were unexpected)"),
-        ({"seed": 1}, "'surface' is a required property"),
+        # which keys an object holds is registry._spec_keys's to say
+        ({"surface": {"kind": "bowl"}, "bogus": 1, "zz": 2}, None),
+        ({"seed": 1}, None),
         ([1, 2], "[1, 2] is not of type 'object'"),
         ({"surface": {"kind": "bowl"},
           "region": {"kind": "bihalfspace", "halfspaces": [{"W": [1.0, 0.0]}]}},
@@ -798,6 +800,115 @@ class TestConfigValidator:
     ])
     def test_messages(self, config, message):
         assert _best_message(_schema_errors(_CONFIG_SCHEMA, config)) == message
+
+
+README_CONE, CI_BIHALFSPACE = BASE_CONFIGS[1], BASE_CONFIGS[3]
+_HEIGHT_FIELD = {"kind": "height", "W": [0.0, 0.0, 1.0]}
+
+
+class TestKeyRule:
+    @pytest.mark.parametrize("command, config, message", [
+        ("verify-identities", README_CONE,
+         "a verify-identities config does not read 'V', 'a', 'mesh', 'r', 'region', 'theorem'"),
+        ("verify-identities", README_OY,
+         "a verify-identities config does not read 'G', 'field', 'gamma', 'k_max', 'mesh'"),
+        ("theorem-check", dict(HALFSPACE_1E3, a=0.4),
+         "a halfspace theorem-check config does not read 'a'"),
+        ("theorem-check", dict(HALFSPACE_1E3, asserted="bounded-sigma"),
+         "a halfspace theorem-check config does not read 'asserted'"),
+        ("theorem-check", dict(HALFSPACE_1E3, eps=0.5),
+         "a halfspace theorem-check config does not read 'eps'"),
+        ("theorem-check", dict(HALFSPACE_1E3, R=3.0),
+         "a halfspace theorem-check config does not read 'R'"),
+        ("theorem-check", dict(HALFSPACE_1E3, k_max=3),
+         "a halfspace theorem-check config does not read 'k_max'"),
+        ("theorem-check", dict(HALFSPACE_1E3, field=_HEIGHT_FIELD),
+         "a halfspace theorem-check config does not read 'field'"),
+        ("theorem-check", dict(HALFSPACE_1E3, region=dict(HALFSPACE_1E3["region"], a=0.4, V=V4)),
+         "a halfspace region does not read 'region.V', 'region.a'"),
+        ("theorem-check", dict(README_CONE, region=dict(README_CONE["region"], W=[0.0, 0.0, 1.0],
+                                                        B=[0.0, 0.0, 0.0])),
+         "a cone region does not read 'region.B', 'region.W'"),
+        ("theorem-check", dict(README_CONE, eps=0.5, R=2.0),
+         "a cone theorem-check config does not read 'R', 'eps'"),
+        ("theorem-check", dict(CI_BIHALFSPACE, region=dict(CI_BIHALFSPACE["region"],
+                                                           W=[0.6, 0.8, 0.0, 0.0], a=0.3)),
+         "a bihalfspace region does not read 'region.W', 'region.a'"),
+        ("theorem-check", dict(CI_BIHALFSPACE, asserted="proper"),
+         "a bihalfspace theorem-check config does not read 'asserted'"),
+        ("theorem-check", dict(CI_BIHALFSPACE, region=dict(CI_BIHALFSPACE["region"], halfspaces=[
+            {"W": [0.6, 0.8, 0.0, 0.0], "kind": "halfspace"}, {"W": [0.6, -0.8, 0.0, 0.0]}])),
+         "a halfspace region.halfspaces[0] does not read 'region.halfspaces[0].kind'"),
+        ("oy-run", dict(README_OY, region=README_CONE["region"], theorem="cone", R=2.0, eps=0.5),
+         "a oy-run config does not read 'R', 'eps', 'region', 'theorem'"),
+        # a missing needed key, named in the same style
+        ("verify-identities", {"seed": 1}, "a verify-identities config needs 'surface'"),
+        ("theorem-check", {"surface": BOWL_SURFACE, "theorem": "cone"},
+         "a cone theorem-check config needs 'region', 'r', 'V', 'a'"),
+        ("theorem-check", dict(README_CONE, a=None), "a cone theorem-check config needs 'a'"),
+        ("theorem-check", dict(README_CONE, region={"kind": "cone"}),
+         "a cone region needs 'region.V', 'region.a'"),
+        ("theorem-check", dict(CI_BIHALFSPACE, region=dict(CI_BIHALFSPACE["region"], halfspaces=[
+            {"W": [0.6, 0.8, 0.0, 0.0]}, {"B": [0.0, 0.0, 0.0, 0.0]}])),
+         "a halfspace region.halfspaces[1] needs 'region.halfspaces[1].W'"),
+        ("oy-run", {"surface": README_OY["surface"]}, "a oy-run config needs 'field'"),
+        ("oy-run", dict(README_OY, field={"kind": "cone_excess"}),
+         "a cone_excess field needs 'field.V', 'field.a'"),
+        ("oy-run", dict(README_OY, gamma={"kind": "height"}), "a height gamma needs 'gamma.W'"),
+    ], ids=["vi-cone", "vi-oy", "hs-a", "hs-asserted", "hs-eps", "hs-R", "hs-k_max", "hs-field",
+            "hs-region-a-V", "cone-region-W-B", "cone-eps-R", "bi-region-W-a", "bi-asserted",
+            "bi-entry-kind", "oy-theorem-keys", "needs-surface", "needs-region-r-V-a", "needs-a",
+            "needs-region-V-a", "needs-entry-W", "needs-field", "needs-field-V-a",
+            "needs-gamma-W"])
+    def test_key_a_config_object_does_not_hold(self, tmp_path, capsys, monkeypatch, command,
+                                                config, message):
+        # each used to run and exit 0, with the key ignored, or to fail in
+        # another message style; now each exits 2 naming its keys, before any mesh
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built for a rejected config")
+
+        monkeypatch.setattr(rmcf.cli.Mesh, "grid", no_mesh)
+        config = {key: value for key, value in config.items() if value is not None}
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_identities_has_no_mesh_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}})
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities", "--config", cfg, "--mesh", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mesh 5" in capsys.readouterr().err
+
+    def test_schema_types_each_key_the_tables_read(self, monkeypatch):
+        # per config object, the keys the key rule reads are the properties the
+        # schema types: a key read but not typed would skip the type checks
+        class Read(Exception):
+            pass
+
+        read = collections.defaultdict(set)
+
+        def spy(spec, entry, kind, *, kinded=True, **defaults):
+            read[entry] |= set(defaults) | {"kind"}
+            raise Read
+
+        monkeypatch.setattr(rmcf.registry, "_spec_keys", spy)
+        schema = _CONFIG_SCHEMA["properties"]
+        for entry, build in (("surface", build_chart), ("G", rmcf.registry.build_G)):
+            for kind in schema[entry]["properties"]["kind"]["enum"]:
+                with pytest.raises(Read):
+                    build({"kind": kind})
+        region_keys = rmcf.registry._REGION_KEYS
+        read["region"] = {"kind"}.union(*region_keys.values())
+        read["field"] = read["gamma"] = {"kind"}.union(*rmcf.registry._FIELD_KEYS.values())
+        for entry, keys in read.items():
+            assert keys == set(schema[entry]["properties"]), entry
+        halfspace = schema["region"]["properties"]["halfspaces"]["items"]
+        assert set(region_keys["halfspace"]) == set(halfspace["properties"])
+        top = set().union(*rmcf.cli._COMMAND_KEYS.values(), *rmcf.cli._THEOREM_KEYS.values())
+        assert top == set(schema)
+        assert set(rmcf.cli._THEOREM_KEYS) == set(schema["theorem"]["enum"])
 
 
 class TestIntegerFields:
