@@ -220,11 +220,21 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _finite(parse):
+    """``parse`` for JSON number tokens, refusing one a double cannot hold, such as 1e400."""
+    def parse_finite(token):
+        if not np.isfinite(float(token)):
+            raise ValueError(f"{token} is not a finite double")
+        return parse(token)
+    return parse_finite
+
+
 def _load_config(path):
-    """The config at ``path``: strict JSON (RFC 8259, no NaN or Infinity) that fits the schema."""
+    """The config at ``path``: strict JSON (RFC 8259, finite numbers) that fits the schema."""
     try:
         with open(path) as fh:
-            config = json.load(fh, parse_constant=_reject_constant)
+            config = json.load(fh, parse_constant=_reject_constant, parse_float=_finite(float),
+                               parse_int=_finite(int))
     except (OSError, ValueError) as exc:
         raise InvalidInputError(f"cannot parse config {path}: {exc}") from exc
     message = _best_message(_schema_errors(_CONFIG_SCHEMA, config))

@@ -733,6 +733,10 @@ def _mutate(data, config):
     return config
 
 
+# a number written in place of a config value, then replaced by a token
+_TOKEN = 0.123456789
+
+
 class TestConfigValidator:
     def test_schema_uses_only_supported_keywords(self):
         supported = {"type", "enum", "minimum", "maximum", "properties", "items", "minItems",
@@ -766,6 +770,26 @@ class TestConfigValidator:
         assert main(["theorem-check", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
             f"config error: cannot parse config {cfg}: {token} is not a JSON number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, token", [
+        ("theorem-check", dict(BIHALFSPACE_40, mesh=5, R=_TOKEN), "1e400"),
+        ("theorem-check", dict(BIHALFSPACE_40, mesh=5, R=_TOKEN), "1" + "0" * 400),
+        ("theorem-check", dict(PARABOLOID_CONE, surface=dict(PARABOLOID_CONE["surface"],
+                                                             halfwidth=_TOKEN)), "1" + "0" * 400),
+        ("oy-run", dict(README_OY, mesh=_TOKEN), "1" + "0" * 400),
+    ], ids=["bihalfspace-R-1e400", "bihalfspace-R-401-digits", "paraboloid-halfwidth",
+            "oy-run-mesh"])
+    def test_number_a_double_cannot_hold_is_a_config_error(self, tmp_path, capsys, command,
+                                                            config, token):
+        # json.load read 1e400 as inf and a 401-digit integer as itself: the
+        # first ran and wrote "R": Infinity, the others ended in a traceback
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config).replace(repr(_TOKEN), token))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"config error: cannot parse config {cfg}: {token} is not a finite double")
         assert not out.exists()
 
     @settings(max_examples=600, derandomize=True, deadline=None)
@@ -803,7 +827,6 @@ class TestConfigValidator:
 
 
 README_CONE, CI_BIHALFSPACE = BASE_CONFIGS[1], BASE_CONFIGS[3]
-_HEIGHT_FIELD = {"kind": "height", "W": [0.0, 0.0, 1.0]}
 
 
 class TestKeyRule:
@@ -822,7 +845,7 @@ class TestKeyRule:
          "a halfspace theorem-check config does not read 'R'"),
         ("theorem-check", dict(HALFSPACE_1E3, k_max=3),
          "a halfspace theorem-check config does not read 'k_max'"),
-        ("theorem-check", dict(HALFSPACE_1E3, field=_HEIGHT_FIELD),
+        ("theorem-check", dict(HALFSPACE_1E3, field=README_OY["field"]),
          "a halfspace theorem-check config does not read 'field'"),
         ("theorem-check", dict(HALFSPACE_1E3, region=dict(HALFSPACE_1E3["region"], a=0.4, V=V4)),
          "a halfspace region does not read 'region.V', 'region.a'"),
