@@ -34,6 +34,7 @@ from .symfun import newton_transforms, symmetrized
 _RANK_TOL = 1e-8          # smallest singular value of dX below this is singular
 _BOUNDARY_MARGIN = 1e-6   # mesh points this close (fractionally) to the box edge are dropped
 _SEGMENT_QUAD_POINTS = 129  # speed samples of segment_arclength: odd, so Simpson panels fill it
+_SEGMENT_CHUNK_ENTRIES = 1 << 18  # d2X entries per chart.jets call of segment_arclength (2 MB)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,19 @@ def _generalized_cross(dX):
     return signs * minors
 
 
+def _check_rank(g, index, U, rows):
+    """Raise at the first of ``rows`` whose metric g has lambda_min <= _RANK_TOL^2."""
+    if rows.size == 0:
+        return
+    lam_min = np.min(np.linalg.eigvalsh(g[rows]), axis=1, initial=np.inf)
+    j = _first(lam_min <= _RANK_TOL**2)
+    if j is not None:
+        raise SingularPointError(
+            f"rank-deficient chart point: smallest singular value "
+            f"{math.sqrt(max(lam_min[j], 0.0)):.3e} <= {_RANK_TOL:.0e}{_where(index, U, rows[j])}"
+        )
+
+
 def _first(bad):
     """Index of the first True entry of a mask, or None."""
     hits = np.flatnonzero(bad)
@@ -290,6 +304,9 @@ def mesh_geometry(chart, U):
     The checks run stage by stage over all rows (domain, finite jet,
     rank, Cholesky, normal, orientation, shape operator); each error
     names the first failing row by its mesh index and parameter point.
+    The rank check takes ``eigvalsh`` of g only on rows whose Cholesky
+    factor does not already bound lambda_min(g) clear of the tolerance;
+    when the batched Cholesky fails, it runs on every row first.
     """
     U = np.asarray(U, dtype=float)
     n = chart.n
@@ -306,16 +323,10 @@ def mesh_geometry(chart, U):
     if i is not None:
         raise SingularPointError(f"non-finite chart jet{_where(index, U, i)}")
     g = _transposed(dX) @ dX
-    lam_min = np.min(np.linalg.eigvalsh(g), axis=1, initial=np.inf)
-    i = _first(lam_min <= _RANK_TOL**2)
-    if i is not None:
-        raise SingularPointError(
-            f"rank-deficient chart point: smallest singular value "
-            f"{math.sqrt(max(lam_min[i], 0.0)):.3e} <= {_RANK_TOL:.0e}{_where(index, U, i)}"
-        )
     try:
-        L = np.linalg.cholesky(g)
+        Linv = np.linalg.inv(np.linalg.cholesky(g))
     except np.linalg.LinAlgError:
+        _check_rank(g, index, U, np.arange(len(U)))
         for i in range(len(U)):
             try:
                 np.linalg.cholesky(g[i])
@@ -324,6 +335,12 @@ def mesh_geometry(chart, U):
                     f"metric not positive definite{_where(index, U, i)}: {exc}"
                 ) from exc
         raise
+    # lambda_min(g) = 1 / |L^{-1}|_2^2 >= 1 / |L^{-1}|_F^2: a row this bound clears
+    # with room for eigvalsh's rounding cannot fail the rank check
+    flat = Linv.reshape(len(U), n * n)
+    bound = 1.0 / rowdot(flat, flat)
+    trace = np.trace(g, axis1=1, axis2=2)
+    _check_rank(g, index, U, np.flatnonzero(~(bound > 2.0 * _RANK_TOL**2 + 1e-12 * trace)))
 
     raw = _generalized_cross(dX)
     nrm = np.sqrt(rowdot(raw, raw))
@@ -340,7 +357,6 @@ def mesh_geometry(chart, U):
     N = chart.orient_sign * N
 
     II = _matvec(d2X, N[:, None, :])  # (m, n, n): <dd X_{ij}, N>
-    Linv = np.linalg.inv(L)
     A = symmetrized(Linv @ II @ _transposed(Linv), where=lambda j: _where(index, U, j))
     k = np.linalg.eigvalsh(A)
     i = _first(~np.all(np.isfinite(k), axis=1))
@@ -711,37 +727,47 @@ def oscillating_graph_chart(n, x_lo=2.0, x_hi=12.0, halfwidth=1.0):
     return graph_chart(n, height, grad, hess, dom, name="oscillating-graph")
 
 
-def segment_arclength(chart, u, base_u):
-    """Arclength of the straight parameter segment from base_u to u.
+def segment_arclength(chart, U, base_u):
+    """Arclengths (m,) of the straight parameter segments from base_u to the rows of U (m, n).
 
     Exact along meridians and product factors; an upper bound for the
-    intrinsic distance in general. The speed is sampled at
+    intrinsic distance in general. Each speed is sampled at
     ``_SEGMENT_QUAD_POINTS`` (odd) equal steps and integrated by ``_simpson``.
+    The nodes of all segments go through ``chart.jets``, a chunk of
+    segments per call: a chunk holds at most ``_SEGMENT_CHUNK_ENTRIES``
+    entries of d2X, which grows as n^2 (n+1) per node, so the scratch
+    memory depends neither on m nor on n. A row's bits do not depend on the
+    rows around it.
     """
-    u = np.asarray(u, dtype=float)
+    n = chart.n
+    U = np.asarray(U, dtype=float).reshape(-1, n)
     b = np.asarray(base_u, dtype=float)
     ts = np.linspace(0.0, 1.0, _SEGMENT_QUAD_POINTS)
-    du = u - b
-    _, dX, _ = chart.jets(b + ts[:, None] * du)
-    velocity = _matvec(dX, du)
-    speeds = np.sqrt(rowdot(velocity, velocity))
-    return float(_simpson(speeds, ts))
+    chunk = max(1, _SEGMENT_CHUNK_ENTRIES // (ts.size * n * n * (n + 1)))
+    out = np.empty(len(U))
+    for lo in range(0, len(U), chunk):
+        du = U[lo : lo + chunk, None, :] - b
+        _, dX, _ = chart.jets(b + ts[:, None] * du)
+        velocity = _matvec(dX.reshape(len(du), ts.size, n + 1, n), du)
+        out[lo : lo + chunk] = _simpson(np.sqrt(rowdot(velocity, velocity)), ts)
+    return out
 
 
 def _simpson(y, x):
-    """Composite Simpson rule over an odd number of samples y at increasing nodes x.
+    """Composite Simpson rule over an odd number of samples y (..., k) at increasing nodes x (k,).
 
     The arithmetic of ``scipy.integrate.simpson(y, x=x)`` for an odd count
     (its ``_basic_simpson`` with uneven spacings), so the result has the
-    same bits without importing ``scipy.integrate``.
+    same bits without importing ``scipy.integrate``. A stack of rows sums
+    each row along the last axis, in the order of a one-row call.
     """
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
     ratio = h0 / h1
     tmp = hsum / 6.0 * (
-        y[0:-2:2] * (2.0 - 1.0 / ratio)
-        + y[1::2] * (hsum * (hsum / (h0 * h1)))
-        + y[2::2] * (2.0 - ratio)
+        y[..., 0:-2:2] * (2.0 - 1.0 / ratio)
+        + y[..., 1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[..., 2::2] * (2.0 - ratio)
     )
-    return np.sum(tmp)
+    return np.sum(tmp, axis=-1)

@@ -174,6 +174,22 @@ class OYRun:
         }
 
 
+def _max_spectral_radius(H):
+    """max_i max |eigvalsh(H_i)| over a stack H (m, n, n), m >= 1, of symmetric matrices.
+
+    A row's spectral radius is at most its Frobenius norm, so ``eigvalsh``
+    runs only on the rows whose norm reaches the spectral radius of the
+    row with the largest norm (with a 1e-10 relative margin for rounding)
+    and on NaN rows; the maximum is over the same per-row values.
+    """
+    m, n, _ = H.shape
+    flat = H.reshape(m, n * n)
+    fro = np.sqrt(rowdot(flat, flat))
+    top = np.max(np.abs(np.linalg.eigvalsh(H[np.argmax(fro)])))
+    reach = ~(fro < top * (1.0 - 1e-10))
+    return float(np.max(np.abs(np.linalg.eigvalsh(H[reach])), initial=0.0))
+
+
 def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, rows=None):
     """Maximizers of f_k = u - eps_k phi(gamma) with recorded gradient and L values.
 
@@ -206,7 +222,7 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, rows=None):
     L_u = np.trace(P @ Hu, axis1=1, axis2=2)
     grad_g = np.sqrt(rowdot(gg, gg))
     L_g = np.trace(P @ Hg, axis1=1, axis2=2)
-    lip = float(np.max(np.abs(np.linalg.eigvalsh(Hu)), initial=0.0))
+    lip = _max_spectral_radius(Hu)
 
     pb = G.p_bound(gvals)
     usable = np.isfinite(pb) & (pb > 0.0)

@@ -190,9 +190,7 @@ def growth_report(mesh, hypothesis, params):
             scales = np.asarray(chart.intrinsic_distance(mesh.points), dtype=float)
         else:
             center = 0.5 * (chart.param_domain[:, 0] + chart.param_domain[:, 1])
-            scales = np.array(
-                [segment_arclength(chart, u, center) for u in mesh.points]
-            )
+            scales = segment_arclength(chart, mesh.points, center)
         values = geom.normA
     else:
         scales = np.sqrt(rowdot(geom.X, geom.X))
@@ -294,21 +292,25 @@ def cylinder_field(R, a, Q, shift):
     )
 
 
-def in_pocket(X, a, b, R):
-    """Membership in the bounded vertex-side component of the wedge minus cylinder.
+def pocket_mask(X, a, b, R):
+    """Membership (...,) of points X (..., n+1) in the pocket of the wedge minus cylinder.
 
     In normalized coordinates the wedge is a x1 +- b x2 >= 0; the cylinder
     of radius R around the axis flat is tangent to both wedge walls, and
-    the pocket is the component of the complement that contains the wedge
-    vertex: d_R > R, x1 below the tangency abscissa R b^2 / a, inside the
-    wedge (there d_R stays below R/a).
+    the pocket is the bounded component of the complement, the one that
+    contains the wedge vertex: d_R > R (d_R from ``cylinder_distance``),
+    x1 below the tangency abscissa R b^2 / a, inside the wedge (there d_R
+    stays below R/a).
     """
-    X = np.asarray(X, dtype=float).ravel()
-    x1, x2 = X[0], X[1]
-    if a * x1 + b * x2 < 0.0 or a * x1 - b * x2 < 0.0:
-        return False
-    d = math.hypot(x1 - R / a, x2)
-    return d > R and x1 <= R * b * b / a + 1e-12
+    X = np.asarray(X, dtype=float)
+    x1, x2 = X[..., 0], X[..., 1]
+    wedge = (a * x1 + b * x2 >= 0.0) & (a * x1 - b * x2 >= 0.0)
+    return wedge & (cylinder_distance(R, a, X) > R) & (x1 <= R * b * b / a + 1e-12)
+
+
+def in_pocket(X, a, b, R):
+    """``pocket_mask`` of one point X, as a bool."""
+    return bool(pocket_mask(np.asarray(X, dtype=float).ravel(), a, b, R))
 
 
 @dataclass(frozen=True)
@@ -353,7 +355,7 @@ def bihalfspace_drive(mesh, region, V, R, r, eps):
     Q, shift, a, b = normalize_bihalfspace(region, V)
     f = cylinder_field(R, a, Q, shift)
     TX = _wedge_coordinates(Q, shift, mesh.positions())
-    mask = np.array([in_pocket(x, a, b, R) for x in TX], dtype=bool)
+    mask = pocket_mask(TX, a, b, R)
     if not np.any(mask):
         return BiHalfspaceDriveReport(
             a=a, b=b, R=R, r=r, eps=eps, empty=True, n_points=0,

@@ -244,7 +244,7 @@ class RotProfile:
         high = np.flatnonzero(~low)
         seg = np.clip(np.searchsorted(t, R[high], side="right") - 1, 0, h.size - 1)
         q_seg = order[seg]
-        for q in np.unique(q_seg):
+        for q in np.flatnonzero(np.bincount(q_seg)):
             p = np.arange(q + 1)
             rows = np.flatnonzero(q_seg == q)
             for lo in range(0, rows.size, _DENSE_CHUNK):

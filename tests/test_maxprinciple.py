@@ -20,6 +20,7 @@ from rmcf.charts import (
 from rmcf.errors import DomainError, InvalidInputError
 from rmcf.maxprinciple import (
     BOUND_LOWER_LIMIT,
+    _max_spectral_radius,
     GFunction,
     SPLICE_T0,
     alpha,
@@ -206,6 +207,32 @@ def _vertical_gamma(level=2.0):
 
 
 class TestOYSequence:
+    def test_lipschitz_bound_is_the_stacks_largest_spectral_radius(self):
+        # eigvalsh runs only on rows whose Frobenius norm reaches the top
+        # spectral radius; the bound must still be max |eigvalsh| of the whole
+        # stack to the bit, with ties (copies, turned copies) and rank-1 rows,
+        # whose Frobenius norm is their spectral radius
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+            H = rng.standard_normal((m, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1, 1))
+            H = H + np.swapaxes(H, 1, 2)
+            v = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (m, 1))
+            rank1 = rng.random(m) < 0.3
+            H[rank1] = (v[:, :, None] * v[:, None, :])[rank1]
+            top = int(np.argmax(np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)))
+            for i in rng.choice(m, size=m // 3, replace=False):
+                Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                H[i] = H[top] if rng.random() < 0.5 else Q @ H[top] @ Q.T
+            # a rank-1 row scaled to the top spectral radius, and a zero row
+            rho = np.max(np.abs(np.linalg.eigvalsh(H[top])))
+            w = rng.standard_normal(n)
+            H[rng.integers(m)] = rho * np.outer(w, w) / (w @ w)
+            H[rng.integers(m)] = 0.0
+            want = float(np.max(np.abs(np.linalg.eigvalsh(H)), initial=0.0))
+            assert _max_spectral_radius(H) == want
+        assert _max_spectral_radius(np.zeros((5, 3, 3))) == 0.0
+
     def test_sphere_height_maximum(self):
         ch = sphere_chart(2)
         mesh = Mesh.grid(ch, 25)

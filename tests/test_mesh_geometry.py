@@ -43,7 +43,7 @@ from rmcf.regions import (
     normalize_bihalfspace,
 )
 from rmcf.symfun import SymMatrix
-from rmcf.translators import _omega_jet, grim_reaper_chart
+from rmcf.translators import _omega_jet, grim_reaper_chart, rot_chart, solve_rotational_translator
 
 from fd_fields import ScalarField
 from lsoda_oracle import dense_upp, solve_ivp_oracle
@@ -536,6 +536,68 @@ class TestMeshGeometry:
         mesh_geometry(ch, mesh.points[[0, 1, 3, 4]])  # the other rows are regular
         with pytest.raises(SingularPointError, match=r"mesh index 1, u = \[0\.\]"):
             mesh_geometry(ch, mesh.points[1:4])  # the singular point is row 1 of these
+
+    def test_rank_errors_keep_their_text(self):
+        # a row whose dX has the singular value 1e-9 (its Cholesky factor
+        # exists), and a row whose metric eigvalsh calls positive but whose
+        # Cholesky factorization fails: the exact messages of the stagewise checks
+        def thin(U):
+            # X = (u1, u2^3 / 3 + 1e-9 u2, 0)
+            m = len(U)
+            X = np.zeros((m, 3))
+            X[:, 0], X[:, 1] = U[:, 0], U[:, 1] ** 3 / 3.0 + 1e-9 * U[:, 1]
+            dX = np.zeros((m, 3, 2))
+            dX[:, 0, 0], dX[:, 1, 1] = 1.0, U[:, 1] ** 2 + 1e-9
+            return X, dX, np.zeros((m, 2, 2, 3))
+
+        folded_dX = np.array([[-271.13530711663304, -271.13530711663446],
+                              [799.4917921672036, 799.4917921672093],
+                              [-579.4001859135368, -579.4001859135398]])
+
+        def folded(U):
+            m = len(U)
+            X = np.zeros((m, 3))
+            X[:, :2] = U
+            dX = np.zeros((m, 3, 2))
+            dX[:, 0, 0] = dX[:, 1, 1] = 1.0
+            dX[U[:, 0] > 0.5] = folded_dX
+            return X, dX, np.zeros((m, 2, 2, 3))
+
+        U = np.array([[0.0, 0.5], [0.25, -0.5], [0.5, 0.0], [0.75, 0.0], [-0.5, 0.0], [0.9, 0.3]])
+        box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        g = folded_dX.T @ folded_dX
+        assert np.min(np.linalg.eigvalsh(g)) > 1e-16
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(g)
+        np.linalg.cholesky(np.diag([1.0, 1e-18]))  # thin's metric at u2 = 0
+        want = {
+            thin: "rank-deficient chart point: smallest singular value 1.000e-09 <= 1e-08"
+                  " at mesh index 2, u = [0.5 0. ]",
+            folded: "metric not positive definite at mesh index 3, u = [0.75 0.  ]:"
+                    " Matrix is not positive definite",
+        }
+        for jet, text in want.items():
+            with pytest.raises(SingularPointError) as err:
+                mesh_geometry(Chart(n=2, param_domain=box, jet=jet), U)
+            assert str(err.value) == text
+
+    def test_mesh_theorems_meshes_take_one_eigvalsh(self, monkeypatch):
+        # on the (3, 2) bowl meshes of the bi-half-space, cone and half-space
+        # checks, every metric row is certified from its Cholesky factor: the
+        # one eigvalsh call is the spectrum of A
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for R_max in (40.0, 1e3):
+            ch = rot_chart(solve_rotational_translator(3, 2, R_max=R_max, tol=1e-9))
+            calls.clear()
+            Mesh.grid(ch, 13).geometry()
+            assert calls == [(13**3, 3, 3)], R_max
 
     def test_domain_error_names_the_row(self):
         ch = paraboloid_chart(2)

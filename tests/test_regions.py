@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcf.charts import Mesh, _simpson, flat_chart, paraboloid_chart
+import rmcf.charts
+from rmcf.charts import (
+    Mesh,
+    _matvec,
+    _simpson,
+    flat_chart,
+    oscillating_graph_chart,
+    paraboloid_chart,
+    rowdot,
+    segment_arclength,
+    sphere_chart,
+)
 from rmcf.errors import DomainError, InvalidInputError, SingularPointError
 from rmcf.regions import (
     _LOGLOG_FLOOR,
@@ -24,6 +35,7 @@ from rmcf.regions import (
     in_pocket,
     min_eigen_over_mesh,
     normalize_bihalfspace,
+    pocket_mask,
     violation_margins,
 )
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
@@ -182,6 +194,37 @@ class TestGrowthReport:
         assert np.max(np.abs(rep.scales / want - 1.0)) <= tol
         assert rep.scale_reached == pytest.approx(float(np.max(want)), rel=tol)
 
+    @pytest.mark.parametrize("chunk_segments", [3, None])
+    def test_segment_arclength_rows_are_one_segment_calls(self, monkeypatch, chunk_segments):
+        # each stacked row has the bits of the one-segment quadrature, whose
+        # jets, speeds and Simpson sum ran on that segment's nodes alone; a
+        # chunk of 3 segments puts boundaries between rows, the default chunk
+        # between rows 168 and 169 on the n = 2 charts
+        def one_segment(chart, u, b):
+            ts = np.linspace(0.0, 1.0, rmcf.charts._SEGMENT_QUAD_POINTS)
+            du = u - b
+            _, dX, _ = chart.jets(b + ts[:, None] * du)
+            velocity = _matvec(dX, du)
+            return float(_simpson(np.sqrt(rowdot(velocity, velocity)), ts))
+
+        rng = np.random.default_rng(21)
+        for ch in (paraboloid_chart(2, halfwidth=10.0), paraboloid_chart(3, curvature=0.7),
+                   sphere_chart(2, radius=30.0), flat_chart(2, halfwidth=10.0),
+                   oscillating_graph_chart(2, x_hi=30.0)):
+            n = ch.n
+            if chunk_segments is not None:
+                monkeypatch.setattr(rmcf.charts, "_SEGMENT_CHUNK_ENTRIES",
+                                    chunk_segments * rmcf.charts._SEGMENT_QUAD_POINTS
+                                    * n * n * (n + 1))
+            lo, hi = ch.param_domain[:, 0], ch.param_domain[:, 1]
+            U = lo + rng.uniform(0.0, 1.0, (10 if chunk_segments else 400, n)) * (hi - lo)
+            for b in (0.5 * (lo + hi), U[1]):
+                got = segment_arclength(ch, U, b)
+                assert got.shape == (len(U),)
+                want = [one_segment(ch, u, b) for u in U]
+                assert got.tolist() == want, ch.name
+                assert segment_arclength(ch, U[4], b).tolist() == want[4:5]
+
     def test_simpson_is_scipys_to_the_bit(self):
         # the segment quadrature is scipy.integrate.simpson's arithmetic for
         # an odd sample count, without importing scipy.integrate
@@ -301,6 +344,27 @@ class TestCylinderHessian:
 
 
 class TestPocket:
+    def test_mask_rows_are_in_pocket(self):
+        # the stacked mask is in_pocket row by row, also on the wedge walls
+        # a x1 = +-b x2, on the cylinder d_R = R and at the tangency abscissa
+        a, b, R = 0.6, 0.8, 1.0
+        t = np.linspace(0.0, 1.0, 11)
+        walls = np.concatenate([np.stack([b * t, s * a * t], axis=-1) for s in (1.0, -1.0)])
+        theta = np.linspace(0.0, 2.0 * np.pi, 25)
+        cylinder = np.stack([R / a + R * np.cos(theta), R * np.sin(theta)], axis=-1)
+        special = np.array([[R / a - R, 0.0], [R / a + R, 0.0], [R * b * b / a, 0.3],
+                            [R * b * b / a + 1e-12, 0.0], [0.0, 0.0]])
+        rng = np.random.default_rng(15)
+        scattered = np.stack([rng.uniform(-0.5, 2.5, 400), rng.uniform(-2.0, 2.0, 400)], axis=-1)
+        X = np.concatenate([walls, cylinder, special, scattered])
+        X = np.concatenate([X, rng.normal(size=(len(X), 2))], axis=1)  # trailing coordinates
+        mask = pocket_mask(X, a, b, R)
+        assert mask.dtype == bool and mask.shape == (len(X),)
+        assert mask.tolist() == [in_pocket(x, a, b, R) for x in X]
+        assert all(type(in_pocket(x, a, b, R)) is bool for x in X[:3])
+        assert mask[: len(walls)].any()
+        assert mask.reshape(2, -1).tolist() == pocket_mask(X.reshape(2, -1, 4), a, b, R).tolist()
+
     def test_geometry(self):
         a, b, R = 0.6, 0.8, 1.0
         assert in_pocket([0.3, 0.0, 0.0], a, b, R)  # near the wedge vertex
