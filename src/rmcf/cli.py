@@ -1,14 +1,13 @@
 """Command-line front end: declarative experiment configs and JSON reports.
 
 Commands: verify-identities, theorem-check, profile, oy-run. Configs are
-single JSON documents. ``_CONFIG_SCHEMA`` types their values, and a small
-walker over it gives jsonschema's draft 2020-12 verdicts and its
-``best_match`` messages without importing jsonschema, which only the tests
-use, as the oracle. Which keys each config object reads, and their
-defaults, is ``registry._spec_keys``'s to say (``_COMMAND_KEYS`` for the
-top level). Every report embeds the config hash and the library
-version, floats are formatted to 12 significant digits, and reductions are
-index ordered, so a rerun of the same config produces byte-identical output.
+single JSON documents, each object read by one key table of its keys'
+types, ranges and defaults (``_COMMAND_KEYS`` and ``_THEOREM_KEYS`` at the
+top level, the ``registry`` tables below); ``_read_config`` checks a whole
+config before any chart is built. Every report embeds the config hash and
+the library version, floats are formatted to 12 significant digits, and
+reductions are index ordered, so a rerun of the same config produces
+byte-identical output.
 
 Exit codes: 0 consistent/pass, 1 mathematical failure, 2 usage or config
 error.
@@ -17,6 +16,7 @@ error.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,87 +27,8 @@ from .charts import Mesh
 from .errors import InvalidInputError, RmcfError
 from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
 from .regions import bihalfspace_drive
+from .registry import NEEDED, NUMBER, VECTOR, KeyType
 from .translators import asymptotic_fit, bowl_drift, export_profile, solve_rotational_translator
-
-_NUM_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 2}
-
-_SURFACE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {
-            "enum": ["grim_reaper", "bowl", "sphere", "paraboloid", "flat", "oscillating"]
-        },
-        "n": {"type": "integer", "minimum": 1, "maximum": 16},
-        "r": {"type": "integer", "minimum": 1, "maximum": 16},
-        "R_max": {"type": "number"},
-        "tol": {"type": "number"},
-        "eta": {"type": "number"},
-        "t_halfwidth": {"type": "number"},
-        "radius": {"type": "number"},
-        "center": _NUM_ARRAY,
-        "cap": {"enum": ["upper", "lower"]},
-        "curvature": {"type": "number"},
-        "halfwidth": {"type": "number"},
-        "x_lo": {"type": "number"},
-        "x_hi": {"type": "number"},
-    },
-}
-
-_HALFSPACE_SCHEMA = {
-    "type": "object",
-    "properties": {"B": _NUM_ARRAY, "W": _NUM_ARRAY},
-}
-
-_REGION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["cone", "halfspace", "bihalfspace"]},
-        "V": _NUM_ARRAY,
-        "a": {"type": "number"},
-        "B": _NUM_ARRAY,
-        "W": _NUM_ARRAY,
-        "halfspaces": {"type": "array", "items": _HALFSPACE_SCHEMA, "minItems": 2, "maxItems": 2},
-        "vertical_to": _NUM_ARRAY,
-    },
-}
-
-# an oy-run scalar field; registry.build_scalar_field checks the vector lengths
-_FIELD_SCHEMA = {
-    "type": "object",
-    "properties": {"kind": {"enum": ["height", "cone_excess", "dist_sq"]}, "W": _NUM_ARRAY,
-                   "V": _NUM_ARRAY, "a": {"type": "number"}, "origin": _NUM_ARRAY},
-}
-
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "surface": _SURFACE_SCHEMA,
-        "region": _REGION_SCHEMA,
-        "theorem": {"enum": ["cone", "halfspace", "bihalfspace"]},
-        "r": {"type": "integer", "minimum": 1, "maximum": 16},
-        "V": _NUM_ARRAY,
-        "a": {"type": "number"},
-        "eps": {"type": "number"},
-        "R": {"type": "number"},
-        "asserted": {"enum": ["proper", "bounded-sigma"]},
-        "mesh": {
-            "anyOf": [
-                {"type": "integer", "minimum": 2},
-                {"type": "array", "items": {"type": "integer", "minimum": 2}},
-            ]
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "field": _FIELD_SCHEMA,
-        "gamma": _FIELD_SCHEMA,
-        "G": {
-            "type": "object",
-            "properties": {"kind": {"enum": ["iterated_log", "constant"]},
-                           "levels": {"type": "integer"}, "value": {"type": "number"}},
-        },
-        # oy_sequence scans the whole mesh once per index
-        "k_max": {"type": "integer", "minimum": 1, "maximum": 1000},
-    },
-}
 
 
 def _fmt(value):
@@ -130,92 +51,6 @@ def _config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# the JSON types the schema names, as draft 2020-12 (jsonschema's default for
-# a schema without "$schema") defines them on what json.load returns: a bool
-# is neither an integer nor a number, an integral float such as 3.0 is an
-# integer, and NaN and Infinity are numbers (``_load_config`` rejects those
-# tokens before the walker sees a config file)
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
-    or (isinstance(v, float) and v.is_integer()),
-}
-
-
-def _schema_errors(schema, value, path=()):
-    """Each way ``value`` breaks ``schema``, in jsonschema's order and words.
-
-    Knows only the keywords ``_CONFIG_SCHEMA`` uses, and ``minItems`` and
-    ``maxItems`` only above 1 and 0
-    (jsonschema words those messages differently). An error is
-    ``(relevance, message, context)``, where ``context`` holds the errors of
-    all branches of a failed ``anyOf``, with paths relative to its value.
-    """
-    # jsonschema's relevance key: minus the depth, the path, whether the keyword
-    # is not anyOf, and whether the value misses the schema's type (a schema
-    # without one counts as missed); its "strong keyword" slot is always empty
-    mistyped = not ("type" in schema and _TYPES[schema["type"]](value))
-    relevance = (-len(path), path, True, mistyped)
-    is_object, is_array = isinstance(value, dict), isinstance(value, list)
-    is_number = _TYPES["number"](value)
-    for keyword, arg in schema.items():
-        if keyword == "type":
-            if not _TYPES[arg](value):
-                yield relevance, f"{value!r} is not of type {arg!r}", ()
-        elif keyword == "enum":
-            if value not in arg:  # the schema's enums hold strings only
-                yield relevance, f"{value!r} is not one of {arg!r}", ()
-        elif keyword == "minimum":
-            if is_number and value < arg:
-                yield relevance, f"{value!r} is less than the minimum of {arg!r}", ()
-        elif keyword == "maximum":
-            if is_number and value > arg:
-                yield relevance, f"{value!r} is greater than the maximum of {arg!r}", ()
-        elif keyword == "properties":
-            if is_object:
-                for name, sub in arg.items():
-                    if name in value:
-                        yield from _schema_errors(sub, value[name], path + (name,))
-        elif keyword == "items":
-            if is_array:
-                for index, item in enumerate(value):
-                    yield from _schema_errors(arg, item, path + (index,))
-        elif keyword == "minItems":
-            if is_array and len(value) < arg:
-                yield relevance, f"{value!r} is too short", ()
-        elif keyword == "maxItems":
-            if is_array and len(value) > arg:
-                yield relevance, f"{value!r} is too long", ()
-        elif keyword == "anyOf":
-            context = []
-            for sub in arg:
-                branch = list(_schema_errors(sub, value))
-                if not branch:
-                    break
-                context += branch
-            else:
-                yield ((-len(path), path, False, mistyped),
-                       f"{value!r} is not valid under any of the given schemas", context)
-
-
-def _best_message(errors):
-    """The message jsonschema's ``best_match`` picks from ``errors``, or None.
-
-    The error with the largest relevance key (the first of ties); then, while
-    it is an ``anyOf``, the error of its branches with the smallest key (the
-    deepest), unless two share that key.
-    """
-    best = max(errors, key=lambda e: e[0], default=None)
-    while best is not None and best[2]:
-        least = sorted(best[2], key=lambda e: e[0])[:2]
-        if len(least) == 2 and least[0][0] == least[1][0]:
-            break
-        best = least[0]
-    return None if best is None else best[1]
-
-
 def _reject_constant(token):
     raise ValueError(f"{token} is not a JSON number")
 
@@ -230,43 +65,58 @@ def _finite(parse):
 
 
 def _load_config(path):
-    """The config at ``path``: strict JSON (RFC 8259, finite numbers) that fits the schema."""
+    """The config at ``path``: a JSON object in strict JSON (RFC 8259, finite numbers)."""
     try:
         with open(path) as fh:
             config = json.load(fh, parse_constant=_reject_constant, parse_float=_finite(float),
                                parse_int=_finite(int))
     except (OSError, ValueError) as exc:
         raise InvalidInputError(f"cannot parse config {path}: {exc}") from exc
-    message = _best_message(_schema_errors(_CONFIG_SCHEMA, config))
-    if message is not None:
-        raise InvalidInputError(f"config rejected: {message}")
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"a config must be an object (got {config!r})")
     return config
 
 
-# the top-level keys each command reads, with defaults, and a theorem-check's for its theorem
-NEEDED = registry.NEEDED
+# the top-level keys each command reads, and a theorem-check's for its theorem:
+# key=(type, default), the registry's types reading the config objects below
+_SEED = registry.integers(0)
+_COUNT = registry.integers(2).test  # points on one mesh axis
+_MESH = KeyType("an integer >= 2, or an array of them",
+                lambda v: _COUNT(v) or isinstance(v, list) and all(map(_COUNT, v)))
+_APERTURE = KeyType("a number in (0, 1)", lambda v: NUMBER.test(v) and 0.0 < v < 1.0)
+_RADIUS = KeyType("a positive number", lambda v: NUMBER.test(v) and v > 0.0)
+_THEOREM_KEYS = {"cone": dict(a=(_APERTURE, NEEDED),
+                              asserted=(registry.one_of("proper", "bounded-sigma"), "proper")),
+                 "halfspace": {}, "bihalfspace": dict(eps=(NUMBER, 0.0), R=(_RADIUS, 1.0))}
+_THEOREM = registry.one_of(*_THEOREM_KEYS)
 _COMMAND_KEYS = {
-    "verify-identities": dict(surface=NEEDED, seed=0),
-    "theorem-check": dict(surface=NEEDED, region=NEEDED, theorem=NEEDED, r=NEEDED, V=NEEDED,
-                          mesh=None, seed=0),
-    "oy-run": dict(surface=NEEDED, field=NEEDED, gamma={"kind": "dist_sq"},
-                   G={"kind": "iterated_log", "levels": 1}, r=1, k_max=8, mesh=None, seed=0),
+    "verify-identities": dict(surface=(registry.SURFACE, NEEDED), seed=(_SEED, 0)),
+    "theorem-check": dict(surface=(registry.SURFACE, NEEDED), region=(registry.REGION, NEEDED),
+                          theorem=(_THEOREM, NEEDED), r=(registry.ORDER, NEEDED),
+                          V=(VECTOR, NEEDED), mesh=(_MESH, None), seed=(_SEED, 0)),
+    "oy-run": dict(surface=(registry.SURFACE, NEEDED), field=(registry.FIELD, NEEDED),
+                   gamma=(registry.FIELD, {"kind": "dist_sq"}),
+                   G=(registry.GROWTH, {"kind": "iterated_log", "levels": 1}),
+                   r=(registry.ORDER, 1),
+                   # oy_sequence scans the whole mesh once per index
+                   k_max=(registry.integers(1, 1000), 8), mesh=(_MESH, None), seed=(_SEED, 0)),
 }
-_THEOREM_KEYS = {"cone": dict(a=NEEDED, asserted="proper"), "halfspace": {},
-                 "bihalfspace": dict(eps=0.0, R=1.0)}
 
 
 def _read_config(args):
-    """The config at ``args.config``, and the top-level values its command reads, by key.
+    """The config at ``args.config``, and the values its command reads, by key, all checked.
 
-    ``--seed`` and ``--mesh`` replace the config's; the seed is an int (3.0 gives 3's report).
+    ``--seed`` and ``--mesh`` replace the config's, checked by its types; the seed is an int
+    (3.0 gives 3's report).
     """
     config = _load_config(args.config)
-    theorem = config.get("theorem") if args.command == "theorem-check" else None
-    keys = registry._spec_keys(config, "", f"{theorem} {args.command}" if theorem else args.command,
-                               kinded=False, **_COMMAND_KEYS[args.command],
-                               **_THEOREM_KEYS.get(theorem, {}))
-    keys.update((k, v) for k, v in vars(args).items() if k in ("seed", "mesh") and v is not None)
+    kind, table = args.command, _COMMAND_KEYS[args.command]
+    if kind == "theorem-check" and "theorem" in config:
+        theorem = _THEOREM(config["theorem"], "theorem")
+        kind, table = f"{theorem} {kind}", dict(table, **_THEOREM_KEYS[theorem])
+    keys = registry._spec_keys(config, "", kind, table)
+    keys.update((k, table[k][0](v, k)) for k, v in vars(args).items()
+                if k in ("seed", "mesh") and v is not None)
     keys["seed"] = int(keys["seed"])
     return config, keys
 
@@ -290,14 +140,29 @@ def _header(command, config, seed):
     }
 
 
+# the most second-derivative entries, points x n^2 (n + 1), a mesh may hold:
+# 2^26 doubles (512 MiB) of d2X, 27 times the 41^3 (3,2) bowl mesh's and 1.8
+# times the 4^8 default's (0.7 GB peak); a finer mesh is a config error before
+# Mesh.grid allocates anything
+_MESH_ENTRIES = 2 ** 26
+
+
 def _mesh_counts(counts, n):
-    if counts is None:
+    """Points per axis of ``mesh`` on an n-dim chart (None: max(4, round(2000^(1/n))) each, or
+    fewer where that would pass the bound)."""
+    per_point, given = n * n * (n + 1), counts is not None
+    if not given:
         counts = max(4, int(round(2000 ** (1.0 / n))))
-    if not isinstance(counts, list):
-        return (int(counts),) * n
+        while counts > 2 and counts ** n * per_point > _MESH_ENTRIES:
+            counts -= 1
+    counts = tuple(int(c) for c in counts) if isinstance(counts, list) else (int(counts),) * n
     if len(counts) != n:
         raise InvalidInputError(f"mesh spec needs {n} axis counts")
-    return tuple(int(c) for c in counts)
+    if math.prod(counts) * per_point > _MESH_ENTRIES:
+        raise InvalidInputError((f"'mesh' {counts} is too fine" if given else
+                                 f"no mesh fits an n = {n} chart") + ": a mesh here holds at most "
+                                f"{_MESH_ENTRIES // per_point} points of {per_point} d2X entries")
+    return counts
 
 
 def cmd_verify_identities(args):
@@ -327,35 +192,32 @@ def _run_drive(mesh, gate, keys):
     eps = float(keys["eps"])
     if eps <= 0.0:
         eps = max(gate.min_eigen_P, 0.0)  # the gate's smallest P_{r-1} eigenvalue
-    rep = bihalfspace_drive(mesh, gate.region, gate.V, float(keys["R"]), gate.r, eps)
-    return rep.to_json_dict()
+    return bihalfspace_drive(mesh, gate.region, gate.V, float(keys["R"]), gate.r, eps).to_json_dict()
 
 
-def _check_theorem_config(keys, region, n):
-    """Reject values the schema and the key rule cannot see, before any mesh work; return r.
+def _check_theorem_config(keys, n):
+    """Reject what ties keys to each other or to n, before any mesh work; return r.
 
-    ``region`` holds the region's keys (``registry.region_keys``). That is a
-    region of the theorem's kind, vector lengths, a unit velocity V, a unit
-    half-space normal W with <V, W> > 0, the cone parameter a in (0, 1), a
-    cone axis along V, a ``vertical_to`` parallel to V, a positive cylinder
-    radius R and r in 1..n.
+    That is a region of the theorem's kind, vector lengths, a unit velocity
+    V, a unit half-space normal W with <V, W> > 0, a cone's ``region.a``
+    equal to ``a`` and its axis along V, a ``vertical_to`` parallel to V and
+    r in 1..n. Each value's type and range were checked when it was read.
     """
+    region = keys["region"]
     if region["kind"] != keys["theorem"]:
         raise InvalidInputError(f"theorem {keys['theorem']!r} needs a {keys['theorem']} region "
                                 f"(got 'region.kind' {region['kind']!r})")
     vectors = {"V": keys["V"]}
-    vectors.update((f"region.{k}", region[k]) for k in ("V", "W", "B", "vertical_to")
-                   if region.get(k) is not None)
-    for i, half in enumerate(region.get("halfspaces", ())):
-        vectors.update((f"region.halfspaces[{i}].{k}", half[k]) for k in ("W", "B")
-                       if half[k] is not None)
+    for entry, obj in [("region", region)] + [(f"region.halfspaces[{i}]", half) for i, half
+                                              in enumerate(region.get("halfspaces", ()))]:
+        vectors.update((f"{entry}.{k}", v) for k, v in obj.items()
+                       if k != "halfspaces" and isinstance(v, list))
     for name, vec in vectors.items():
         if len(vec) != n + 1:
             raise InvalidInputError(f"{name!r} needs n + 1 = {n + 1} coordinates for this "
                                     f"surface (got {len(vec)})")
-    # hypothesis_gate checks r, V, <V, W> and the cone's axis again, and Cone
-    # checks a, but their errors cannot name the config field; Halfspace
-    # normalizes W, and the gate reads a from the region
+    # hypothesis_gate checks r, V, <V, W> and the cone's axis again, but cannot
+    # name the config field; Halfspace normalizes W, the gate reads the region's a
     V = np.asarray(keys["V"], dtype=float)
     if abs(np.linalg.norm(V) - 1.0) > 1e-10:
         raise InvalidInputError(
@@ -372,17 +234,12 @@ def _check_theorem_config(keys, region, n):
         if region["a"] != keys["a"]:
             raise InvalidInputError(f"'region.a' = {region['a']} must equal the cone parameter "
                                     f"'a' = {keys['a']}")
-        if not 0.0 < keys["a"] < 1.0:
-            raise InvalidInputError(
-                f"the cone parameter 'a' must lie in (0, 1) (got {keys['a']})")
         if not _points_along(region["V"], V):
             raise InvalidInputError("'region.V' must point along the velocity 'V'")
     vertical_to = region.get("vertical_to")
     if vertical_to is not None and not (_points_along(vertical_to, V)
                                         or _points_along(vertical_to, -V)):
         raise InvalidInputError("'region.vertical_to' must be parallel to the velocity 'V'")
-    if "R" in keys and not keys["R"] > 0.0:
-        raise InvalidInputError(f"the cylinder radius 'R' must be positive (got {keys['R']})")
     return _order(keys["r"], n)
 
 
@@ -403,15 +260,13 @@ def _order(r, n):
 def cmd_theorem_check(args):
     config, keys = _read_config(args)
     chart = registry.build_chart(keys["surface"])
-    region = registry.region_keys(keys["region"])
-    r = _check_theorem_config(keys, region, chart.n)
-    region = registry.build_region(region)
+    r = _check_theorem_config(keys, chart.n)
+    region = registry.build_region(keys["region"])
     mesh = Mesh.grid(chart, _mesh_counts(keys["mesh"], chart.n))
 
     # the gate reads r, V and the theorem's eps or asserted
     gate = hypothesis_gate(mesh, region, dict(keys, r=r))
     drive = _run_drive(mesh, gate, keys)
-    exit_res = gate.exit
 
     payload = _header("theorem-check", config, keys["seed"])
     payload["results"] = {
@@ -419,9 +274,9 @@ def cmd_theorem_check(args):
         "gate": gate.to_json_dict(),
         "drive": drive,
         "first_exit": {
-            "found": exit_res.found,
-            "margin": exit_res.margin,
-            "witness": None if exit_res.witness is None else list(exit_res.witness),
+            "found": gate.exit.found,
+            "margin": gate.exit.margin,
+            "witness": None if gate.exit.witness is None else list(gate.exit.witness),
         },
         "consistent": gate.consistent,
     }
@@ -442,12 +297,8 @@ def cmd_profile(args):
     csv_path = out / "profile.csv"
     json_path = out / "profile.json"
     request = {"n": args.n, "r": args.r, "R_max": args.rmax, "tol": args.tol}
-    export_profile(
-        profile,
-        csv_path,
-        json_path,
-        extra_header={"version": __version__, "config_hash": _config_hash(request)},
-    )
+    export_profile(profile, csv_path, json_path,
+                   extra_header={"version": __version__, "config_hash": _config_hash(request)})
     print(f"profile: n={args.n} r={args.r} steps={profile.meta['steps']} "
           f"method={profile.meta['method']}")
     if args.r == 1 and args.n >= 2 and args.rmax >= 100.0:

@@ -1,4 +1,10 @@
-"""Declarative builders: chart, region, and field objects from config dictionaries."""
+"""Declarative builders: chart, region, and field objects from config dictionaries.
+
+Every config object has one key table, ``key=(type, default)``; a kinded
+object (surface, region, field or gamma, G) has one per ``kind``. A
+``KeyType`` checks a value and its range, and an object-valued key's type
+reads that object by its table, so reading a config checks all of it.
+"""
 
 import numpy as np
 
@@ -11,78 +17,123 @@ from .maxprinciple import GFunction
 NEEDED = object()
 
 
-def _spec_keys(spec, entry, kind, *, kinded=True, **defaults):
-    """The values of the keys a config object reads, by key, in the order of ``defaults``.
+class Keys(dict):
+    """A config object's values by key, as its table read them; its type returns it as is."""
 
-    The one rule for the keys of every config object; the schema types their
-    values. ``defaults`` names each key the object reads beside the ``kind``
-    it dispatches on (if ``kinded``), with its default or NEEDED. A missing
-    needed key, then any other key, is an InvalidInputError naming it as
-    ``'entry.key'`` (``'key'`` when ``entry`` is "", the top level).
+
+class KeyType:
+    """A key's JSON type and range, ``what`` and ``test``; ``read`` reads a config object's keys."""
+
+    def __init__(self, what, test, read=None):
+        self.what, self.test, self.read = what, test, read
+
+    def __call__(self, value, path):
+        """``value`` as read, or an InvalidInputError naming the key at ``path``."""
+        if isinstance(value, Keys):
+            return value
+        if not self.test(value):
+            raise InvalidInputError(f"{path!r} must be {self.what} (got {value!r})")
+        return value if self.read is None else self.read(value, path)
+
+
+def _number(value):
+    # a bool is not a JSON number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value):
+    # an integral float such as 3.0 is an integer, and gives its integer's report
+    return _number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def integers(lo, hi=None):
+    """The integers from lo, up to hi when given."""
+    return KeyType(f"an integer in {lo}..{hi}" if hi is not None else f"an integer >= {lo}",
+                   lambda v: _integer(v) and lo <= v and (hi is None or v <= hi))
+
+
+def one_of(*names):
+    return KeyType("one of " + ", ".join(map(repr, names)), lambda v: v in names)
+
+
+NUMBER = KeyType("a number", _number)
+INTEGER = KeyType("an integer", _integer)
+ORDER = integers(1, 16)  # a dimension n or an order r
+VECTOR = KeyType("an array of at least 2 numbers",
+                 lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_number, v)))
+
+
+def _spec_keys(spec, entry, kind, table):
+    """The values of the keys the config object ``spec`` reads, by key, in the order of ``table``.
+
+    The one rule for the keys of every config object: a missing needed key,
+    then a key ``table`` does not hold, then a value its type does not take,
+    is an InvalidInputError naming it as ``'entry.key'`` (``'key'`` at the
+    top level, where ``entry`` is ""); ``kind`` names the object.
     """
-    missing = [key for key, default in defaults.items() if default is NEEDED and key not in spec]
-    unread = sorted(set(spec) - set(defaults) - ({"kind"} if kinded else set()))
+    prefix = f"{entry}." if entry else ""
+    missing = [key for key, (_, default) in table.items() if default is NEEDED and key not in spec]
+    unread = sorted(set(spec) - set(table))
     for keys, verb in ((missing, "needs"), (unread, "does not read")):
         if keys:
             raise InvalidInputError(f"a {kind} {entry or 'config'} {verb} " + ", ".join(
-                repr(f"{entry}.{key}" if entry else key) for key in keys))
-    return {key: spec.get(key, default) for key, default in defaults.items()}
+                repr(prefix + key) for key in keys))
+    return Keys((key, type_(spec[key], prefix + key) if key in spec else default)
+                for key, (type_, default) in table.items())
+
+
+def _kinded(tables, default=None):
+    """The type of a config object whose ``kind`` (``default`` if left out) picks its table."""
+    kinds = one_of(*tables)
+
+    def read(spec, entry):
+        kind = kinds(spec.get("kind", default), f"{entry}.kind")
+        return _spec_keys(spec, entry, kind, dict(tables[kind], kind=(kinds, default)))
+
+    return KeyType("an object", lambda v: isinstance(v, dict), read)
+
+
+_SURFACE_KEYS = {
+    "grim_reaper": dict(n=(ORDER, 2), eta=(NUMBER, 1e-3), t_halfwidth=(NUMBER, 50.0)),
+    "bowl": dict(n=(ORDER, 2), r=(ORDER, 1), R_max=(NUMBER, 100.0), tol=(NUMBER, 1e-10)),
+    "sphere": dict(n=(ORDER, 2), radius=(NUMBER, 1.0), center=(VECTOR, None),
+                   cap=(one_of("upper", "lower"), "upper")),
+    "paraboloid": dict(n=(ORDER, 2), curvature=(NUMBER, 1.0), halfwidth=(NUMBER, 1.0)),
+    "flat": dict(n=(ORDER, 2), halfwidth=(NUMBER, 1.0)),
+    "oscillating": dict(n=(ORDER, 2), x_lo=(NUMBER, 2.0), x_hi=(NUMBER, 12.0),
+                        halfwidth=(NUMBER, 1.0)),
+}
+SURFACE = _kinded(_SURFACE_KEYS)
+
+
+# the chart of each surface kind whose keys beside n are numbers, which it takes by name
+_NUMBER_CHARTS = dict(grim_reaper=translators.grim_reaper_chart, paraboloid=charts.paraboloid_chart,
+                      flat=charts.flat_chart, oscillating=charts.oscillating_graph_chart)
 
 
 def build_chart(spec):
-    """Chart from a declarative surface description (kind + parameters)."""
-    kind = spec.get("kind")
-
-    def keys(**defaults):
-        return _spec_keys(spec, "surface", kind, **defaults).values()
-
-    if kind == "grim_reaper":
-        n, eta, t_halfwidth = keys(n=2, eta=1e-3, t_halfwidth=50.0)
-        return translators.grim_reaper_chart(int(n), eta=float(eta),
-                                             t_halfwidth=float(t_halfwidth))
+    """Chart from a declarative surface description (a kind and its keys, ``_SURFACE_KEYS``)."""
+    s = SURFACE(spec, "surface")
+    kind, n = s["kind"], int(s["n"])
     if kind == "bowl":
-        n, r, R_max, tol = keys(n=2, r=1, R_max=100.0, tol=1e-10)
-        profile = translators.solve_rotational_translator(int(n), int(r), R_max=float(R_max),
-                                                          tol=float(tol))
+        profile = translators.solve_rotational_translator(n, int(s["r"]), R_max=float(s["R_max"]),
+                                                          tol=float(s["tol"]))
         return translators.rot_chart(profile)
     if kind == "sphere":
-        n, radius, center, cap = keys(n=2, radius=1.0, center=None, cap="upper")
-        return charts.sphere_chart(
-            int(n), radius=float(radius),
-            center=None if center is None else np.asarray(center, dtype=float), cap=cap,
-        )
-    if kind == "paraboloid":
-        n, curvature, halfwidth = keys(n=2, curvature=1.0, halfwidth=1.0)
-        return charts.paraboloid_chart(int(n), curvature=float(curvature),
-                                       halfwidth=float(halfwidth))
-    if kind == "flat":
-        n, halfwidth = keys(n=2, halfwidth=1.0)
-        return charts.flat_chart(int(n), halfwidth=float(halfwidth))
-    if kind == "oscillating":
-        n, x_lo, x_hi, halfwidth = keys(n=2, x_lo=2.0, x_hi=12.0, halfwidth=1.0)
-        return charts.oscillating_graph_chart(int(n), x_lo=float(x_lo), x_hi=float(x_hi),
-                                              halfwidth=float(halfwidth))
-    raise InvalidInputError(f"unknown surface kind {kind!r}")
+        center = None if s["center"] is None else np.asarray(s["center"], dtype=float)
+        return charts.sphere_chart(n, radius=float(s["radius"]), center=center, cap=s["cap"])
+    return _NUMBER_CHARTS[kind](n, **{k: float(v) for k, v in s.items() if k not in ("kind", "n")})
 
 
-# the keys each region kind reads; a bi-half-space's entries read a half-space's
-_REGION_KEYS = {"cone": dict(V=NEEDED, a=NEEDED), "halfspace": dict(W=NEEDED, B=None),
-                "bihalfspace": dict(halfspaces=NEEDED, vertical_to=None)}
-
-
-def region_keys(spec):
-    """The region's keys with their defaults (``_REGION_KEYS``), its half-space entries' too."""
-    kind = spec.get("kind")
-    if kind not in _REGION_KEYS:
-        raise InvalidInputError(f"unknown region kind {kind!r}")
-    keys = dict(_spec_keys(spec, "region", kind, **_REGION_KEYS[kind]), kind=kind)
-    if kind == "bihalfspace":
-        keys["halfspaces"] = [
-            _spec_keys(half, f"region.halfspaces[{i}]", "halfspace", kinded=False,
-                       **_REGION_KEYS["halfspace"])
-            for i, half in enumerate(keys["halfspaces"])
-        ]
-    return keys
+# a half-space region's keys, which each entry of a bi-half-space's pair reads too
+_HALFSPACE_KEYS = dict(W=(VECTOR, NEEDED), B=(VECTOR, None))
+_PAIR = KeyType("an array of 2 objects",
+                lambda v: isinstance(v, list) and len(v) == 2 and all(isinstance(h, dict) for h in v),
+                lambda v, path: [_spec_keys(half, f"{path}[{i}]", "halfspace", _HALFSPACE_KEYS)
+                                 for i, half in enumerate(v)])
+_REGION_KEYS = {"cone": dict(V=(VECTOR, NEEDED), a=(NUMBER, NEEDED)), "halfspace": _HALFSPACE_KEYS,
+                "bihalfspace": dict(halfspaces=(_PAIR, NEEDED), vertical_to=(VECTOR, None))}
+REGION = _kinded(_REGION_KEYS)
 
 
 def _halfspace(spec):
@@ -93,8 +144,8 @@ def _halfspace(spec):
 
 
 def build_region(spec):
-    """Region from its JSON form, mirroring the region type fields, read by ``region_keys``."""
-    spec = region_keys(spec)
+    """Region from its JSON form, mirroring the region type fields, read by ``REGION``."""
+    spec = REGION(spec, "region")
     if spec["kind"] == "cone":
         return regions.Cone(V=np.asarray(spec["V"], dtype=float), a=float(spec["a"]))
     if spec["kind"] == "halfspace":
@@ -104,22 +155,19 @@ def build_region(spec):
                                vertical_to=None if vert is None else np.asarray(vert, dtype=float))
 
 
-# the keys each field kind reads
-_FIELD_KEYS = {"height": dict(W=NEEDED), "cone_excess": dict(V=NEEDED, a=NEEDED, origin=None),
-               "dist_sq": dict(origin=None)}
+_FIELD_KEYS = {"height": dict(W=(VECTOR, NEEDED)),
+               "cone_excess": dict(V=(VECTOR, NEEDED), a=(NUMBER, NEEDED), origin=(VECTOR, None)),
+               "dist_sq": dict(origin=(VECTOR, None))}
+FIELD = _kinded(_FIELD_KEYS)
 
 
 def build_scalar_field(spec, ambient_dim, name):
-    """Field for maximizer runs: height, cone excess, or squared distance.
+    """Field for maximizer runs: height, cone excess, or squared distance (``FIELD``'s tables).
 
-    Its keys are those of ``_FIELD_KEYS``, and a vector (W, V, origin)
-    without ambient_dim coordinates is an InvalidInputError that names the
-    key in the config entry ``name``. origin defaults to 0.
+    A vector (W, V, origin) without ambient_dim coordinates is an
+    InvalidInputError naming the key in the config entry ``name``; origin defaults to 0.
     """
-    kind = spec.get("kind")
-    if kind not in _FIELD_KEYS:
-        raise InvalidInputError(f"unknown field kind {kind!r}")
-    keys = _spec_keys(spec, name, kind, **_FIELD_KEYS[kind])
+    keys = FIELD(spec, name)
 
     def vector(key):
         vec = np.zeros(ambient_dim) if keys[key] is None else np.asarray(keys[key], dtype=float)
@@ -128,20 +176,21 @@ def build_scalar_field(spec, ambient_dim, name):
                                     f"for this surface (got {vec.size})")
         return vec
 
-    if kind == "height":
+    if keys["kind"] == "height":
         return charts.linear_height(vector("W"))
-    if kind == "cone_excess":
+    if keys["kind"] == "cone_excess":
         return charts.cone_excess(vector("V"), float(keys["a"]), origin=vector("origin"))
     return charts.distance_sq_to(vector("origin"))
 
 
+# the growth control G
+_G_KEYS = {"iterated_log": dict(levels=(INTEGER, 1)), "constant": dict(value=(NUMBER, 1.0))}
+GROWTH = _kinded(_G_KEYS, default="iterated_log")
+
+
 def build_G(spec):
     """Growth control from ``{kind?, levels?}`` (iterated_log) or ``{kind, value?}`` (constant)."""
-    kind = spec.get("kind", "iterated_log")
-    if kind == "iterated_log":
-        (levels,) = _spec_keys(spec, "G", kind, levels=1).values()
-        return GFunction.iterated_log(int(levels))
-    if kind == "constant":
-        (value,) = _spec_keys(spec, "G", kind, value=1.0).values()
-        return GFunction.constant_fn(float(value))
-    raise InvalidInputError(f"unknown G kind {kind!r}")
+    keys = GROWTH(spec, "G")
+    if keys["kind"] == "iterated_log":
+        return GFunction.iterated_log(int(keys["levels"]))
+    return GFunction.constant_fn(float(keys["value"]))

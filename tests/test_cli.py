@@ -1,10 +1,14 @@
 """CLI contract tests: exit codes, report determinism, file formats."""
 
 import collections
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmcf.cli
+import rmcf.errors
 import rmcf.maxprinciple
 import rmcf.regions
 import rmcf.registry
 import rmcf.translators
 from rmcf.charts import MeshGeometry, cone_excess
-from rmcf.cli import _CONFIG_SCHEMA, _TYPES, _best_message, _schema_errors, main
+from rmcf.cli import main
 from rmcf.registry import build_chart, build_region
 from rmcf.translators import load_profile
 
@@ -40,6 +45,10 @@ BIHALFSPACE_40 = {
     "region": {"kind": "bihalfspace", "vertical_to": V4,
                "halfspaces": [{"W": [0.6, 0.8, 0.0, 0.0]}, {"W": [0.6, -0.8, 0.0, 0.0]}]},
     "theorem": "bihalfspace", "r": 2, "V": V4, "R": 2.0, "mesh": 9}
+# the key tables of the kinded config objects, by config entry
+OBJECT_TABLES = {"surface": rmcf.registry._SURFACE_KEYS, "region": rmcf.registry._REGION_KEYS,
+                 "field": rmcf.registry._FIELD_KEYS, "gamma": rmcf.registry._FIELD_KEYS,
+                 "G": rmcf.registry._G_KEYS}
 PREMISE_FUNCTIONS = ("first_exit", "growth_report", "min_eigen_over_mesh",
                      "_translator_residual_sup")
 
@@ -145,18 +154,6 @@ class TestVerifyIdentities:
         cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "derivative_bias": 1e-3}})
         assert main(["verify-identities", "--config", cfg]) == 2
         assert "does not read 'surface.derivative_bias'" in capsys.readouterr().err
-
-    def test_config_schema_is_a_valid_schema(self, tmp_path, capsys):
-        # loads validate against the constant schema without re-checking it
-        import jsonschema
-
-        jsonschema.validators.validator_for(_CONFIG_SCHEMA).check_schema(_CONFIG_SCHEMA)
-        bad = {"surface": {"kind": "bowl", "n": 0}, "mesh": [1, 4]}
-        with pytest.raises(jsonschema.ValidationError) as exc:
-            jsonschema.validate(bad, _CONFIG_SCHEMA)
-        assert main(["verify-identities", "--config", write_config(tmp_path, bad)]) == 2
-        want = f"config error: config rejected: {exc.value.message}"
-        assert capsys.readouterr().err.strip() == want
 
     def test_byte_deterministic_reports(self, tmp_path):
         cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}, "seed": 5})
@@ -582,23 +579,24 @@ class TestOyRun:
         ({"gamma": {"kind": "dist_sq", "origin": [0.0, 1.0]}},
          "config error: 'gamma.origin' needs n + 1 = 3 coordinates for this surface (got 2)"),
         ({"field": {"kind": "cone_excess", "V": [0.0, 0.0, 1.0], "a": "x"}},
-         "config error: config rejected: 'x' is not of type 'number'"),
+         "config error: 'field.a' must be a number (got 'x')"),
         ({"gamma": {"kind": "dist_sq", "origin": [0.0, "x", 1.0]}},
-         "config error: config rejected: 'x' is not of type 'number'"),
+         "config error: 'gamma.origin' must be an array of at least 2 numbers "
+         "(got [0.0, 'x', 1.0])"),
         ({"G": {"kind": "iterated_log", "levels": "x"}},
-         "config error: config rejected: 'x' is not of type 'integer'"),
+         "config error: 'G.levels' must be an integer (got 'x')"),
         ({"G": {"kind": "constant", "value": "x"}},
-         "config error: config rejected: 'x' is not of type 'number'"),
+         "config error: 'G.value' must be a number (got 'x')"),
         ({"G": {"kind": "iterated_log", "levles": 3}},
          "config error: a iterated_log G does not read 'G.levles'"),
         ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "bogus": 1}},
          "config error: a height field does not read 'field.bogus'"),
         ({"gamma": {"kind": "dist_sq", "bogus": 1}},
          "config error: a dist_sq gamma does not read 'gamma.bogus'"),
-        ({"field": {"kind": "heigth", "W": [0.0, 0.0, 1.0]}}, "config error: config rejected: "
-         "'heigth' is not one of ['height', 'cone_excess', 'dist_sq']"),
+        ({"field": {"kind": "heigth", "W": [0.0, 0.0, 1.0]}}, "config error: 'field.kind' must "
+         "be one of 'height', 'cone_excess', 'dist_sq' (got 'heigth')"),
         ({"G": {"kind": "loglog"}},
-         "config error: config rejected: 'loglog' is not one of ['iterated_log', 'constant']"),
+         "config error: 'G.kind' must be one of 'iterated_log', 'constant' (got 'loglog')"),
         ({"field": {"kind": "height", "W": [0.0, 0.0, 1.0], "a": 0.3, "V": [1.0, 0.0, 0.0]}},
          "config error: a height field does not read 'field.V', 'field.a'"),
         ({"field": {"kind": "dist_sq", "W": [0.0, 0.0, 1.0]}},
@@ -634,7 +632,7 @@ PARABOLOID_CONE = {"surface": {"kind": "paraboloid", "n": 2, "halfwidth": 10.0},
                    "region": {"kind": "cone", "V": [0.0, 0.0, 1.0], "a": 0.3},
                    "theorem": "cone", "r": 1, "V": [0.0, 0.0, 1.0], "a": 0.3,
                    "asserted": "bounded-sigma", "mesh": 13}
-# the README and CI configs, which the validator test mutates
+# the README and CI configs, which the key rule's fuzz test mutates, and their commands
 BASE_CONFIGS = [
     {"surface": {"kind": "bowl", "n": 2, "r": 1, "R_max": 60.0, "tol": 1e-10}, "seed": 3},
     {"surface": {"kind": "grim_reaper", "n": 2, "t_halfwidth": 12.0},
@@ -654,22 +652,21 @@ BASE_CONFIGS = [
      "region": {"kind": "halfspace", "B": [0.0, 0.0, 2000.0], "W": [0.0, 0.0, 1.0]},
      "theorem": "halfspace", "r": 1, "V": [0.0, 0.0, 1.0], "mesh": 9},
 ]
+BASE_COMMANDS = ["verify-identities", "theorem-check", "oy-run", "theorem-check", "theorem-check",
+                 "theorem-check", "verify-identities", "theorem-check"]
 
 
-def _schema_keys(schema):
-    keys = set(schema.get("properties", ()))
-    for sub in schema.get("properties", {}).values():
-        keys |= _schema_keys(sub)
-    if isinstance(schema.get("items"), dict):
-        keys |= _schema_keys(schema["items"])
-    return keys
+def _tables():
+    """Every key table: the top level's by command and theorem, then each object's by kind."""
+    return [*rmcf.cli._COMMAND_KEYS.values(), *rmcf.cli._THEOREM_KEYS.values(),
+            *(table for kinds in OBJECT_TABLES.values() for table in kinds.values())]
 
 
 _NUMBERS = st.sampled_from([0, 1, 2, 3, 21, -1, 17, 1000, 1001, 0.0, 1.0, 2.0, 3.0, 21.0, 2.5,
                             -0.5, 1e30, 1e9, math.nan, math.inf, -math.inf])
 _LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=2),
                     st.sampled_from(["bowl", "sphere", "cone", "halfspace", "upper", "proper"]))
-_KEYS = st.sampled_from(sorted(_schema_keys(_CONFIG_SCHEMA)) + ["bogus", "zz", "Kind"])
+_KEYS = st.sampled_from(sorted({"kind"}.union(*_tables())) + ["bogus", "zz", "Kind"])
 _VALUES = st.recursive(
     _LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=3),
@@ -733,27 +730,26 @@ def _mutate(data, config):
     return config
 
 
+# the one stderr line of a rejected config: it names the key or the kind, or
+# says that the file holds no JSON object or a token strict JSON has not
+_NAMED = re.compile(r"config error: (a [\w -]+ [\w.\[\]]+ (needs|does not read) '.+'"
+                    r"|'[\w.\[\]]+' must be .+ \(got .*\)|a config must be an object \(got .*\)"
+                    r"|cannot parse config .+: -?(NaN|Infinity) is not a JSON number)")
+
+
+class Built(Exception):
+    """A stubbed builder was called: the config passed the key rule."""
+
+
+def built(*args, **kwargs):
+    raise Built
+
+
 # a number written in place of a config value, then replaced by a token
 _TOKEN = 0.123456789
 
 
 class TestConfigValidator:
-    def test_schema_uses_only_supported_keywords(self):
-        supported = {"type", "enum", "minimum", "maximum", "properties", "items", "minItems",
-                     "maxItems", "anyOf"}
-
-        def check(schema):
-            assert set(schema) <= supported, set(schema) - supported
-            assert schema.get("type", "object") in _TYPES
-            assert all(isinstance(value, str) for value in schema.get("enum", ()))
-            assert schema.get("minItems", 2) > 1 and schema.get("maxItems", 1) > 0
-            subs = list(schema.get("properties", {}).values()) + schema.get("anyOf", [])
-            subs += [schema["items"]] if "items" in schema else []
-            for sub in subs:
-                check(sub)
-
-        check(_CONFIG_SCHEMA)
-
     @pytest.mark.parametrize("config, token", [
         (dict(BIHALFSPACE_40, eps=math.nan), "NaN"),
         (dict(BIHALFSPACE_40, R=math.inf), "Infinity"),
@@ -794,36 +790,74 @@ class TestConfigValidator:
 
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(st.data())
-    def test_matches_jsonschema_best_match(self, data):
-        from jsonschema.exceptions import best_match
-        from jsonschema.validators import validator_for
-
-        config = copy.deepcopy(data.draw(st.sampled_from(BASE_CONFIGS)))
+    def test_mutated_config_exits_2_naming_a_key_or_reaches_the_build(self, tmp_path_factory,
+                                                                       data):
+        # a mutated README or CI config fails the key rule on one line that
+        # names the key or the kind, or passes it and is built from what was
+        # read (a bowl's solve, the mesh and the identity suite stubbed) to a
+        # typed outcome; no other exception may leave main
+        i = data.draw(st.sampled_from(range(len(BASE_CONFIGS))))
+        config = copy.deepcopy(BASE_CONFIGS[i])
         for _ in range(data.draw(st.integers(1, 3))):
             config = _mutate(data, config)
-        want = best_match(validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA).iter_errors(config))
-        got = _best_message(_schema_errors(_CONFIG_SCHEMA, config))
-        assert got == (None if want is None else want.message), config
+        out = tmp_path_factory.getbasetemp() / "mutated"
+        cfg = write_config(tmp_path_factory.getbasetemp(), config, name="mutated.json")
+        charts = []
 
-    @pytest.mark.parametrize("config, message", [
-        ({"surface": {"kind": "bowl", "n": 0}, "mesh": [1, 4]}, "1 is less than the minimum of 2"),
-        ({"surface": {"kind": "bowl"}, "mesh": True},
-         "True is not valid under any of the given schemas"),
-        ({"surface": {"kind": "bowl", "n": 2.5}}, "2.5 is not of type 'integer'"),
-        ({"surface": {"kind": "bowl", "R_max": True}}, "True is not of type 'number'"),
-        # which keys an object holds is registry._spec_keys's to say
-        ({"surface": {"kind": "bowl"}, "bogus": 1, "zz": 2}, None),
-        ({"seed": 1}, None),
-        ([1, 2], "[1, 2] is not of type 'object'"),
-        ({"surface": {"kind": "bowl"},
-          "region": {"kind": "bihalfspace", "halfspaces": [{"W": [1.0, 0.0]}]}},
-         "[{'W': [1.0, 0.0]}] is too short"),
-        # draft 2020-12: integral floats are integers, NaN and Infinity are numbers
-        ({"surface": {"kind": "bowl", "n": 2.0}, "mesh": [21.0, 9], "seed": 1e30}, None),
-        ({"surface": {"kind": "bowl", "R_max": math.inf, "tol": math.nan}}, None),
-    ])
-    def test_messages(self, config, message):
-        assert _best_message(_schema_errors(_CONFIG_SCHEMA, config)) == message
+        def build_chart(spec):
+            charts.append(spec)
+            return real_build_chart(spec)
+
+        real_build_chart = rmcf.registry.build_chart
+        with mock.patch.object(rmcf.registry, "build_chart", build_chart), \
+                mock.patch.object(rmcf.translators, "solve_rotational_translator", built), \
+                mock.patch.object(rmcf.cli.Mesh, "grid", built), \
+                mock.patch.object(rmcf.cli.identities, "run_identity_suite", built), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main([BASE_COMMANDS[i], "--config", cfg, "--out", str(out)])
+            except Built:
+                code = None
+        if charts:
+            assert code in (None, 1, 2), (config, code)
+        else:
+            assert code == 2 and _NAMED.fullmatch(err.getvalue().rstrip("\n")), (config, err.getvalue())
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("oy-run", dict(README_OY, surface={"kind": "bowl", "n": 0}, mesh=[1, 4]),
+         "'surface.n' must be an integer in 1..16 (got 0)"),
+        ("oy-run", dict(README_OY, surface={"kind": "bowl"}, mesh=True),
+         "'mesh' must be an integer >= 2, or an array of them (got True)"),
+        ("verify-identities", {"surface": {"kind": "bowl", "n": 2.5}},
+         "'surface.n' must be an integer in 1..16 (got 2.5)"),
+        ("verify-identities", {"surface": {"kind": "bowl", "R_max": True}},
+         "'surface.R_max' must be a number (got True)"),
+        ("verify-identities", {"surface": {"kind": "bowl"}, "bogus": 1, "zz": 2},
+         "a verify-identities config does not read 'bogus', 'zz'"),
+        ("verify-identities", {"seed": 1}, "a verify-identities config needs 'surface'"),
+        ("verify-identities", [1, 2], "a config must be an object (got [1, 2])"),
+        ("theorem-check", dict(BASE_CONFIGS[3], region={"kind": "bihalfspace",
+                                                        "halfspaces": [{"W": [1.0, 0.0]}]}),
+         "'region.halfspaces' must be an array of 2 objects (got [{'W': [1.0, 0.0]}])"),
+        # integral floats are integers
+        ("oy-run", dict(README_OY, surface={"kind": "bowl", "n": 2.0}, mesh=[21.0, 9], seed=1e30),
+         None),
+        # configs are strict JSON: the key rule never sees Infinity or NaN
+        ("verify-identities", {"surface": {"kind": "bowl", "R_max": math.inf, "tol": math.nan}},
+         "cannot parse config {cfg}: Infinity is not a JSON number"),
+    ], ids=["n-0-before-mesh-1-4", "mesh-true", "n-2.5", "R_max-true", "unread-bogus-zz",
+            "seed-only", "config-a-list", "one-halfspace", "integral-floats", "infinity-token"])
+    def test_messages(self, tmp_path, capsys, monkeypatch, command, config, message):
+        # the first key in table order that breaks the rule is named, depth first
+        monkeypatch.setattr(rmcf.registry, "build_chart", built)
+        cfg = write_config(tmp_path, config)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        if message is None:
+            with pytest.raises(Built):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {message.replace('{cfg}', cfg)}\n"
 
 
 README_CONE, CI_BIHALFSPACE = BASE_CONFIGS[1], BASE_CONFIGS[3]
@@ -904,34 +938,138 @@ class TestKeyRule:
         assert exc.value.code == 2
         assert "unrecognized arguments: --mesh 5" in capsys.readouterr().err
 
-    def test_schema_types_each_key_the_tables_read(self, monkeypatch):
-        # per config object, the keys the key rule reads are the properties the
-        # schema types: a key read but not typed would skip the type checks
-        class Read(Exception):
-            pass
 
-        read = collections.defaultdict(set)
+# a value past the range of each key type that has one, by what the type takes
+OUT_OF_RANGE = {"an integer in 1..16": 17, "an integer >= 0": -1, "an integer in 1..1000": 1001,
+                "an integer >= 2, or an array of them": [1, 4], "a number in (0, 1)": 1.0,
+                "a positive number": 0.0, "an array of at least 2 numbers": [1.0],
+                "an array of 2 objects": [{"W": [0.6, 0.8, 0.0]}] * 3}
+UNRANGED = ("a number", "an integer", "an object")
+E3 = [0.0, 0.0, 1.0]
+PARABOLOID = {"kind": "paraboloid", "n": 2, "halfwidth": 10.0}
+# a config each top-level table reads without error (a theorem-check's by theorem) ...
+TOP_CONFIGS = {
+    "verify-identities": {"surface": PARABOLOID},
+    "cone": PARABOLOID_CONE,
+    "halfspace": {"surface": PARABOLOID, "region": {"kind": "halfspace", "W": [0.6, 0.0, 0.8]},
+                  "theorem": "halfspace", "r": 1, "V": E3},
+    "bihalfspace": {"surface": PARABOLOID, "region": {
+        "kind": "bihalfspace", "vertical_to": E3,
+        "halfspaces": [{"W": [0.6, 0.8, 0.0]}, {"W": [0.6, -0.8, 0.0]}]},
+        "theorem": "bihalfspace", "r": 1, "V": E3},
+    "oy-run": README_OY,
+}
+# ... and an object of each kind, with the config that holds it
+OBJECTS = {
+    "surface": {kind: {"kind": kind} for kind in rmcf.registry._SURFACE_KEYS},
+    "region": {kind: TOP_CONFIGS[kind]["region"] for kind in rmcf.registry._REGION_KEYS},
+    "field": {"height": {"kind": "height", "W": E3},
+              "cone_excess": {"kind": "cone_excess", "V": E3, "a": 0.3},
+              "dist_sq": {"kind": "dist_sq"}},
+    "G": {kind: {"kind": kind} for kind in rmcf.registry._G_KEYS},
+}
+OBJECTS["gamma"] = OBJECTS["field"]
 
-        def spy(spec, entry, kind, *, kinded=True, **defaults):
-            read[entry] |= set(defaults) | {"kind"}
-            raise Read
 
-        monkeypatch.setattr(rmcf.registry, "_spec_keys", spy)
-        schema = _CONFIG_SCHEMA["properties"]
-        for entry, build in (("surface", build_chart), ("G", rmcf.registry.build_G)):
-            for kind in schema[entry]["properties"]["kind"]["enum"]:
-                with pytest.raises(Read):
-                    build({"kind": kind})
-        region_keys = rmcf.registry._REGION_KEYS
-        read["region"] = {"kind"}.union(*region_keys.values())
-        read["field"] = read["gamma"] = {"kind"}.union(*rmcf.registry._FIELD_KEYS.values())
-        for entry, keys in read.items():
-            assert keys == set(schema[entry]["properties"]), entry
-        halfspace = schema["region"]["properties"]["halfspaces"]["items"]
-        assert set(region_keys["halfspace"]) == set(halfspace["properties"])
-        top = set().union(*rmcf.cli._COMMAND_KEYS.values(), *rmcf.cli._THEOREM_KEYS.values())
-        assert top == set(schema)
-        assert set(rmcf.cli._THEOREM_KEYS) == set(schema["theorem"]["enum"])
+def _key_cases():
+    """(command, config, path, value, what): for every key of every table, a value of the wrong
+    type and, when the key's type has a range, one past it; ``what`` the type takes."""
+    def cases(table, command, config, path, label):
+        for key, (type_, _) in table.items():
+            for value in ["x"] + ([OUT_OF_RANGE[type_.what]] if type_.what in OUT_OF_RANGE else []):
+                yield pytest.param(command, config(key, value), path(key), value, type_.what,
+                                   id=f"{label}-{path(key)}={value!r}")
+
+    def command(name):
+        return name if name in rmcf.cli._COMMAND_KEYS else "theorem-check"
+
+    for name, config in TOP_CONFIGS.items():
+        table = dict(rmcf.cli._COMMAND_KEYS[command(name)], **rmcf.cli._THEOREM_KEYS.get(name, {}))
+        yield from cases(table, command(name), lambda k, v, c=config: dict(c, **{k: v}), str, name)
+    for entry, kinds in OBJECTS.items():
+        for kind, spec in kinds.items():
+            name = {"surface": "verify-identities", "region": kind}.get(entry, "oy-run")
+            table = dict(OBJECT_TABLES[entry][kind], kind=(rmcf.registry.one_of(*kinds), None))
+            yield from cases(table, command(name),
+                             lambda k, v, c=TOP_CONFIGS[name], e=entry, o=spec:
+                             dict(c, **{e: dict(o, **{k: v})}), f"{entry}.{{}}".format, kind)
+    bihalfspace = TOP_CONFIGS["bihalfspace"]
+    pair = bihalfspace["region"]["halfspaces"]
+    yield from cases(rmcf.registry._HALFSPACE_KEYS, "theorem-check",
+                     lambda k, v: dict(bihalfspace, region=dict(
+                         bihalfspace["region"], halfspaces=[dict(pair[0], **{k: v}), pair[1]])),
+                     "region.halfspaces[0].{}".format, "bihalfspace")
+
+
+class TestKeyTables:
+    def test_every_range_has_a_case(self):
+        for table in _tables():
+            for key, (type_, default) in table.items():
+                assert (type_.what in OUT_OF_RANGE or type_.what in UNRANGED
+                        or type_.what.startswith("one of ")), type_.what
+                # a default its type does not take would be read unchecked
+                assert default in (None, rmcf.registry.NEEDED) or type_.test(default), key
+
+    @pytest.mark.parametrize("command, config, path, value, what", _key_cases())
+    def test_each_key_type_and_range(self, tmp_path, capsys, monkeypatch, command, config, path,
+                                     value, what):
+        # each exits 2 naming its key, before any profile solve or mesh
+        def no_build(*args, **kwargs):
+            raise AssertionError("a rejected config was built")
+
+        monkeypatch.setattr(rmcf.cli.Mesh, "grid", no_build)
+        monkeypatch.setattr(rmcf.translators, "solve_rotational_translator", no_build)
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path!r} must be {what} (got {value!r})\n"
+
+    @pytest.mark.parametrize("command, config, flags, message", [
+        ("oy-run", dict(README_OY, mesh=1000000000), [],
+         "'mesh' (1000000000, 1000000000) is too fine: a mesh here holds at most 5592405 points "
+         "of 12 d2X entries"),
+        ("theorem-check", dict(BASE_CONFIGS[3], mesh=[125, 125, 125]), [],
+         "'mesh' (125, 125, 125) is too fine: a mesh here holds at most 1864135 points "
+         "of 36 d2X entries"),
+        ("theorem-check", PARABOLOID_CONE, ["--mesh", "2400"],
+         "'mesh' (2400, 2400) is too fine: a mesh here holds at most 5592405 points "
+         "of 12 d2X entries"),
+        ("theorem-check", PARABOLOID_CONE, ["--mesh", "1"],
+         "'mesh' must be an integer >= 2, or an array of them (got 1)"),
+        ("oy-run", README_OY, ["--mesh", "-3"],
+         "'mesh' must be an integer >= 2, or an array of them (got -3)"),
+    ], ids=["oy-run-1e9", "bihalfspace-125-cubed", "cone-flag-2400", "cone-flag-1",
+            "oy-run-flag-minus-3"])
+    def test_mesh_too_fine_to_build(self, tmp_path, capsys, monkeypatch, command, config, flags,
+                                    message):
+        # "mesh": 1e9 passed every check and ended in numpy's _ArrayMemoryError;
+        # --mesh is checked by the config key's type
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a mesh was built past the bound")
+
+        monkeypatch.setattr(rmcf.cli.Mesh, "grid", no_grid)
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_mesh_bound_admits_the_ci_and_benchmark_meshes(self):
+        # 41^3, 101^2 and [41, 9] run in CI; 123^3 and 2364^2 are the finest cube and square
+        for counts, n in ((41, 3), (101, 2), ([41, 9], 2), (123, 3), (2364, 2)):
+            assert len(rmcf.cli._mesh_counts(counts, n)) == n
+        for counts, n in ((124, 3), (2365, 2)):
+            with pytest.raises(rmcf.errors.InvalidInputError, match="'mesh' .* is too fine"):
+                rmcf.cli._mesh_counts(counts, n)
+
+    def test_default_mesh_fits_the_bound(self):
+        # max(4, round(2000^(1/n))) per axis up to n = 8 (4^8 points), then the
+        # most that fit; from n = 15 not even 2 per axis does
+        for n in range(1, 9):
+            assert rmcf.cli._mesh_counts(None, n) == (max(4, int(round(2000 ** (1.0 / n)))),) * n
+        for n, count in ((9, 3), (10, 3), (11, 2), (14, 2)):
+            assert rmcf.cli._mesh_counts(None, n) == (count,) * n
+        for n in (15, 16):
+            with pytest.raises(rmcf.errors.InvalidInputError, match=f"^no mesh fits an n = {n} "):
+                rmcf.cli._mesh_counts(None, n)
 
 
 class TestIntegerFields:
@@ -959,7 +1097,7 @@ class TestIntegerFields:
         cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}, "seed": -1})
         assert main(["verify-identities", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.strip() == (
-            "config error: config rejected: -1 is less than the minimum of 0")
+            "config error: 'seed' must be an integer >= 0 (got -1)")
         cfg = write_config(tmp_path, {"surface": {"kind": "paraboloid", "n": 2}})
         with pytest.raises(SystemExit) as exc:
             main(["verify-identities", "--config", cfg, "--seed", "-1"])
@@ -974,4 +1112,5 @@ class TestIntegerFields:
         monkeypatch.setattr(rmcf.cli, "oy_sequence", no_run)
         cfg = write_config(tmp_path, dict(README_OY, k_max=k_max))
         assert main(["oy-run", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "is greater than the maximum of 1000" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == (
+            f"config error: 'k_max' must be an integer in 1..1000 (got {k_max!r})")

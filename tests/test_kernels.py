@@ -109,7 +109,7 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
     # importing rmcf.cli loads none of them, and neither do the commands above
     # and the README profile: a profile solve loads only its compiled LSODA,
     # not the scipy.integrate package (about 0.7 s per process), configs
-    # are validated by rmcf's own schema walker, not by jsonschema, and no
+    # are read by rmcf's own key tables, not by jsonschema, and no
     # plain np.unique call makes numpy import numpy.ma (13-18 ms)
     heavy = ("numba", "scipy.integrate", "jsonschema", "numpy.ma")
     for name, config in _COMMAND_CONFIGS.items():
