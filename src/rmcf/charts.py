@@ -48,9 +48,8 @@ class Chart:
     ``jet(U)`` takes a stack of parameter points U (m, n) and returns
     (X, dX, d2X) with shapes (m, n+1), (m, n+1, n) and (m, n, n, n+1); row
     i depends on U[i] alone, so its bits do not change with the batch
-    around it. Callers go through ``jets``. ``orient_ref``, when set, flips
-    the raw normal so that <N, orient_ref> > 0; ``orient_sign`` applies a
-    final sign on top (used by ``flipped``).
+    around it. Callers go through ``jets``. ``orient_ref`` picks the sign of
+    the normal, <N, orient_ref> > 0; ``flipped`` negates it.
     ``intrinsic_distance``, when set, maps parameter points (m, n) to
     their distances (m,) along the surface from the chart's base point.
     """
@@ -58,9 +57,8 @@ class Chart:
     n: int
     param_domain: np.ndarray
     jet: Callable
+    orient_ref: np.ndarray
     name: str = ""
-    orient_ref: Optional[np.ndarray] = None
-    orient_sign: float = 1.0
     intrinsic_distance: Optional[Callable] = None
 
     def __post_init__(self):
@@ -72,13 +70,11 @@ class Chart:
         dom = dom.copy()
         dom.setflags(write=False)
         object.__setattr__(self, "param_domain", dom)
-        if self.orient_ref is not None:
-            ref = np.asarray(self.orient_ref, dtype=float)
-            if ref.shape != (self.n + 1,):
-                raise InvalidInputError("orient_ref must live in the ambient space")
-            ref = ref.copy()
-            ref.setflags(write=False)
-            object.__setattr__(self, "orient_ref", ref)
+        ref = np.array(self.orient_ref, dtype=float)
+        if ref.shape != (self.n + 1,):
+            raise InvalidInputError("orient_ref must live in the ambient space")
+        ref.setflags(write=False)
+        object.__setattr__(self, "orient_ref", ref)
 
     def jets(self, U):
         """Stacked jets at the rows of U (m, n), from one ``jet`` call.
@@ -101,8 +97,8 @@ class Chart:
         return float(np.linalg.norm(self.param_domain[:, 1] - self.param_domain[:, 0]))
 
     def flipped(self):
-        """Same patch with the opposite normal orientation."""
-        return replace(self, orient_sign=-self.orient_sign)
+        """Same patch with the opposite normal orientation: every normal negated, bit for bit."""
+        return replace(self, orient_ref=-self.orient_ref)
 
 
 def rowdot(a, b):
@@ -348,13 +344,11 @@ def mesh_geometry(chart, U):
     if i is not None:
         raise SingularPointError(f"degenerate normal{_where(index, U, i)}")
     N = raw / nrm[:, None]
-    if chart.orient_ref is not None:
-        s = _matvec(N, chart.orient_ref)
-        i = _first(np.abs(s) < 1e-12)
-        if i is not None:
-            raise SingularPointError(f"orientation reference is tangent{_where(index, U, i)}")
-        N = np.where((s < 0.0)[:, None], -N, N)
-    N = chart.orient_sign * N
+    s = _matvec(N, chart.orient_ref)
+    i = _first(np.abs(s) < 1e-12)
+    if i is not None:
+        raise SingularPointError(f"orientation reference is tangent{_where(index, U, i)}")
+    N = np.where((s < 0.0)[:, None], -N, N)
 
     II = _matvec(d2X, N[:, None, :])  # (m, n, n): <dd X_{ij}, N>
     A = symmetrized(Linv @ II @ _transposed(Linv), where=lambda j: _where(index, U, j))

@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__, identities, registry
 from .charts import Mesh
 from .errors import InvalidInputError, RmcfError
-from .maxprinciple import cone_drive, halfspace_drive, hypothesis_gate, oy_sequence
+from .maxprinciple import (check_statement, cone_drive, halfspace_drive, hypothesis_gate,
+                           oy_sequence)
 from .regions import bihalfspace_drive
 from .registry import NEEDED, NUMBER, VECTOR, KeyType
 from .translators import asymptotic_fit, bowl_drift, export_profile, solve_rotational_translator
@@ -196,58 +197,35 @@ def _run_drive(mesh, gate, keys):
 
 
 def _check_theorem_config(keys, n):
-    """Reject what ties keys to each other or to n, before any mesh work; return r.
+    """The region of a theorem-check config on an n-dim surface, checked before any mesh work.
 
-    That is a region of the theorem's kind, vector lengths, a unit velocity
-    V, a unit half-space normal W with <V, W> > 0, a cone's ``region.a``
-    equal to ``a`` and its axis along V, a ``vertical_to`` parallel to V and
-    r in 1..n. Each value's type and range were checked when it was read.
+    ``check_statement`` checks the statement; around it, this checks what the
+    config states twice: the theorem and ``region.kind``, ``a`` and ``region.a``, a
+    unit ``region.W`` (the region normalizes W) and ``region.vertical_to`` parallel to ±V.
     """
     region = keys["region"]
     if region["kind"] != keys["theorem"]:
         raise InvalidInputError(f"theorem {keys['theorem']!r} needs a {keys['theorem']} region "
                                 f"(got 'region.kind' {region['kind']!r})")
-    vectors = {"V": keys["V"]}
-    for entry, obj in [("region", region)] + [(f"region.halfspaces[{i}]", half) for i, half
-                                              in enumerate(region.get("halfspaces", ()))]:
-        vectors.update((f"{entry}.{k}", v) for k, v in obj.items()
-                       if k != "halfspaces" and isinstance(v, list))
-    for name, vec in vectors.items():
-        if len(vec) != n + 1:
-            raise InvalidInputError(f"{name!r} needs n + 1 = {n + 1} coordinates for this "
-                                    f"surface (got {len(vec)})")
-    # hypothesis_gate checks r, V, <V, W> and the cone's axis again, but cannot
-    # name the config field; Halfspace normalizes W, the gate reads the region's a
-    V = np.asarray(keys["V"], dtype=float)
-    if abs(np.linalg.norm(V) - 1.0) > 1e-10:
+    if keys["theorem"] == "cone" and region["a"] != keys["a"]:
+        raise InvalidInputError(f"'region.a' = {region['a']} must equal the cone parameter "
+                                f"'a' = {keys['a']}")
+    if keys["theorem"] == "halfspace" and abs(np.linalg.norm(region["W"]) - 1.0) > 1e-10:
         raise InvalidInputError(
-            f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
-    if keys["theorem"] == "halfspace":
-        W = np.asarray(region["W"], dtype=float)
-        if abs(np.linalg.norm(W) - 1.0) > 1e-10:
-            raise InvalidInputError(
-                f"'region.W' must be a unit vector (|W| = {np.linalg.norm(W):g})")
-        if not V @ W > 0.0:
-            raise InvalidInputError(f"'region.W' needs <V, W> > 0 (got {V @ W:g})")
-    if keys["theorem"] == "cone":
-        # the config states a twice, and the gate reads the region's
-        if region["a"] != keys["a"]:
-            raise InvalidInputError(f"'region.a' = {region['a']} must equal the cone parameter "
-                                    f"'a' = {keys['a']}")
-        if not _points_along(region["V"], V):
-            raise InvalidInputError("'region.V' must point along the velocity 'V'")
-    vertical_to = region.get("vertical_to")
-    if vertical_to is not None and not (_points_along(vertical_to, V)
-                                        or _points_along(vertical_to, -V)):
+            f"'region.W' must be a unit vector (|W| = {np.linalg.norm(region['W']):g})")
+    built = registry.build_region(region, n + 1)
+    check_statement(n, built, keys)
+    if region.get("vertical_to") is not None and not _parallel(region["vertical_to"], keys["V"]):
         raise InvalidInputError("'region.vertical_to' must be parallel to the velocity 'V'")
-    return _order(keys["r"], n)
+    return built
 
 
-def _points_along(vec, V):
-    """Whether vec is a positive multiple of V, to 1e-10 of |vec| |V|."""
-    vec = np.asarray(vec, dtype=float)
+def _parallel(vec, V):
+    """Whether vec is a nonzero multiple of V, of either sign, to 1e-10 of |vec| |V|."""
+    vec, V = np.asarray(vec, dtype=float), np.asarray(V, dtype=float)
     nvec, nV = np.linalg.norm(vec), np.linalg.norm(V)
-    return np.allclose(vec * nV, V * nvec, rtol=0.0, atol=1e-10 * nV * nvec)
+    return nvec > 0.0 and any(np.allclose(vec * nV, s * V * nvec, rtol=0.0,
+                                          atol=1e-10 * nV * nvec) for s in (1.0, -1.0))
 
 
 def _order(r, n):
@@ -260,12 +238,11 @@ def _order(r, n):
 def cmd_theorem_check(args):
     config, keys = _read_config(args)
     chart = registry.build_chart(keys["surface"])
-    r = _check_theorem_config(keys, chart.n)
-    region = registry.build_region(keys["region"])
+    region = _check_theorem_config(keys, chart.n)
     mesh = Mesh.grid(chart, _mesh_counts(keys["mesh"], chart.n))
 
     # the gate reads r, V and the theorem's eps or asserted
-    gate = hypothesis_gate(mesh, region, dict(keys, r=r))
+    gate = hypothesis_gate(mesh, region, keys)
     drive = _run_drive(mesh, gate, keys)
 
     payload = _header("theorem-check", config, keys["seed"])

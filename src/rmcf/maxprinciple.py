@@ -17,8 +17,8 @@ import numpy as np
 
 from .charts import _check_order, cone_excess, distance_sq_to, linear_height, rowdot
 from .errors import DomainError, InvalidInputError
-from .regions import (BiHalfspace, Cone, FirstExit, GrowthReport, Halfspace, first_exit,
-                      growth_report, min_eigen_over_mesh)
+from .regions import (BiHalfspace, Cone, FirstExit, GrowthReport, Halfspace, check_vertical,
+                      coordinates, first_exit, growth_report, min_eigen_over_mesh)
 
 SPLICE_T0 = math.exp(math.e) * 1.01   # splice point of the iterated-log profiles
 BOUND_LOWER_LIMIT = math.exp(2 * math.e)  # integration base of the constant estimates
@@ -151,7 +151,6 @@ class OYRun:
     passes: np.ndarray
     mesh_tol: float
     boundary_dominated: bool
-    conclusive: bool
     A_estimate: float
     B_estimate: float
     r: int
@@ -167,7 +166,7 @@ class OYRun:
             "pass": [bool(v) for v in self.passes],
             "mesh_tol": float(self.mesh_tol),
             "boundary_dominated": self.boundary_dominated,
-            "conclusive": self.conclusive,
+            "conclusive": not self.boundary_dominated,
             "A_estimate": float(self.A_estimate),
             "B_estimate": float(self.B_estimate),
             "r": self.r,
@@ -256,7 +255,6 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, rows=None):
         passes=passes,
         mesh_tol=float(mesh_tol),
         boundary_dominated=boundary_dominated,
-        conclusive=not boundary_dominated,
         A_estimate=A,
         B_estimate=B,
         r=r,
@@ -489,6 +487,37 @@ def _premise(pid, ok, value, threshold, empirical=False, conclusive=True):
     }
 
 
+def check_statement(n, region, params):
+    """The order r and velocity V of the statement of ``region`` on an n-dim surface, checked.
+
+    They are r in 1..n, a unit V and region vectors with n + 1 coordinates,
+    <V, W> > 0 for a half-space, <V, W_i> = 0 for a pair (``check_vertical``)
+    and a cone axis along V; each failure names its config field ('r', 'V', ...).
+    """
+    theorem = _THEOREM.get(type(region))
+    if theorem is None:
+        raise InvalidInputError(f"no nonexistence statement for a {type(region).__name__} region")
+    V = coordinates(params["V"], n + 1, "V")
+    if not abs(np.linalg.norm(V) - 1.0) <= 1e-10:
+        raise InvalidInputError(
+            f"the velocity 'V' must be a unit vector (|V| = {np.linalg.norm(V):g})")
+    if theorem == "cone":
+        axis = coordinates(region.V, n + 1, "region.V")
+        if not np.allclose(axis, V, rtol=0.0, atol=1e-10):
+            raise InvalidInputError("the cone's axis 'region.V' must point along the velocity 'V'")
+    elif theorem == "halfspace":
+        W = coordinates(region.W, n + 1, "region.W")
+        if not V @ W > 0.0:
+            raise InvalidInputError(f"'region.W' needs <V, W> > 0 (got {V @ W:g})")
+    else:
+        coordinates(region.first.W, n + 1, "region.halfspaces[0].W")
+        check_vertical(region, V)
+    r = params["r"]
+    if not (1 <= r <= n and r == int(r)):
+        raise InvalidInputError(f"'r' must satisfy 1 <= r <= n = {n} (got r={r})")
+    return int(r), V
+
+
 def hypothesis_gate(mesh, region, params):
     """Aggregate premise checks for the nonexistence statement of ``region``.
 
@@ -498,34 +527,12 @@ def hypothesis_gate(mesh, region, params):
     asserted branch for the cone statement ('proper' checks the
     sigma/delta ratio against the region's a, 'bounded-sigma' the
     intrinsic curvature growth) and the positivity margin eps for the
-    bi-half-space statement. The inputs are
-    checked before any geometry: r in 1..n, a unit V and region vectors
-    with n + 1 coordinates, <V, W> > 0 for a half-space, <V, W_i> = 0
-    (within 1e-10, as ``BiHalfspace`` checks it) for a pair and a cone
-    axis equal to V.
+    bi-half-space statement. ``check_statement`` checks them first.
     The report states containment and overall consistency: no configured
     mesh may pass every premise and stay contained. This is the one place
     a statement's premises are computed; the drives read the report.
     """
-    theorem = _THEOREM.get(type(region))
-    if theorem is None:
-        raise InvalidInputError(f"no nonexistence statement for a {type(region).__name__} region")
-    n = mesh.chart.n
-    _check_order(params["r"], n, "hypothesis_gate")
-    V = np.asarray(params["V"], dtype=float)
-    if V.shape != (n + 1,) or not abs(np.linalg.norm(V) - 1.0) <= 1e-10:
-        raise InvalidInputError(f"velocity must be a unit vector with n + 1 = {n + 1} coordinates")
-    halves = (region.first, region.second) if theorem == "bihalfspace" else (region,)
-    vectors = [region.V] if theorem == "cone" else [v for h in halves for v in (h.W, h.B)]
-    if any(v.shape != (n + 1,) for v in vectors):
-        raise InvalidInputError(f"region vectors must have n + 1 = {n + 1} coordinates")
-    if theorem == "bihalfspace":
-        BiHalfspace(region.first, region.second, vertical_to=V)  # checks <V, W_i> = 0
-    if isinstance(region, Halfspace) and not V @ region.W > 0.0:
-        raise InvalidInputError("need <V, W> > 0")
-    if isinstance(region, Cone) and not np.allclose(region.V, V, rtol=0.0, atol=1e-10):
-        raise InvalidInputError("the cone's axis must be the velocity V")
-    r = int(params["r"])
+    r, V = check_statement(mesh.chart.n, region, params)
 
     premises = []
 
@@ -539,13 +546,13 @@ def hypothesis_gate(mesh, region, params):
     )
 
     psd = min_eigen_over_mesh(mesh, r)
-    if theorem == "bihalfspace":
+    if isinstance(region, BiHalfspace):
         eps = float(params.get("eps", 0.0))
         premises.append(_premise("newton-eps-definite", psd >= eps > 0.0, psd, eps))
     else:
         premises.append(_premise("newton-psd", psd >= -1e-10, psd, 0.0))
 
-    if theorem == "cone":
+    if isinstance(region, Cone):
         branch = params.get("asserted", "proper")
         if branch == "proper":
             hyp, growth_params = "HS2-1", {"r": r, "a": region.a}

@@ -66,16 +66,13 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class BiHalfspace:
-    """Intersection of two half-spaces {<X - B_i, W_i> >= 0} with independent normals.
+    """Intersection of two half-spaces {<X - B_i, W_i> >= 0} with transversal normals.
 
-    Passing ``vertical_to`` asserts both normals are orthogonal to that
-    velocity (within 1e-10), the configuration of the bi-half-space
-    statement.
+    It keeps no velocity: ``check_vertical`` checks a pair against a V.
     """
 
     first: Halfspace
     second: Halfspace
-    vertical_to: Optional[np.ndarray] = None
 
     def __post_init__(self):
         w1, w2 = self.first.W, self.second.W
@@ -84,14 +81,23 @@ class BiHalfspace:
         perp = w2 - (w2 @ w1) * w1
         if np.linalg.norm(perp) <= 1e-6:
             raise InvalidInputError("normals must be transversal (angle > 1e-6)")
-        if self.vertical_to is not None:
-            v = _unit(self.vertical_to, "velocity")
-            if v.shape != w1.shape:
-                raise InvalidInputError(
-                    f"vertical_to needs the normals' {w1.size} coordinates (got {v.size})")
-            if abs(w1 @ v) > 1e-10 or abs(w2 @ v) > 1e-10:
-                raise InvalidInputError("vertical bi-half-space needs W_i orthogonal to V")
-            object.__setattr__(self, "vertical_to", v)
+
+
+def coordinates(vec, dim, name):
+    """vec as a float array; an InvalidInputError naming the field ``name`` unless of length dim."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (dim,):
+        raise InvalidInputError(f"{name!r} needs n + 1 = {dim} coordinates for this surface "
+                                f"(got {vec.size})")
+    return vec
+
+
+def check_vertical(pair, V):
+    """V as a unit vector; an InvalidInputError unless both normals are orthogonal to it."""
+    V = coordinates(_unit(V, "velocity"), pair.first.W.size, "V")
+    if abs(pair.first.W @ V) > 1e-10 or abs(pair.second.W @ V) > 1e-10:
+        raise InvalidInputError("vertical bi-half-space needs W_i orthogonal to V")
+    return V
 
 
 def violation_margins(reg, xs):
@@ -150,7 +156,6 @@ class GrowthReport:
     satisfied: bool
     scale_reached: float
     conclusive: bool
-    note: str = "empirical"
 
     def to_json_dict(self):
         return {
@@ -160,7 +165,7 @@ class GrowthReport:
             "satisfied": self.satisfied,
             "scale_reached": self.scale_reached,
             "conclusive": self.conclusive,
-            "note": self.note,
+            "note": "empirical",
             "samples": int(len(self.scales)),
         }
 
@@ -390,20 +395,14 @@ def normalize_bihalfspace(bhs, V):
     X -> Q (X - shift) maps the half-spaces onto <X', (a, +-b, 0...)> >= 0
     and V onto the last coordinate axis.
     """
-    V = _unit(V, "velocity")
-    if bhs.vertical_to is None:
-        bhs = BiHalfspace(bhs.first, bhs.second, vertical_to=V)
+    V = check_vertical(bhs, V)
     w1, w2 = bhs.first.W, bhs.second.W
     m = w1.size
-    wsum = w1 + w2
-    if np.linalg.norm(wsum) < 1e-12:
-        raise InvalidInputError("opposite normals have no normalized wedge form")
-    e1 = wsum / np.linalg.norm(wsum)
+    # the pair is transversal, so w1 + w2 and the residual below are nonzero
+    e1 = (w1 + w2) / np.linalg.norm(w1 + w2)
     a = float(w1 @ e1)
     resid = w1 - a * e1
     b = float(np.linalg.norm(resid))
-    if b < 1e-12:
-        raise InvalidInputError("normals are parallel; no transversal wedge")
     e2 = resid / b
 
     basis = [e1, e2]

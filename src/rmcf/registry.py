@@ -136,23 +136,24 @@ _REGION_KEYS = {"cone": dict(V=(VECTOR, NEEDED), a=(NUMBER, NEEDED)), "halfspace
 REGION = _kinded(_REGION_KEYS)
 
 
-def _halfspace(spec):
-    """Half-space from ``{B, W}``; a B of None is the origin."""
-    W = np.asarray(spec["W"], dtype=float)
-    return regions.Halfspace(B=np.zeros(len(W)) if spec["B"] is None
-                             else np.asarray(spec["B"], dtype=float), W=W)
+def build_region(spec, ambient_dim):
+    """Region from its JSON form, read by ``REGION``; a B of None is the origin.
 
-
-def build_region(spec):
-    """Region from its JSON form, mirroring the region type fields, read by ``REGION``."""
+    First every vector, ``vertical_to`` too, in the order of its keys: one without
+    ambient_dim coordinates is an InvalidInputError naming it (``'region.halfspaces[1].W'``).
+    """
     spec = REGION(spec, "region")
+    entries = {"region": spec, **{f"region.halfspaces[{i}]": half
+                                  for i, half in enumerate(spec.get("halfspaces", ()))}}
+    vec = {f"{entry}.{key}": regions.coordinates(v, ambient_dim, f"{entry}.{key}")
+           for entry, obj in entries.items()
+           for key, v in obj.items() if key != "halfspaces" and isinstance(v, list)}
+    # the half-space the region is, or the pair it holds
+    halves = [regions.Halfspace(B=vec.get(f"{entry}.B", np.zeros(ambient_dim)),
+                                W=vec[f"{entry}.W"]) for entry in entries if f"{entry}.W" in vec]
     if spec["kind"] == "cone":
-        return regions.Cone(V=np.asarray(spec["V"], dtype=float), a=float(spec["a"]))
-    if spec["kind"] == "halfspace":
-        return _halfspace(spec)
-    vert = spec["vertical_to"]
-    return regions.BiHalfspace(*map(_halfspace, spec["halfspaces"]),
-                               vertical_to=None if vert is None else np.asarray(vert, dtype=float))
+        return regions.Cone(V=vec["region.V"], a=float(spec["a"]))
+    return halves[0] if spec["kind"] == "halfspace" else regions.BiHalfspace(*halves)
 
 
 _FIELD_KEYS = {"height": dict(W=(VECTOR, NEEDED)),
@@ -170,11 +171,8 @@ def build_scalar_field(spec, ambient_dim, name):
     keys = FIELD(spec, name)
 
     def vector(key):
-        vec = np.zeros(ambient_dim) if keys[key] is None else np.asarray(keys[key], dtype=float)
-        if vec.shape != (ambient_dim,):
-            raise InvalidInputError(f"'{name}.{key}' needs n + 1 = {ambient_dim} coordinates "
-                                    f"for this surface (got {vec.size})")
-        return vec
+        return regions.coordinates(np.zeros(ambient_dim) if keys[key] is None else keys[key],
+                                   ambient_dim, f"{name}.{key}")
 
     if keys["kind"] == "height":
         return charts.linear_height(vector("W"))

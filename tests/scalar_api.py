@@ -162,13 +162,11 @@ def transform_chart(chart, Q, shift=None, name=None):
         X, dX, d2X = chart.jets(U)
         return _matvec(Q, X) + s, Q @ dX, d2X @ Q.T
 
-    ref = None if chart.orient_ref is None else Q @ chart.orient_ref
     return Chart(
         n=chart.n,
         param_domain=chart.param_domain,
         jet=jets,
         name=name or (chart.name + "-moved"),
-        orient_ref=ref,
-        orient_sign=chart.orient_sign,
+        orient_ref=Q @ chart.orient_ref,
         intrinsic_distance=chart.intrinsic_distance,
     )

@@ -336,7 +336,6 @@ def test_theorem_consistency_battery(translator_charts, translator_meshes):
                 reg = BiHalfspace(
                     Halfspace(np.zeros(dim), w1),
                     Halfspace(np.zeros(dim), w2),
-                    vertical_to=vel,
                 )
                 res = first_exit(reg, mesh)
                 assert res.found, f"{key}: contained in bi-half-space a={a}"

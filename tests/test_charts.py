@@ -105,7 +105,7 @@ class TestPointGeometry:
 
         from rmcf.charts import Chart
 
-        ch = Chart(n=1, param_domain=np.array([[-1.0, 1.0]]), jet=jet)
+        ch = Chart(n=1, param_domain=np.array([[-1.0, 1.0]]), jet=jet, orient_ref=[0.0, 1.0])
         with pytest.raises(SingularPointError):
             point_geometry(ch, [0.0])
 

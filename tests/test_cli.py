@@ -235,7 +235,7 @@ class TestTheoremCheck:
         # that eps
         config = copy.deepcopy(BIHALFSPACE_40)
         config["region"]["halfspaces"] = config["region"]["halfspaces"][::order]
-        Q = rmcf.regions.normalize_bihalfspace(build_region(config["region"]), np.array(V4))[0]
+        Q = rmcf.regions.normalize_bihalfspace(build_region(config["region"], 4), np.array(V4))[0]
         assert np.linalg.det(Q) == pytest.approx(order)
         drive = rmcf.cli.bihalfspace_drive
         seen = []

@@ -29,7 +29,8 @@ from rmcf.maxprinciple import (
     hypothesis_gate,
     oy_sequence,
 )
-from rmcf.regions import BiHalfspace, Cone, Halfspace, bihalfspace_drive, first_exit
+from rmcf.regions import (BiHalfspace, Cone, Halfspace, bihalfspace_drive, first_exit,
+                          normalize_bihalfspace)
 from rmcf.translators import grim_reaper_chart, rot_chart, solve_rotational_translator
 
 import g_quadrature
@@ -276,7 +277,7 @@ class TestOYSequence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run = oy_sequence(mesh, u, gamma, GFunction.constant_fn(1.0), k_max=4)
-        assert run.boundary_dominated and not run.conclusive
+        assert run.boundary_dominated and not run.to_json_dict()["conclusive"]
         assert np.all(run.idx == 0)
         assert np.all(run.grad_norms == 0.0)
         assert np.all(np.abs(run.L_values) < 1e-12)
@@ -293,7 +294,7 @@ class TestOYSequence:
             mesh, psi, distance_sq_to(np.zeros(3)),
             GFunction.iterated_log(1), k_max=6, rows=rows,
         )
-        assert run.boundary_dominated and not run.conclusive
+        assert run.boundary_dominated and not run.to_json_dict()["conclusive"]
         # maximizers drift toward the asymptotic planes, gradient norms
         # weakly decreasing along the run
         xs = np.abs(mesh.points[run.idx, 0])
@@ -333,7 +334,7 @@ class TestConeDrive:
         mesh = Mesh.grid(bowl_chart, (25, 13))
         rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), a, 1))
         run = rep.oy
-        assert run.boundary_dominated and not run.conclusive
+        assert run.boundary_dominated and not run.to_json_dict()["conclusive"]
         rims = mesh.points[run.idx, 0]
         assert np.all(rims == np.max(mesh.points[:, 0]))
         assert rims[0] == pytest.approx(29.99997, abs=1e-5)
@@ -425,7 +426,7 @@ class TestHypothesisGate:
         mesh = Mesh.grid(ch, (15, 7, 9))
         V = np.array([0.0, 0.0, 0.0, 1.0])
         region = BiHalfspace(Halfspace(np.zeros(4), [0.6, 0.8, 0.0, 0.0]),
-                             Halfspace(np.zeros(4), [0.6, -0.8, 0.0, 0.0]), vertical_to=V)
+                             Halfspace(np.zeros(4), [0.6, -0.8, 0.0, 0.0]))
         gate = hypothesis_gate(mesh, region, {"r": 2, "V": V, "eps": 1e-6})
         ids = {p["id"]: p for p in gate.premises}
         assert ids["sigma-r-bounded"]["pass"]
@@ -455,8 +456,8 @@ class TestHypothesisGate:
         (Halfspace(np.zeros(3), [0.6, 0.0, -0.8]), {"r": 1, "V": _E3}, InvalidInputError,
          "<V, W> > 0"),
         (Cone(V=[0.0, 0.6, 0.8], a=0.3), {"r": 1, "V": _E3}, InvalidInputError, "axis"),
-        (Cone(V=_E3, a=0.3), {"r": 0, "V": _E3}, DomainError, "1 <= r <= n"),
-        (Cone(V=_E3, a=0.3), {"r": 3, "V": _E3}, DomainError, "1 <= r <= n"),
+        (Cone(V=_E3, a=0.3), {"r": 0, "V": _E3}, InvalidInputError, "1 <= r <= n"),
+        (Cone(V=_E3, a=0.3), {"r": 3, "V": _E3}, InvalidInputError, "1 <= r <= n"),
         (BiHalfspace(Halfspace(np.zeros(3), [0.6, 0.0, 0.8]),
                      Halfspace(np.zeros(3), [0.6, -0.8, 0.0])), {"r": 1, "V": _E3},
          InvalidInputError, "orthogonal to V"),
@@ -475,6 +476,22 @@ class TestHypothesisGate:
         mesh = Mesh.grid(ch, (9, 5))
         with pytest.raises(error, match=match):
             hypothesis_gate(mesh, region, params)
+        assert calls == {"calls": 0, "rows": 0}
+
+    def test_pair_not_orthogonal_to_V(self):
+        # the gate, the normalization and the drive check the V they are
+        # given, with the one message, before any geometry
+        pair = BiHalfspace(Halfspace(np.zeros(4), [0.6, 0.0, 0.0, 0.8]),
+                           Halfspace(np.zeros(4), [0.6, 0.0, 0.0, -0.8]))
+        V = np.eye(4)[-1]
+        ch, calls = _counting(flat_chart(3, halfwidth=2.0))
+        mesh = Mesh.grid(ch, 4)
+        for check in (lambda: hypothesis_gate(mesh, pair, {"r": 2, "V": V}),
+                      lambda: normalize_bihalfspace(pair, V),
+                      lambda: bihalfspace_drive(mesh, pair, V, 2.0, 2, 0.01)):
+            with pytest.raises(InvalidInputError) as err:
+                check()
+            assert str(err.value) == "vertical bi-half-space needs W_i orthogonal to V"
         assert calls == {"calls": 0, "rows": 0}
 
 

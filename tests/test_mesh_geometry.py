@@ -197,9 +197,8 @@ def _point_geometry_scalar(chart, u, jet):
     L = np.linalg.cholesky(g)
     raw = _generalized_cross_scalar(dX)
     N = raw / np.linalg.norm(raw)
-    if chart.orient_ref is not None and float(N @ chart.orient_ref) < 0.0:
+    if float(N @ chart.orient_ref) < 0.0:
         N = -N
-    N = chart.orient_sign * N
     II = d2X @ N
     Linv = np.linalg.inv(L)
     A = SymMatrix(Linv @ II @ Linv.T)
@@ -528,7 +527,7 @@ class TestMeshGeometry:
             d2X = np.stack([6.0 * t, np.full_like(t, 2.0)], axis=-1)[:, None, None, :]
             return X, dX, d2X
 
-        ch = Chart(n=1, param_domain=np.array([[-1.0, 1.0]]), jet=jet)
+        ch = Chart(n=1, param_domain=np.array([[-1.0, 1.0]]), jet=jet, orient_ref=[0.0, 1.0])
         mesh = Mesh.grid(ch, 5)
         assert mesh.points[2, 0] == 0.0
         with pytest.raises(SingularPointError, match=r"mesh index 2, u = \[0\.\]"):
@@ -578,7 +577,7 @@ class TestMeshGeometry:
         }
         for jet, text in want.items():
             with pytest.raises(SingularPointError) as err:
-                mesh_geometry(Chart(n=2, param_domain=box, jet=jet), U)
+                mesh_geometry(Chart(n=2, param_domain=box, jet=jet, orient_ref=np.eye(3)[2]), U)
             assert str(err.value) == text
 
     def test_mesh_theorems_meshes_take_one_eigvalsh(self, monkeypatch):
@@ -627,19 +626,13 @@ class TestMovedMesh:
             "bowl": (bowl, _rotation(4, 0.7), shift4, (9, 5, 6)),
             "bowl-reflected": (bowl, reflect4, shift4, (9, 5, 6)),
             "grim-reaper": (reaper, flip3, np.array([0.3, 0.0, -1.0]), (21, 7)),
-            "no-orient-ref-reflected": (replace(reaper, orient_ref=None), flip3, None, (21, 7)),
-            "no-orient-ref-rotated": (replace(reaper, orient_ref=None), _rotation(3, 0.4), None,
-                                      (21, 7)),
         }[name]
 
-    @pytest.mark.parametrize("name", ["bowl", "bowl-reflected", "grim-reaper",
-                                      "no-orient-ref-reflected", "no-orient-ref-rotated"])
+    @pytest.mark.parametrize("name", ["bowl", "bowl-reflected", "grim-reaper"])
     def test_matches_recomputation(self, translator_charts, name):
         # the geometry over the moved chart is the parent's under the rigid
-        # motion: u, L and normA stay and E turns to Q E. The normal becomes
-        # Q N when the chart has orient_ref; without it the raw normal (a
-        # generalized cross product) picks up det Q, so a reflection flips N,
-        # A and k, and multiplies sigma_j by (-1)^j
+        # motion: u, L and normA stay, E turns to Q E and N to Q N (the
+        # moved chart's orient_ref is Q orient_ref), reflections included
         chart, Q, shift, counts = self._case(translator_charts, name)
         parent = Mesh.grid(chart, counts).geometry()
         moved = Mesh.grid(transform_chart(chart, Q, shift), counts)
@@ -654,13 +647,8 @@ class TestMovedMesh:
         d2X = chart.jets(moved.points)[2]
         assert np.array_equal(moved.chart.jets(moved.points)[2], d2X @ Q.T)
         assert np.array_equal(moved.positions(), want["X"])
-        flip = chart.orient_ref is None and np.linalg.det(Q) < 0.0
-        assert flip == (name == "no-orient-ref-reflected")
-        sign = -1.0 if flip else 1.0
-        signs = (-1.0) ** np.arange(chart.n + 1) if flip else 1.0
-        want.update(u=parent.u, normA=parent.normA, E=Q @ parent.E,
-                    N=sign * _matvec(Q, parent.N), A=sign * parent.A,
-                    k=-parent.k[:, ::-1] if flip else parent.k, sigma=parent.sigma * signs)
+        want.update(u=parent.u, normA=parent.normA, E=Q @ parent.E, N=_matvec(Q, parent.N),
+                    A=parent.A, k=parent.k, sigma=parent.sigma)
         for key in self.FIELDS:
             g, w = getattr(got, key), want[key]
             scale = max(1.0, float(np.max(np.abs(w))))
@@ -674,12 +662,11 @@ class TestMovedMesh:
         V = np.eye(4)[-1]
         turn = _rotation(4, 0.4)
         region = BiHalfspace(Halfspace(B=[0.3, -0.2, 0.0, 1.0], W=turn @ [0.6, 0.8, 0.0, 0.0]),
-                             Halfspace(B=[-0.1, 0.4, 0.5, 0.0], W=turn @ [0.6, -0.8, 0.0, 0.0]),
-                             vertical_to=V)
+                             Halfspace(B=[-0.1, 0.4, 0.5, 0.0], W=turn @ [0.6, -0.8, 0.0, 0.0]))
         Q, shift, a, b = normalize_bihalfspace(region, V)
         zero = np.zeros(4)
         wedge = BiHalfspace(Halfspace(B=zero, W=[a, b, 0.0, 0.0]),
-                            Halfspace(B=zero, W=[a, -b, 0.0, 0.0]), vertical_to=V)
+                            Halfspace(B=zero, W=[a, -b, 0.0, 0.0]))
         assert np.array_equal(normalize_bihalfspace(wedge, V)[0], np.eye(4))
         mesh = Mesh.grid(chart, (13, 7, 9))
         mesh.geometry()

@@ -1,7 +1,6 @@
 """Tests for region predicates, growth estimators, and the cylinder machinery."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from rmcf.regions import (
     Halfspace,
     ambient_cylinder_hessian,
     bihalfspace_drive,
+    check_vertical,
     cylinder_distance,
     cylinder_hessian_frame,
     first_exit,
@@ -84,11 +84,8 @@ class TestRegionContains:
                 Halfspace(np.zeros(3), [1, 1e-9, 0]),
             )
         with pytest.raises(InvalidInputError):
-            BiHalfspace(
-                Halfspace(np.zeros(3), [1, 0, 0]),
-                Halfspace(np.zeros(3), [0, 1, 0]),
-                vertical_to=[1.0, 0.0, 0.0],
-            )
+            check_vertical(BiHalfspace(Halfspace(np.zeros(3), [1, 0, 0]),
+                                       Halfspace(np.zeros(3), [0, 1, 0])), [1.0, 0.0, 0.0])
 
     def test_translation_invariance_of_containment(self):
         # set-level invariance: translating a contained mesh by -tV keeps it contained
@@ -137,7 +134,7 @@ class TestGrowthReport:
         rep = growth_report(mesh, "HS2-1", {"r": 1, "a": 0.5})
         assert rep.satisfied
         assert rep.bound == pytest.approx(1.0 * 0.5 / (0.5 * 2.0))
-        assert rep.note == "empirical"
+        assert rep.to_json_dict()["note"] == "empirical"
 
     def test_grim_reaper_curvature_hypothesis(self):
         ch = grim_reaper_chart(2, t_halfwidth=1100.0)
@@ -386,7 +383,7 @@ def _wedge(m, W1=(0.6, 0.8), W2=(0.6, -0.8), B1=None, B2=None):
     zero = np.zeros(m)
     halves = [Halfspace(zero if B is None else B, np.append(W, np.zeros(m - 2)))
               for W, B in ((W1, B1), (W2, B2))]
-    return BiHalfspace(*halves, vertical_to=V), V
+    return BiHalfspace(*halves), V
 
 
 class TestBiHalfspaceDrive:
@@ -410,15 +407,10 @@ class TestBiHalfspaceDrive:
         assert not rep.empty
         assert rep.min_slack >= -1e-6
 
-    @pytest.mark.parametrize("orient_ref", [True, False])
     @pytest.mark.parametrize("turned", [False, True])
-    def test_pair_order(self, orient_ref, turned):
-        # the verdict does not depend on which half-space is listed first,
-        # also on a chart without orient_ref, whose raw normal a reflecting
-        # rigid motion would flip
+    def test_pair_order(self, turned):
+        # the verdict does not depend on which half-space is listed first
         ch = rot_chart(solve_rotational_translator(3, 2, R_max=40.0, tol=1e-9))
-        if not orient_ref:
-            ch = replace(ch, orient_ref=None)
         mesh = Mesh.grid(ch, 13)
         W1, W2 = np.array([0.6, 0.8]), np.array([0.6, -0.8])
         B1 = B2 = None
@@ -487,8 +479,6 @@ class TestNormalizeBiHalfspace:
         # normals in R^4 and a velocity in R^3: a typed error, not numpy's matmul error
         pair = BiHalfspace(Halfspace(np.zeros(4), [0.6, 0.8, 0.0, 0.0]),
                            Halfspace(np.zeros(4), [0.6, -0.8, 0.0, 0.0]))
-        with pytest.raises(InvalidInputError, match="4 coordinates"):
-            BiHalfspace(pair.first, pair.second, vertical_to=[0.0, 0.0, 1.0])
         with pytest.raises(InvalidInputError, match="4 coordinates"):
             normalize_bihalfspace(pair, [0.0, 0.0, 1.0])
 
