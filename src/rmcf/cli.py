@@ -200,8 +200,8 @@ def _check_theorem_config(keys, n):
     """The region of a theorem-check config on an n-dim surface, checked before any mesh work.
 
     ``check_statement`` checks the statement; around it, this checks what the
-    config states twice: the theorem and ``region.kind``, ``a`` and ``region.a``, a
-    unit ``region.W`` (the region normalizes W) and ``region.vertical_to`` parallel to ±V.
+    config states twice: the theorem and ``region.kind``, ``a`` and ``region.a``, and
+    ``region.vertical_to`` parallel to ±V.
     """
     region = keys["region"]
     if region["kind"] != keys["theorem"]:
@@ -210,9 +210,6 @@ def _check_theorem_config(keys, n):
     if keys["theorem"] == "cone" and region["a"] != keys["a"]:
         raise InvalidInputError(f"'region.a' = {region['a']} must equal the cone parameter "
                                 f"'a' = {keys['a']}")
-    if keys["theorem"] == "halfspace" and abs(np.linalg.norm(region["W"]) - 1.0) > 1e-10:
-        raise InvalidInputError(
-            f"'region.W' must be a unit vector (|W| = {np.linalg.norm(region['W']):g})")
     built = registry.build_region(region, n + 1)
     check_statement(n, built, keys)
     if region.get("vertical_to") is not None and not _parallel(region["vertical_to"], keys["V"]):
@@ -250,11 +247,7 @@ def cmd_theorem_check(args):
         "surface": chart.name,
         "gate": gate.to_json_dict(),
         "drive": drive,
-        "first_exit": {
-            "found": gate.exit.found,
-            "margin": gate.exit.margin,
-            "witness": None if gate.exit.witness is None else list(gate.exit.witness),
-        },
+        "first_exit": gate.exit._asdict(),
         "consistent": gate.consistent,
     }
     path = _write_report(args.out, "report.json", payload)

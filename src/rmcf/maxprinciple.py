@@ -267,34 +267,37 @@ def oy_sequence(mesh, u_field, gamma_field, G, k_max=10, r=1, rows=None):
 
 @dataclass(frozen=True)
 class DriveReport:
-    """Outcome of one theorem drive: identity errors, premises, maximizer run."""
+    """Outcome of one theorem drive: identity errors, maximizer run and extras.
 
-    kind: str
-    r: int
-    residual_sup: float
+    It keeps the gate it read and the growth report it read (the gate's own,
+    or the cone drive's HS2-1 when the gate reads HS2-2); ``to_json_dict``
+    writes kind, r, residual_sup, containment_holds, exit_margin,
+    failed_premises, min_eigen_P and growth from those two.
+    """
+
+    gate: "GateReport"
+    growth: GrowthReport
     grad_identity_err: float
     L_identity_err: float
-    containment_holds: bool
-    exit_margin: float
     oy: OYRun
-    failed_premises: tuple
     extras: dict
 
     def to_json_dict(self):
-        out = {
-            "kind": self.kind,
-            "r": self.r,
-            "residual_sup": float(self.residual_sup),
-            "grad_identity_err": float(self.grad_identity_err),
-            "L_identity_err": float(self.L_identity_err),
-            "containment_holds": self.containment_holds,
-            "exit_margin": float(self.exit_margin),
-            "failed_premises": list(self.failed_premises),
+        gate = self.gate
+        return {
+            "kind": gate.theorem,
+            "r": gate.r,
+            "residual_sup": gate.residual_sup,
+            "grad_identity_err": self.grad_identity_err,
+            "L_identity_err": self.L_identity_err,
+            "containment_holds": gate.contained,
+            "exit_margin": gate.exit.margin,
+            "failed_premises": list(gate.failed_premises(self.growth)),
+            "min_eigen_P": gate.min_eigen_P,
+            "growth": self.growth.to_json_dict(),
             "oy": self.oy.to_json_dict(),
+            **self.extras,
         }
-        for key, val in self.extras.items():
-            out[key] = list(map(float, val)) if isinstance(val, np.ndarray) else val
-        return out
 
 
 def _translator_residual_sup(mesh, V, r):
@@ -320,17 +323,6 @@ def _maximizer_run(mesh, psi, r, expected):
     run = oy_sequence(mesh, psi, distance_sq_to(np.zeros(mesh.chart.n + 1)),
                       GFunction.iterated_log(1), k_max=8, r=r, rows=mg)
     return (grad_err, L_err), run, geom.take(run.idx)
-
-
-def _drive_report(gate, errors, run, growth, extras):
-    """The drive's identity errors, run and extras; the rest read from the gate and ``growth``."""
-    return DriveReport(
-        kind=gate.theorem, r=gate.r, residual_sup=gate.residual_sup,
-        grad_identity_err=errors[0], L_identity_err=errors[1],
-        containment_holds=gate.contained, exit_margin=gate.exit.margin, oy=run,
-        failed_premises=gate.failed_premises(growth),
-        extras={"min_eigen_P": gate.min_eigen_P, "growth": growth.to_json_dict(), **extras},
-    )
 
 
 def cone_drive(mesh, gate):
@@ -368,8 +360,8 @@ def cone_drive(mesh, gate):
     growth = gate.growth
     if growth.hypothesis != "HS2-1":
         growth = growth_report(mesh, "HS2-1", {"r": r, "a": a})
-    return _drive_report(gate, errors, run, growth,
-                         {"alpha_values": alphas, "comparison_bounds": bounds, "a": a})
+    return DriveReport(gate, growth, *errors, run,
+                       {"alpha_values": alphas, "comparison_bounds": bounds, "a": a})
 
 
 def halfspace_drive(mesh, gate):
@@ -400,7 +392,7 @@ def halfspace_drive(mesh, gate):
     NW = rowdot(at.N, np.broadcast_to(W, at.N.shape))
     expansion = rowdot(at.tangential(V), at.tangential(W)) + NV * NW
     frame_err = float(np.max(np.abs(c - expansion)))
-    return _drive_report(gate, errors, run, gate.growth, {
+    return DriveReport(gate, gate.growth, *errors, run, {
         "frame_identity_err": frame_err,
         "L_at_maximizers": np.asarray(height_L(at)),
         "r_times_c": r * c,

@@ -10,7 +10,7 @@ reaches scale 1e3.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -271,22 +271,24 @@ def cylinder_hessian_frame(R, a, X):
 
 
 def ambient_cylinder_hessian(R, a, X):
-    """The full (n+1) x (n+1) ambient Hessian of d_R at X, per point of X (..., n+1)."""
+    """The ambient Hessian of d_R at X, a (..., m, m) stack for points X (..., m)."""
     d, _, chi = cylinder_hessian_frame(R, a, X)
     return (1.0 / d)[..., None, None] * (chi[..., :, None] * chi[..., None, :])
 
 
 def _wedge_coordinates(Q, shift, X):
-    """T X = Q (X - shift), the rigid motion of ``normalize_bihalfspace``, on a stack X."""
+    """T X = Q (X - shift), the wedge coordinates of ``normalize_bihalfspace``, on a stack X."""
     return _matvec(Q, X) - Q @ shift
 
 
 def cylinder_field(R, a, Q, shift):
     """d_R(T X) on charts, as an analytic ambient field, with T X = Q (X - shift).
 
-    The field is d_R pulled back by the rigid motion T: its gradient is
-    grad d_R(T X) Q and its Hessian Q^T D^2 d_R(T X) Q, so it acts on a
-    chart's own positions.
+    Q is the 3 x (n+1) frame (e1, e2, V) of ``normalize_bihalfspace`` and
+    d_R reads the first two wedge coordinates. The field is d_R pulled back
+    by the linear map T: its gradient is grad d_R(T X) Q and its Hessian the
+    (n+1) x (n+1) matrix Q^T D^2 d_R(T X) Q, with D^2 d_R the 3 x 3 Hessian
+    in wedge coordinates, so it acts on a chart's own positions.
     """
     _check_cyl(R, a)
     Q = np.asarray(Q, dtype=float)
@@ -333,29 +335,20 @@ class BiHalfspaceDriveReport:
     max_d: float
 
     def to_json_dict(self):
-        return {
-            "a": self.a,
-            "b": self.b,
-            "R": self.R,
-            "r": self.r,
-            "eps": self.eps,
-            "empty": self.empty,
-            "n_points": self.n_points,
-            "min_slack": self.min_slack,
-            "max_d": self.max_d,
-        }
+        return asdict(self)
 
 
 def bihalfspace_drive(mesh, region, V, R, r, eps):
     """Check L_{r-1} d_R >= eps (1 - <chi,N>^2)/d + r <V,N><grad d,N> in the pocket.
 
-    ``normalize_bihalfspace(region, V)`` gives the rigid motion T that puts
-    the pair into wedge form. The surface stays where it is: the pocket,
-    d_R, chi and grad d are evaluated at the positions T X, and d_R is
-    pulled back by T (``cylinder_field``). Evaluated at every mesh point
-    inside the pocket region; the minimum slack must stay above -1e-6
-    whenever P_{r-1} >= eps I holds there. An empty intersection is
-    reported, not raised, with ``min_slack`` None (null in JSON).
+    ``normalize_bihalfspace(region, V)`` gives the frame Q = (e1, e2, V)
+    and the wedge coordinates T X = Q (X - shift) of the pair. The surface
+    stays where it is: the pocket, d_R, chi and grad d are evaluated at the
+    wedge coordinates T X, and d_R is pulled back by T (``cylinder_field``).
+    Evaluated at every mesh point inside the pocket region; the minimum
+    slack must stay above -1e-6 whenever P_{r-1} >= eps I holds there.
+    An empty intersection is reported, not raised, with ``min_slack`` None
+    (null in JSON).
     """
     Q, shift, a, b = normalize_bihalfspace(region, V)
     f = cylinder_field(R, a, Q, shift)
@@ -389,15 +382,14 @@ def min_eigen_over_mesh(mesh, r):
 
 
 def normalize_bihalfspace(bhs, V):
-    """Rigid motion taking a vertical transversal pair to normalized coordinates.
+    """The wedge coordinates of a vertical transversal pair.
 
-    Returns (Q, shift, a, b) with Q orthogonal so that
-    X -> Q (X - shift) maps the half-spaces onto <X', (a, +-b, 0...)> >= 0
-    and V onto the last coordinate axis.
+    Returns (Q, shift, a, b) with Q the 3 x (n+1) frame (e1, e2, V): the
+    wedge coordinates Q (X - shift) of X take the half-spaces onto
+    a x1 +- b x2 >= 0, and their last entry is <V, X - shift>.
     """
     V = check_vertical(bhs, V)
     w1, w2 = bhs.first.W, bhs.second.W
-    m = w1.size
     # the pair is transversal, so w1 + w2 and the residual below are nonzero
     e1 = (w1 + w2) / np.linalg.norm(w1 + w2)
     a = float(w1 @ e1)
@@ -405,23 +397,12 @@ def normalize_bihalfspace(bhs, V):
     b = float(np.linalg.norm(resid))
     e2 = resid / b
 
-    basis = [e1, e2]
-    for cand in np.eye(m):
-        proj = cand - sum((cand @ q) * q for q in basis) - (cand @ V) * V
-        nrm = np.linalg.norm(proj)
-        if nrm > 1e-8 and len(basis) < m - 1:
-            basis.append(proj / nrm)
-    basis.append(V)
-    Q = np.array(basis)
-    if Q.shape != (m, m) or np.max(np.abs(Q @ Q.T - np.eye(m))) > 1e-10:
-        raise InvalidInputError("failed to complete an orthonormal ambient basis")
-
     c1 = float(bhs.first.B @ w1)
     c2 = float(bhs.second.B @ w2)
     alpha = (c1 + c2) / (2.0 * a)
     beta = (c1 - c2) / (2.0 * b)
     shift = alpha * e1 + beta * e2
-    return Q, shift, a, b
+    return np.array([e1, e2, V]), shift, a, b
 
 
 def _check_cyl(R, a):

@@ -61,6 +61,8 @@ INTEGER = KeyType("an integer", _integer)
 ORDER = integers(1, 16)  # a dimension n or an order r
 VECTOR = KeyType("an array of at least 2 numbers",
                  lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_number, v)))
+UNIT = KeyType("a unit vector",
+               lambda v: VECTOR.test(v) and abs(np.linalg.norm(v) - 1.0) <= 1e-10)
 
 
 def _spec_keys(spec, entry, kind, table):
@@ -126,7 +128,7 @@ def build_chart(spec):
 
 
 # a half-space region's keys, which each entry of a bi-half-space's pair reads too
-_HALFSPACE_KEYS = dict(W=(VECTOR, NEEDED), B=(VECTOR, None))
+_HALFSPACE_KEYS = dict(W=(UNIT, NEEDED), B=(VECTOR, None))
 _PAIR = KeyType("an array of 2 objects",
                 lambda v: isinstance(v, list) and len(v) == 2 and all(isinstance(h, dict) for h in v),
                 lambda v, path: [_spec_keys(half, f"{path}[{i}]", "halfspace", _HALFSPACE_KEYS)

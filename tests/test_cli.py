@@ -230,13 +230,13 @@ class TestTheoremCheck:
     def test_bihalfspace_eps_is_the_gates(self, tmp_path, monkeypatch, order):
         # eps defaults to the gate's smallest P_{r-1} eigenvalue. The drive
         # runs on the mesh the gate read, in the wedge coordinates of the
-        # pair, so for det Q = +1 and -1 alike the mesh's own eigenvalue is
-        # the same float and the report bytes are those of the drive given
-        # that eps
+        # pair, so whether the frame (e1, e2, V), completed by the third axis,
+        # turns or reflects, the mesh's own eigenvalue is the same float and the
+        # report bytes are those of the drive given that eps
         config = copy.deepcopy(BIHALFSPACE_40)
         config["region"]["halfspaces"] = config["region"]["halfspaces"][::order]
         Q = rmcf.regions.normalize_bihalfspace(build_region(config["region"], 4), np.array(V4))[0]
-        assert np.linalg.det(Q) == pytest.approx(order)
+        assert np.linalg.det(np.insert(Q, 2, np.eye(4)[2], axis=0)) == pytest.approx(order)
         drive = rmcf.cli.bihalfspace_drive
         seen = []
 
@@ -345,15 +345,32 @@ class TestTheoremCheck:
     def test_halfspace_drive_reads_the_region_base_point(self, tmp_path):
         # every mesh point lies below the plane x_3 = 2000: contained, so the
         # gate finds every premise passing and the check is inconsistent
-        res = theorem_check(tmp_path, {
+        config = {
             "surface": {"kind": "bowl", "n": 2, "r": 1, "R_max": 40.0},
             "region": {"kind": "halfspace", "B": [0.0, 0.0, 2000.0], "W": [0.0, 0.0, 1.0]},
             "theorem": "halfspace", "r": 1, "V": [0.0, 0.0, 1.0], "mesh": 9,
-        }, code=1)
+        }
+        res = theorem_check(tmp_path, config, code=1)
         drive = res["drive"]
         assert res["gate"]["contained"] is True and drive["containment_holds"] is True
         assert drive["exit_margin"] == res["first_exit"]["margin"] < 0.0
         assert drive["failed_premises"] == []
+        # the drive's gate facts repeat the gate's report exactly, here and for
+        # the README cone, whose gate reads the growth report its drive reads
+        (tmp_path / "cone").mkdir()
+        runs = [(config, res), (README_CONE, theorem_check(tmp_path / "cone", README_CONE))]
+        for config, res in runs:
+            drive, gate = res["drive"], res["gate"]
+            premise = {p["id"]: p for p in gate["premises"]}
+            growth = drive["growth"]
+            assert (drive["kind"], drive["r"]) == (gate["theorem"], config["r"])
+            assert drive["residual_sup"] == premise["translator-residual"]["value"]
+            assert drive["min_eigen_P"] == premise["newton-psd"]["value"]
+            assert drive["containment_holds"] == gate["contained"]
+            assert drive["exit_margin"] == res["first_exit"]["margin"]
+            grows = premise[rmcf.maxprinciple._GROWTH_PREMISE[growth["hypothesis"]]]
+            assert (grows["value"], grows["threshold"], grows["pass"], grows["conclusive"]) == (
+                growth["tail_estimate"], growth["bound"], growth["satisfied"], growth["conclusive"])
 
     @pytest.mark.parametrize("config, key", [(CONE_1E3, "residual_tol"),
                                              (HALFSPACE_1E3, "growth_bound")],
@@ -468,6 +485,26 @@ class TestTheoremCheck:
             (tmp_path / name).mkdir()
             runs.append(theorem_check(tmp_path / name, config))
         assert runs[0] == runs[1]
+
+    def test_pair_within_the_vertical_tolerance_runs(self, tmp_path):
+        # <W_i, V> = 5e-11 passes the 1e-10 vertical check, which leaves the
+        # wedge axis e1 = (W_1 + W_2)/|W_1 + W_2| 5e-8 off V; the frame
+        # (e1, e2, V) still takes W_i to (a, +-b, <W_i, V>), and the check runs
+        # to a report (a basis completion used to refuse the pair after the gate)
+        t = 1e-3
+        halves = [{"W": [math.cos(t), math.sin(t), 0.0, 5e-11]},
+                  {"W": [-math.cos(t), math.sin(t), 0.0, 5e-11]}]
+        config = dict(BIHALFSPACE_40, region={"kind": "bihalfspace", "halfspaces": halves})
+        pair, V = build_region(config["region"], 4), np.array(V4)
+        assert np.array_equal(rmcf.regions.check_vertical(pair, V), V)
+        Q, _, a, b = rmcf.regions.normalize_bihalfspace(pair, V)
+        assert abs(Q[0] @ V) > 1e-8
+        for W, sign in ((pair.first.W, 1.0), (pair.second.W, -1.0)):
+            assert Q @ W == pytest.approx([a, sign * b, 5e-11], rel=0.0, abs=1e-15)
+        cfg = write_config(tmp_path, config)
+        assert main(["theorem-check", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+        res = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert res["drive"]["a"] == pytest.approx(math.sin(t), rel=1e-12)
 
 
 class TestProfile:
@@ -845,8 +882,16 @@ class TestConfigValidator:
         # configs are strict JSON: the key rule never sees Infinity or NaN
         ("verify-identities", {"surface": {"kind": "bowl", "R_max": math.inf, "tol": math.nan}},
          "cannot parse config {cfg}: Infinity is not a JSON number"),
+        # every normal the config states is a unit vector, a pair's entries too
+        ("theorem-check", dict(HALFSPACE_1E3, region={"kind": "halfspace",
+                                                      "W": [1.2, 0.0, 0.0, 1.6]}),
+         "'region.W' must be a unit vector (got [1.2, 0.0, 0.0, 1.6])"),
+        ("theorem-check", dict(BASE_CONFIGS[3], region=dict(BASE_CONFIGS[3]["region"], halfspaces=[
+            {"W": [1.2, 1.6, 0.0, 0.0]}, {"W": [0.6, -0.8, 0.0, 0.0]}])),
+         "'region.halfspaces[0].W' must be a unit vector (got [1.2, 1.6, 0.0, 0.0])"),
     ], ids=["n-0-before-mesh-1-4", "mesh-true", "n-2.5", "R_max-true", "unread-bogus-zz",
-            "seed-only", "config-a-list", "one-halfspace", "integral-floats", "infinity-token"])
+            "seed-only", "config-a-list", "one-halfspace", "integral-floats", "infinity-token",
+            "halfspace-W-not-unit", "pair-W-not-unit"])
     def test_messages(self, tmp_path, capsys, monkeypatch, command, config, message):
         # the first key in table order that breaks the rule is named, depth first
         monkeypatch.setattr(rmcf.registry, "build_chart", built)
@@ -943,6 +988,7 @@ class TestKeyRule:
 OUT_OF_RANGE = {"an integer in 1..16": 17, "an integer >= 0": -1, "an integer in 1..1000": 1001,
                 "an integer >= 2, or an array of them": [1, 4], "a number in (0, 1)": 1.0,
                 "a positive number": 0.0, "an array of at least 2 numbers": [1.0],
+                "a unit vector": [1.0],
                 "an array of 2 objects": [{"W": [0.6, 0.8, 0.0]}] * 3}
 UNRANGED = ("a number", "an integer", "an object")
 E3 = [0.0, 0.0, 1.0]

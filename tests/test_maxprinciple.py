@@ -318,13 +318,15 @@ class TestConeDrive:
         mesh = Mesh.grid(bowl_chart, (25, 13))
         gate = cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.5, 1)
         rep = cone_drive(mesh, gate)
-        assert "containment" in rep.failed_premises
-        assert not rep.containment_holds
-        assert rep.exit_margin == gate.exit.margin
-        assert rep.residual_sup < 1e-6
+        assert rep.gate is gate and rep.growth is gate.growth
+        out = rep.to_json_dict()
+        assert "containment" in out["failed_premises"]
+        assert out["containment_holds"] is False
+        assert out["exit_margin"] == gate.exit.margin
+        assert out["residual_sup"] < 1e-6
         assert rep.grad_identity_err < 1e-8
         assert rep.L_identity_err < 1e-6
-        assert rep.extras["min_eigen_P"] >= -1e-10
+        assert out["min_eigen_P"] >= -1e-10
 
     def test_identity_chain_on_maximizers(self, bowl_chart):
         # on the truncated bowl psi = <X, V> - a |X| peaks on the rim for
@@ -370,8 +372,9 @@ class TestConeDrive:
         ch = paraboloid_chart(2, halfwidth=10.0)
         mesh = Mesh.grid(ch, 13)
         rep = cone_drive(mesh, cone_gate(mesh, np.array([0.0, 0.0, 1.0]), 0.3, 1))
-        assert "translator-residual" in rep.failed_premises
-        assert rep.residual_sup > 1e-6
+        out = rep.to_json_dict()
+        assert "translator-residual" in out["failed_premises"]
+        assert out["residual_sup"] == rep.gate.residual_sup > 1e-6
 
 
 class TestHalfspaceDrive:
@@ -381,7 +384,7 @@ class TestHalfspaceDrive:
         V = np.array([0.0, 0.0, 1.0])
         W = np.array([math.sin(0.4), 0.0, math.cos(0.4)])
         rep = halfspace_drive(mesh, halfspace_gate(mesh, V, W, 1))
-        assert "containment" in rep.failed_premises
+        assert "containment" in rep.to_json_dict()["failed_premises"]
         assert rep.grad_identity_err < 1e-9
         assert rep.L_identity_err < 1e-7
         assert rep.extras["frame_identity_err"] < 1e-10
@@ -394,8 +397,9 @@ class TestHalfspaceDrive:
         V = np.array([0.0, 0.0, -1.0])
         W = np.array([0.0, 0.0, -1.0])
         rep = halfspace_drive(mesh, halfspace_gate(mesh, V, W, 1))
-        assert rep.containment_holds
-        assert "containment" not in rep.failed_premises
+        out = rep.to_json_dict()
+        assert rep.gate.contained and out["containment_holds"] is True
+        assert "containment" not in out["failed_premises"]
         assert not rep.oy.boundary_dominated
         L_at = rep.extras["L_at_maximizers"]
         assert np.all(np.abs(L_at - rep.extras["r_times_c"]) > 0.5)

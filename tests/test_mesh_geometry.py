@@ -667,10 +667,13 @@ class TestMovedMesh:
         zero = np.zeros(4)
         wedge = BiHalfspace(Halfspace(B=zero, W=[a, b, 0.0, 0.0]),
                             Halfspace(B=zero, W=[a, -b, 0.0, 0.0]))
-        assert np.array_equal(normalize_bihalfspace(wedge, V)[0], np.eye(4))
+        assert np.array_equal(normalize_bihalfspace(wedge, V)[0], np.eye(4)[[0, 1, 3]])
+        # the frame's rows lie in the span of axes 1, 2 and 4: axis 3 completes it to a rigid motion
+        motion = np.insert(Q, 2, np.eye(4)[2], axis=0)
+        assert np.allclose(motion @ motion.T, np.eye(4), atol=1e-15)
         mesh = Mesh.grid(chart, (13, 7, 9))
         mesh.geometry()
-        moved = Mesh.grid(transform_chart(chart, Q, -Q @ shift), mesh.shape)
+        moved = Mesh.grid(transform_chart(chart, motion, -motion @ shift), mesh.shape)
         eps = min_eigen_over_mesh(mesh, 2)
         assert eps == pytest.approx(min_eigen_over_mesh(moved, 2), rel=1e-12)
         got = bihalfspace_drive(mesh, region, V, 2.0, 2, eps).to_json_dict()

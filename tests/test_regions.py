@@ -465,7 +465,10 @@ class TestNormalizeBiHalfspace:
         )
         Q, shift, a, b = normalize_bihalfspace(bhs, V)
         assert a**2 + b**2 == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(Q @ V, np.eye(m)[-1], atol=1e-12)
+        # the frame (e1, e2, V): orthonormal rows, the last one V
+        assert Q.shape == (3, m)
+        assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
+        assert np.array_equal(Q[-1], V)
         # transformed membership matches the wedge inequalities
         for _ in range(20):
             X = rng.normal(scale=5.0, size=m)
