@@ -32,9 +32,9 @@ cancellation Theta - C(n-1, r) w^r and lose most of its digits.
 
 A solved profile's table (``grid``, ``u``, ``up``, which ``export_profile``
 writes) holds the vertex, every accepted step and, inside each step, equal
-parts from the dense output, so that no two rows lie more than
-R_max / TABLE_PARTS apart and the table reads linearly. It is built on
-first read; charts evaluate the dense output and never need it.
+parts from the dense output, as few as keep a linear read within
+(R_max / TABLE_PARTS)^2 M / 8, M bounding |u''| by the steps' Nordsieck
+coefficients. It is built on first read; charts never need it.
 
 For r = n the profile turns vertical at a finite radius R_*
 (``domain_radius``): the graph is the Gauss-curvature-type translator
@@ -64,7 +64,7 @@ from .errors import (
 R_START = 1e-3  # the vertex series seeds the solve at this radius
 R_MAX_LIMIT = 1e4
 TOL_RANGE = (1e-12, 1e-6)
-# rows of a solved profile's table lie at most R_max / TABLE_PARTS apart
+# a linear read of a solved profile's table is off by at most (R_max / TABLE_PARTS)^2 M / 8
 TABLE_PARTS = 4096
 # radii per stacked Nordsieck product in RotProfile._dense_rows (bounds its scratch memory)
 _DENSE_CHUNK = 512
@@ -178,16 +178,24 @@ class RotProfile:
         return self._rows()[2]
 
     def _rows(self):
-        """The table (grid, u, up): every integrator node, each step cut into equal parts.
+        """The table (grid, u, up): every integrator node, each interval cut into equal parts.
 
-        A step longer than R_max / TABLE_PARTS is split into the fewest
-        equal parts no longer than that. Node rows are the integrator
-        states bit for bit; the rows inside the steps come from one
-        ``_dense_rows`` call.
+        Interval i, [0, R_start] or an LSODA step, gets max(1, ceil(len_i / H
+        sqrt(m_i / M))) parts, where H = R_max / TABLE_PARTS, m_i = k0 + 12 |a4|
+        R_start^2 or sum_{j>=2} j (j-1) |yh[i, 0, j]| (span_i / h_i)^(j-2) / h_i^2
+        bounds |u''| of the polynomial its rows come from, and M = max m_i; a
+        linear read is then off by at most H^2 M / 8. Node rows are the
+        integrator states bit for bit; inner rows come from one ``_dense_rows`` call.
         """
         if self._table is None:
             R, u, up = self._nodes
-            parts = np.ceil(np.diff(R) * (TABLE_PARTS / self.R_max)).astype(np.intp)
+            t, h, order, yh = self._nordsieck
+            j = np.arange(yh.shape[2])
+            terms = j * (j - 1) * np.abs(yh[:, 0]) * (np.diff(t) / h)[:, None] ** (j - 2.0)
+            m = np.sum(terms, axis=1, where=j <= order[:, None]) / (h * h)
+            m = np.append(self.k0 + 12.0 * abs(self.a4) * self.R_start**2, m)
+            parts = np.ceil(np.diff(R) * (np.sqrt(m / m.max()) * (TABLE_PARTS / self.R_max)))
+            parts = np.maximum(parts, 1).astype(np.intp)
             seg = np.repeat(np.arange(parts.size), parts)
             frac = (np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[seg]
             grid = np.append(R[seg] + (R[seg + 1] - R[seg]) * frac, R[-1])
@@ -631,11 +639,11 @@ def export_profile(profile, csv_path, json_path, extra_header=None):
     """Write the table as CSV columns R,u,up,theta plus a JSON metadata header.
 
     The rows are the profile's table (see ``RotProfile._rows``): the
-    integrator nodes plus dense-output rows inside each step, at most
-    R_max / TABLE_PARTS apart, so the CSV reads linearly. The header's
-    ``integrator.steps`` counts integrator steps, not rows. Floats are
-    written with shortest round-trip repr, so a load gives back
-    bit-identical arrays.
+    integrator nodes plus the dense-output rows inside each step that keep
+    a linear read within (R_max / TABLE_PARTS)^2 M / 8, M bounding |u''|.
+    The header's ``integrator.steps`` counts integrator steps, not rows.
+    Floats are written as ``%r`` (shortest round-trip repr), so a load
+    gives back bit-identical arrays.
     """
     theta = 1.0 / np.sqrt(1.0 + np.square(profile.up))
     rows = zip(*(col.tolist() for col in (profile.grid, profile.u, profile.up, theta)))
@@ -659,17 +667,32 @@ def export_profile(profile, csv_path, json_path, extra_header=None):
 
 
 def load_profile(csv_path, json_path):
-    """Rebuild a data-only RotProfile (no dense output) from exported files."""
+    """Rebuild a data-only RotProfile (no dense output) from exported files.
+
+    A missing header key, a CSV line that is not four finite numbers, or an
+    R column not rising strictly from 0.0 raises InvalidInputError naming it.
+    """
     with open(json_path) as fh:
         header = json.load(fh)
+    if missing := sorted({"n", "r", "R_max", "R_start", "k0", "a4", "integrator"} - set(header)):
+        raise InvalidInputError(f"{json_path}: the header has no {missing[0]!r}")
     with open(csv_path) as fh:
         names = fh.readline().strip().split(",")
         if names != ["R", "u", "up", "theta"]:
             raise InvalidInputError(f"unexpected CSV columns {names}")
-        arr = np.loadtxt(fh, delimiter=",", ndmin=2)  # correctly rounded, as float() is
+        lines = fh.readlines()
+    try:  # correctly rounded, as float() is
+        arr = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else None
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != (len(lines), 4):
+        bad = next((k for k, line in enumerate(lines, 2) if not _four_numbers(line)), 2)
+        raise InvalidInputError(f"{csv_path} line {bad}: a row needs four numbers R,u,up,theta")
+    bad = ~np.isfinite(arr).all(axis=1) | np.append(arr[0, 0] != 0.0, np.diff(arr[:, 0]) <= 0.0)
+    if bad.any():
+        raise InvalidInputError(f"{csv_path} line {2 + np.argmax(bad)}: non-finite, or R not rising from 0")
+    arr.setflags(write=False)
     grid, u, up = arr[:, 0], arr[:, 1], arr[:, 2]
-    for a in (grid, u, up):
-        a.setflags(write=False)
     return RotProfile(
         n=int(header["n"]),
         r=int(header["r"]),
@@ -680,6 +703,13 @@ def load_profile(csv_path, json_path):
         R_max=float(header["R_max"]),
         _table=(grid, u, up),
     )
+
+
+def _four_numbers(line):
+    try:
+        return len([float(cell) for cell in line.split(",")]) == 4
+    except ValueError:
+        return False
 
 
 def _check_orders(n, r):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,29 +223,53 @@ class TestSolve:
 
 
 class TestTable:
-    """The exported table: integrator nodes plus equal dense-output parts per step."""
+    """The exported table: integrator nodes plus the dense-output parts its linear-read bound needs."""
 
     @pytest.mark.parametrize("n, r, R_max", [(2, 1, 300.0), (3, 1, 300.0), (3, 2, 1e3),
-                                             (2, 2, 1.3)])
+                                             (4, 3, 1e3), (2, 2, 1.3), (3, 3, 1.3)])
     def test_rows_read_linearly(self, n, r, R_max):
         p = solve_rotational_translator(n, r, R_max=R_max, tol=1e-10)
         grid, u, up = p.grid, p.u, p.up
-        h = R_max / TABLE_PARTS
         assert np.all(np.diff(grid) > 0)
-        assert np.max(np.diff(grid)) <= h * (1 + 1e-12)
-        assert grid.size >= p.meta["steps"] + 1
         # every integrator state is a row, bit for bit
         R_nodes, u_nodes, up_nodes = p._nodes
         rows = np.searchsorted(grid, R_nodes)
         assert np.array_equal(grid[rows], R_nodes)
         assert np.array_equal(u[rows], u_nodes) and np.array_equal(up[rows], up_nodes)
-        # linear reads between rows: (h^2 / 8) max |u''|, plus the dense-output error
-        upp = max(abs(rot_ode_rhs(n, r, R, v)) for R, v in zip(grid[1:], up[1:]))
+        # the stated bound delta = H^2 M / 8, M the largest coefficient bound of |u''|:
+        # k0 + 12 |a4| R_start^2 on the vertex series, and on each step the sum
+        # of |u-polynomial coefficient| times the largest |d^2/dR^2 x^j| over the step
+        t, h, order, yh = p._nordsieck
+        m = [p.k0 + 12.0 * abs(p.a4) * p.R_start**2]
+        for i in range(h.size):
+            x_far = (t[i + 1] - t[i]) / h[i]
+            m.append(sum(j * (j - 1) * abs(yh[i, 0, j]) * x_far ** (j - 2)
+                         for j in range(2, order[i] + 1)) / h[i] ** 2)
+        H = R_max / TABLE_PARTS
+        delta = H * H * max(m) / 8.0
+        # each interval's part length, against |u''| of the dense output at 17 radii
+        # over it (the right end reads the next step, so the radii stop short of it)
+        length = np.diff(R_nodes)
+        parts = np.diff(rows)
+        part = length / parts
+        inside = R_nodes[:-1, None] + length[:, None] * (np.arange(17) / 17.0)
+        upp = np.abs(p._dense_rows(inside)[3]).reshape(inside.shape).max(axis=1)
+        assert np.all(part * part * upp / 8.0 <= delta)
+        # midpoint linear reads: delta plus the dense output's own mismatch at the nodes
+        # (a step's polynomial at its ends against the integrator states)
+        mismatch = max(np.max(np.abs(p._dense_rows(R_nodes)[0] - u_nodes)),
+                       np.max(np.abs(yh[:, 0, 0] - u_nodes[2:])))
         mid = 0.5 * (grid[1:] + grid[:-1])
         err = np.max(np.abs(np.interp(mid, grid, u) - p._dense_rows(mid)[0]))
+        slack = 4.0 * np.finfo(float).eps * np.max(np.abs(u))
         print(f"({n}, {r}, {R_max:g}): {grid.size} rows for {p.meta['steps']} steps, "
-              f"midpoint read error {err:.2e}")
-        assert err <= h * h / 8.0 * upp
+              f"midpoint read error {err:.2e}, delta {delta:.2e}, node mismatch {mismatch:.1e}")
+        assert err <= delta + mismatch + slack
+        # never more rows than at most H apart would give; far fewer where r = n
+        fixed = np.ceil(length * (TABLE_PARTS / R_max))
+        assert np.all(parts <= fixed)
+        if r == n:
+            assert grid.size <= 0.3 * (fixed.sum() + 1)
 
     def test_chart_geometry_leaves_the_table_unbuilt(self):
         p = solve_rotational_translator(3, 2, R_max=1e3, tol=1e-9)
@@ -632,3 +657,61 @@ class TestExport:
         back = load_profile(csv, js)
         with pytest.raises(NumericalError):
             back._dense_rows(1.0)
+
+    def test_export_text_is_repr_of_each_row(self, tmp_path):
+        grid = np.array([0.0, 5e-324, 1e-5, 0.12345678901234568, 2.5e11, 1e16])
+        u = np.array([-0.0, 0.0, 5e-324, 1e16, 2.5e11, 3.3333333333333335])
+        up = np.array([0.0, -0.0, 1e-5, 0.10000000000000002, 1e16, 2.5e11])
+        p = RotProfile(n=2, r=1, meta={"steps": 0}, k0=0.5, a4=1.0 / 128.0, R_start=1e-3,
+                       R_max=1e16, _table=(grid, u, up))
+        csv, js = tmp_path / "p.csv", tmp_path / "p.json"
+        export_profile(p, csv, js)
+        want = "R,u,up,theta\n" + "".join(
+            "%r,%r,%r,%r\n" % (R, v, s, 1.0 / math.sqrt(1.0 + s * s))
+            for R, v, s in zip(grid.tolist(), u.tolist(), up.tolist()))
+        assert csv.read_text() == want
+        back = load_profile(csv, js)
+        for got, col in zip((back.grid, back.u, back.up), (grid, u, up)):
+            assert same_bits(got, col)
+
+
+def _corrupt(lines, case):
+    """The exported CSV ``lines`` (column names first) broken as ``case`` says."""
+    rows = lines[1:]
+    cells = rows[3].split(",")
+    return lines[:1] + {
+        "short row": rows[:3] + ["1.0,2.0,3.0\n"] + rows[3:],
+        "non-numeric cell": rows[:3] + ["1.0,2.0,x,0.5\n"] + rows[3:],
+        "no rows": [],
+        "nan row": rows[:3] + ["nan,nan,nan,nan\n"] + rows[3:],
+        "inf value": rows[:3] + [",".join([cells[0], "inf"] + cells[2:])] + rows[4:],
+        "reversed": rows[::-1],
+        "grid not from 0.0": rows[1:],
+        "repeated R": rows[:4] + rows[3:],
+    }[case]
+
+
+@pytest.mark.parametrize("case, line", [
+    ("short row", 5), ("non-numeric cell", 5), ("no rows", 2), ("nan row", 5),
+    ("inf value", 5), ("reversed", 2), ("grid not from 0.0", 2), ("repeated R", 6),
+])
+def test_load_rejects_a_malformed_table(tmp_path, bowl21, case, line):
+    csv, js = tmp_path / "p.csv", tmp_path / "p.json"
+    export_profile(bowl21, csv, js)
+    with open(csv) as fh:
+        lines = fh.readlines()
+    csv.write_text("".join(_corrupt(lines, case)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        with pytest.raises(InvalidInputError, match=f"line {line}:"):
+            load_profile(csv, js)
+
+
+def test_load_rejects_a_header_without_k0(tmp_path, bowl21):
+    csv, js = tmp_path / "p.csv", tmp_path / "p.json"
+    export_profile(bowl21, csv, js)
+    header = json.loads(js.read_text())
+    del header["k0"]
+    js.write_text(json.dumps(header))
+    with pytest.raises(InvalidInputError, match="'k0'"):
+        load_profile(csv, js)
